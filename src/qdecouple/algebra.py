@@ -20,13 +20,12 @@ and its i-multiple count as two independent real directions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
-import scipy.linalg
 
-from .spans import RealSpan, SpanBlowupError, close_real_span, realify, unrealify
+from .spans import SpanBlowupError, close_real_span, realify
 
 DEFAULT_TOL = 1e-9
 
@@ -234,6 +233,8 @@ def tensor_embed(op: Operator, slot: str, space: HilbertSpace) -> Operator:
         Label of the factor the operator acts on.
     space : HilbertSpace
         Target space.
+
+    Backs demo 01 (operator algebra); not used by the CLI.
     """
     if slot not in space.labels:
         raise ValueError(f"unknown slot label {slot!r}")
@@ -286,6 +287,16 @@ def number_operator(n_levels: int, space: HilbertSpace | None = None) -> Operato
     return Operator(b.space, bd.matrix @ b.matrix, "hermitian")
 
 
+def unitary_stepper(a_mat: np.ndarray) -> Callable[[np.ndarray, float], np.ndarray]:
+    """(xi, t) -> exp(t a) xi for a skew-hermitian matrix, from one eigh of i*a."""
+    w, v = np.linalg.eigh(1j * a_mat)
+
+    def step(xi: np.ndarray, t: float) -> np.ndarray:
+        return v @ (np.exp(-1j * w * t) * (v.conj().T @ xi))
+
+    return step
+
+
 def matrix_exp_apply(a: Operator, t: float, xi: StateVector, tol: float = DEFAULT_TOL) -> StateVector:
     """Apply exp(t a) to a state; a must be skew-hermitian (unitary flow).
 
@@ -297,8 +308,7 @@ def matrix_exp_apply(a: Operator, t: float, xi: StateVector, tol: float = DEFAUL
     scale = max(1.0, np.abs(a.matrix).max())
     if np.abs(a.matrix + a.matrix.conj().T).max() > tol * scale:
         raise ValueError("generator is not skew-hermitian; propagation would not be unitary")
-    w, v = np.linalg.eigh(1j * a.matrix)
-    out = v @ (np.exp(-1j * w * t) * (v.conj().T @ xi.amplitudes))
+    out = unitary_stepper(a.matrix)(xi.amplitudes, t)
     nrm = np.linalg.norm(out)
     if abs(nrm - 1.0) > 1e-10:
         raise RuntimeError(f"propagation lost unitarity: norm {nrm}")
@@ -330,11 +340,20 @@ def _unvec(space: HilbertSpace, v: np.ndarray, tol: float = DEFAULT_TOL) -> Oper
     return Operator(space, mat, _classify(mat, tol))
 
 
-def ad_map(a: Operator) -> "np.ndarray":
-    """Matrix of X -> [a, X] on row-major vectorized operators."""
-    n = a.dim
-    eye = np.eye(n, dtype=complex)
-    return np.kron(a.matrix, eye) - np.kron(eye, a.matrix.T)
+def vectorized_map(n: int, fn: Callable[[np.ndarray], np.ndarray]) -> Callable[[np.ndarray], np.ndarray]:
+    """Lift a map on (B, n, n) matrix stacks to (B, n^2) row-major vectorized rows."""
+    return lambda batch: fn(batch.reshape(-1, n, n)).reshape(-1, n * n)
+
+
+def ad_maps(generators: Sequence[Operator]) -> list[Callable[[np.ndarray], np.ndarray]]:
+    """X -> [A/|A|, X] for each nonzero generator, as vectorized maps (two matmuls per row)."""
+    maps = []
+    for g in generators:
+        nrm = g.norm()
+        if nrm > 0:
+            a = (1.0 / nrm) * g.matrix
+            maps.append(vectorized_map(g.dim, lambda x, a=a: a @ x - x @ a))
+    return maps
 
 
 def lie_closure(generators: Sequence[Operator], max_dim: int, tol: float = DEFAULT_TOL) -> list[Operator]:
@@ -356,10 +375,8 @@ def lie_closure(generators: Sequence[Operator], max_dim: int, tol: float = DEFAU
     seeds = np.array([_vec(g) / g.norm() for g in generators if g.norm() > 0])
     if seeds.size == 0:
         return []
-    ads = [ad_map(g * (1.0 / g.norm())) for g in generators if g.norm() > 0]
-    maps = [lambda batch, m=m: batch @ m.T for m in ads]
     try:
-        _, basis, _ = close_real_span(seeds, maps, tol=tol, max_dim=max_dim)
+        _, batches, _ = close_real_span(seeds, ad_maps(generators), tol=tol, max_dim=max_dim)
     except SpanBlowupError as exc:
         raise ClosureBlowupError(exc.rank, exc.max_dim) from exc
-    return [_unvec(space, row, tol) for row in basis]
+    return [_unvec(space, row, tol) for row in np.vstack(batches)]

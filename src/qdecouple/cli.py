@@ -29,10 +29,11 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .algebra import SIGMA_X, ClosureBlowupError, embed_product, field_quadrature, random_state
+from .algebra import (
+    SIGMA_X, ClosureBlowupError, embed_product, field_quadrature, lie_closure, normalize, random_state
+)
 from .feedback import RankDeficiencyError, build_frame, commutant_basis, control_commutant_combos, synthesize
-from .models import SCENARIOS, ScenarioParams, build_scenario, coherence, dfs_state
-from .observation import build_c_tilde
+from .models import SCENARIOS, ScenarioParams, build_scenario, dfs_state
 from .report import decouplability_table, format_table
 from .simulate import (
     NormDriftError,
@@ -46,7 +47,7 @@ from .simulate import (
     verify_commutator_chain,
 )
 from .spans import RealSpan, realify
-from .algebra import normalize, lie_closure
+from .tangent import control_field_matrix
 
 DEFAULT_CONFIG = {
     "schema_version": 1,
@@ -116,6 +117,14 @@ def load_config(path: str | None, overrides: dict) -> dict:
         raise ConfigError("horizon must be positive")
     if cfg["feedback_mode"] not in ("literal", "regularized", "oracle_cancel", "open_loop"):
         raise ConfigError(f"unknown feedback_mode {cfg['feedback_mode']!r}")
+    if cfg["rank_policy"] not in ("abort", "freeze", "open_loop"):
+        raise ConfigError(f"unknown rank_policy {cfg['rank_policy']!r}")
+    if not (isinstance(cfg["dt"], (int, float)) and cfg["dt"] > 0):
+        raise ConfigError("dt must be positive")
+    # zero sampled states would turn the verdicts' all() into a vacuous pass
+    for key, low in (("eval_states", 1), ("rank_states", 1), ("max_power", 0)):
+        if isinstance(cfg[key], bool) or not isinstance(cfg[key], int) or cfg[key] < low:
+            raise ConfigError(f"{key} must be an integer >= {low}")
     return cfg
 
 
@@ -289,9 +298,8 @@ def cmd_rank(cfg: dict, out_dir: Path) -> int:
     n = sys_.space.total_dim
     for _ in range(cfg["rank_states"]):
         xi = random_state(sys_.space, rng)
-        rows = np.array([realify(a.matrix @ xi.amplitudes) for a in sys_.controls])
         span = RealSpan(2 * n, tol=tol)
-        span.add_batch(rows)
+        span.add_batch(control_field_matrix(sys_, xi))
         field_ranks.append(span.rank)
         k_i = realify(sys_.interaction.matrix @ xi.amplitudes)
         res_fields.append(span.residual(k_i))

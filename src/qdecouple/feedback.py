@@ -28,8 +28,8 @@ import numpy as np
 
 from .algebra import DEFAULT_TOL, Operator, StateVector, commutator
 from .models import ControlSystem
-from .spans import RealSpan, realified_nullspace, realify, unrealify
-from .tangent import TangentVector, eval_field
+from .spans import RealSpan, realified_nullspace, realify
+from .tangent import TangentVector, control_field_matrix, eval_field
 
 
 class SynthesisError(RuntimeError):
@@ -183,7 +183,7 @@ def build_frame(
     k_i = eval_field(sys.interaction, xi)
     if k_i.norm() <= tol * max(sys.interaction.norm(), 1.0):
         raise ValueError("interaction field vanishes at this state")
-    g_rows = np.array([realify(a.matrix @ xi.amplitudes) for a in sys.controls])
+    g_rows = control_field_matrix(sys, xi)
     g_span = RealSpan(2 * n, tol=tol)
     g_span.add_batch(g_rows)
     control_rank = g_span.rank
@@ -277,7 +277,7 @@ def synthesize(
     r = sys.n_controls
     if frame.rank != r:
         raise SynthesisError(f"frame rank {frame.rank} != number of controls {r}")
-    k_rows = np.array([realify(a.matrix @ xi.amplitudes) for a in sys.controls])   # (r, 2n)
+    k_rows = control_field_matrix(sys, xi)                                         # (r, 2n)
     v_rows = np.array([v.realified() for v in frame.vectors])                      # (r, 2n)
 
     d, res, rank, sing = np.linalg.lstsq(k_rows.T, v_rows.T, rcond=None)
@@ -326,13 +326,5 @@ def closed_loop_generator(sys: ControlSystem, law: FeedbackLaw, v_ext: np.ndarra
 
     The interaction is added separately by the propagator.
     """
-    v_ext = np.asarray(v_ext, dtype=float)
-    r = sys.n_controls
-    if v_ext.shape != (r,):
-        raise ValueError(f"need {r} external inputs")
-    u = law.alpha + v_ext @ law.beta
-    mat = sys.drift.matrix.copy()
-    for ui, a in zip(u, sys.controls):
-        if ui != 0.0:
-            mat = mat + ui * a.matrix
-    return Operator(sys.space, mat, "skew_hermitian")
+    u = law.alpha + np.asarray(v_ext, dtype=float) @ law.beta
+    return sys.generator(u, include_interaction=False)

@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import (
-    IDENTITY_2,
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,

@@ -25,12 +25,12 @@ from .algebra import (
     HilbertSpace,
     Operator,
     StateVector,
-    ad_map,
+    ad_maps,
     commutator,
     lie_closure,
 )
 from .models import ControlSystem
-from .spans import RealSpan, SpanBlowupError, close_real_span, realify, unrealify
+from .spans import RealSpan, SpanBlowupError, close_real_span, realify
 
 
 @dataclass
@@ -39,7 +39,6 @@ class OperatorSpan:
 
     space: HilbertSpace
     basis: list[Operator]
-    closed_under: str = ""
     tol: float = 1e-9
     details: dict = field(default_factory=dict)
     _span: RealSpan | None = field(default=None, repr=False)
@@ -101,23 +100,15 @@ def build_c_tilde(
     n = sys.space.total_dim
     if max_dim is None:
         max_dim = 2 * n * n
-    gens = _closure_generators(sys, order)
-    ads = []
-    for g in gens:
-        nrm = g.norm()
-        if nrm > 0:
-            ads.append(ad_map(g * (1.0 / nrm)))
+    maps = ad_maps(_closure_generators(sys, order))
     seed = sys.output_op.matrix.ravel()
     seed = seed / np.linalg.norm(seed)
-    maps = [lambda batch, m=m: batch @ m.T for m in ads]
     try:
-        span, basis, rounds = close_real_span(seed[None, :], maps, tol=tol, max_dim=max_dim)
+        span, batches, rounds = close_real_span(seed[None, :], maps, tol=tol, max_dim=max_dim)
     except SpanBlowupError as exc:
         raise ClosureBlowupError(exc.rank, exc.max_dim) from exc
-    ops = [Operator(sys.space, row.reshape(n, n)) for row in basis]
-    out = OperatorSpan(sys.space, ops, closed_under="ad(controls+drift)", tol=tol, _span=span)
-    out.details = {"rounds": rounds}
-    return out
+    ops = [Operator(sys.space, row.reshape(n, n)) for row in np.vstack(batches)]
+    return OperatorSpan(sys.space, ops, tol=tol, details={"rounds": rounds}, _span=span)
 
 
 def check_open_loop(sys: ControlSystem, c_tilde: OperatorSpan | None = None, tol: float = 1e-9) -> Verdict:
@@ -174,21 +165,9 @@ def check_closed_loop_necessary(
 
 
 def _ad_chain(base: Operator, by: Operator, tol: float) -> list[Operator]:
-    """base, [by, base], [by, [by, base]], ... until the span stops growing."""
-    out = [base]
-    span = RealSpan(2 * base.dim ** 2, tol=tol)
-    span.add(realify(base.matrix.ravel()))
-    current = base * (1.0 / max(base.norm(), 1.0))
-    for _ in range(2 * base.dim ** 2):
-        current = commutator(by, current)
-        nrm = current.norm()
-        if nrm <= tol:
-            break
-        current = current * (1.0 / nrm)
-        if not span.add(realify(current.matrix.ravel())):
-            break
-        out.append(current)
-    return out
+    """Orthonormal basis of span{base, [by, base], [by, [by, base]], ...}."""
+    _, batches, _ = close_real_span(base.matrix.ravel()[None, :], ad_maps([by]), tol=tol)
+    return [Operator(base.space, row.reshape(base.dim, base.dim)) for row in np.vstack(batches)]
 
 
 def check_control_algebra(
@@ -201,6 +180,8 @@ def check_control_algebra(
     [Delta, G] and [Delta, C] must land in span(Delta (+) G), where G is the
     Lie closure of the controls and C = {ad^j_{K_i} K_0} truncated at span
     stabilization.  Propagates closure blowup.
+
+    Backs the paper's control-algebra condition; called by tests only.
     """
     n = sys.space.total_dim
     if max_dim is None:
@@ -210,7 +191,7 @@ def check_control_algebra(
     if sys.drift.norm() > tol:
         for k_i in sys.controls:
             c_set.extend(_ad_chain(sys.drift, k_i, tol))
-    combined = OperatorSpan(sys.space, [*delta.basis, *g_alg], closed_under="", tol=tol)
+    combined = OperatorSpan(sys.space, [*delta.basis, *g_alg], tol=tol)
     for tag, family in (("control_algebra", g_alg), ("drift_chain", c_set)):
         for k, other in enumerate(family):
             for d_idx, d_op in enumerate(delta.basis):
@@ -237,6 +218,8 @@ def verify_dfs(sys: ControlSystem, subspace: Sequence[StateVector], tol: float =
     the trailing environment); each is tensored with every environment
     basis state and must be mapped to zero by the interaction generator
     (the collective-dephasing sufficient condition).
+
+    Backs the abstract's DFS result; called by tests only.
     """
     if not subspace:
         raise ValueError("empty subspace")

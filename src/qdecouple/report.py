@@ -27,7 +27,7 @@ import numpy as np
 
 from .algebra import ClosureBlowupError, random_state
 from .models import ControlSystem, ScenarioParams, build_restructured, build_scenario
-from .observation import Verdict, build_c_tilde, check_closed_loop_necessary, check_open_loop
+from .observation import build_c_tilde, check_closed_loop_necessary, check_open_loop
 from .tangent import check_controlled_invariance, minimal_interaction_distribution
 
 FOOTNOTE = "decoupled under the finite-dimensional environment truncation"

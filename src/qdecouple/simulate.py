@@ -16,7 +16,17 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .algebra import SIGMA_X, SIGMA_Y, SIGMA_Z, Operator, StateVector, commutator, embed_product, field_quadrature
+from .algebra import (
+    SIGMA_X,
+    SIGMA_Y,
+    SIGMA_Z,
+    Operator,
+    StateVector,
+    commutator,
+    embed_product,
+    field_quadrature,
+    unitary_stepper,
+)
 from .feedback import (
     FrameResult,
     RankDeficiencyError,
@@ -26,7 +36,7 @@ from .feedback import (
     control_commutant_combos,
     synthesize,
 )
-from .models import ControlSystem, coherence
+from .models import ControlSystem
 from .spans import RealSpan, realify
 from .tangent import bracket_linear_fields
 
@@ -82,15 +92,6 @@ class Trace:
         return np.abs(self.y_values)
 
 
-def _unitary_stepper(a_mat: np.ndarray):
-    w, v = np.linalg.eigh(1j * a_mat)
-
-    def step(xi: np.ndarray, dt: float) -> np.ndarray:
-        return v @ (np.exp(-1j * w * dt) * (v.conj().T @ xi))
-
-    return step
-
-
 def propagate(
     sys: ControlSystem,
     sched: PulseSchedule,
@@ -109,7 +110,7 @@ def propagate(
     t = 0.0
     for dur, vals in sched.segments:
         gen = sys.generator(vals, include_interaction=include_interaction)
-        step = _unitary_stepper(gen.matrix)
+        step = unitary_stepper(gen.matrix)
         n_steps = max(1, math.ceil(dur / dt_max))
         dt = dur / n_steps
         for _ in range(n_steps):
@@ -236,7 +237,7 @@ def propagate_closed_loop(
         else:
             mat = sys.generator(v, include_interaction=include_interaction).matrix
             row["action"] = "open_loop"
-        step = _unitary_stepper(mat)
+        step = unitary_stepper(mat)
         xi = step(xi, dt)
         t += dt
         drift = abs(np.linalg.norm(xi) - 1.0)

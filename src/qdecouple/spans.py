@@ -3,8 +3,11 @@
 Complex vectors (states, vectorized operators) are compared for *real*
 linear independence: v and i*v count as two directions.  A RealSpan keeps
 an orthonormal set of realified rows and answers membership queries with
-relative least-squares residuals; close_real_span iterates a seed set
-under real-linear maps until the span stabilizes.
+relative least-squares residuals.  close_real_span is the one closure
+routine: it iterates a seed set under real-linear maps until the span
+stabilizes and hands back the new directions round by round, so callers
+that need the growth history (derivative chains) and callers that need
+one basis (C~, the control Lie algebra, the Omega generators) share it.
 """
 
 from __future__ import annotations
@@ -111,7 +114,7 @@ def close_real_span(
     maps: Sequence[Callable[[np.ndarray], np.ndarray]],
     tol: float = 1e-9,
     max_dim: int | None = None,
-) -> tuple[RealSpan, np.ndarray, int]:
+) -> tuple[RealSpan, list[np.ndarray], int]:
     """Close the real span of complex seed rows under real-linear maps.
 
     Parameters
@@ -131,14 +134,17 @@ def close_real_span(
     Returns
     -------
     span : RealSpan over the realified vectors.
-    basis : (R, m) complex rows, orthonormal in the realified sense.
+    batches : list of (R_k, m) complex arrays, the directions accepted in
+        each round (batches[0] from the seeds, always present; later
+        rounds only when they added something).  Together they are
+        orthonormal in the realified sense; np.vstack(batches) is the basis.
     rounds : number of frontier rounds performed.
     """
     seeds = np.atleast_2d(np.asarray(seeds, dtype=complex))
     m = seeds.shape[1]
     span = RealSpan(2 * m, tol=tol)
     frontier = unrealify(span.add_batch(realify(seeds)))
-    basis = [frontier]
+    batches = [frontier]
     rounds = 0
     while frontier.shape[0] and maps:
         rounds += 1
@@ -148,8 +154,8 @@ def close_real_span(
             raise SpanBlowupError(span.rank, max_dim)
         frontier = unrealify(new)
         if frontier.shape[0]:
-            basis.append(frontier)
-    return span, np.vstack(basis), rounds
+            batches.append(frontier)
+    return span, batches, rounds
 
 
 def realified_nullspace(rows: np.ndarray, dim: int, tol: float = 1e-9, floor: float = 1.0) -> np.ndarray:

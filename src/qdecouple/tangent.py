@@ -14,11 +14,11 @@ all downstream uses are span-membership tests, which are sign-invariant.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
-from .algebra import Operator, StateVector, commutator, realified_rank
+from .algebra import Operator, StateVector, ad_maps, commutator, realified_rank, vectorized_map
 from .models import ControlSystem
 from .observation import Verdict
 from .spans import RealSpan, close_real_span, realified_nullspace, realify, unrealify
@@ -132,7 +132,10 @@ def fd_field_bracket(
     x: np.ndarray,
     h: float = 1e-5,
 ) -> np.ndarray:
-    """Central-difference Lie bracket [f, g](x) = Dg f - Df g on the realified state."""
+    """Central-difference Lie bracket [f, g](x) = Dg f - Df g on the realified state.
+
+    The finite-difference oracle for bracket_linear_fields; called by tests only.
+    """
     xr = realify(np.asarray(x, dtype=complex))
 
     def lift(fun):
@@ -169,15 +172,16 @@ def kernel_dy(xi: StateVector, c_op: Operator, tol: float = 1e-9) -> Distributio
     return DistributionBasis(xi, vecs, details={"codim": 2 * n - len(vecs)})
 
 
-def _lie_step_map(a: Operator) -> np.ndarray:
-    """Matrix of M -> M A + A† M on row-major vectorized operators."""
-    n = a.dim
-    eye = np.eye(n, dtype=complex)
-    return np.kron(eye, a.matrix.T) + np.kron(a.matrix.conj().T, eye)
-
-
 def _system_generators(sys: ControlSystem) -> list[Operator]:
     return [sys.drift, *sys.controls]
+
+
+def lie_step_maps(generators: list[Operator]) -> list[Callable[[np.ndarray], np.ndarray]]:
+    """M -> M A + A† M for each generator, as vectorized maps (two matmuls per row)."""
+    return [
+        vectorized_map(a.dim, lambda m, a_mat=a.matrix, a_dag=a.matrix.conj().T: m @ a_mat + a_dag @ m)
+        for a in generators
+    ]
 
 
 def omega_generator_basis(
@@ -187,13 +191,11 @@ def omega_generator_basis(
     n = sys.space.total_dim
     if max_gens is None:
         max_gens = 2 * n * n
-    maps_m = [_lie_step_map(a) for a in _system_generators(sys)]
-    maps = [lambda batch, m=m: batch @ m.T for m in maps_m]
     c = sys.output_op.matrix.ravel()
     c = c / np.linalg.norm(c)
-    seeds = np.array([c, -1j * c])
-    span, basis, rounds = close_real_span(seeds, maps, tol=tol, max_dim=max_gens)
-    ops = [Operator(sys.space, row.reshape(n, n)) for row in basis]
+    maps = lie_step_maps(_system_generators(sys))
+    span, batches, rounds = close_real_span(np.array([c, -1j * c]), maps, tol=tol, max_dim=max_gens)
+    ops = [Operator(sys.space, row.reshape(n, n)) for row in np.vstack(batches)]
     return ops, {"rounds": rounds, "generator_rank": span.rank}
 
 
@@ -256,7 +258,7 @@ def omega_closure_closed(
     n = sys.space.total_dim
     if max_rounds is None:
         max_rounds = 2 * n * n
-    maps_m = [_lie_step_map(a) for a in _system_generators(sys)]
+    maps = lie_step_maps(_system_generators(sys))
     c = sys.output_op.matrix.ravel()
     c = c / np.linalg.norm(c)
     gens = [c, -1j * c]
@@ -266,7 +268,7 @@ def omega_closure_closed(
 
     states = [xi.amplitudes] + _perturbed_states(xi, n_perturb, radius, seed)
     g_fields = {
-        id_s: np.array([realify(a.matrix @ s) for a in sys.controls]) for id_s, s in enumerate(states)
+        id_s: control_field_matrix(sys, StateVector(sys.space, s)) for id_s, s in enumerate(states)
     }
 
     rounds = 0
@@ -292,7 +294,7 @@ def omega_closure_closed(
             break
         g_arr = np.array(gens)
         selected = combos @ g_arr                                # (k, n^2) complex
-        candidates = np.vstack([selected @ m.T for m in maps_m])
+        candidates = np.vstack([f(selected) for f in maps])
         new = span.add_batch(realify(candidates))
         if new.shape[0] == 0:
             break
@@ -305,11 +307,6 @@ def omega_closure_closed(
     )
 
 
-def _complex_map_realified(t: np.ndarray) -> np.ndarray:
-    """Realified matrix of a complex-linear map given as a complex matrix."""
-    return np.block([[t.real, -t.imag], [t.imag, t.real]])
-
-
 def hermitian_derivative_chain(sys: ControlSystem, tol: float = 1e-9) -> list[list[Operator]]:
     """Hermitian differentials of the iterated output Lie derivatives.
 
@@ -317,44 +314,15 @@ def hermitian_derivative_chain(sys: ControlSystem, tol: float = 1e-9) -> list[li
     the H's are generated from the output's hermitian parts by ad-chains
     under the drift and controls (taking hermitian parts commutes with
     bracketing against skew generators).  Returns one batch of new
-    hermitian operators per chain round, state-independently.
+    hermitian operators per chain round, state-independently: the rounds
+    of the ad-closure, hermitian because its seeds are and ad by a skew
+    generator preserves hermiticity.
     """
     n = sys.space.total_dim
     c_mat = sys.output_op.matrix
-    seeds = [c_mat + c_mat.conj().T, -1j * (c_mat - c_mat.conj().T)]
-    span = RealSpan(2 * n * n, tol=tol)
-    rounds: list[list[Operator]] = []
-    frontier = []
-    first = []
-    for h in seeds:
-        nrm = np.linalg.norm(h)
-        if nrm <= tol:
-            continue
-        h = h / nrm
-        if span.add(realify(h.ravel())):
-            op = Operator(sys.space, h, "hermitian")
-            first.append(op)
-            frontier.append(h)
-    rounds.append(first)
-    gens = [a.matrix for a in _system_generators(sys)]
-    while frontier:
-        new = []
-        new_mats = []
-        for h in frontier:
-            for a in gens:
-                cand = h @ a - a @ h
-                nrm = np.linalg.norm(cand)
-                if nrm <= tol:
-                    continue
-                cand = cand / nrm
-                if span.add(realify(cand.ravel())):
-                    new.append(Operator(sys.space, cand, "hermitian"))
-                    new_mats.append(cand)
-        if not new:
-            break
-        rounds.append(new)
-        frontier = new_mats
-    return rounds
+    seeds = np.array([(c_mat + c_mat.conj().T).ravel(), (-1j * (c_mat - c_mat.conj().T)).ravel()])
+    _, batches, _ = close_real_span(seeds, ad_maps(_system_generators(sys)), tol=tol)
+    return [[Operator(sys.space, h.reshape(n, n), "hermitian") for h in batch] for batch in batches]
 
 
 def bruteforce_invariant_distribution(

@@ -86,6 +86,16 @@ def test_config_error_exit_code_2(tmp_path):
     assert run_cli(["check", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
     bad.write_text(json.dumps({"tol": 1.0}))
     assert run_cli(["check", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+    # each of these used to crash with a traceback or flip a verdict
+    for command, cfg in (
+        ("check", {"eval_states": 0}),
+        ("rank", {"rank_states": 0}),
+        ("check", {"max_power": -1}),
+        ("simulate", {"dt": 0}),
+        ("simulate", {"rank_policy": "bogus", "feedback_mode": "literal"}),
+    ):
+        bad.write_text(json.dumps(cfg))
+        assert run_cli([command, "--config", str(bad), "--out", str(tmp_path / "o")]) == 2, cfg
 
 
 def test_rank_command_reports_histograms(tmp_path):

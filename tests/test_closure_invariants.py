@@ -1,0 +1,82 @@
+"""Pinned dimensions and round counts of every span closure.
+
+All closures run through spans.close_real_span with matmul maps; the
+numbers below are the ones the Kronecker-matrix implementation produced,
+so any change to the closure kernel or its maps that moves a rank or a
+round count shows up here.
+"""
+
+import numpy as np
+import pytest
+
+import qdecouple as qd
+from qdecouple.algebra import ad_maps
+from qdecouple.tangent import lie_step_maps, omega_generator_basis
+
+C_TILDE = {"single_qubit": (6, 3), "two_qubit": (18, 5), "restructured": (286, 8)}
+HERMITIAN_CHAIN_ROUNDS = {
+    "single_qubit": [2, 1],
+    "two_qubit": [2, 4, 3],
+    "restructured": [2, 12, 21, 25, 35, 25, 19, 4],
+}
+OMEGA_RANK_ROUNDS = {"single_qubit": (6, 3), "two_qubit": (18, 5), "restructured": (286, 8)}
+
+
+def _random_matrix(rng, n):
+    return rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+
+
+def test_ad_and_lie_step_maps_match_matrix_forms():
+    rng = np.random.default_rng(21)
+    space = qd.HilbertSpace((("a", 2), ("b", 3)))
+    a = qd.Operator(space, _random_matrix(rng, 6))
+    xs = np.array([_random_matrix(rng, 6) for _ in range(4)])
+    rows = xs.reshape(4, 36)                       # row-major vectorization
+    (ad,) = ad_maps([a])
+    (step,) = lie_step_maps([a])
+    a_unit = qd.Operator(space, a.matrix / a.norm())
+    for x, got_ad, got_step in zip(xs, ad(rows), step(rows)):
+        want_ad = qd.commutator(a_unit, qd.Operator(space, x)).matrix
+        assert np.allclose(got_ad.reshape(6, 6), want_ad, atol=1e-12)
+        assert np.allclose(got_step.reshape(6, 6), x @ a.matrix + a.matrix.conj().T @ x, atol=1e-12)
+
+
+def test_ad_maps_skip_zero_generators():
+    space = qd.HilbertSpace((("q", 2),))
+    assert ad_maps([qd.Operator(space, np.zeros((2, 2)), "skew_hermitian")]) == []
+
+
+@pytest.mark.parametrize("name", sorted(C_TILDE))
+def test_c_tilde_dim_and_rounds(name, params):
+    ct = qd.build_c_tilde(qd.build_scenario(name, params))
+    assert (ct.dim, ct.details["rounds"]) == C_TILDE[name]
+
+
+def test_bait_c_tilde_dim_and_rounds(bait_c_tilde):
+    assert (bait_c_tilde.dim, bait_c_tilde.details["rounds"]) == (1150, 16)
+
+
+@pytest.mark.parametrize("name", sorted(HERMITIAN_CHAIN_ROUNDS))
+def test_hermitian_chain_round_sizes(name, params):
+    chain = qd.hermitian_derivative_chain(qd.build_scenario(name, params))
+    assert [len(batch) for batch in chain] == HERMITIAN_CHAIN_ROUNDS[name]
+    assert all(op.kind == "hermitian" for batch in chain for op in batch)
+
+
+@pytest.mark.parametrize("name", sorted(OMEGA_RANK_ROUNDS))
+def test_omega_generator_rank_and_rounds(name, params):
+    ops, details = omega_generator_basis(qd.build_scenario(name, params))
+    assert (details["generator_rank"], details["rounds"]) == OMEGA_RANK_ROUNDS[name]
+    assert len(ops) == details["generator_rank"]
+
+
+def test_bait_control_lie_algebra_dim(bait):
+    n = bait.space.total_dim
+    assert len(qd.lie_closure(bait.controls, max_dim=2 * n * n)) == 189
+
+
+def test_control_algebra_sizes():
+    sys_ = qd.build_restructured(qd.ScenarioParams(omega_env=0.0))
+    v = qd.check_control_algebra(sys_, qd.OperatorSpan(sys_.space, [sys_.interaction]))
+    assert v.ok
+    assert v.details == {"g_dim": 18, "c_set_size": 72}
