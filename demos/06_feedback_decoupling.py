@@ -21,12 +21,11 @@ Two systems make the point from both sides:
 import numpy as np
 
 import qdecouple as qd
-from tests.conftest import build_commutant_toy
 
 rng = np.random.default_rng(1)
 
 print("== commutant-control system (12 complex dimensions) ==")
-toy = build_commutant_toy()
+toy = qd.build_commutant_toy()
 xi = qd.random_state(toy.space, rng)
 result = qd.build_frame(toy, xi)
 print(f"frame: ok={result.ok}, rank {result.report['frame_rank']}/{result.report['required_rank']}")

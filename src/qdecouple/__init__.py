@@ -34,6 +34,7 @@ from .models import (
     ControlSystem,
     ScenarioParams,
     build_bait,
+    build_commutant_toy,
     build_restructured,
     build_scenario,
     build_single_qubit,
@@ -70,6 +71,7 @@ from .tangent import (
 from .feedback import (
     CommutingFrame,
     FeedbackLaw,
+    FramePlan,
     FrameResult,
     RankDeficiencyError,
     SynthesisError,

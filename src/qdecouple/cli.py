@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import copy
 import json
+import math
 import sys as _sys
 from pathlib import Path
 
@@ -32,7 +33,7 @@ from . import __version__
 from .algebra import (
     SIGMA_X, ClosureBlowupError, embed_product, field_quadrature, lie_closure, normalize, random_state
 )
-from .feedback import RankDeficiencyError, build_frame, commutant_basis, control_commutant_combos, synthesize
+from .feedback import FramePlan, RankDeficiencyError, build_frame, synthesize
 from .models import SCENARIOS, ScenarioParams, build_scenario, dfs_state
 from .report import decouplability_table, format_table
 from .simulate import (
@@ -111,6 +112,10 @@ def load_config(path: str | None, overrides: dict) -> dict:
             cfg[key] = val
     if cfg["scenario"] not in SCENARIOS + ("all",):
         raise ConfigError(f"unknown scenario {cfg['scenario']!r}")
+    for key in ("tol", "horizon", "dt"):
+        val = cfg[key]
+        if isinstance(val, bool) or not isinstance(val, (int, float)) or not math.isfinite(val):
+            raise ConfigError(f"{key} must be a finite number, got {val!r}")
     if not 0 < cfg["tol"] <= 1e-3:
         raise ConfigError("tol must lie in (0, 1e-3]")
     if cfg["horizon"] <= 0:
@@ -119,7 +124,7 @@ def load_config(path: str | None, overrides: dict) -> dict:
         raise ConfigError(f"unknown feedback_mode {cfg['feedback_mode']!r}")
     if cfg["rank_policy"] not in ("abort", "freeze", "open_loop"):
         raise ConfigError(f"unknown rank_policy {cfg['rank_policy']!r}")
-    if not (isinstance(cfg["dt"], (int, float)) and cfg["dt"] > 0):
+    if cfg["dt"] <= 0:
         raise ConfigError("dt must be positive")
     # zero sampled states would turn the verdicts' all() into a vacuous pass
     for key, low in (("eval_states", 1), ("rank_states", 1), ("max_power", 0)):
@@ -389,13 +394,12 @@ def cmd_synthesize_audit(cfg: dict, out_dir: Path) -> int:
     params = scenario_params(cfg)
     sys_ = build_scenario(cfg["scenario"], params, cfg["max_power"])
     rng = np.random.default_rng(cfg["seed"])
-    commutant = commutant_basis(sys_.interaction)
-    candidates = control_commutant_combos(sys_)
+    plan = FramePlan.build(sys_)
     rows = []
     for k in range(cfg["eval_states"]):
         xi = random_state(sys_.space, rng)
         try:
-            res = build_frame(sys_, xi, commutant=commutant, control_candidates=candidates)
+            res = build_frame(sys_, xi, plan=plan)
         except ValueError as exc:
             rows.append({"state": k, "error": str(exc)})
             continue

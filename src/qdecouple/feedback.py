@@ -12,6 +12,17 @@ The recipe, at a state xi with r controls K_1..K_r:
   4. alpha~ cancels the v_2..v_r components of the drift and
      alpha = alpha~ beta.
 
+The work splits into a plan and a per-step solve.  A FramePlan is built
+once per system (once per closed-loop run): the stacked generator
+matrices (A_I, the drift, the controls and the control combinations
+commuting with A_I), the commutant basis, and the pairwise commutator
+norms over [A_I, *candidates].  Per state, build_frame evaluates every
+field with one matmul against the stack, takes the control-field rank and
+the K_I membership test through one RealSpan, and selects the frame
+greedily; synthesize then solves one small least-squares problem for d and
+one for the drift projection.  The frame's commutator diagnostics are a
+lookup into the plan's table.
+
 J's zero last row makes the literal beta singular; the paper
 simultaneously needs beta invertible, so a regularized mode replaces the
 zero row of J with e_1 (K~_r = v_1, a direction inside Delta and hence
@@ -22,14 +33,15 @@ outcome is returned as data (a rank report), never papered over.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .algebra import DEFAULT_TOL, Operator, StateVector, commutator
 from .models import ControlSystem
-from .spans import RealSpan, realified_nullspace, realify
-from .tangent import TangentVector, control_field_matrix, eval_field
+from .spans import RealSpan, realified_nullspace, realify, row_norms
+from .tangent import TangentVector
 
 
 class SynthesisError(RuntimeError):
@@ -47,26 +59,40 @@ class RankDeficiencyError(RuntimeError):
         self.report = report
 
 
+def commutator_norm_table(mats) -> np.ndarray:
+    """Frobenius norms ||[M_i, M_j]|| over a stack of matrices (zero diagonal)."""
+    mats = np.asarray(mats, dtype=complex)
+    if mats.shape[0] == 0:
+        return np.zeros((0, 0))
+    prods = mats[:, None] @ mats[None, :]                  # M_i M_j
+    return np.linalg.norm(prods - prods.transpose(1, 0, 2, 3), axis=(2, 3))
+
+
 @dataclass
 class CommutingFrame:
-    """Frame v_1 = K_I(xi), v_2.. from interaction-commutant operators."""
+    """Frame v_1 = K_I(xi), v_2.. from interaction-commutant operators.
+
+    field_rows holds the realified drift and control fields at base
+    ([K_0, K_1..K_r]) and commutator_norms the pairwise commutator norms of
+    the generating operators, both as the plan produced them; a frame
+    assembled by hand leaves them None and they are computed on demand.
+    """
 
     base: StateVector
     vectors: list[TangentVector]
     generating_ops: list[Operator]
     details: dict = field(default_factory=dict)
+    field_rows: np.ndarray | None = None
+    commutator_norms: np.ndarray | None = None
 
     @property
     def rank(self) -> int:
         return len(self.vectors)
 
     def pairwise_commutator_norms(self) -> np.ndarray:
-        k = len(self.generating_ops)
-        out = np.zeros((k, k))
-        for i in range(k):
-            for j in range(i + 1, k):
-                out[i, j] = out[j, i] = commutator(self.generating_ops[i], self.generating_ops[j]).norm()
-        return out
+        if self.commutator_norms is None:
+            self.commutator_norms = commutator_norm_table([op.matrix for op in self.generating_ops])
+        return self.commutator_norms
 
 
 @dataclass
@@ -160,13 +186,67 @@ def control_commutant_combos(sys: ControlSystem, tol: float = DEFAULT_TOL) -> li
     return out
 
 
+@dataclass
+class FramePlan:
+    """The state-independent half of frame construction for one system.
+
+    stack holds the generator matrices evaluated at every state, one n-row
+    block each, in the order A_I, A_0, A_1..A_r, then the control-commutant
+    candidates; the commutant's fields are evaluated only when the
+    candidates fall short of rank r.  commutator_norms is the pairwise
+    table over [A_I, *candidates].
+    """
+
+    sys: ControlSystem
+    tol: float
+    candidates: list[Operator]
+    commutant: list[Operator]
+    stack: np.ndarray
+    commutator_norms: np.ndarray
+    interaction_floor: float
+
+    @classmethod
+    def build(cls, sys: ControlSystem, tol: float = DEFAULT_TOL) -> "FramePlan":
+        n = sys.space.total_dim
+        candidates = control_commutant_combos(sys, tol=tol)
+        commutant = commutant_basis(sys.interaction, tol=tol)
+        fields = [sys.interaction, sys.drift, *sys.controls, *candidates]
+        return cls(
+            sys=sys,
+            tol=tol,
+            candidates=candidates,
+            commutant=commutant,
+            stack=np.array([op.matrix for op in fields]).reshape(-1, n),
+            commutator_norms=commutator_norm_table([sys.interaction.matrix, *(c.matrix for c in candidates)]),
+            interaction_floor=tol * max(sys.interaction.norm(), 1.0),
+        )
+
+
+def _new_direction(q: np.ndarray, row: np.ndarray, tol: float) -> np.ndarray | None:
+    """Unit direction that row adds to the orthonormal rows q, or None.
+
+    RealSpan.add's tests for one row: the absolute floor tol and the
+    relative residual tol * |row| after two Gram-Schmidt passes.  Its SVD
+    rank cut always keeps a lone surviving row, whose direction is simply
+    the normalized residual.
+    """
+    nrm = math.sqrt(np.dot(row, row))                      # np.linalg.norm's formula, minus its overhead
+    if nrm <= tol:
+        return None
+    res = row - np.dot(np.dot(q, row), q)
+    res -= np.dot(np.dot(q, res), q)
+    res_nrm = math.sqrt(np.dot(res, res))
+    if res_nrm <= tol * nrm:
+        return None
+    res /= res_nrm
+    return res
+
+
 def build_frame(
     sys: ControlSystem,
     xi: StateVector,
-    commutant: list[Operator] | None = None,
-    control_candidates: list[Operator] | None = None,
+    plan: FramePlan | None = None,
     tol: float = DEFAULT_TOL,
-    strict: bool = False,
 ) -> FrameResult:
     """Construct the commuting frame at xi; success and rank are data.
 
@@ -175,84 +255,90 @@ def build_frame(
     span(G(xi)) so that the d matrix exists.  Candidates are drawn first
     from control combinations commuting with A_I (state-independent, hence
     reproducible along a trajectory), then from general commutant
-    combinations projected into span(G(xi)).  strict additionally rejects
-    candidates whose generators fail to commute with the accepted ones.
+    combinations projected into span(G(xi)).  Without a plan one is built
+    here with tol; a given plan carries its own tol.
     """
+    if plan is None:
+        plan = FramePlan.build(sys, tol=tol)
+    elif plan.sys is not sys:
+        raise ValueError("the frame plan was built for a different system")
+    tol = plan.tol
     n = sys.space.total_dim
     r = sys.n_controls
-    k_i = eval_field(sys.interaction, xi)
-    if k_i.norm() <= tol * max(sys.interaction.norm(), 1.0):
+    vals = (plan.stack @ xi.amplitudes).reshape(-1, n)    # A_I, A_0, controls, candidates at xi
+    rows = realify(vals)
+    k_i_norm = math.sqrt(np.dot(rows[0], rows[0]))
+    if k_i_norm <= plan.interaction_floor:
         raise ValueError("interaction field vanishes at this state")
-    g_rows = control_field_matrix(sys, xi)
     g_span = RealSpan(2 * n, tol=tol)
-    g_span.add_batch(g_rows)
-    control_rank = g_span.rank
+    g_span.add_batch(rows[2 : 2 + r])
 
     report = {
         "required_rank": r,
-        "control_field_rank": control_rank,
-        "interaction_in_control_span": bool(g_span.residual(k_i.realified()) < tol),
+        "control_field_rank": g_span.rank,
+        "interaction_in_control_span": bool(g_span.residual(rows[0]) < tol),
+        "control_commutant_dim": len(plan.candidates),
     }
-    if control_candidates is None:
-        control_candidates = control_commutant_combos(sys, tol=tol)
-    report["control_commutant_dim"] = len(control_candidates)
-
-    frame_span = RealSpan(2 * n, tol=tol)
+    basis = np.zeros((r, 2 * n))
     vectors: list[TangentVector] = []
     ops: list[Operator] = []
+    table_index: list[int] | None = []                     # rows of plan.commutator_norms
 
-    def try_add(cand: Operator) -> None:
-        val = cand.matrix @ xi.amplitudes
-        row = realify(val)
-        if np.linalg.norm(row) <= tol:
-            return
-        if strict and any(commutator(cand, op).norm() > tol for op in ops):
-            return
-        if frame_span.add(row):
-            vectors.append(TangentVector(xi, val))
-            ops.append(cand)
+    def try_add(val: np.ndarray, row: np.ndarray) -> bool:
+        direction = _new_direction(basis[: len(vectors)], row, tol)
+        if direction is None:
+            return False
+        basis[len(vectors)] = direction
+        vectors.append(TangentVector(xi, val))
+        return True
 
     if report["interaction_in_control_span"]:
-        frame_span.add(k_i.realified())
-        vectors.append(k_i)
+        # K_I always enters: it cleared the interaction floor above
+        basis[0] = rows[0] / k_i_norm
+        vectors.append(TangentVector(xi, vals[0]))
         ops.append(sys.interaction)
-        for cand in control_candidates:
+        table_index.append(0)
+        for j, cand in enumerate(plan.candidates):
             if len(vectors) == r:
                 break
-            try_add(cand)
+            if try_add(vals[2 + r + j], rows[2 + r + j]):
+                ops.append(cand)
+                table_index.append(1 + j)
         if len(vectors) < r:
             # general commutant combinations whose evaluations lie in
             # span(G(xi)); the projector onto the valid combination
             # subspace is basis-independent, keeping the candidate order
             # as reproducible as the pointwise ranks allow
-            if commutant is None:
-                commutant = commutant_basis(sys.interaction, tol=tol)
-            report["commutant_dim"] = len(commutant)
-            w = np.array([realify(op.matrix @ xi.amplitudes) for op in commutant])
-            res_w = g_span.project_out(w)
-            combo_basis = realified_nullspace(res_w.T, len(commutant), tol=tol)
+            m = len(plan.commutant)
+            report["commutant_dim"] = m
+            comm_mats = np.array([op.matrix for op in plan.commutant]).reshape(m, n, n)
+            w_vals = comm_mats @ xi.amplitudes
+            res_w = g_span.project_out(realify(w_vals))
+            combo_basis = realified_nullspace(res_w.T, m, tol=tol)
             combos = combo_basis.T @ combo_basis               # projected e_1..e_m
-            comm_mats = np.array([op.matrix for op in commutant])
             for coeffs in combos:
                 if len(vectors) == r:
                     break
                 if np.linalg.norm(coeffs) <= tol:
                     continue
-                cand_mat = np.tensordot(coeffs, comm_mats, axes=1)
-                try_add(Operator(sys.space, cand_mat, "skew_hermitian"))
+                val = coeffs @ w_vals
+                if try_add(val, realify(val)):
+                    ops.append(Operator(sys.space, np.tensordot(coeffs, comm_mats, axes=1), "skew_hermitian"))
+                    table_index = None
     report["frame_rank"] = len(vectors)
     report["missing_codim"] = r - len(vectors)
     if len(vectors) < r:
         return FrameResult(False, None, report)
-    frame = CommutingFrame(xi, vectors, ops, details=dict(report))
+    norms = None if table_index is None else plan.commutator_norms.take(table_index, 0).take(table_index, 1)
+    frame = CommutingFrame(
+        xi, vectors, ops, details=dict(report), field_rows=rows[1 : 2 + r], commutator_norms=norms
+    )
     frame.details["max_pairwise_commutator"] = float(frame.pairwise_commutator_norms().max(initial=0.0))
     return FrameResult(True, frame, report)
 
 
 def _upshift(r: int, mode: str) -> np.ndarray:
-    j = np.zeros((r, r))
-    for i in range(r - 1):
-        j[i, i + 1] = 1.0
+    j = np.eye(r, k=1)
     if mode == "regularized":
         j[r - 1, 0] = 1.0
     elif mode != "literal":
@@ -277,18 +363,22 @@ def synthesize(
     r = sys.n_controls
     if frame.rank != r:
         raise SynthesisError(f"frame rank {frame.rank} != number of controls {r}")
-    k_rows = control_field_matrix(sys, xi)                                         # (r, 2n)
-    v_rows = np.array([v.realified() for v in frame.vectors])                      # (r, 2n)
+    fields = frame.field_rows
+    if fields is None:
+        fields = realify(np.array([a.matrix @ xi.amplitudes for a in (sys.drift, *sys.controls)]))
+    k0, k_rows = fields[0], fields[1:]                                             # (2n,), (r, 2n)
+    v_rows = realify(np.array([v.components for v in frame.vectors]))              # (r, 2n)
 
     d, res, rank, sing = np.linalg.lstsq(k_rows.T, v_rows.T, rcond=None)
     d = d.T                                                                        # v ≈ d K
-    resid = np.linalg.norm(v_rows - d @ k_rows, axis=1)
-    scale = np.linalg.norm(v_rows, axis=1)
+    resid = row_norms(v_rows - d @ k_rows)
+    scale = row_norms(v_rows)
     if np.any(resid > tol * np.maximum(scale, 1.0)):
         raise SynthesisError(f"controls do not express the frame (residual {resid.max():.3e})")
     if rank < r:
         raise SynthesisError("d is singular: control fields are realified-dependent")
-    cond_d = float(np.linalg.cond(d))
+    sing_d = np.linalg.svd(d, compute_uv=False)          # np.linalg.cond(d), minus its overhead
+    cond_d = float(sing_d[0] / sing_d[-1]) if sing_d[-1] > 0 else math.inf
     if not np.isfinite(cond_d):
         raise SynthesisError("d is singular: frame not invertible over the controls")
 
@@ -297,7 +387,6 @@ def synthesize(
     j_matrix = _upshift(r, mode)
     beta = j_matrix @ d
 
-    k0 = realify(sys.drift.matrix @ xi.amplitudes)
     c_coeffs, *_ = np.linalg.lstsq(v_rows.T, k0, rcond=None)
     drift_residual = float(np.linalg.norm(k0 - v_rows.T @ c_coeffs))
     alpha_tilde = np.zeros(r)

@@ -72,6 +72,8 @@ class ControlSystem:
     scenario: str
     control_labels: list[str] = field(default_factory=list)
     params: ScenarioParams | None = None
+    # the control matrices flattened to rows, (r, n^2): sum_i u_i A_i is one product
+    control_stack: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         ops = [self.drift, *self.controls, self.interaction, self.output_op]
@@ -85,6 +87,8 @@ class ControlSystem:
             self.control_labels = [f"H_{i+1}" for i in range(len(self.controls))]
         if len(self.control_labels) != len(self.controls):
             raise ValueError("one label per control")
+        n = self.space.total_dim
+        self.control_stack = np.array([a.matrix for a in self.controls], dtype=complex).reshape(-1, n * n)
 
     @property
     def n_controls(self) -> int:
@@ -97,9 +101,7 @@ class ControlSystem:
             u = np.asarray(u, dtype=float)
             if u.shape != (self.n_controls,):
                 raise ValueError(f"need {self.n_controls} control values")
-            for ui, ai in zip(u, self.controls):
-                if ui != 0.0:
-                    mat = mat + ui * ai.matrix
+            mat += (u @ self.control_stack).reshape(mat.shape)
         if include_interaction:
             mat = mat + self.interaction.matrix
         return Operator(self.space, mat, "skew_hermitian")
@@ -284,6 +286,43 @@ def build_restructured(p: ScenarioParams, max_power: int = 5) -> ControlSystem:
         scenario="restructured",
         control_labels=labels,
         params=p,
+    )
+
+
+def build_commutant_toy(g: complex = 0.15 + 0j, omega0: float = 1.0, n_env: int = 3) -> ControlSystem:
+    """12-dimensional system whose controls all commute with the interaction.
+
+    Two data qubits under collective dephasing; controls: the dephasing
+    direction itself (the bait idea: the interaction direction is
+    available as a control), the DFS-internal swap, the z-difference, and
+    two environment drives.  The drift is a combination of control
+    Hamiltonians, so the commuting-frame synthesis is exact and the
+    closed loop decouples y from the coupling exactly.  Backs demo 06 and
+    the feedback tests; not a CLI scenario.
+    """
+    space = HilbertSpace((("qubit1", 2), ("qubit2", 2), ("env", n_env)))
+    fg = field_quadrature(g, n_env).matrix
+    h_sb = embed_product(space, {"qubit1": SIGMA_Z, "env": fg}) + embed_product(
+        space, {"qubit2": SIGMA_Z, "env": fg}
+    )
+    swap = 0.5 * (
+        embed_product(space, {"qubit1": SIGMA_X, "qubit2": SIGMA_X})
+        + embed_product(space, {"qubit1": SIGMA_Y, "qubit2": SIGMA_Y})
+    )
+    zdiff = embed_product(space, {"qubit1": SIGMA_Z}) - embed_product(space, {"qubit2": SIGMA_Z})
+    envf = embed_product(space, {"env": fg})
+    swapf = Operator(space, swap.matrix @ envf.matrix, "hermitian")
+    controls = [h_sb, swap, zdiff, envf, swapf]
+    drift = 0.4 * omega0 * swap + 0.25 * omega0 * zdiff
+    output = Operator(space, np.kron(_two_qubit_coherence(), np.eye(n_env, dtype=complex)), "general")
+    return ControlSystem(
+        space,
+        drift.skew(),
+        [h.skew() for h in controls],
+        h_sb.skew(),
+        output,
+        scenario="toy_commutant",
+        control_labels=["B1", "B2", "B3", "B4", "B5"],
     )
 
 

@@ -192,20 +192,26 @@ def check_control_algebra(
         for k_i in sys.controls:
             c_set.extend(_ad_chain(sys.drift, k_i, tol))
     combined = OperatorSpan(sys.space, [*delta.basis, *g_alg], tol=tol)
+    d_mats = np.array([op.matrix for op in delta.basis]).reshape(-1, n, n)
     for tag, family in (("control_algebra", g_alg), ("drift_chain", c_set)):
         for k, other in enumerate(family):
-            for d_idx, d_op in enumerate(delta.basis):
-                br = commutator(d_op, other)
-                if br.norm() <= tol:
-                    continue
-                res = combined.residual(br)
-                if res > tol:
-                    return Verdict(
-                        "control_algebra",
-                        False,
-                        witness={"kind": tag, "member_index": k, "delta_index": d_idx, "residual": res},
-                        details={"g_dim": len(g_alg), "c_set_size": len(c_set)},
-                    )
+            # [D, other] for the whole Delta basis at once, then one projection
+            brackets = realify((d_mats @ other.matrix - other.matrix @ d_mats).reshape(-1, n * n))
+            norms = np.linalg.norm(brackets, axis=1)
+            live = np.flatnonzero(norms > tol)
+            if not live.size:
+                continue
+            res = np.linalg.norm(combined._span.project_out(brackets[live]), axis=1) / norms[live]
+            failing = np.flatnonzero(res > tol)
+            if failing.size:
+                first = failing[0]
+                return Verdict(
+                    "control_algebra",
+                    False,
+                    witness={"kind": tag, "member_index": k, "delta_index": int(live[first]),
+                             "residual": float(res[first])},
+                    details={"g_dim": len(g_alg), "c_set_size": len(c_set)},
+                )
     return Verdict(
         "control_algebra", True, details={"g_dim": len(g_alg), "c_set_size": len(c_set)}
     )

@@ -28,12 +28,11 @@ from .algebra import (
     unitary_stepper,
 )
 from .feedback import (
+    FramePlan,
     FrameResult,
     RankDeficiencyError,
     build_frame,
     closed_loop_generator,
-    commutant_basis,
-    control_commutant_combos,
     synthesize,
 )
 from .models import ControlSystem
@@ -156,7 +155,7 @@ def propagate_closed_loop(
     policy: str = "abort",
     include_interaction: bool = True,
     collect_audit: bool = False,
-    commutant: list[Operator] | None = None,
+    plan: FramePlan | None = None,
 ) -> Trace:
     """Closed-loop propagation with per-step re-synthesis u = alpha + beta v.
 
@@ -167,6 +166,7 @@ def propagate_closed_loop(
     policy on frame rank-deficiency: 'abort' raises RankDeficiencyError,
            'freeze' reuses the last successful law, 'open_loop' falls back
            to u = v for that step; every decision is recorded in the audit.
+    plan:  the system's FramePlan, built here when not given.
     """
     if mode not in ("literal", "regularized", "oracle_cancel", "open_loop"):
         raise ValueError(f"unknown feedback mode {mode!r}")
@@ -180,11 +180,8 @@ def propagate_closed_loop(
     ys = [complex(np.vdot(xi, c_mat @ xi))]
     audit: list[dict] = []
     drifts = [abs(np.linalg.norm(xi) - 1.0)]
-    candidates = None
-    if mode in ("literal", "regularized"):
-        if commutant is None:
-            commutant = commutant_basis(sys.interaction)
-        candidates = control_commutant_combos(sys)
+    if mode in ("literal", "regularized") and plan is None:
+        plan = FramePlan.build(sys)
     last_law = None
     t = 0.0
     for k in range(n_steps):
@@ -192,9 +189,7 @@ def propagate_closed_loop(
         row: dict = {"step": k, "t": t}
         if mode in ("literal", "regularized"):
             state = StateVector(sys.space, xi / np.linalg.norm(xi))
-            result: FrameResult = build_frame(
-                sys, state, commutant=commutant, control_candidates=candidates
-            )
+            result: FrameResult = build_frame(sys, state, plan=plan)
             if result.ok:
                 law = synthesize(sys, result.frame, mode=mode)
                 last_law = law
@@ -202,12 +197,12 @@ def propagate_closed_loop(
                     {
                         "frame_rank": result.report["frame_rank"],
                         "cond_d": law.details["cond_d"],
-                        "beta_singular": law.beta_singular,
                         "action": "synthesized",
                     }
                 )
                 gen = closed_loop_generator(sys, law, v)
                 if collect_audit:
+                    row["beta_singular"] = law.beta_singular
                     row["alpha"] = law.alpha.tolist()
                     row["beta"] = law.beta.tolist()
                     row["d"] = law.d_matrix.tolist()
@@ -273,16 +268,14 @@ def decoupling_pair(
     Both runs use the same feedback function (synthesized from the nominal
     interaction structure); only the plant's interaction term differs.
     """
-    commutant = None
-    if mode in ("literal", "regularized"):
-        commutant = commutant_basis(sys.interaction)
+    plan = FramePlan.build(sys) if mode in ("literal", "regularized") else None
     trace_g = propagate_closed_loop(
         sys, v_sched, xi0, dt, mode=mode, policy=policy, include_interaction=True,
-        collect_audit=collect_audit, commutant=commutant,
+        collect_audit=collect_audit, plan=plan,
     )
     trace_0 = propagate_closed_loop(
         sys, v_sched, xi0, dt, mode=mode, policy=policy, include_interaction=False,
-        collect_audit=collect_audit, commutant=commutant,
+        collect_audit=collect_audit, plan=plan,
     )
     dev = float(np.abs(trace_g.y_values - trace_0.y_values).max())
     return trace_g, trace_0, dev

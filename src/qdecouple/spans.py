@@ -12,6 +12,7 @@ one basis (C~, the control Lie algebra, the Omega generators) share it.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Sequence
 
 import numpy as np
@@ -21,6 +22,11 @@ def realify(z: np.ndarray) -> np.ndarray:
     """Map a complex vector (or batch of row vectors) to [Re | Im]."""
     z = np.asarray(z)
     return np.concatenate([z.real, z.imag], axis=-1)
+
+
+def row_norms(rows: np.ndarray) -> np.ndarray:
+    """np.linalg.norm(rows, axis=1) for real rows: the same reduction, without its dispatch."""
+    return np.sqrt(np.add.reduce(rows * rows, axis=1))
 
 
 def unrealify(r: np.ndarray) -> np.ndarray:
@@ -63,11 +69,12 @@ class RealSpan:
 
     def residual(self, row: np.ndarray) -> float:
         """Relative membership residual; 0.0 for a (near-)zero input."""
-        row = np.asarray(row, dtype=float)
-        nrm = np.linalg.norm(row)
+        row = np.asarray(row, dtype=float).ravel()
+        nrm = math.sqrt(np.dot(row, row))                  # np.linalg.norm's formula
         if nrm == 0.0:
             return 0.0
-        return float(np.linalg.norm(self.project_out(row[None, :])[0]) / nrm)
+        res = self.project_out(row[None, :])[0]
+        return math.sqrt(np.dot(res, res)) / nrm
 
     def contains(self, row: np.ndarray) -> bool:
         return self.residual(row) < self.tol
@@ -91,14 +98,14 @@ class RealSpan:
         rows = np.atleast_2d(np.asarray(rows, dtype=float))
         if rows.size == 0:
             return np.zeros((0, self.dim))
-        norms = np.linalg.norm(rows, axis=1)
+        norms = row_norms(rows)
         live = norms > floor
         if not live.any():
             return np.zeros((0, self.dim))
         rows = rows[live]
         norms = norms[live]
         res = self.project_out(rows)
-        keep = np.linalg.norm(res, axis=1) > self.tol * norms
+        keep = row_norms(res) > self.tol * norms
         if not keep.any():
             return np.zeros((0, self.dim))
         res = res[keep]

@@ -1,8 +1,7 @@
-import numpy as np
 import pytest
 
 import qdecouple as qd
-from qdecouple.algebra import SIGMA_X, SIGMA_Y, SIGMA_Z, embed_product, field_quadrature
+from qdecouple.models import build_commutant_toy
 
 
 @pytest.fixture(scope="session")
@@ -34,44 +33,6 @@ def restructured(params):
 def bait_c_tilde(bait):
     # the heavy 24-dimensional closure; shared across the suite
     return qd.build_c_tilde(bait)
-
-
-def build_commutant_toy(g=0.15 + 0j, omega0=1.0, n_env=3):
-    """12-dimensional system whose controls all commute with the interaction.
-
-    Two data qubits under collective dephasing; controls: the dephasing
-    direction itself (the bait idea: the interaction direction is
-    available as a control), the DFS-internal swap, the z-difference, and
-    two environment drives.  The drift is a combination of control
-    Hamiltonians, so the commuting-frame synthesis is exact and the
-    closed loop decouples y from the coupling exactly.
-    """
-    space = qd.HilbertSpace((("qubit1", 2), ("qubit2", 2), ("env", n_env)))
-    fg = field_quadrature(g, n_env).matrix
-    h_sb = embed_product(space, {"qubit1": SIGMA_Z, "env": fg}) + embed_product(
-        space, {"qubit2": SIGMA_Z, "env": fg}
-    )
-    swap = 0.5 * (
-        embed_product(space, {"qubit1": SIGMA_X, "qubit2": SIGMA_X})
-        + embed_product(space, {"qubit1": SIGMA_Y, "qubit2": SIGMA_Y})
-    )
-    zdiff = embed_product(space, {"qubit1": SIGMA_Z}) - embed_product(space, {"qubit2": SIGMA_Z})
-    envf = embed_product(space, {"env": fg})
-    swapf = qd.Operator(space, swap.matrix @ envf.matrix, "hermitian")
-    controls = [h_sb, swap, zdiff, envf, swapf]
-    drift = 0.4 * omega0 * swap + 0.25 * omega0 * zdiff
-    c4 = np.zeros((4, 4), dtype=complex)
-    c4[1, 2] = 1.0
-    output = qd.Operator(space, np.kron(c4, np.eye(n_env, dtype=complex)), "general")
-    return qd.ControlSystem(
-        space,
-        drift.skew(),
-        [h.skew() for h in controls],
-        h_sb.skew(),
-        output,
-        scenario="toy_commutant",
-        control_labels=["B1", "B2", "B3", "B4", "B5"],
-    )
 
 
 @pytest.fixture(scope="session")

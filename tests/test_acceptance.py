@@ -13,8 +13,8 @@ import pytest
 import qdecouple as qd
 from qdecouple.algebra import SIGMA_X, SIGMA_Y, SIGMA_Z
 from qdecouple.cli import main as cli_main
+from qdecouple.models import build_commutant_toy
 from qdecouple.spans import RealSpan, realify
-from tests.conftest import build_commutant_toy
 
 TOL = 1e-9
 

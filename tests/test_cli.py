@@ -93,6 +93,12 @@ def test_config_error_exit_code_2(tmp_path):
         ("check", {"max_power": -1}),
         ("simulate", {"dt": 0}),
         ("simulate", {"rank_policy": "bogus", "feedback_mode": "literal"}),
+        ("check", {"tol": "x"}),
+        ("check", {"horizon": None}),
+        ("simulate", {"dt": True}),
+        ("check", {"tol": False}),
+        ("simulate", {"horizon": "10"}),
+        ("simulate", {"horizon": float("nan")}),
     ):
         bad.write_text(json.dumps(cfg))
         assert run_cli([command, "--config", str(bad), "--out", str(tmp_path / "o")]) == 2, cfg

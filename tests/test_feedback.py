@@ -3,7 +3,6 @@ import pytest
 
 import qdecouple as qd
 from qdecouple.algebra import SIGMA_Z
-from qdecouple.feedback import control_commutant_combos
 
 
 class TestCommutantBasis:
@@ -31,12 +30,10 @@ class TestCommutantBasis:
 class TestBuildFrame:
     def test_toy_succeeds_at_generic_states(self, commutant_toy):
         rng = np.random.default_rng(0)
-        commutant = qd.commutant_basis(commutant_toy.interaction)
-        candidates = control_commutant_combos(commutant_toy)
+        plan = qd.FramePlan.build(commutant_toy)
         for _ in range(3):
             xi = qd.random_state(commutant_toy.space, rng)
-            res = qd.build_frame(commutant_toy, xi, commutant=commutant,
-                                 control_candidates=candidates)
+            res = qd.build_frame(commutant_toy, xi, plan=plan)
             assert res.ok
             assert res.report["frame_rank"] == commutant_toy.n_controls
             frame = res.frame
@@ -154,14 +151,12 @@ class TestSynthesize:
         # span{K_I(xi)}
         rng = np.random.default_rng(8)
         xi = qd.random_state(commutant_toy.space, rng)
-        commutant = qd.commutant_basis(commutant_toy.interaction)
-        candidates = control_commutant_combos(commutant_toy)
+        plan = qd.FramePlan.build(commutant_toy)
 
         def k_tilde(i):
             def field(x):
                 st = qd.normalize(commutant_toy.space, x)
-                resx = qd.build_frame(commutant_toy, st, commutant=commutant,
-                                      control_candidates=candidates)
+                resx = qd.build_frame(commutant_toy, st, plan=plan)
                 lawx = qd.synthesize(commutant_toy, resx.frame)
                 k_rows = np.array([a.matrix @ x for a in commutant_toy.controls])
                 return lawx.beta[i] @ k_rows

@@ -1,0 +1,215 @@
+"""The precompiled feedback plan reproduces the per-state frame and law.
+
+The reference below recomputes everything at the state with the formulas
+the plan replaced: one RealSpan per candidate set, one Operator per
+candidate, the commutant built per call.  The plan must agree with it on
+the ranks and, to 1e-12, on d, alpha, beta, S and cond(d).
+"""
+
+import json
+
+import numpy as np
+import pytest
+
+import qdecouple as qd
+import qdecouple.simulate as simulate
+from qdecouple.algebra import SIGMA_X, SIGMA_Y, embed_product
+from qdecouple.cli import main as cli_main
+from qdecouple.feedback import FramePlan, commutator_norm_table, control_commutant_combos
+from qdecouple.spans import RealSpan, realified_nullspace, realify
+
+TOL = 1e-9
+
+
+def reference_frame_and_law(sys_, xi, tol=TOL):
+    n, r = sys_.space.total_dim, sys_.n_controls
+    k_i = sys_.interaction.matrix @ xi.amplitudes
+    k_rows = np.array([realify(a.matrix @ xi.amplitudes) for a in sys_.controls])
+    g_span = RealSpan(2 * n, tol=tol)
+    g_span.add_batch(k_rows)
+    report = {
+        "control_field_rank": g_span.rank,
+        "interaction_in_control_span": bool(g_span.residual(realify(k_i)) < tol),
+    }
+    frame_span = RealSpan(2 * n, tol=tol)
+    vectors = []
+
+    def try_add(mat):
+        val = mat @ xi.amplitudes
+        row = realify(val)
+        if np.linalg.norm(row) > tol and frame_span.add(row):
+            vectors.append(val)
+
+    if report["interaction_in_control_span"]:
+        frame_span.add(realify(k_i))
+        vectors.append(k_i)
+        for cand in control_commutant_combos(sys_, tol=tol):
+            if len(vectors) == r:
+                break
+            try_add(cand.matrix)
+        if len(vectors) < r:
+            commutant = qd.commutant_basis(sys_.interaction, tol=tol)
+            w = np.array([realify(op.matrix @ xi.amplitudes) for op in commutant])
+            combo_basis = realified_nullspace(g_span.project_out(w).T, len(commutant), tol=tol)
+            mats = np.array([op.matrix for op in commutant])
+            for coeffs in combo_basis.T @ combo_basis:
+                if len(vectors) == r:
+                    break
+                if np.linalg.norm(coeffs) > tol:
+                    try_add(np.tensordot(coeffs, mats, axes=1))
+    report["frame_rank"] = len(vectors)
+    if len(vectors) < r:
+        return report, None
+    v_rows = realify(np.array(vectors))
+    d = np.linalg.lstsq(k_rows.T, v_rows.T, rcond=None)[0].T
+    s_matrix = np.linalg.inv(d)
+    s_matrix[:, 0] = 0.0
+    beta = np.eye(r, k=1) @ d
+    k0 = realify(sys_.drift.matrix @ xi.amplitudes)
+    c = np.linalg.lstsq(v_rows.T, k0, rcond=None)[0]
+    alpha_tilde = np.zeros(r)
+    alpha_tilde[: r - 1] = -c[1:]
+    law = {"d": d, "alpha": alpha_tilde @ beta, "beta": beta, "S": s_matrix, "cond_d": np.linalg.cond(d)}
+    return report, law
+
+
+def mixed_toy():
+    """The commutant toy's first two controls plus sigma_x, sigma_y on each qubit.
+
+    The single-qubit drives do not commute with the interaction, so the
+    control-commutant candidates stop at K_I and the swap field; general
+    commutant combinations supply further directions inside span(G(xi)),
+    and the frame stays short of rank 6.
+    """
+    toy = qd.build_commutant_toy()
+    drives = [embed_product(toy.space, {q: s}).skew()
+              for q in ("qubit1", "qubit2") for s in (SIGMA_X, SIGMA_Y)]
+    return qd.ControlSystem(
+        toy.space, toy.drift, [*toy.controls[:2], *drives], toy.interaction, toy.output_op,
+        scenario="toy_mixed", control_labels=["B1", "B2", "X1", "Y1", "X2", "Y2"],
+    )
+
+
+def assert_matches_reference(sys_, plan, xi):
+    ref_report, ref_law = reference_frame_and_law(sys_, xi)
+    res = qd.build_frame(sys_, xi, plan=plan)
+    for key in ("control_field_rank", "interaction_in_control_span", "frame_rank"):
+        assert res.report[key] == ref_report[key], key
+    assert res.ok == (ref_law is not None)
+    if ref_law is None:
+        return res
+    law = qd.synthesize(sys_, res.frame)
+    got = {"d": law.d_matrix, "alpha": law.alpha, "beta": law.beta, "S": law.s_matrix,
+           "cond_d": law.details["cond_d"]}
+    for key, want in ref_law.items():
+        np.testing.assert_allclose(got[key], want, rtol=1e-12, atol=1e-12, err_msg=key)
+    return res
+
+
+def test_toy_plan_matches_reference_at_seeded_states(commutant_toy):
+    plan = FramePlan.build(commutant_toy)
+    rng = np.random.default_rng(1234)
+    for _ in range(5):
+        res = assert_matches_reference(commutant_toy, plan, qd.random_state(commutant_toy.space, rng))
+        assert res.ok and "commutant_dim" not in res.report
+
+
+def test_commutant_fallback_matches_reference():
+    sys_ = mixed_toy()
+    plan = FramePlan.build(sys_)
+    assert len(plan.candidates) == 2
+    rng = np.random.default_rng(77)
+    for _ in range(3):
+        res = assert_matches_reference(sys_, plan, qd.random_state(sys_.space, rng))
+        assert res.report["commutant_dim"] == len(plan.commutant)
+        assert 2 < res.report["frame_rank"] < 6 and not res.ok
+
+
+def test_table_lookup_equals_commutators(commutant_toy):
+    plan = FramePlan.build(commutant_toy)
+    xi = qd.random_state(commutant_toy.space, np.random.default_rng(5))
+    frame = qd.build_frame(commutant_toy, xi, plan=plan).frame
+    by_hand = qd.CommutingFrame(xi, frame.vectors, frame.generating_ops)
+    naive = np.array([[qd.commutator(a, b).norm() for b in frame.generating_ops]
+                      for a in frame.generating_ops])
+    np.testing.assert_allclose(frame.pairwise_commutator_norms(), naive, atol=1e-12)
+    np.testing.assert_allclose(by_hand.pairwise_commutator_norms(), naive, atol=1e-12)
+    assert commutator_norm_table([]).shape == (0, 0)
+
+
+def test_plan_refuses_another_system(commutant_toy):
+    plan = FramePlan.build(mixed_toy())
+    xi = qd.random_state(commutant_toy.space, np.random.default_rng(6))
+    with pytest.raises(ValueError, match="different system"):
+        qd.build_frame(commutant_toy, xi, plan=plan)
+
+
+def test_decoupling_pair_on_toy_stays_decoupled(commutant_toy):
+    xi0 = qd.random_state(commutant_toy.space, np.random.default_rng(11))
+    sched = qd.PulseSchedule(
+        [(0.5, np.array([0.0, 1.0, 0.4, 0.0, 0.2])), (0.5, np.array([0.0, -0.5, 0.2, 0.3, 0.0]))]
+    )
+    trace_g, trace_0, dev = qd.decoupling_pair(commutant_toy, sched, xi0, dt=0.01, mode="literal")
+    assert dev < 1e-9
+    assert len(trace_g.times) == len(trace_0.times) == 101
+
+
+def test_restructured_literal_abort_exit_4_report(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"scenario": "restructured", "horizon": 0.5, "initial_state": "random"}))
+    code = cli_main(["simulate", "--config", str(cfg), "--feedback-mode", "literal",
+                     "--out", str(tmp_path / "out")])
+    assert code == 4
+    report = json.loads((tmp_path / "out/report.json").read_text())
+    assert report["error"] == "rank_deficiency"
+    assert report["report"] == {
+        "control_commutant_dim": 13,
+        "control_field_rank": 12,
+        "frame_rank": 0,
+        "interaction_in_control_span": False,
+        "missing_codim": 24,
+        "required_rank": 24,
+        "scenario": "restructured",
+        "step": 0,
+        "t": 0.0,
+    }
+
+
+def test_restructured_freeze_without_prior_law_raises(restructured):
+    xi0 = qd.random_state(restructured.space, np.random.default_rng(3))
+    sched = qd.PulseSchedule.constant(0.1, np.zeros(24))
+    with pytest.raises(qd.RankDeficiencyError) as err:
+        qd.propagate_closed_loop(restructured, sched, xi0, dt=0.05, mode="literal", policy="freeze")
+    assert err.value.report["note"] == "no prior law to freeze"
+    assert err.value.report["frame_rank"] == 0
+
+
+def test_restructured_open_loop_policy_audit(restructured):
+    xi0 = qd.random_state(restructured.space, np.random.default_rng(4))
+    sched = qd.PulseSchedule.constant(0.1, np.zeros(24))
+    tr = qd.propagate_closed_loop(restructured, sched, xi0, dt=0.05, mode="literal",
+                                  policy="open_loop", collect_audit=True)
+    assert [row["action"] for row in tr.audit] == ["deficient:open_loop"] * 2
+    assert all(row["rank_report"]["frame_rank"] == 0 for row in tr.audit)
+
+
+def test_freeze_policy_reuses_last_law(commutant_toy, monkeypatch):
+    # every other step reports a deficient frame; freeze keeps the previous law
+    real_build_frame = simulate.build_frame
+    calls = []
+
+    def flaky_build_frame(sys_, xi, plan=None):
+        result = real_build_frame(sys_, xi, plan=plan)
+        calls.append(result)
+        if len(calls) % 2 == 0:
+            return qd.FrameResult(False, None, dict(result.report, frame_rank=0))
+        return result
+
+    monkeypatch.setattr(simulate, "build_frame", flaky_build_frame)
+    xi0 = qd.random_state(commutant_toy.space, np.random.default_rng(8))
+    sched = qd.PulseSchedule.constant(0.04, [0.0, 1.0, 0.0, 0.0, 0.0])
+    tr = qd.propagate_closed_loop(commutant_toy, sched, xi0, dt=0.01, mode="literal",
+                                  policy="freeze", collect_audit=True)
+    assert [row["action"] for row in tr.audit] == ["synthesized", "deficient:freeze"] * 2
+    assert tr.audit[0]["beta_singular"]
+    assert tr.norm_drift < 1e-8

@@ -3,6 +3,7 @@ import pytest
 
 import qdecouple as qd
 from qdecouple.algebra import SIGMA_X, SIGMA_Z
+from qdecouple.observation import _ad_chain
 
 
 def test_c_tilde_contains_output_and_is_bracket_stable(single_qubit):
@@ -119,6 +120,51 @@ class TestControlAlgebra:
     def test_empty_delta_vacuous(self, single_qubit):
         delta = qd.OperatorSpan(single_qubit.space, [])
         assert qd.check_control_algebra(single_qubit, delta).ok
+
+    @staticmethod
+    def _naive_verdict(sys_, delta, tol=1e-9):
+        """One bracket and one membership residual per (member, delta) pair."""
+        n = sys_.space.total_dim
+        g_alg = qd.lie_closure(sys_.controls, max_dim=2 * n * n, tol=tol)
+        c_set = [op for k_i in sys_.controls for op in _ad_chain(sys_.drift, k_i, tol)]
+        combined = qd.OperatorSpan(sys_.space, [*delta.basis, *g_alg], tol=tol)
+        for tag, family in (("control_algebra", g_alg), ("drift_chain", c_set)):
+            for k, other in enumerate(family):
+                for d_idx, d_op in enumerate(delta.basis):
+                    br = qd.commutator(d_op, other)
+                    if br.norm() <= tol:
+                        continue
+                    res = combined.residual(br)
+                    if res > tol:
+                        return False, {"kind": tag, "member_index": k, "delta_index": d_idx, "residual": res}
+        return True, None
+
+    @pytest.mark.parametrize("name", ["single_qubit", "two_qubit"])
+    def test_batched_verdict_equals_naive_loop(self, name, request, params):
+        sys_ = request.getfixturevalue(name)
+        f_g = qd.field_quadrature(params.g, params.n_env).matrix
+        qubit = sys_.space.labels[0]
+        off = qd.embed_product(sys_.space, {qubit: SIGMA_X, "env": f_g}, kind="hermitian").skew()
+        deltas = [
+            [sys_.interaction],
+            [off],
+            [sys_.interaction, *sys_.controls, off],
+            qd.build_c_tilde(sys_).basis,
+        ]
+        outcomes = set()
+        for basis in deltas:
+            delta = qd.OperatorSpan(sys_.space, basis)
+            verdict = qd.check_control_algebra(sys_, delta)
+            ok, witness = self._naive_verdict(sys_, delta)
+            assert verdict.ok == ok
+            outcomes.add(ok)
+            if witness is None:
+                assert verdict.witness is None
+                continue
+            got = dict(verdict.witness)
+            assert got.pop("residual") == pytest.approx(witness.pop("residual"), rel=1e-9)
+            assert got == witness
+        assert outcomes == {True, False}
 
 
 class TestVerifyDfs:
