@@ -268,7 +268,7 @@ def cmd_simulate(cfg: dict, out_dir: Path, audit: bool) -> int:
     else:
         trace_g, trace_0, dev = decoupling_pair(
             sys_, sched, xi0, dt=cfg["dt"], mode=mode, policy=cfg["rank_policy"],
-            collect_audit=audit,
+            collect_audit=audit, tol=cfg["tol"],
         )
         write_trace_csv(out_dir, trace_g, "trace_g.csv")
         write_trace_csv(out_dir, trace_0, "trace_g0.csv")
@@ -394,7 +394,7 @@ def cmd_synthesize_audit(cfg: dict, out_dir: Path) -> int:
     params = scenario_params(cfg)
     sys_ = build_scenario(cfg["scenario"], params, cfg["max_power"])
     rng = np.random.default_rng(cfg["seed"])
-    plan = FramePlan.build(sys_)
+    plan = FramePlan.build(sys_, tol=cfg["tol"])
     rows = []
     for k in range(cfg["eval_states"]):
         xi = random_state(sys_.space, rng)
@@ -405,8 +405,8 @@ def cmd_synthesize_audit(cfg: dict, out_dir: Path) -> int:
             continue
         row = {"state": k, "ok": res.ok, **res.report}
         if res.ok:
-            law = synthesize(sys_, res.frame, mode=cfg["feedback_mode"]
-                             if cfg["feedback_mode"] in ("literal", "regularized") else "literal")
+            mode = cfg["feedback_mode"] if cfg["feedback_mode"] in ("literal", "regularized") else "literal"
+            law = synthesize(sys_, res.frame, mode=mode, tol=plan.tol)
             row.update(
                 {
                     "cond_d": law.details["cond_d"],

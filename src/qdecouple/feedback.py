@@ -226,7 +226,7 @@ def _new_direction(q: np.ndarray, row: np.ndarray, tol: float) -> np.ndarray | N
     """Unit direction that row adds to the orthonormal rows q, or None.
 
     RealSpan.add's tests for one row: the absolute floor tol and the
-    relative residual tol * |row| after two Gram-Schmidt passes.  Its SVD
+    relative residual tol * |row| after two Gram-Schmidt passes.  Its QR
     rank cut always keeps a lone surviving row, whose direction is simply
     the normalized residual.
     """

@@ -17,6 +17,7 @@ import numpy as np
 import scipy.linalg
 
 from .algebra import (
+    DEFAULT_TOL,
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
@@ -166,7 +167,8 @@ def propagate_closed_loop(
     policy on frame rank-deficiency: 'abort' raises RankDeficiencyError,
            'freeze' reuses the last successful law, 'open_loop' falls back
            to u = v for that step; every decision is recorded in the audit.
-    plan:  the system's FramePlan, built here when not given.
+    plan:  the system's FramePlan, built here when not given; frames and
+           laws are decided at the plan's tol.
     """
     if mode not in ("literal", "regularized", "oracle_cancel", "open_loop"):
         raise ValueError(f"unknown feedback mode {mode!r}")
@@ -191,7 +193,7 @@ def propagate_closed_loop(
             state = StateVector(sys.space, xi / np.linalg.norm(xi))
             result: FrameResult = build_frame(sys, state, plan=plan)
             if result.ok:
-                law = synthesize(sys, result.frame, mode=mode)
+                law = synthesize(sys, result.frame, mode=mode, tol=plan.tol)
                 last_law = law
                 row.update(
                     {
@@ -262,13 +264,15 @@ def decoupling_pair(
     mode: str = "literal",
     policy: str = "abort",
     collect_audit: bool = False,
+    tol: float = DEFAULT_TOL,
 ) -> tuple[Trace, Trace, float]:
     """Run the coupled and uncoupled closed loops and report max |y_g - y_0|.
 
     Both runs use the same feedback function (synthesized from the nominal
-    interaction structure); only the plant's interaction term differs.
+    interaction structure, with frames and laws decided at tol); only the
+    plant's interaction term differs.
     """
-    plan = FramePlan.build(sys) if mode in ("literal", "regularized") else None
+    plan = FramePlan.build(sys, tol=tol) if mode in ("literal", "regularized") else None
     trace_g = propagate_closed_loop(
         sys, v_sched, xi0, dt, mode=mode, policy=policy, include_interaction=True,
         collect_audit=collect_audit, plan=plan,

@@ -3,11 +3,18 @@
 Complex vectors (states, vectorized operators) are compared for *real*
 linear independence: v and i*v count as two directions.  A RealSpan keeps
 an orthonormal set of realified rows and answers membership queries with
-relative least-squares residuals.  close_real_span is the one closure
-routine: it iterates a seed set under real-linear maps until the span
-stabilizes and hands back the new directions round by round, so callers
-that need the growth history (derivative chains) and callers that need
-one basis (C~, the control Lie algebra, the Omega generators) share it.
+relative least-squares residuals.  RealSpan keeps new directions by this
+rank policy: rows at or below an absolute floor are zero, one Gram-Schmidt
+pass rejects rows whose residual relative to their norm is at most tol,
+a second pass runs on the survivors only, and a column-pivoted QR of
+those keeps the columns with |R_jj| > tol * |R_00|.  (algebra.realified_rank
+and tangent.DistributionBasis.rank still cut an SVD at s > tol * s_max.)
+
+close_real_span is the one closure routine: it iterates a seed set under
+real-linear maps until the span stabilizes and hands back the new
+directions round by round, so callers that need the growth history
+(derivative chains) and callers that need one basis (C~, the control Lie
+algebra, the Omega generators) share it.
 """
 
 from __future__ import annotations
@@ -16,6 +23,10 @@ import math
 from typing import Callable, Sequence
 
 import numpy as np
+from scipy.linalg.lapack import dgeqp3, dorgqr
+
+# LAPACK block size behind the explicit workspaces of dgeqp3 and dorgqr
+_QR_BLOCK = 64
 
 
 def realify(z: np.ndarray) -> np.ndarray:
@@ -89,9 +100,12 @@ class RealSpan:
 
         Rows below the absolute `floor` (default tol) are treated as zero
         -- a numerically vanishing bracket must not inject noise
-        directions.  Survivors are filtered by relative residual against
-        the current span, then reduced by SVD with singular values
-        thresholded at tol * s_max (the shared rank policy).
+        directions.  One Gram-Schmidt pass against the current span
+        rejects every row whose relative residual is at most tol; the
+        second pass runs on the survivors only (it can only shrink a
+        residual), and the survivors are tested again.  A column-pivoted
+        QR of what is left keeps the columns with |R_jj| > tol * |R_00|;
+        their Q columns are the new directions.
         """
         if floor is None:
             floor = self.tol
@@ -102,18 +116,43 @@ class RealSpan:
         live = norms > floor
         if not live.any():
             return np.zeros((0, self.dim))
-        rows = rows[live]
+        res = rows[live]
         norms = norms[live]
-        res = self.project_out(rows)
-        keep = row_norms(res) > self.tol * norms
-        if not keep.any():
-            return np.zeros((0, self.dim))
-        res = res[keep]
-        u, s, vt = np.linalg.svd(res, full_matrices=False)
-        new = vt[s > self.tol * s[0]]
+        if self.rank:
+            for _ in range(2):
+                res -= (res @ self.q.T) @ self.q
+                keep = row_norms(res) > self.tol * norms
+                if not keep.all():
+                    res = res[keep]
+                    norms = norms[keep]
+            if not res.shape[0]:
+                return np.zeros((0, self.dim))
+        new = _pivoted_qr_directions(res.T, self.tol)
         if new.shape[0]:
             self.q = np.vstack([self.q, new])
         return new
+
+
+def _pivoted_qr_directions(a: np.ndarray, tol: float) -> np.ndarray:
+    """Rows of an orthonormal basis of the numerical column space of a.
+
+    Businger-Golub column-pivoted QR (LAPACK dgeqp3, blocked workspace)
+    cut at |R_jj| > tol * |R_00|; dorgqr forms only the kept Q columns.
+    Overwrites a when it is Fortran-ordered.  The raw LAPACK calls skip
+    scipy.linalg.qr's per-call checks, which cost more than the
+    factorization on the many one-row batches.
+    """
+    n = a.shape[1]
+    qr, _, tau, _, info = dgeqp3(a, lwork=2 * n + (n + 1) * _QR_BLOCK, overwrite_a=True)
+    if info:
+        raise np.linalg.LinAlgError(f"dgeqp3 failed (info={info})")
+    diag = np.abs(qr.diagonal())
+    cut = np.flatnonzero(diag <= tol * diag[0])
+    r = int(cut[0]) if cut.size else diag.size
+    q, _, info = dorgqr(qr[:, :r], tau[:r], lwork=r * _QR_BLOCK, overwrite_a=True)
+    if info:
+        raise np.linalg.LinAlgError(f"dorgqr failed (info={info})")
+    return q.T
 
 
 def close_real_span(

@@ -154,6 +154,27 @@ def test_synthesize_audit_command(tmp_path):
     assert (tmp_path / "out/audit_synthesis.jsonl").exists()
 
 
+def test_feedback_commands_build_the_plan_at_the_configured_tol(tmp_path, monkeypatch):
+    from qdecouple.feedback import FramePlan
+
+    seen = []
+    build = FramePlan.build.__func__
+
+    def spy(cls, sys_, tol=1e-9):
+        seen.append(tol)
+        return build(cls, sys_, tol=tol)
+
+    monkeypatch.setattr(FramePlan, "build", classmethod(spy))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"scenario": "restructured", "horizon": 0.1, "initial_state": "random",
+                               "eval_states": 1, "tol": 1e-7}))
+    code = run_cli(["simulate", "--config", str(cfg), "--feedback-mode", "literal",
+                    "--out", str(tmp_path / "sim")])
+    assert code == 4
+    assert run_cli(["synthesize-audit", "--config", str(cfg), "--out", str(tmp_path / "audit")]) == 0
+    assert seen == [1e-7, 1e-7]
+
+
 def test_console_script_entrypoint():
     out = subprocess.run(
         [sys.executable, "-m", "qdecouple.cli", "--version"], capture_output=True, text=True

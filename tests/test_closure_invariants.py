@@ -11,6 +11,7 @@ import pytest
 
 import qdecouple as qd
 from qdecouple.algebra import ad_maps
+from qdecouple.report import decouplability_table
 from qdecouple.tangent import lie_step_maps, omega_generator_basis
 
 C_TILDE = {"single_qubit": (6, 3), "two_qubit": (18, 5), "restructured": (286, 8)}
@@ -80,3 +81,28 @@ def test_control_algebra_sizes():
     v = qd.check_control_algebra(sys_, qd.OperatorSpan(sys_.space, [sys_.interaction]))
     assert v.ok
     assert v.details == {"g_dim": 18, "c_set_size": 72}
+
+
+# the verdict table at the default tol 1e-9 (criterion 01 and the C~ pins above):
+# scenario -> (open, closed, restructured verdict, C~ dim, restructured C~ dim)
+TABLE_AT_DEFAULT_TOL = {
+    "single_qubit": ("NO", "NO", "NO", 6, None),
+    "two_qubit": ("NO", "NO", "NO", 18, None),
+    "bait": ("NO", "NO", "YES*", 1150, 286),
+}
+
+
+@pytest.mark.parametrize("tol", [1e-11, 1e-6])
+def test_verdict_table_invariant_under_tol(tol, params):
+    table = decouplability_table(params, tol=tol)
+    got = {
+        row["scenario"]: (
+            row["open_loop"]["verdict"],
+            row["closed_loop"]["verdict"],
+            row["closed_loop_restructured"]["verdict"],
+            row["c_tilde_dim"],
+            row["closed_loop_restructured"].get("c_tilde_dim"),
+        )
+        for row in table["rows"]
+    }
+    assert got == TABLE_AT_DEFAULT_TOL

@@ -154,6 +154,21 @@ def test_decoupling_pair_on_toy_stays_decoupled(commutant_toy):
     assert len(trace_g.times) == len(trace_0.times) == 101
 
 
+def test_decoupling_pair_synthesizes_at_its_tol(commutant_toy, monkeypatch):
+    real_synthesize = simulate.synthesize
+    tols = []
+
+    def spy(sys_, frame, mode="literal", tol=1e-9):
+        tols.append(tol)
+        return real_synthesize(sys_, frame, mode=mode, tol=tol)
+
+    monkeypatch.setattr(simulate, "synthesize", spy)
+    xi0 = qd.random_state(commutant_toy.space, np.random.default_rng(12))
+    sched = qd.PulseSchedule.constant(0.03, [0.0, 1.0, 0.0, 0.0, 0.0])
+    qd.decoupling_pair(commutant_toy, sched, xi0, dt=0.01, mode="literal", tol=1e-7)
+    assert tols == [1e-7] * 6
+
+
 def test_restructured_literal_abort_exit_4_report(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"scenario": "restructured", "horizon": 0.5, "initial_state": "random"}))

@@ -102,6 +102,67 @@ class TestClosedLoopNecessary:
         )
 
 
+class TestBatchedWitnessParity:
+    """The stacked-bracket checks return the per-element loop's verdict and witness."""
+
+    @staticmethod
+    def _naive_open(sys_, ct, tol=1e-9):
+        a_i = sys_.interaction
+        scale = max(a_i.norm(), 1.0)
+        for k, op in enumerate(ct.basis):
+            nrm = qd.commutator(op, a_i).norm()
+            if nrm > tol * scale * max(op.norm(), 1.0):
+                return False, {"kind": "ctilde_interaction_commutator", "basis_index": k, "norm": nrm}
+        return True, None
+
+    @staticmethod
+    def _naive_closed(sys_, ct, tol=1e-9):
+        a_i = sys_.interaction
+        c_norm = qd.commutator(sys_.output_op, a_i).norm()
+        if c_norm > tol * max(a_i.norm(), 1.0):
+            return False, {"kind": "output_interaction_commutator", "norm": c_norm}
+        for k, op in enumerate(ct.basis):
+            br = qd.commutator(op, a_i)
+            if br.norm() <= tol * max(a_i.norm(), 1.0):
+                continue
+            res = ct.residual(br)
+            if res > tol:
+                return False, {"kind": "ctilde_containment", "basis_index": k, "residual": res}
+        return True, None
+
+    def _assert_parity(self, sys_, ct):
+        got_open = qd.check_open_loop(sys_, ct)
+        got_closed = qd.check_closed_loop_necessary(sys_, ct)
+        assert (got_open.ok, got_open.witness) == self._naive_open(sys_, ct)
+        assert (got_closed.ok, got_closed.witness) == self._naive_closed(sys_, ct)
+        return got_open, got_closed
+
+    def test_single_qubit(self, single_qubit):
+        _, closed = self._assert_parity(single_qubit, qd.build_c_tilde(single_qubit))
+        assert closed.witness["kind"] == "output_interaction_commutator"
+
+    def test_two_qubit_fails_containment_at_index_1(self, two_qubit):
+        _, closed = self._assert_parity(two_qubit, qd.build_c_tilde(two_qubit))
+        assert closed.witness == {"kind": "ctilde_containment", "basis_index": 1, "residual": 1.0}
+
+    def test_restructured_passes_containment(self, restructured):
+        _, closed = self._assert_parity(restructured, qd.build_c_tilde(restructured))
+        assert closed.ok
+
+    def test_later_failing_index(self, two_qubit):
+        # the restructured and bait C~ are all of sl(n), so no interaction
+        # fails containment there, and on two_qubit every interaction that
+        # keeps [C, A_I] = 0 and passes element 1 passes them all; the
+        # elements whose bracket with A_I vanishes go first instead
+        ct = qd.build_c_tilde(two_qubit)
+        a_i = two_qubit.interaction
+        zero = [qd.commutator(op, a_i).norm() <= 1e-9 for op in ct.basis]
+        order = sorted(range(len(ct.basis)), key=lambda k: not zero[k])
+        reordered = qd.OperatorSpan(two_qubit.space, [ct.basis[k] for k in order])
+        got_open, got_closed = self._assert_parity(two_qubit, reordered)
+        assert got_open.witness["basis_index"] == got_closed.witness["basis_index"] == sum(zero) == 5
+
+
 class TestControlAlgebra:
     def test_interaction_inside_algebra_passes(self, params):
         # drift inside the control span (omega_env = 0): the trivially

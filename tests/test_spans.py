@@ -1,0 +1,146 @@
+"""The span kernel: RealSpan.add_batch against an SVD reference.
+
+add_batch keeps directions by one Gram-Schmidt pass, a second pass on the
+survivors and a column-pivoted QR cut at tol * |R_00|.  The reference
+below is the full-SVD policy it replaced (two passes over every row, SVD
+of the survivors, singular values cut at tol * s_max): both must agree on
+the rank and on the subspace kept, for batches of known rank.
+"""
+
+import numpy as np
+import pytest
+
+from qdecouple.spans import RealSpan, realify
+
+TOL = 1e-9
+
+
+def _svd_reference(q: np.ndarray, rows: np.ndarray, tol: float = TOL, floor: float | None = None) -> np.ndarray:
+    """The new directions rows add to the orthonormal rows q, by SVD."""
+    floor = tol if floor is None else floor
+    norms = np.linalg.norm(rows, axis=1)
+    rows, norms = rows[norms > floor], norms[norms > floor]
+    res = rows - (rows @ q.T) @ q
+    res = res - (res @ q.T) @ q
+    res = res[np.linalg.norm(res, axis=1) > tol * norms]
+    if not res.shape[0]:
+        return np.zeros((0, q.shape[1]))
+    _, s, vt = np.linalg.svd(res, full_matrices=False)
+    return vt[s > tol * s[0]]
+
+
+def _directions(rng, k: int, dim: int) -> np.ndarray:
+    """k realified random complex directions in R^dim."""
+    return realify(rng.normal(size=(k, dim // 2)) + 1j * rng.normal(size=(k, dim // 2)))
+
+
+def _span_with(rng, dim: int, rank: int) -> RealSpan:
+    span = RealSpan(dim, tol=TOL)
+    if rank:
+        span.add_batch(rng.normal(size=(rank, rank)) @ _directions(rng, rank, dim))
+    assert span.rank == rank
+    return span
+
+
+def _batch(rng, span: RealSpan, n_rows: int, new_rank: int, scales=None) -> np.ndarray:
+    """n_rows rows spanning new_rank directions outside the span, plus span components."""
+    dim = span.dim
+    fresh = _directions(rng, new_rank, dim)
+    if scales is not None:
+        fresh = fresh * np.asarray(scales)[:, None]
+    rows = rng.normal(size=(n_rows, new_rank)) @ fresh
+    if span.rank:
+        rows = rows + rng.normal(size=(n_rows, span.rank)) @ span.q
+    return rows
+
+
+def _subspace_distance(a: np.ndarray, b: np.ndarray) -> float:
+    return float(np.linalg.norm(a.T @ a - b.T @ b, 2))
+
+
+def _check_batch(
+    span: RealSpan, rows: np.ndarray, want_rank: int, floor: float | None = None, precision: float = 1e-13
+) -> np.ndarray:
+    old = span.q.copy()
+    ref = _svd_reference(old, rows, floor=floor)
+    new = span.add_batch(rows, floor=floor)
+    assert new.shape == (want_rank, span.dim)
+    assert ref.shape[0] == want_rank
+    assert span.rank == old.shape[0] + want_rank
+    assert np.array_equal(span.q[: old.shape[0]], old)
+    if want_rank:
+        assert np.abs(new @ new.T - np.eye(want_rank)).max() < precision
+        assert np.abs(new @ old.T).max(initial=0.0) < precision
+        assert _subspace_distance(new, ref) < 10 * precision
+    return new
+
+
+@pytest.mark.parametrize(
+    "dim, span_rank, n_rows, new_rank",
+    [
+        (16, 4, 40, 7),        # more rows than dim, mixed with span components
+        (16, 0, 40, 16),       # more rows than dim, full rank from an empty span
+        (16, 5, 1, 1),         # a single row
+        (16, 0, 1, 1),         # a single row into an empty span
+        (24, 0, 10, 3),        # empty span, dependent rows
+        (24, 9, 30, 6),
+    ],
+)
+def test_add_batch_matches_svd_reference(dim, span_rank, n_rows, new_rank):
+    rng = np.random.default_rng(1000 * dim + 10 * span_rank + n_rows)
+    span = _span_with(rng, dim, span_rank)
+    _check_batch(span, _batch(rng, span, n_rows, new_rank), new_rank)
+
+
+@pytest.mark.parametrize("seed", range(7, 12))
+def test_graded_directions_above_tol_are_all_kept(seed):
+    # a direction that only cancellation inside the batch reveals, at
+    # relative size s, carries about eps / s of the other directions in
+    # either kernel: here s = 1e-7, so the bounds are 1e-8
+    rng = np.random.default_rng(seed)
+    span = _span_with(rng, 24, 5)
+    rows = _batch(rng, span, 20, 4, scales=[1.0, 1e-3, 1e-5, 1e-7])
+    _check_batch(span, rows, 4, precision=1e-8)
+    rows = _batch(rng, span, 20, 3, scales=[1.0, 0.3, 0.1])
+    _check_batch(span, rows, 3)
+
+
+def test_roundoff_noise_adds_no_direction():
+    rng = np.random.default_rng(8)
+    span = _span_with(rng, 24, 6)
+    rows = _batch(rng, span, 30, 3) + 1e-15 * rng.normal(size=(30, 24))
+    _check_batch(span, rows, 3)
+
+
+def test_batch_inside_span_adds_nothing():
+    rng = np.random.default_rng(9)
+    span = _span_with(rng, 16, 6)
+    rows = rng.normal(size=(25, 6)) @ span.q
+    _check_batch(span, rows, 0)
+
+
+def test_rows_below_floor_are_zero():
+    rng = np.random.default_rng(10)
+    span = _span_with(rng, 16, 3)
+    tiny = 1e-11 * _batch(rng, span, 5, 2)
+    _check_batch(span, tiny, 0)                         # default floor: tol
+    small = 1e-3 * _batch(rng, span, 5, 2)
+    _check_batch(span, small, 0, floor=1.0)             # an explicit floor
+    mixed = np.vstack([tiny, _batch(rng, span, 3, 2)])
+    _check_batch(span, mixed, 2)
+
+
+def test_empty_span_and_empty_batch():
+    span = RealSpan(8, tol=TOL)
+    assert span.add_batch(np.zeros((0, 8))).shape == (0, 8)
+    assert span.add_batch(np.zeros((3, 8))).shape == (0, 8)
+    assert span.rank == 0
+    assert span.add(np.eye(8)[2])
+    assert not span.add(2.0 * np.eye(8)[2])
+    assert span.rank == 1
+
+
+def test_bait_c_tilde_basis_is_orthonormal(bait_c_tilde):
+    q = bait_c_tilde._span.q
+    assert q.shape == (1150, 1152)
+    assert np.linalg.norm(q @ q.T - np.eye(q.shape[0]), 2) < 1e-13
