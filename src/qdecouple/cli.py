@@ -33,7 +33,7 @@ from . import __version__
 from .algebra import (
     SIGMA_X, ClosureBlowupError, embed_product, field_quadrature, lie_closure, normalize, random_state
 )
-from .feedback import FramePlan, RankDeficiencyError, build_frame, synthesize
+from .feedback import FramePlan, RankDeficiencyError, build_frame, interaction_floor, synthesize
 from .models import SCENARIOS, ScenarioParams, build_scenario, dfs_state
 from .report import decouplability_table, format_table
 from .simulate import (
@@ -259,6 +259,14 @@ def cmd_simulate(cfg: dict, out_dir: Path, audit: bool) -> int:
     xi0 = initial_state(sys_, cfg)
     sched = schedule_from_config(sys_, cfg)
     mode = cfg["feedback_mode"]
+    if mode in ("literal", "regularized"):
+        k_i = sys_.interaction.matrix @ xi0.amplitudes
+        if np.linalg.norm(k_i) <= interaction_floor(sys_, cfg["tol"]):
+            raise ConfigError(
+                f"initial_state {cfg['initial_state']!r} is a state where the interaction field "
+                f"K_I vanishes, so feedback_mode {mode!r} has no frame to build there; "
+                "choose another initial_state (for example 'random')"
+            )
     payload = {"command": "simulate", "config": cfg, "version": __version__, "scenario": cfg["scenario"]}
     if mode == "open_loop":
         trace = propagate(sys_, sched, xi0, dt_max=cfg["dt"])
@@ -301,6 +309,10 @@ def cmd_rank(cfg: dict, out_dir: Path) -> int:
     res_fields = []
     res_algebra = []
     n = sys_.space.total_dim
+    if algebra is not None:
+        # kept (L, n, n): a flat (L n, n) product is big enough for OpenBLAS
+        # to thread, which made it and the small QRs after it slower on 2 cores
+        algebra_stack = np.array([a.matrix for a in algebra])
     for _ in range(cfg["rank_states"]):
         xi = random_state(sys_.space, rng)
         span = RealSpan(2 * n, tol=tol)
@@ -310,7 +322,7 @@ def cmd_rank(cfg: dict, out_dir: Path) -> int:
         res_fields.append(span.residual(k_i))
         if algebra is not None:
             span_a = RealSpan(2 * n, tol=tol)
-            span_a.add_batch(np.array([realify(a.matrix @ xi.amplitudes) for a in algebra]))
+            span_a.add_batch(realify(algebra_stack @ xi.amplitudes))
             algebra_ranks.append(span_a.rank)
             res_algebra.append(span_a.residual(k_i))
     def hist(values):

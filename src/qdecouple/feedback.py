@@ -128,38 +128,40 @@ def commutant_basis(a_i: Operator, tol: float = DEFAULT_TOL) -> list[Operator]:
 
     Parameterizes the skew-hermitian matrices (real dimension n^2) and
     returns the kernel of the realified commutation map; the kernel always
-    contains A_I itself and i*identity.
+    contains A_I itself and i*identity.  The assembly is batched: the n^2
+    basis elements are one index-filled stack, bracketed with A_I in one
+    stacked matmul, and the null vectors are scattered back into matrices
+    (each entry takes one coefficient) and normalized in one batched norm.
+    The rank cut is realified_nullspace's SVD cut: singular values above
+    tol * max(s_max, 1) are constraints.  A unit null vector gives a matrix
+    of norm >= 1, so none is dropped.
     """
     if a_i.kind != "skew_hermitian":
         raise ValueError("commutant is taken against a skew-hermitian generator")
     n = a_i.dim
-    basis_mats = []
-    for k in range(n):
-        m = np.zeros((n, n), dtype=complex)
-        m[k, k] = 1j
-        basis_mats.append(m)
-    for k in range(n):
-        for l in range(k + 1, n):
-            m = np.zeros((n, n), dtype=complex)
-            m[k, l] = 1.0
-            m[l, k] = -1.0
-            basis_mats.append(m)
-            m = np.zeros((n, n), dtype=complex)
-            m[k, l] = 1j
-            m[l, k] = 1j
-            basis_mats.append(m)
-    constraints = np.array(
-        [realify((m @ a_i.matrix - a_i.matrix @ m).ravel()) for m in basis_mats]
-    ).T                                                    # (2n^2, n_basis)
-    null = realified_nullspace(constraints, len(basis_mats), tol=tol)
-    out = []
-    for coeffs in null:
-        mat = sum(c * m for c, m in zip(coeffs, basis_mats))
-        op = Operator(a_i.space, mat, "skew_hermitian")
-        nrm = op.norm()
-        if nrm > tol:
-            out.append(op * (1.0 / nrm))
-    return out
+    # the basis is i E_kk (k < n), then for each k < l in row-major order
+    # E_kl - E_lk and i (E_kl + E_lk); each entry's real and imaginary part
+    # comes from one element: element re_elem[t] puts re_sign[t] into the
+    # real part at flat position re_pos[t], im_elem[t] puts 1 into the
+    # imaginary part at im_pos[t]
+    k, l = np.triu_indices(n, 1)
+    anti = n + 2 * np.arange(k.size)
+    upper, lower = k * n + l, l * n + k
+    re_elem, re_pos = np.concatenate([anti, anti]), np.concatenate([upper, lower])
+    re_sign = np.repeat([1.0, -1.0], k.size)
+    im_elem = np.concatenate([np.arange(n), anti + 1, anti + 1])
+    im_pos = np.concatenate([np.arange(n) * (n + 1), upper, lower])
+    basis = np.zeros((n * n, n * n), dtype=complex)       # one flattened element per row
+    basis.real[re_elem, re_pos] = re_sign
+    basis.imag[im_elem, im_pos] = 1.0
+    mats = basis.reshape(-1, n, n)
+    brackets = mats @ a_i.matrix - a_i.matrix @ mats
+    null = realified_nullspace(realify(brackets.reshape(n * n, -1)).T, n * n, tol=tol)
+    out = np.zeros((null.shape[0], n * n), dtype=complex)
+    out.real[:, re_pos] = null[:, re_elem] * re_sign
+    out.imag[:, im_pos] = null[:, im_elem]
+    out *= (1.0 / np.linalg.norm(out, axis=1))[:, None]
+    return [Operator(a_i.space, mat, "skew_hermitian") for mat in out.reshape(-1, n, n)]
 
 
 def control_commutant_combos(sys: ControlSystem, tol: float = DEFAULT_TOL) -> list[Operator]:
@@ -184,6 +186,11 @@ def control_commutant_combos(sys: ControlSystem, tol: float = DEFAULT_TOL) -> li
         if nrm > tol:
             out.append(Operator(sys.space, mat / nrm, "skew_hermitian"))
     return out
+
+
+def interaction_floor(sys: ControlSystem, tol: float = DEFAULT_TOL) -> float:
+    """Norm at or below which K_I(xi) counts as vanishing: no frame exists there."""
+    return tol * max(sys.interaction.norm(), 1.0)
 
 
 @dataclass
@@ -218,7 +225,7 @@ class FramePlan:
             commutant=commutant,
             stack=np.array([op.matrix for op in fields]).reshape(-1, n),
             commutator_norms=commutator_norm_table([sys.interaction.matrix, *(c.matrix for c in candidates)]),
-            interaction_floor=tol * max(sys.interaction.norm(), 1.0),
+            interaction_floor=interaction_floor(sys, tol),
         )
 
 

@@ -209,11 +209,14 @@ def realified_nullspace(rows: np.ndarray, dim: int, tol: float = 1e-9, floor: fl
 
     Singular values are thresholded at tol * max(s_max, floor): the
     absolute floor keeps a numerically-zero stack (pure roundoff) from
-    masquerading as full rank.
+    masquerading as full rank.  U is never read, so a stack with at least
+    as many rows as columns takes the thin SVD: its vt is already square and
+    complete and the cut sees the same singular values.  Only a wide stack
+    needs the full vt, whose trailing rows span the rest of the null space.
     """
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
     if rows.size == 0 or not np.linalg.norm(rows, axis=1).any():
         return np.eye(dim)
-    u, s, vt = np.linalg.svd(rows, full_matrices=True)
+    _, s, vt = np.linalg.svd(rows, full_matrices=rows.shape[0] < rows.shape[1])
     r = int(np.sum(s > tol * max(s[0], floor)))
     return vt[r:]

@@ -78,6 +78,16 @@ def test_simulate_rank_deficiency_exit_code_4(tmp_path):
     assert report["report"]["control_field_rank"] == 12
 
 
+@pytest.mark.parametrize("scenario", ["bait", "restructured"])
+def test_simulate_refuses_feedback_where_interaction_vanishes(tmp_path, capsys, scenario):
+    # the default initial_state "dfs" is annihilated by A_I: no frame exists there
+    out = tmp_path / "out"
+    code = run_cli(["simulate", "--scenario", scenario, "--feedback-mode", "literal", "--out", str(out)])
+    assert code == 2
+    assert "initial_state 'dfs'" in capsys.readouterr().err
+    assert not out.exists()                        # refused before any propagation
+
+
 def test_config_error_exit_code_2(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"scenario": "nope"}))

@@ -5,12 +5,14 @@ survivors and a column-pivoted QR cut at tol * |R_00|.  The reference
 below is the full-SVD policy it replaced (two passes over every row, SVD
 of the survivors, singular values cut at tol * s_max): both must agree on
 the rank and on the subspace kept, for batches of known rank.
+realified_nullspace takes the thin SVD of tall stacks; it must return the
+rows a full SVD gives, on stacks of every shape.
 """
 
 import numpy as np
 import pytest
 
-from qdecouple.spans import RealSpan, realify
+from qdecouple.spans import RealSpan, realified_nullspace, realify
 
 TOL = 1e-9
 
@@ -144,3 +146,51 @@ def test_bait_c_tilde_basis_is_orthonormal(bait_c_tilde):
     q = bait_c_tilde._span.q
     assert q.shape == (1150, 1152)
     assert np.linalg.norm(q @ q.T - np.eye(q.shape[0]), 2) < 1e-13
+
+
+def _full_svd_nullspace(rows: np.ndarray, dim: int, tol: float = TOL, floor: float = 1.0) -> np.ndarray:
+    """The reference cut: tol * max(s_max, floor) on the full SVD's vt."""
+    if rows.size == 0 or not np.linalg.norm(rows, axis=1).any():
+        return np.eye(dim)
+    _, s, vt = np.linalg.svd(rows, full_matrices=True)
+    return vt[int(np.sum(s > tol * max(s[0], floor))):]
+
+
+def _ranked(rng, n_rows: int, n_cols: int, rank: int) -> np.ndarray:
+    return rng.normal(size=(n_rows, rank)) @ rng.normal(size=(rank, n_cols))
+
+
+@pytest.mark.parametrize(
+    "shape, rank",
+    [
+        ((40, 12), 12),          # tall, full column rank: empty null space
+        ((40, 12), 7),           # tall, rank-deficient
+        ((12, 12), 12),          # square, full rank
+        ((12, 12), 5),           # square, rank-deficient
+        ((5, 12), 5),            # wide, full row rank
+        ((5, 12), 3),            # wide, rank-deficient
+        ((6, 9), 0),             # all zero
+        ((9, 6), 0),
+    ],
+)
+def test_realified_nullspace_matches_full_svd(shape, rank):
+    rng = np.random.default_rng(100 + 10 * rank + shape[0])
+    rows = _ranked(rng, *shape, rank) if rank else np.zeros(shape)
+    got = realified_nullspace(rows, shape[1])
+    ref = _full_svd_nullspace(rows, shape[1])
+    assert got.shape == ref.shape == (shape[1] - rank, shape[1])
+    assert np.abs(got - ref).max(initial=0.0) <= 1e-15
+    assert np.abs(got @ got.T - np.eye(got.shape[0])).max(initial=0.0) < 1e-14
+    if rank:
+        assert np.abs(rows @ got.T).max(initial=0.0) < 1e-12 * np.abs(rows).max()
+
+
+def test_realified_nullspace_roundoff_stack_is_all_null():
+    # a stack of pure roundoff sits below the absolute floor: nothing is a constraint
+    rng = np.random.default_rng(12)
+    for shape in ((30, 8), (8, 8), (3, 8)):
+        rows = 1e-13 * rng.normal(size=shape)
+        got = realified_nullspace(rows, 8)
+        assert got.shape == (8, 8)
+        assert np.abs(got - _full_svd_nullspace(rows, 8)).max() <= 1e-15
+        assert np.abs(got @ got.T - np.eye(8)).max() < 1e-14
