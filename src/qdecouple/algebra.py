@@ -25,7 +25,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .spans import SpanBlowupError, close_real_span, realify
+from .spans import SpanBlowupError, close_real_span, realify, skew_hermitian_coordinates
 
 DEFAULT_TOL = 1e-9
 
@@ -330,16 +330,6 @@ def realified_rank(vectors: Iterable[np.ndarray], tol: float = DEFAULT_TOL) -> i
     return int(np.sum(s > tol * s[0]))
 
 
-def _vec(op: Operator) -> np.ndarray:
-    return op.matrix.ravel()
-
-
-def _unvec(space: HilbertSpace, v: np.ndarray, tol: float = DEFAULT_TOL) -> Operator:
-    n = space.total_dim
-    mat = v.reshape(n, n)
-    return Operator(space, mat, _classify(mat, tol))
-
-
 def vectorized_map(n: int, fn: Callable[[np.ndarray], np.ndarray]) -> Callable[[np.ndarray], np.ndarray]:
     """Lift a map on (B, n, n) matrix stacks to (B, n^2) row-major vectorized rows."""
     return lambda batch: fn(batch.reshape(-1, n, n)).reshape(-1, n * n)
@@ -363,7 +353,11 @@ def lie_closure(generators: Sequence[Operator], max_dim: int, tol: float = DEFAU
     span the generated Lie algebra, so this reaches the full closure) and
     raises ClosureBlowupError when the real dimension exceeds max_dim --
     the finite-truncation signal for environments whose coupling powers
-    keep producing new directions.
+    keep producing new directions.  The generators are skew-hermitian, so
+    the closure stays in u(n) = i*Herm and runs in the n^2 hermitian
+    coordinates of spans.skew_hermitian_coordinates: an isometry, so the
+    ranks and the closure order are the realified ones, with rows half as
+    long; the basis comes back exactly skew-hermitian.
     """
     if not generators:
         return []
@@ -372,11 +366,14 @@ def lie_closure(generators: Sequence[Operator], max_dim: int, tol: float = DEFAU
         _require_same_space(generators[0], g)
         if _classify(g.matrix, tol) != "skew_hermitian":
             raise ValueError("lie_closure expects skew-hermitian generators")
-    seeds = np.array([_vec(g) / g.norm() for g in generators if g.norm() > 0])
+    seeds = np.array([g.matrix.ravel() / g.norm() for g in generators if g.norm() > 0])
     if seeds.size == 0:
         return []
+    n = space.total_dim
     try:
-        _, batches, _ = close_real_span(seeds, ad_maps(generators), tol=tol, max_dim=max_dim)
+        _, batches, _ = close_real_span(
+            seeds, ad_maps(generators), tol=tol, max_dim=max_dim, coords=skew_hermitian_coordinates(n)
+        )
     except SpanBlowupError as exc:
         raise ClosureBlowupError(exc.rank, exc.max_dim) from exc
-    return [_unvec(space, row, tol) for row in np.vstack(batches)]
+    return [Operator(space, row.reshape(n, n), "skew_hermitian") for row in np.vstack(batches)]

@@ -24,6 +24,7 @@ import argparse
 import copy
 import json
 import math
+import os
 import sys as _sys
 from pathlib import Path
 
@@ -236,8 +237,32 @@ def schedule_from_config(sys, cfg) -> PulseSchedule:
     return PulseSchedule(segments)
 
 
+def _c_tilde_basis_bytes(n: int) -> int:
+    """Bytes of a full C~ basis at dimension n: 2(n^2 - 1) realified rows of
+    2n^2 floats plus as many n x n complex matrices."""
+    rows = 2 * (n * n - 1)
+    return rows * 2 * n * n * 8 + rows * n * n * 16
+
+
+def _physical_memory_bytes() -> int | None:
+    """The host's physical memory, or None where os.sysconf cannot tell."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
+
+
 def cmd_check(cfg: dict, out_dir: Path) -> int:
     params = scenario_params(cfg)
+    # the bait system (two qubits, the bait qubit and the environment) holds
+    # the largest C~; refuse before building anything if it cannot fit
+    need = _c_tilde_basis_bytes(8 * params.n_env)
+    have = _physical_memory_bytes()
+    if have is not None and need > have:
+        raise ConfigError(
+            f"n_env={params.n_env} needs about {need / 2**30:.1f} GiB for the bait C~ basis, "
+            f"more than the {have / 2**30:.1f} GiB of physical memory; lower n_env"
+        )
     report = decouplability_table(
         params,
         tol=cfg["tol"],

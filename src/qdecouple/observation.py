@@ -11,6 +11,22 @@ conditions become
 
 with membership decided by realified least-squares residual against the
 span basis (threshold tol * ||candidate||, RealSpan's membership test).
+
+C~ comes from a structural certificate when one applies.  pi(A) =
+A - tr(A)/n drops the trace and is a Lie homomorphism on u(n) (brackets
+are traceless), so su(n) lies in the Lie algebra generated by the
+controls and the drift exactly when L' = lie_closure(pi(generators)) has
+dimension n^2 - 1.  Then C~ is closed under ad of all of su(n), whose
+adjoint module is absolutely irreducible: the real su(n)-invariant
+subspaces of sl(n, C) = su(n) (+) i su(n) are su(n) (x) W for the
+subspaces W of R^2.  If moreover tr C = 0 (within tol * ||C||) and the
+hermitian parts H1 = (C + C†)/2, H2 = (C - C†)/2i are linearly
+independent, C lies in no proper one, so C~ = sl(n, C), of real dimension
+2(n^2 - 1), and build_c_tilde returns a fixed orthonormal basis of it.
+In every other case (so(n)-type generators, a traced or a hermitian
+output, a closure that would exceed max_dim) it falls back to the
+realified closure close_c_tilde, which stays the oracle.  The verdict
+checks run the same residual tests on either basis.
 """
 
 from __future__ import annotations
@@ -28,9 +44,14 @@ from .algebra import (
     ad_maps,
     commutator,
     lie_closure,
+    realified_rank,
 )
 from .models import ControlSystem
 from .spans import RealSpan, SpanBlowupError, close_real_span, realify, row_norms
+
+# how build_c_tilde found C~, reported per row as c_tilde_method
+SL_CERTIFICATE = "sl(n) certificate"
+CLOSURE = "closure"
 
 
 @dataclass
@@ -84,7 +105,7 @@ def _closure_generators(sys: ControlSystem, order: str) -> list[Operator]:
     raise ValueError(f"unknown closure order {order!r}")
 
 
-def build_c_tilde(
+def close_c_tilde(
     sys: ControlSystem,
     max_dim: int | None = None,
     tol: float = 1e-9,
@@ -94,8 +115,9 @@ def build_c_tilde(
 
     Iterates span <- span + [A, span] for A over the control generators and
     the drift until the real span stabilizes (the iteration order is a
-    flag; the fixpoint does not depend on it).  Raises ClosureBlowupError
-    past max_dim.
+    flag; the fixpoint does not depend on it), in realified 2n^2
+    coordinates.  Raises ClosureBlowupError past max_dim.  The kernel
+    behind build_c_tilde's fallback, and the oracle for its certificate.
     """
     n = sys.space.total_dim
     if max_dim is None:
@@ -108,7 +130,77 @@ def build_c_tilde(
     except SpanBlowupError as exc:
         raise ClosureBlowupError(exc.rank, exc.max_dim) from exc
     ops = [Operator(sys.space, row.reshape(n, n)) for row in np.vstack(batches)]
-    return OperatorSpan(sys.space, ops, tol=tol, details={"rounds": rounds}, _span=span)
+    return OperatorSpan(sys.space, ops, tol=tol, details={"method": CLOSURE, "rounds": rounds}, _span=span)
+
+
+def _generates_su(sys: ControlSystem, tol: float) -> bool:
+    """True when dim lie_closure(pi(controls and drift)) = n^2 - 1, i.e. su(n) is generated."""
+    n = sys.space.total_dim
+    eye = np.eye(n)
+    gens = []
+    for g in _closure_generators(sys, "controls_first"):
+        traceless = g.matrix - (np.trace(g.matrix) / n) * eye
+        # a generator that is a multiple of the identity leaves only roundoff
+        if np.linalg.norm(traceless) > tol * g.norm():
+            gens.append(Operator(sys.space, traceless, "skew_hermitian"))
+    return len(lie_closure(gens, max_dim=n * n, tol=tol)) == n * n - 1
+
+
+def _sl_certificate_applies(sys: ControlSystem, tol: float) -> bool:
+    """The three conditions under which C~ = sl(n, C) (module docstring)."""
+    c = sys.output_op.matrix
+    c_norm = np.linalg.norm(c)
+    if c_norm == 0.0 or abs(np.trace(c)) > tol * c_norm:
+        return False
+    h1 = (c + c.conj().T) / 2
+    h2 = (c - c.conj().T) / 2j
+    return realified_rank([h1, h2], tol=tol) == 2 and _generates_su(sys, tol)
+
+
+def _sl_basis(n: int) -> np.ndarray:
+    """Fixed orthonormal real basis of sl(n, C), as a (2(n^2 - 1), n, n) stack.
+
+    E_kl and i E_kl for k != l (row-major), then d_j and i d_j for the
+    orthonormal traceless diagonal d_j = (E_00 + ... + E_{j-1,j-1} - j E_jj)
+    / sqrt(j(j + 1)), j = 1..n-1.  The realified rows are orthonormal.
+    """
+    k, l = np.nonzero(~np.eye(n, dtype=bool))
+    off = np.zeros((k.size, n, n), dtype=complex)
+    off[np.arange(k.size), k, l] = 1.0
+    j = np.arange(1, n)[:, None]
+    diag = np.where(np.arange(n) < j, 1.0, 0.0) - j * (np.arange(n) == j)
+    diag = diag / np.sqrt(j * (j + 1))
+    diag_mats = np.zeros((n - 1, n, n), dtype=complex)
+    diag_mats[:, np.arange(n), np.arange(n)] = diag
+    pairs = [np.stack([m, 1j * m], axis=1).reshape(-1, n, n) for m in (off, diag_mats)]
+    return np.concatenate(pairs)
+
+
+def build_c_tilde(
+    sys: ControlSystem,
+    max_dim: int | None = None,
+    tol: float = 1e-9,
+    order: str = "controls_first",
+) -> OperatorSpan:
+    """C~, the ad-closure of the output under the controls and the drift.
+
+    When the sl(n) certificate of the module docstring applies and
+    2(n^2 - 1) <= max_dim, returns the fixed orthonormal basis _sl_basis(n)
+    with details {"method": SL_CERTIFICATE}; no closure over 2n^2 real
+    coordinates runs.  Otherwise returns close_c_tilde (details
+    {"method": CLOSURE, "rounds": ...}), which raises ClosureBlowupError
+    past max_dim.  Either way the span is the same subspace.
+    """
+    n = sys.space.total_dim
+    if max_dim is None:
+        max_dim = 2 * n * n
+    if 2 * (n * n - 1) <= max_dim and _sl_certificate_applies(sys, tol):
+        mats = _sl_basis(n)
+        span = RealSpan(2 * n * n, tol=tol)
+        span.q = realify(mats.reshape(len(mats), n * n))
+        ops = [Operator(sys.space, m) for m in mats]
+        return OperatorSpan(sys.space, ops, tol=tol, details={"method": SL_CERTIFICATE}, _span=span)
+    return close_c_tilde(sys, max_dim=max_dim, tol=tol, order=order)
 
 
 def _basis_matrices(span: OperatorSpan) -> np.ndarray:

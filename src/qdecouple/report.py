@@ -16,6 +16,10 @@ Column semantics:
                            bait have nothing to restructure and inherit
                            the closed-loop verdict.
 
+Each row, and the restructured column of the bait row, records
+c_tilde_method: "sl(n) certificate" when C~ = sl(n, C) was certified
+structurally, "closure" when it was closed numerically.
+
 A YES in the restructured column carries the finite-environment footnote:
 the verdict relies on the bath-quadrature power reduction of the
 truncated oscillator.
@@ -27,7 +31,7 @@ import numpy as np
 
 from .algebra import ClosureBlowupError, random_state
 from .models import ControlSystem, ScenarioParams, build_restructured, build_scenario
-from .observation import build_c_tilde, check_closed_loop_necessary, check_open_loop
+from .observation import CLOSURE, build_c_tilde, check_closed_loop_necessary, check_open_loop
 from .tangent import check_controlled_invariance, minimal_interaction_distribution
 
 FOOTNOTE = "decoupled under the finite-dimensional environment truncation"
@@ -96,9 +100,11 @@ def scenario_report(
     try:
         c_tilde = build_c_tilde(sys, max_dim=max_dim, tol=tol)
         row["c_tilde_dim"] = c_tilde.dim
+        row["c_tilde_method"] = c_tilde.details["method"]
         blowup = False
     except ClosureBlowupError as exc:
         row["c_tilde_dim"] = None
+        row["c_tilde_method"] = CLOSURE         # only the closure raises
         row["blowup"] = {"rank": exc.rank, "max_dim": exc.max_dim}
         blowup = True
         c_tilde = None
@@ -129,6 +135,7 @@ def scenario_report(
             "stable": closed_r["stable"],
             "footnote": FOOTNOTE if closed_r["ok"] else None,
             "c_tilde_dim": ct_r.dim,
+            "c_tilde_method": ct_r.details["method"],
             "n_controls": restructured.n_controls,
         }
     else:

@@ -15,12 +15,25 @@ real-linear maps until the span stabilizes and hands back the new
 directions round by round, so callers that need the growth history
 (derivative chains) and callers that need one basis (C~, the control Lie
 algebra, the Omega generators) share it.
+
+The caller picks the real coordinates the span is kept in.  The default
+realifies a complex vector to [Re | Im] (2m reals for m complex entries),
+which suits any complex span, C~ among them.  A closure that stays inside
+u(n) = i*Herm, the Lie closure of skew-hermitian generators, can use
+skew_hermitian_coordinates instead: n^2 reals per n x n matrix (the
+diagonal of H = -iA, then sqrt(2)*Re and sqrt(2)*Im of its upper
+triangle).  That map is an isometry onto R^(n^2), so every residual,
+every rank and the closure order are the ones the realified coordinates
+give, with rows half as long.  observation.build_c_tilde relies on such a
+Lie closure, of the traceless parts of the controls and the drift, to
+certify C~ = sl(n, C) without closing C~; where the certificate does not
+apply it falls back to the realified closure of C~.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 from scipy.linalg.lapack import dgeqp3, dorgqr
@@ -45,6 +58,48 @@ def unrealify(r: np.ndarray) -> np.ndarray:
     r = np.asarray(r, dtype=float)
     m = r.shape[-1] // 2
     return r[..., :m] + 1j * r[..., m:]
+
+
+class Coordinates(NamedTuple):
+    """A real-linear isometry from complex rows to real rows, and its inverse."""
+
+    encode: Callable[[np.ndarray], np.ndarray]    # (B, m) complex -> (B, d) real
+    decode: Callable[[np.ndarray], np.ndarray]    # (B, d) real -> (B, m) complex
+
+
+REALIFIED = Coordinates(realify, unrealify)
+
+
+def skew_hermitian_coordinates(n: int) -> Coordinates:
+    """Coordinates of row-major vectorized n x n skew-hermitian matrices.
+
+    A = iH is encoded as the diagonal of H, then sqrt(2)*Re and sqrt(2)*Im
+    of the strict upper triangle of H (row-major), n^2 reals in all.  The
+    Euclidean norm of the code equals the Frobenius norm of A, so the map
+    is an isometry of u(n) onto R^(n^2); decoding returns exactly
+    skew-hermitian matrices.  Only the diagonal and upper triangle are
+    read, so the input must be skew-hermitian.
+    """
+    upper, lower = np.triu_indices(n, 1)
+    diag = np.arange(n) * (n + 1)
+    up = upper * n + lower
+    low = lower * n + upper
+    root2 = math.sqrt(2.0)
+
+    def encode(rows: np.ndarray) -> np.ndarray:
+        h = -1j * np.atleast_2d(rows)
+        return np.concatenate([h[:, diag].real, root2 * h[:, up].real, root2 * h[:, up].imag], axis=1)
+
+    def decode(codes: np.ndarray) -> np.ndarray:
+        codes = np.atleast_2d(codes)
+        h = np.zeros((codes.shape[0], n * n), dtype=complex)
+        h[:, diag] = codes[:, :n]
+        z = (codes[:, n:n + up.size] + 1j * codes[:, n + up.size:]) / root2
+        h[:, up] = z
+        h[:, low] = z.conj()
+        return 1j * h
+
+    return Coordinates(encode, decode)
 
 
 class SpanBlowupError(RuntimeError):
@@ -160,6 +215,7 @@ def close_real_span(
     maps: Sequence[Callable[[np.ndarray], np.ndarray]],
     tol: float = 1e-9,
     max_dim: int | None = None,
+    coords: Coordinates = REALIFIED,
 ) -> tuple[RealSpan, list[np.ndarray], int]:
     """Close the real span of complex seed rows under real-linear maps.
 
@@ -175,30 +231,32 @@ def close_real_span(
     tol : float
         Relative residual threshold for accepting a new direction.
     max_dim : int, optional
-        Raise SpanBlowupError when the realified rank exceeds this.
+        Raise SpanBlowupError when the real rank exceeds this.
+    coords : Coordinates
+        The real coordinates the span is kept in (default: realified).
+        Seeds and every map image must lie in the domain of coords.encode.
 
     Returns
     -------
-    span : RealSpan over the realified vectors.
+    span : RealSpan over the encoded vectors.
     batches : list of (R_k, m) complex arrays, the directions accepted in
         each round (batches[0] from the seeds, always present; later
         rounds only when they added something).  Together they are
-        orthonormal in the realified sense; np.vstack(batches) is the basis.
+        orthonormal in the real sense; np.vstack(batches) is the basis.
     rounds : number of frontier rounds performed.
     """
-    seeds = np.atleast_2d(np.asarray(seeds, dtype=complex))
-    m = seeds.shape[1]
-    span = RealSpan(2 * m, tol=tol)
-    frontier = unrealify(span.add_batch(realify(seeds)))
+    seeds = coords.encode(np.atleast_2d(np.asarray(seeds, dtype=complex)))
+    span = RealSpan(seeds.shape[1], tol=tol)
+    frontier = coords.decode(span.add_batch(seeds))
     batches = [frontier]
     rounds = 0
     while frontier.shape[0] and maps:
         rounds += 1
         candidates = np.vstack([np.atleast_2d(f(frontier)) for f in maps])
-        new = span.add_batch(realify(candidates))
+        new = span.add_batch(coords.encode(candidates))
         if max_dim is not None and span.rank > max_dim:
             raise SpanBlowupError(span.rank, max_dim)
-        frontier = unrealify(new)
+        frontier = coords.decode(new)
         if frontier.shape[0]:
             batches.append(frontier)
     return span, batches, rounds

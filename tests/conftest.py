@@ -2,6 +2,7 @@ import pytest
 
 import qdecouple as qd
 from qdecouple.models import build_commutant_toy
+from qdecouple.observation import close_c_tilde
 
 
 @pytest.fixture(scope="session")
@@ -31,8 +32,9 @@ def restructured(params):
 
 @pytest.fixture(scope="session")
 def bait_c_tilde(bait):
-    # the heavy 24-dimensional closure; shared across the suite
-    return qd.build_c_tilde(bait)
+    # the heavy 24-dimensional closure, by the kernel (the oracle for the
+    # sl(n) certificate); shared across the suite
+    return close_c_tilde(bait)
 
 
 @pytest.fixture(scope="session")

@@ -1,0 +1,202 @@
+"""The sl(n) certificate of build_c_tilde against the closure kernel.
+
+build_c_tilde returns a fixed orthonormal basis of sl(n, C) when the
+generators give su(n), tr C = 0 and C's hermitian parts are independent;
+otherwise it runs close_c_tilde.  The kernel is the oracle: wherever the
+certificate fires, its span must be the kernel's, and wherever one of the
+three conditions fails, the kernel's dimension must come back unchanged.
+"""
+
+import numpy as np
+import pytest
+
+import qdecouple as qd
+from qdecouple import observation
+from qdecouple.observation import CLOSURE, SL_CERTIFICATE, close_c_tilde
+from qdecouple.report import closed_loop_verdict, decouplability_table, scenario_report
+
+
+def _subspace_distance(a: qd.OperatorSpan, b: qd.OperatorSpan) -> float:
+    """Frobenius norm of a's orthonormal rows minus their projection onto b
+    (an upper bound on the sine of the largest principal angle)."""
+    qa, qb = a._span.q, b._span.q
+    return float(np.linalg.norm(qa - (qa @ qb.T) @ qb))
+
+
+def _with(sys_, **changes) -> qd.ControlSystem:
+    fields = {
+        "drift": sys_.drift,
+        "controls": sys_.controls,
+        "interaction": sys_.interaction,
+        "output_op": sys_.output_op,
+    }
+    fields.update(changes)
+    return qd.ControlSystem(sys_.space, scenario=f"{sys_.scenario}_variant", **fields)
+
+
+def _conjugated(sys_, u) -> qd.ControlSystem:
+    def rot(op):
+        return qd.Operator(op.space, u @ op.matrix @ u.conj().T, op.kind)
+
+    return _with(sys_, drift=rot(sys_.drift), controls=[rot(a) for a in sys_.controls],
+                 interaction=rot(sys_.interaction), output_op=rot(sys_.output_op))
+
+
+def _random_unitary(rng, n):
+    q, r = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+@pytest.fixture(scope="module")
+def bait2():
+    return qd.build_bait(qd.ScenarioParams(n_env=2))
+
+
+@pytest.mark.parametrize("name,n_env", [("bait", 2), ("restructured", 3)])
+def test_certificate_span_equals_kernel(name, n_env):
+    sys_ = qd.build_scenario(name, qd.ScenarioParams(n_env=n_env))
+    n = sys_.space.total_dim
+    cert = qd.build_c_tilde(sys_)
+    kernel = close_c_tilde(sys_)
+    assert cert.details["method"] == SL_CERTIFICATE
+    assert cert.dim == kernel.dim == 2 * (n * n - 1)
+    assert _subspace_distance(cert, kernel) < 1e-10
+    assert _subspace_distance(kernel, cert) < 1e-10
+
+
+def test_bait_certificate_equals_kernel_at_default_truncation(bait, bait_c_tilde):
+    cert = qd.build_c_tilde(bait)
+    assert cert.details["method"] == SL_CERTIFICATE
+    assert cert.dim == bait_c_tilde.dim == 1150
+    assert _subspace_distance(cert, bait_c_tilde) < 1e-10
+    assert cert.contains(bait.output_op)
+
+
+def test_certificate_basis_is_orthonormal_and_traceless(bait2):
+    ct = qd.build_c_tilde(bait2)
+    q = ct._span.q
+    assert np.abs(q @ q.T - np.eye(ct.dim)).max() < 1e-15
+    mats = np.array([op.matrix for op in ct.basis])
+    assert np.abs(np.trace(mats, axis1=1, axis2=2)).max() < 1e-15
+    assert len(ct.basis) == ct.dim
+
+
+@pytest.mark.parametrize(
+    "name,n_env,dim",
+    [("single_qubit", 3, 6), ("two_qubit", 3, 18), ("restructured", 2, 70)],
+)
+def test_falls_back_to_kernel(name, n_env, dim):
+    sys_ = qd.build_scenario(name, qd.ScenarioParams(n_env=n_env))
+    ct = qd.build_c_tilde(sys_)
+    assert ct.details["method"] == CLOSURE
+    assert ct.dim == close_c_tilde(sys_).dim == dim
+
+
+def test_so_n_generators_fall_back():
+    # real antisymmetric generators close to so(4), a proper subalgebra of
+    # su(4); they keep a real output real, so C~ is sl(4, R), not sl(4, C)
+    rng = np.random.default_rng(11)
+    space = qd.HilbertSpace((("a", 2), ("b", 2)))
+
+    def so4():
+        m = rng.normal(size=(4, 4))
+        return qd.Operator(space, m - m.T, "skew_hermitian")
+
+    c = rng.normal(size=(4, 4))
+    c -= np.trace(c) / 4 * np.eye(4)
+    sys_ = qd.ControlSystem(space, so4(), [so4(), so4()], so4(), qd.Operator(space, c), scenario="so4")
+    assert len(qd.lie_closure([sys_.drift, *sys_.controls], max_dim=32)) == 6
+    ct = qd.build_c_tilde(sys_)
+    assert ct.details["method"] == CLOSURE
+    assert ct.dim == close_c_tilde(sys_).dim == 15
+
+
+def test_traced_output_falls_back(bait2):
+    n = bait2.space.total_dim
+    sys_ = _with(bait2, output_op=bait2.output_op + qd.Operator(bait2.space, 0.3 * np.eye(n)))
+    ct = qd.build_c_tilde(sys_)
+    assert ct.details["method"] == CLOSURE
+    # C + 0.3 I adds the identity direction to sl(n, C)
+    assert ct.dim == close_c_tilde(sys_).dim == 2 * (n * n - 1) + 1
+
+
+@pytest.mark.parametrize("phase", [1.0, 1.0 + 2.0j, 1.0j])
+def test_dependent_hermitian_parts_fall_back(bait2, phase):
+    # C = phase * H with H hermitian: H1 and H2 are both multiples of H
+    n = bait2.space.total_dim
+    c = bait2.output_op.matrix
+    h = qd.Operator(bait2.space, phase * (c + c.conj().T))
+    ct = qd.build_c_tilde(_with(bait2, output_op=h))
+    assert ct.details["method"] == CLOSURE
+    # the closure of a hermitian traceless seed under su(n) is i*su(n)
+    assert ct.dim == n * n - 1
+
+
+def test_one_short_of_su_n_does_not_certify(bait2, monkeypatch):
+    real = observation.lie_closure
+    monkeypatch.setattr(observation, "lie_closure", lambda *a, **k: real(*a, **k)[:-1])
+    ct = qd.build_c_tilde(bait2)
+    assert ct.details["method"] == CLOSURE
+    assert ct.dim == 510
+
+
+def test_max_dim_below_sl_n_raises_as_before(bait2):
+    with pytest.raises(qd.ClosureBlowupError):
+        qd.build_c_tilde(bait2, max_dim=509)
+    assert qd.build_c_tilde(bait2, max_dim=510).details["method"] == SL_CERTIFICATE
+
+
+def test_blowup_row_reports_the_closure(params):
+    row = scenario_report("two_qubit", params, max_dim=10)
+    assert row["blowup"] == {"rank": 12, "max_dim": 10}
+    assert (row["c_tilde_dim"], row["c_tilde_method"]) == (None, CLOSURE)
+    assert row["open_loop"]["witness"] == {"kind": "closure_blowup"}
+
+
+def _verdicts(sys_):
+    ct = qd.build_c_tilde(sys_)
+    closed = closed_loop_verdict(sys_, n_states=2, seed=3, c_tilde=ct)
+    return (
+        ct.dim,
+        ct.details["method"],
+        qd.check_open_loop(sys_, ct).ok,
+        qd.check_closed_loop_necessary(sys_, ct).ok,
+        closed["ok"],
+    )
+
+
+def test_dims_and_verdicts_invariant_under_unitary_change_of_basis(bait2):
+    want = _verdicts(bait2)
+    assert want == (510, SL_CERTIFICATE, False, True, False)
+    rng = np.random.default_rng(5)
+    u = _random_unitary(rng, bait2.space.total_dim)
+    assert _verdicts(_conjugated(bait2, u)) == want
+
+
+def test_dims_and_verdicts_invariant_under_control_permutation(bait2):
+    rng = np.random.default_rng(8)
+    order = rng.permutation(bait2.n_controls)
+    permuted = _with(bait2, controls=[bait2.controls[k] for k in order])
+    assert _verdicts(permuted) == _verdicts(bait2)
+
+
+def test_verdict_table_at_n_env_4():
+    # the YES* footnote at a larger truncation: bait C~ = sl(32, C)
+    table = decouplability_table(qd.ScenarioParams(n_env=4))
+    got = {
+        row["scenario"]: (
+            row["open_loop"]["verdict"],
+            row["closed_loop"]["verdict"],
+            row["closed_loop_restructured"]["verdict"],
+            row["c_tilde_dim"],
+            row["c_tilde_method"],
+            row["closed_loop_restructured"].get("c_tilde_dim"),
+            row["closed_loop_restructured"].get("c_tilde_method"),
+        )
+        for row in table["rows"]
+    }
+    assert got == {
+        "single_qubit": ("NO", "NO", "NO", 6, CLOSURE, None, None),
+        "two_qubit": ("NO", "NO", "NO", 18, CLOSURE, None, None),
+        "bait": ("NO", "NO", "YES*", 2046, SL_CERTIFICATE, 510, SL_CERTIFICATE),
+    }

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +21,9 @@ def test_check_writes_table_and_report(tmp_path, capsys):
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["command"] == "check"
     assert report["config"]["seed"] == 0          # defaults echoed for provenance
+    methods = {row["scenario"]: row["c_tilde_method"] for row in report["rows"]}
+    assert methods == {"single_qubit": "closure", "two_qubit": "closure", "bait": "sl(n) certificate"}
+    assert report["rows"][2]["closed_loop_restructured"]["c_tilde_method"] == "sl(n) certificate"
 
 
 def test_check_byte_identical_reruns(tmp_path):
@@ -86,6 +90,23 @@ def test_simulate_refuses_feedback_where_interaction_vanishes(tmp_path, capsys, 
     assert code == 2
     assert "initial_state 'dfs'" in capsys.readouterr().err
     assert not out.exists()                        # refused before any propagation
+
+
+def test_check_refuses_n_env_beyond_physical_memory(tmp_path, capsys):
+    # the bait C~ basis at n_env 400 (n = 3200) would need petabytes
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"params": {"n_env": 400}}))
+    out = tmp_path / "out"
+    tracemalloc.start()
+    try:
+        code = run_cli(["check", "--config", str(cfg), "--out", str(out)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert "n_env=400" in capsys.readouterr().err
+    assert peak < 1 << 20                          # refused before any system was built
+    assert not out.exists()
 
 
 def test_config_error_exit_code_2(tmp_path):

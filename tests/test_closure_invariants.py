@@ -11,6 +11,8 @@ import pytest
 
 import qdecouple as qd
 from qdecouple.algebra import ad_maps
+from qdecouple.observation import close_c_tilde
+from qdecouple.spans import close_real_span, realify
 from qdecouple.report import decouplability_table
 from qdecouple.tangent import lie_step_maps, omega_generator_basis
 
@@ -49,7 +51,7 @@ def test_ad_maps_skip_zero_generators():
 
 @pytest.mark.parametrize("name", sorted(C_TILDE))
 def test_c_tilde_dim_and_rounds(name, params):
-    ct = qd.build_c_tilde(qd.build_scenario(name, params))
+    ct = close_c_tilde(qd.build_scenario(name, params))
     assert (ct.dim, ct.details["rounds"]) == C_TILDE[name]
 
 
@@ -69,6 +71,40 @@ def test_omega_generator_rank_and_rounds(name, params):
     ops, details = omega_generator_basis(qd.build_scenario(name, params))
     assert (details["generator_rank"], details["rounds"]) == OMEGA_RANK_ROUNDS[name]
     assert len(ops) == details["generator_rank"]
+
+
+def _assert_lie_closure_spans_the_realified_closure(gens):
+    # lie_closure runs in the n^2 skew-hermitian coordinates; the realified
+    # 2n^2-coordinate closure of the same generators is its oracle
+    n = gens[0].dim
+    basis = qd.lie_closure(gens, max_dim=2 * n * n)
+    seeds = np.array([g.matrix.ravel() / g.norm() for g in gens])
+    span, _, _ = close_real_span(seeds, ad_maps(gens))
+    rows = realify(np.array([op.matrix.ravel() for op in basis]))
+    assert len(basis) == span.rank
+    assert np.abs(rows @ rows.T - np.eye(len(basis))).max() < 1e-12
+    assert np.linalg.norm(rows - (rows @ span.q.T) @ span.q) < 1e-10
+
+
+@pytest.mark.parametrize("name,with_drift", [("two_qubit", True), ("restructured", True), ("bait", False)])
+def test_lie_closure_spans_the_realified_closure(name, with_drift, params):
+    sys_ = qd.build_scenario(name, params)
+    _assert_lie_closure_spans_the_realified_closure(
+        [*sys_.controls, sys_.drift] if with_drift else sys_.controls
+    )
+
+
+def test_lie_closure_of_a_rotated_so4_spans_the_realified_closure():
+    # a proper subalgebra (so(4), dim 6) with no real/imaginary structure left
+    rng = np.random.default_rng(17)
+    space = qd.HilbertSpace((("a", 4),))
+    u, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+    gens = []
+    for _ in range(2):
+        m = rng.normal(size=(4, 4))
+        gens.append(qd.Operator(space, u @ (m - m.T) @ u.conj().T, "skew_hermitian"))
+    assert len(qd.lie_closure(gens, max_dim=32)) == 6
+    _assert_lie_closure_spans_the_realified_closure(gens)
 
 
 def test_bait_control_lie_algebra_dim(bait):

@@ -6,13 +6,14 @@ below is the full-SVD policy it replaced (two passes over every row, SVD
 of the survivors, singular values cut at tol * s_max): both must agree on
 the rank and on the subspace kept, for batches of known rank.
 realified_nullspace takes the thin SVD of tall stacks; it must return the
-rows a full SVD gives, on stacks of every shape.
+rows a full SVD gives, on stacks of every shape.  The skew-hermitian
+coordinates must be an isometry of u(n) onto R^(n^2) with an exact inverse.
 """
 
 import numpy as np
 import pytest
 
-from qdecouple.spans import RealSpan, realified_nullspace, realify
+from qdecouple.spans import RealSpan, realified_nullspace, realify, skew_hermitian_coordinates
 
 TOL = 1e-9
 
@@ -194,3 +195,19 @@ def test_realified_nullspace_roundoff_stack_is_all_null():
         assert got.shape == (8, 8)
         assert np.abs(got - _full_svd_nullspace(rows, 8)).max() <= 1e-15
         assert np.abs(got @ got.T - np.eye(8)).max() < 1e-14
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_skew_hermitian_coordinates_are_an_isometry_with_exact_inverse(n):
+    rng = np.random.default_rng(40 + n)
+    z = rng.normal(size=(7, n, n)) + 1j * rng.normal(size=(7, n, n))
+    rows = (z - z.conj().transpose(0, 2, 1)).reshape(7, n * n)      # skew-hermitian
+    coords = skew_hermitian_coordinates(n)
+    codes = coords.encode(rows)
+    assert codes.shape == (7, n * n) and codes.dtype == float
+    # the realified Gram matrix is preserved: norms, angles and so ranks
+    assert np.allclose(codes @ codes.T, realify(rows) @ realify(rows).T, rtol=0, atol=1e-12)
+    back = coords.decode(codes)
+    assert np.allclose(back, rows, rtol=0, atol=1e-14)
+    mats = back.reshape(7, n, n)
+    assert np.array_equal(mats, -mats.conj().transpose(0, 2, 1))
