@@ -18,8 +18,7 @@ print("[sigma_x, sigma_y] == 2i sigma_z:",
 
 print("\n== Tensor embedding ==")
 space = qd.HilbertSpace((("qubit1", 2), ("qubit2", 2), ("env", 3)))
-sx2 = qd.tensor_embed(qd.Operator(qd.HilbertSpace((("qubit2", 2),)), SIGMA_X, "hermitian"),
-                      "qubit2", space)
+sx2 = qd.embed_product(space, {"qubit2": SIGMA_X})
 psi = qd.basis_state(space, (0, 1, 2))
 out = sx2.matrix @ psi.amplitudes
 print("sigma_x on qubit 2 of |0>|1>|2> lands on |0>|0>|2>:",

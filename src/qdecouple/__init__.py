@@ -26,8 +26,6 @@ from .algebra import (
     normalize,
     number_operator,
     random_state,
-    realified_rank,
-    tensor_embed,
 )
 from .models import (
     SCENARIOS,
@@ -42,6 +40,7 @@ from .models import (
     coherence,
     dfs_state,
 )
+from .spans import realified_rank
 from .observation import (
     OperatorSpan,
     Verdict,

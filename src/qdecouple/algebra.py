@@ -10,9 +10,11 @@ qubit basis is (|0>, |1>) with
 
 so [sigma_x, sigma_y] = 2i sigma_z and cyclic.  Dynamics generators are
 skew-hermitian, A = -iH with hbar = 1; Hamiltonians are kept hermitian and
-converted once at system assembly (`Operator.skew`).  Truncated ladder
-operators are the top-left N x N blocks of the infinite matrices:
-b|n> = sqrt(n)|n-1>, b†|n> = sqrt(n+1)|n+1>, both cut off at level N-1.
+converted once at system assembly (`Operator.skew`), and is_hermitian
+checks each generator where it enters; `Operator.kind` is not propagated.
+Truncated ladder operators are the top-left N x N blocks of the infinite
+matrices: b|n> = sqrt(n)|n-1>, b†|n> = sqrt(n+1)|n+1>, both cut off at
+level N-1.
 
 Real-linear rank ("realified" rank) is used throughout: a complex vector
 and its i-multiple count as two independent real directions.
@@ -21,11 +23,11 @@ and its i-multiple count as two independent real directions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .spans import SpanBlowupError, close_real_span, realify, skew_hermitian_coordinates
+from .spans import SpanBlowupError, close_real_span, skew_hermitian_coordinates
 
 DEFAULT_TOL = 1e-9
 
@@ -76,18 +78,24 @@ class HilbertSpace:
         raise KeyError(f"unknown factor label {label!r}")
 
 
-def _classify(matrix: np.ndarray, tol: float) -> str:
-    scale = max(1.0, np.abs(matrix).max())
-    if np.abs(matrix - matrix.conj().T).max() <= tol * scale:
-        return "hermitian"          # the zero matrix lands here
-    if np.abs(matrix + matrix.conj().T).max() <= tol * scale:
-        return "skew_hermitian"
-    return "general"
+def is_hermitian(matrix: np.ndarray, tol: float = DEFAULT_TOL, skew: bool = False) -> bool:
+    """max|M - M†| (max|M + M†| with skew) <= tol * max(1, max|M|).
+
+    The package's one hermiticity decision; the zero matrix passes both tests.
+    """
+    matrix = np.asarray(matrix)
+    adjoint = matrix.conj().T
+    gap = matrix + adjoint if skew else matrix - adjoint
+    return bool(np.abs(gap).max() <= tol * max(1.0, np.abs(matrix).max()))
 
 
 @dataclass
 class Operator:
-    """Dense operator on a HilbertSpace with a hermiticity role tag."""
+    """Dense operator on a HilbertSpace.
+
+    kind is an assertion checked by is_hermitian at construction ("general"
+    asserts nothing).  It is not propagated: derived operators are "general".
+    """
 
     space: HilbertSpace
     matrix: np.ndarray
@@ -100,50 +108,39 @@ class Operator:
             raise ValueError(f"matrix shape {self.matrix.shape} != ({n}, {n})")
         if self.kind not in ("hermitian", "skew_hermitian", "general"):
             raise ValueError(f"unknown kind {self.kind!r}")
-        scale = max(1.0, np.abs(self.matrix).max())
-        if self.kind == "hermitian":
-            if np.abs(self.matrix - self.matrix.conj().T).max() > DEFAULT_TOL * scale:
-                raise ValueError("matrix tagged hermitian is not hermitian")
-        elif self.kind == "skew_hermitian":
-            if np.abs(self.matrix + self.matrix.conj().T).max() > DEFAULT_TOL * scale:
-                raise ValueError("matrix tagged skew_hermitian is not skew-hermitian")
+        if self.kind != "general" and not is_hermitian(self.matrix, skew=self.kind == "skew_hermitian"):
+            raise ValueError(f"matrix tagged {self.kind} is not {self.kind.replace('_', '-')}")
 
     @property
     def dim(self) -> int:
         return self.space.total_dim
 
     def dagger(self) -> "Operator":
-        return Operator(self.space, self.matrix.conj().T, self.kind)
+        return Operator(self.space, self.matrix.conj().T)
 
     def skew(self) -> "Operator":
         """Return -i * self; maps a hermitian Hamiltonian to its generator."""
-        kind = "skew_hermitian" if self.kind == "hermitian" else "general"
-        if self.kind == "skew_hermitian":
-            kind = "hermitian"
-        return Operator(self.space, -1j * self.matrix, kind)
+        return Operator(self.space, -1j * self.matrix)
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.matrix))
 
     def __add__(self, other: "Operator") -> "Operator":
         _require_same_space(self, other)
-        kind = self.kind if self.kind == other.kind else "general"
-        return Operator(self.space, self.matrix + other.matrix, kind)
+        return Operator(self.space, self.matrix + other.matrix)
 
     def __sub__(self, other: "Operator") -> "Operator":
         _require_same_space(self, other)
-        kind = self.kind if self.kind == other.kind else "general"
-        return Operator(self.space, self.matrix - other.matrix, kind)
+        return Operator(self.space, self.matrix - other.matrix)
 
     def __mul__(self, c: float) -> "Operator":
-        kind = self.kind if np.isrealobj(np.asarray(c)) else "general"
-        return Operator(self.space, c * self.matrix, kind)
+        return Operator(self.space, c * self.matrix)
 
     __rmul__ = __mul__
 
     def __matmul__(self, other: "Operator") -> "Operator":
         _require_same_space(self, other)
-        return Operator(self.space, self.matrix @ other.matrix, "general")
+        return Operator(self.space, self.matrix @ other.matrix)
 
 
 def _require_same_space(a: Operator, b: Operator) -> None:
@@ -217,45 +214,14 @@ def kron_factors(space: HilbertSpace, blocks: dict[str, np.ndarray]) -> np.ndarr
 
 
 def embed_product(space: HilbertSpace, blocks: dict[str, np.ndarray], kind: str | None = None) -> Operator:
-    """Operator acting as the given blocks on named factors, identity elsewhere."""
-    mat = kron_factors(space, blocks)
-    return Operator(space, mat, kind if kind is not None else _classify(mat, DEFAULT_TOL))
-
-
-def tensor_embed(op: Operator, slot: str, space: HilbertSpace) -> Operator:
-    """Embed a single-factor operator as I x ... x op x ... x I.
-
-    Parameters
-    ----------
-    op : Operator
-        Operator whose total dimension equals the named factor's dimension.
-    slot : str
-        Label of the factor the operator acts on.
-    space : HilbertSpace
-        Target space.
-
-    Backs demo 01 (operator algebra); not used by the CLI.
-    """
-    if slot not in space.labels:
-        raise ValueError(f"unknown slot label {slot!r}")
-    if op.dim != space.dim(slot):
-        raise ValueError(f"operator dim {op.dim} != factor dim {space.dim(slot)}")
-    return Operator(space, kron_factors(space, {slot: op.matrix}), op.kind)
+    """Operator acting as the given blocks on named factors, identity elsewhere; kind as in Operator."""
+    return Operator(space, kron_factors(space, blocks), kind or "general")
 
 
 def commutator(a: Operator, b: Operator) -> Operator:
-    """Matrix commutator [a, b] = ab - ba with hermiticity tracking."""
+    """Matrix commutator [a, b] = ab - ba."""
     _require_same_space(a, b)
-    mat = a.matrix @ b.matrix - b.matrix @ a.matrix
-    if a.kind == "hermitian" and b.kind == "hermitian":
-        kind = "skew_hermitian"       # [H, H'] = i * hermitian
-    elif a.kind == "skew_hermitian" and b.kind == "skew_hermitian":
-        kind = "skew_hermitian"
-    elif {a.kind, b.kind} == {"hermitian", "skew_hermitian"}:
-        kind = "hermitian"
-    else:
-        kind = "general"
-    return Operator(a.space, mat, kind)
+    return Operator(a.space, a.matrix @ b.matrix - b.matrix @ a.matrix)
 
 
 def ladder_pair(n_levels: int, space: HilbertSpace | None = None) -> tuple[Operator, Operator]:
@@ -272,19 +238,18 @@ def ladder_pair(n_levels: int, space: HilbertSpace | None = None) -> tuple[Opera
     elif space.total_dim != n_levels:
         raise ValueError("space dimension does not match n_levels")
     b = np.diag(np.sqrt(np.arange(1, n_levels, dtype=float)), 1).astype(complex)
-    return Operator(space, b, "general"), Operator(space, b.conj().T, "general")
+    return Operator(space, b), Operator(space, b.conj().T)
 
 
 def field_quadrature(w: complex, n_levels: int, space: HilbertSpace | None = None) -> Operator:
     """Hermitian bath quadrature w b† + w* b on an n_levels oscillator."""
     b, bd = ladder_pair(n_levels, space)
-    mat = w * bd.matrix + np.conj(w) * b.matrix
-    return Operator(b.space, mat, "hermitian")
+    return Operator(b.space, w * bd.matrix + np.conj(w) * b.matrix)
 
 
 def number_operator(n_levels: int, space: HilbertSpace | None = None) -> Operator:
     b, bd = ladder_pair(n_levels, space)
-    return Operator(b.space, bd.matrix @ b.matrix, "hermitian")
+    return Operator(b.space, bd.matrix @ b.matrix)
 
 
 def unitary_stepper(a_mat: np.ndarray) -> Callable[[np.ndarray, float], np.ndarray]:
@@ -305,29 +270,13 @@ def matrix_exp_apply(a: Operator, t: float, xi: StateVector, tol: float = DEFAUL
     """
     if a.space != xi.space:
         raise ValueError("operator and state spaces differ")
-    scale = max(1.0, np.abs(a.matrix).max())
-    if np.abs(a.matrix + a.matrix.conj().T).max() > tol * scale:
+    if not is_hermitian(a.matrix, tol, skew=True):
         raise ValueError("generator is not skew-hermitian; propagation would not be unitary")
     out = unitary_stepper(a.matrix)(xi.amplitudes, t)
     nrm = np.linalg.norm(out)
     if abs(nrm - 1.0) > 1e-10:
         raise RuntimeError(f"propagation lost unitarity: norm {nrm}")
     return StateVector(xi.space, out)
-
-
-def realified_rank(vectors: Iterable[np.ndarray], tol: float = DEFAULT_TOL) -> int:
-    """Rank over the reals of complex vectors realified to [Re | Im] rows."""
-    rows = [np.asarray(v, dtype=complex).ravel() for v in vectors]
-    if not rows:
-        return 0
-    dims = {r.shape[0] for r in rows}
-    if len(dims) != 1:
-        raise ValueError("vectors have mixed dimensions")
-    m = realify(np.array(rows))
-    s = np.linalg.svd(m, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.sum(s > tol * s[0]))
 
 
 def vectorized_map(n: int, fn: Callable[[np.ndarray], np.ndarray]) -> Callable[[np.ndarray], np.ndarray]:
@@ -364,7 +313,7 @@ def lie_closure(generators: Sequence[Operator], max_dim: int, tol: float = DEFAU
     space = generators[0].space
     for g in generators:
         _require_same_space(generators[0], g)
-        if _classify(g.matrix, tol) != "skew_hermitian":
+        if not is_hermitian(g.matrix, tol, skew=True):
             raise ValueError("lie_closure expects skew-hermitian generators")
     seeds = np.array([g.matrix.ravel() / g.norm() for g in generators if g.norm() > 0])
     if seeds.size == 0:
@@ -376,4 +325,4 @@ def lie_closure(generators: Sequence[Operator], max_dim: int, tol: float = DEFAU
         )
     except SpanBlowupError as exc:
         raise ClosureBlowupError(exc.rank, exc.max_dim) from exc
-    return [Operator(space, row.reshape(n, n), "skew_hermitian") for row in np.vstack(batches)]
+    return [Operator(space, row.reshape(n, n)) for row in np.vstack(batches)]

@@ -34,7 +34,7 @@ from . import __version__
 from .algebra import (
     SIGMA_X, ClosureBlowupError, embed_product, field_quadrature, lie_closure, normalize, random_state
 )
-from .feedback import FramePlan, RankDeficiencyError, build_frame, interaction_floor, synthesize
+from .feedback import FramePlan, RankDeficiencyError, build_frame, synthesize
 from .models import SCENARIOS, ScenarioParams, build_scenario, dfs_state
 from .report import decouplability_table, format_table
 from .simulate import (
@@ -252,17 +252,37 @@ def _physical_memory_bytes() -> int | None:
         return None
 
 
-def cmd_check(cfg: dict, out_dir: Path) -> int:
-    params = scenario_params(cfg)
-    # the bait system (two qubits, the bait qubit and the environment) holds
-    # the largest C~; refuse before building anything if it cannot fit
-    need = _c_tilde_basis_bytes(8 * params.n_env)
+def _refuse_beyond_memory(need: int, key: str, value, what: str) -> None:
     have = _physical_memory_bytes()
     if have is not None and need > have:
         raise ConfigError(
-            f"n_env={params.n_env} needs about {need / 2**30:.1f} GiB for the bait C~ basis, "
-            f"more than the {have / 2**30:.1f} GiB of physical memory; lower n_env"
+            f"{key}={value} needs about {need / 2**30:.1f} GiB for {what}, "
+            f"more than the {have / 2**30:.1f} GiB of physical memory; lower {key}"
         )
+
+
+def _refuse_oversized_restructured(cfg: dict, params: ScenarioParams) -> None:
+    """4(max_power + 1) complex n x n controls (n = 4 n_env), held twice: listed and in control_stack."""
+    n = 4 * params.n_env
+    need = 2 * 4 * (cfg["max_power"] + 1) * n * n * 16
+    _refuse_beyond_memory(need, "max_power", cfg["max_power"], "the restructured system's control matrices")
+
+
+def build_system(cfg: dict, name: str, params: ScenarioParams):
+    """build_scenario, after refusing a restructured system too big for memory."""
+    if name == "restructured":
+        _refuse_oversized_restructured(cfg, params)
+    return build_scenario(name, params, cfg["max_power"])
+
+
+def cmd_check(cfg: dict, out_dir: Path) -> int:
+    params = scenario_params(cfg)
+    if params.g == 0:
+        raise ConfigError("g = 0 switches the interaction off: there is nothing to decouple from")
+    # refuse before building anything: the bait system (two qubits, the bait
+    # qubit and the environment) holds the largest C~
+    _refuse_beyond_memory(_c_tilde_basis_bytes(8 * params.n_env), "n_env", params.n_env, "the bait C~ basis")
+    _refuse_oversized_restructured(cfg, params)
     report = decouplability_table(
         params,
         tol=cfg["tol"],
@@ -280,13 +300,13 @@ def cmd_check(cfg: dict, out_dir: Path) -> int:
 
 def cmd_simulate(cfg: dict, out_dir: Path, audit: bool) -> int:
     params = scenario_params(cfg)
-    sys_ = build_scenario(cfg["scenario"], params, cfg["max_power"])
+    sys_ = build_system(cfg, cfg["scenario"], params)
     xi0 = initial_state(sys_, cfg)
     sched = schedule_from_config(sys_, cfg)
     mode = cfg["feedback_mode"]
     if mode in ("literal", "regularized"):
         k_i = sys_.interaction.matrix @ xi0.amplitudes
-        if np.linalg.norm(k_i) <= interaction_floor(sys_, cfg["tol"]):
+        if np.linalg.norm(k_i) <= sys_.interaction_floor(cfg["tol"]):
             raise ConfigError(
                 f"initial_state {cfg['initial_state']!r} is a state where the interaction field "
                 f"K_I vanishes, so feedback_mode {mode!r} has no frame to build there; "
@@ -322,7 +342,7 @@ def cmd_simulate(cfg: dict, out_dir: Path, audit: bool) -> int:
 def cmd_rank(cfg: dict, out_dir: Path) -> int:
     params = scenario_params(cfg)
     name = cfg["scenario"] if cfg["scenario"] != "two_qubit" else "restructured"
-    sys_ = build_scenario(name, params, cfg["max_power"])
+    sys_ = build_system(cfg, name, params)
     rng = np.random.default_rng(cfg["seed"])
     tol = cfg["tol"]
     try:
@@ -384,14 +404,15 @@ def cmd_rank(cfg: dict, out_dir: Path) -> int:
 def cmd_maneuver(cfg: dict, out_dir: Path, i: int | None, j: int | None, chain: bool) -> int:
     params = scenario_params(cfg)
     name = cfg["scenario"] if cfg["scenario"] in ("bait", "restructured") else "bait"
-    sys_ = build_scenario(name, params, cfg["max_power"])
+    sys_ = build_system(cfg, name, params)
     payload = {"command": "maneuver", "config": cfg, "version": __version__, "scenario": name}
     if chain:
         payload["chain"] = verify_commutator_chain(sys_)
         payload["hsb_generation"] = hsb_generation_search(sys_)
         write_report(out_dir, payload)
         for key, row in payload["chain"].items():
-            print(f"{key}: c={row['c']:+.4f} residual={row['residual']:.2e}"
+            residual = "n/a" if row["residual"] is None else f"{row['residual']:.2e}"
+            print(f"{key}: c={row['c']:+.4f} residual={residual}"
                   + (f" bait-identity dev={row['bait_identity_deviation']:.2e}"
                      if "bait_identity_deviation" in row else ""))
         return 0
@@ -414,7 +435,7 @@ def cmd_maneuver(cfg: dict, out_dir: Path, i: int | None, j: int | None, chain: 
     }
     if name == "bait" and {i, j} == {6, 9}:
         f_w = field_quadrature(params.w, params.n_env).matrix
-        target = embed_product(sys_.space, {"bait": SIGMA_X, "env": f_w}, kind="hermitian").skew()
+        target = embed_product(sys_.space, {"bait": SIGMA_X, "env": f_w}).skew()
         payload["maneuver"]["direction_overlap"] = effective_direction_overlap(
             a, b, target, cfg["maneuver_overlap_t"]
         )
@@ -429,7 +450,7 @@ def cmd_maneuver(cfg: dict, out_dir: Path, i: int | None, j: int | None, chain: 
 
 def cmd_synthesize_audit(cfg: dict, out_dir: Path) -> int:
     params = scenario_params(cfg)
-    sys_ = build_scenario(cfg["scenario"], params, cfg["max_power"])
+    sys_ = build_system(cfg, cfg["scenario"], params)
     rng = np.random.default_rng(cfg["seed"])
     plan = FramePlan.build(sys_, tol=cfg["tol"])
     rows = []

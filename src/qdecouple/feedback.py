@@ -38,9 +38,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import DEFAULT_TOL, Operator, StateVector, commutator
+from .algebra import DEFAULT_TOL, Operator, StateVector, commutator, is_hermitian
 from .models import ControlSystem
-from .spans import RealSpan, realified_nullspace, realify, row_norms
+from .spans import RealSpan, leading_rank, realified_nullspace, realify, row_norms
 from .tangent import TangentVector
 
 
@@ -119,8 +119,9 @@ class FeedbackLaw:
 
     @property
     def beta_singular(self) -> bool:
-        r = self.beta.shape[0]
-        return np.linalg.matrix_rank(self.beta) < r
+        """beta's singular values cut at the tol synthesize ran with (details["tol"])."""
+        s = np.linalg.svd(self.beta, compute_uv=False)
+        return leading_rank(s, self.details["tol"]) < self.beta.shape[0]
 
 
 def commutant_basis(a_i: Operator, tol: float = DEFAULT_TOL) -> list[Operator]:
@@ -136,7 +137,7 @@ def commutant_basis(a_i: Operator, tol: float = DEFAULT_TOL) -> list[Operator]:
     tol * max(s_max, 1) are constraints.  A unit null vector gives a matrix
     of norm >= 1, so none is dropped.
     """
-    if a_i.kind != "skew_hermitian":
+    if not is_hermitian(a_i.matrix, tol, skew=True):
         raise ValueError("commutant is taken against a skew-hermitian generator")
     n = a_i.dim
     # the basis is i E_kk (k < n), then for each k < l in row-major order
@@ -161,7 +162,7 @@ def commutant_basis(a_i: Operator, tol: float = DEFAULT_TOL) -> list[Operator]:
     out.real[:, re_pos] = null[:, re_elem] * re_sign
     out.imag[:, im_pos] = null[:, im_elem]
     out *= (1.0 / np.linalg.norm(out, axis=1))[:, None]
-    return [Operator(a_i.space, mat, "skew_hermitian") for mat in out.reshape(-1, n, n)]
+    return [Operator(a_i.space, mat) for mat in out.reshape(-1, n, n)]
 
 
 def control_commutant_combos(sys: ControlSystem, tol: float = DEFAULT_TOL) -> list[Operator]:
@@ -184,13 +185,8 @@ def control_commutant_combos(sys: ControlSystem, tol: float = DEFAULT_TOL) -> li
         mat = np.tensordot(coeffs, mats, axes=1)
         nrm = np.linalg.norm(mat)
         if nrm > tol:
-            out.append(Operator(sys.space, mat / nrm, "skew_hermitian"))
+            out.append(Operator(sys.space, mat / nrm))
     return out
-
-
-def interaction_floor(sys: ControlSystem, tol: float = DEFAULT_TOL) -> float:
-    """Norm at or below which K_I(xi) counts as vanishing: no frame exists there."""
-    return tol * max(sys.interaction.norm(), 1.0)
 
 
 @dataclass
@@ -225,7 +221,7 @@ class FramePlan:
             commutant=commutant,
             stack=np.array([op.matrix for op in fields]).reshape(-1, n),
             commutator_norms=commutator_norm_table([sys.interaction.matrix, *(c.matrix for c in candidates)]),
-            interaction_floor=interaction_floor(sys, tol),
+            interaction_floor=sys.interaction_floor(tol),
         )
 
 
@@ -330,7 +326,7 @@ def build_frame(
                     continue
                 val = coeffs @ w_vals
                 if try_add(val, realify(val)):
-                    ops.append(Operator(sys.space, np.tensordot(coeffs, comm_mats, axes=1), "skew_hermitian"))
+                    ops.append(Operator(sys.space, np.tensordot(coeffs, comm_mats, axes=1)))
                     table_index = None
     report["frame_rank"] = len(vectors)
     report["missing_codim"] = r - len(vectors)
@@ -413,6 +409,7 @@ def synthesize(
             "c1": float(c_coeffs[0]),
             "drift_outside_frame": drift_residual,
             "frame_rank": frame.rank,
+            "tol": tol,
         },
     )
 

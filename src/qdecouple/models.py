@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import (
+    DEFAULT_TOL,
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
@@ -29,6 +30,7 @@ from .algebra import (
     StateVector,
     embed_product,
     field_quadrature,
+    is_hermitian,
     normalize,
     number_operator,
 )
@@ -62,7 +64,7 @@ class ScenarioParams:
 
 @dataclass
 class ControlSystem:
-    """Assembled bilinear system with skew-hermitian generators."""
+    """Assembled bilinear system; its generators are checked skew-hermitian here."""
 
     space: HilbertSpace
     drift: Operator
@@ -81,7 +83,7 @@ class ControlSystem:
             if op.space != self.space:
                 raise ValueError("all system operators must share the space")
         for op in [self.drift, *self.controls, self.interaction]:
-            if op.kind != "skew_hermitian":
+            if not is_hermitian(op.matrix, skew=True):
                 raise ValueError("dynamics generators must be skew-hermitian")
         if not self.control_labels:
             self.control_labels = [f"H_{i+1}" for i in range(len(self.controls))]
@@ -104,7 +106,11 @@ class ControlSystem:
             mat += (u @ self.control_stack).reshape(mat.shape)
         if include_interaction:
             mat = mat + self.interaction.matrix
-        return Operator(self.space, mat, "skew_hermitian")
+        return Operator(self.space, mat)
+
+    def interaction_floor(self, tol: float = DEFAULT_TOL) -> float:
+        """Norm at or below which K_I(xi) counts as vanishing: no frame exists there."""
+        return tol * max(self.interaction.norm(), 1.0)
 
 
 def coherence(xi: StateVector, c_op: Operator) -> complex:
@@ -142,7 +148,7 @@ def build_single_qubit(p: ScenarioParams) -> ControlSystem:
         embed_product(space, {"qubit": SIGMA_Y}),
     ]
     interaction = embed_product(space, {"qubit": SIGMA_Z, "env": f_g})
-    output = embed_product(space, {"qubit": _coherence_block(0, 1)}, kind="general")
+    output = embed_product(space, {"qubit": _coherence_block(0, 1)})
     return ControlSystem(
         space,
         drift.skew(),
@@ -179,11 +185,7 @@ def build_two_qubit(p: ScenarioParams) -> ControlSystem:
         embed_product(space, {"qubit2": SIGMA_Y}),
     ]
     interaction = _collective_dephasing(space, f_g)
-    output = Operator(
-        space,
-        np.kron(_two_qubit_coherence(), np.eye(p.n_env, dtype=complex)),
-        "general",
-    )
+    output = Operator(space, np.kron(_two_qubit_coherence(), np.eye(p.n_env, dtype=complex)))
     return ControlSystem(
         space,
         drift.skew(),
@@ -227,11 +229,7 @@ def build_bait(p: ScenarioParams) -> ControlSystem:
     interaction = embed_product(space, {"qubit1": SIGMA_Z, "env": f_g}) + embed_product(
         space, {"qubit2": SIGMA_Z, "env": f_g}
     )
-    output = Operator(
-        space,
-        np.kron(_two_qubit_coherence(), np.eye(2 * p.n_env, dtype=complex)),
-        "general",
-    )
+    output = Operator(space, np.kron(_two_qubit_coherence(), np.eye(2 * p.n_env, dtype=complex)))
     return ControlSystem(
         space,
         drift.skew(),
@@ -272,11 +270,7 @@ def build_restructured(p: ScenarioParams, max_power: int = 5) -> ControlSystem:
             controls.append(embed_product(space, {qubit: sigma, "env": f_pow}))
             labels.append(f"K_{sname}F{i}")
     interaction = _collective_dephasing(space, f_g)
-    output = Operator(
-        space,
-        np.kron(_two_qubit_coherence(), np.eye(p.n_env, dtype=complex)),
-        "general",
-    )
+    output = Operator(space, np.kron(_two_qubit_coherence(), np.eye(p.n_env, dtype=complex)))
     return ControlSystem(
         space,
         drift.skew(),
@@ -311,10 +305,10 @@ def build_commutant_toy(g: complex = 0.15 + 0j, omega0: float = 1.0, n_env: int 
     )
     zdiff = embed_product(space, {"qubit1": SIGMA_Z}) - embed_product(space, {"qubit2": SIGMA_Z})
     envf = embed_product(space, {"env": fg})
-    swapf = Operator(space, swap.matrix @ envf.matrix, "hermitian")
+    swapf = Operator(space, swap.matrix @ envf.matrix)
     controls = [h_sb, swap, zdiff, envf, swapf]
     drift = 0.4 * omega0 * swap + 0.25 * omega0 * zdiff
-    output = Operator(space, np.kron(_two_qubit_coherence(), np.eye(n_env, dtype=complex)), "general")
+    output = Operator(space, np.kron(_two_qubit_coherence(), np.eye(n_env, dtype=complex)))
     return ControlSystem(
         space,
         drift.skew(),

@@ -44,10 +44,9 @@ from .algebra import (
     ad_maps,
     commutator,
     lie_closure,
-    realified_rank,
 )
 from .models import ControlSystem
-from .spans import RealSpan, SpanBlowupError, close_real_span, realify, row_norms
+from .spans import RealSpan, SpanBlowupError, close_real_span, realified_rank, realify, row_norms
 
 # how build_c_tilde found C~, reported per row as c_tilde_method
 SL_CERTIFICATE = "sl(n) certificate"
@@ -142,7 +141,7 @@ def _generates_su(sys: ControlSystem, tol: float) -> bool:
         traceless = g.matrix - (np.trace(g.matrix) / n) * eye
         # a generator that is a multiple of the identity leaves only roundoff
         if np.linalg.norm(traceless) > tol * g.norm():
-            gens.append(Operator(sys.space, traceless, "skew_hermitian"))
+            gens.append(Operator(sys.space, traceless))
     return len(lie_closure(gens, max_dim=n * n, tol=tol)) == n * n - 1
 
 

@@ -134,7 +134,7 @@ def propagate(
 
 def zero_interaction(sys: ControlSystem) -> ControlSystem:
     """Copy of the system with the interaction generator removed (g -> 0)."""
-    zero = Operator(sys.space, np.zeros_like(sys.interaction.matrix), "skew_hermitian")
+    zero = Operator(sys.space, np.zeros_like(sys.interaction.matrix))
     return ControlSystem(
         sys.space,
         sys.drift,
@@ -377,11 +377,14 @@ def bait_identity_deviation(sys: ControlSystem, op: Operator) -> float:
     return float(np.linalg.norm(op.matrix - rebuilt))
 
 
-def _fit_direction(result: Operator, target: Operator) -> tuple[float, float]:
-    """Real least-squares scale c and relative residual of result vs c*target."""
+def _fit_direction(result: Operator, target: Operator) -> tuple[float, float | None]:
+    """Real least-squares scale c and relative residual of result vs c*target.
+
+    A zero target (a coupling parameter set to 0) has no residual: None.
+    """
     tnorm2 = target.norm() ** 2
     if tnorm2 == 0:
-        return 0.0, float("inf")
+        return 0.0, None
     c = float(np.real(np.trace(target.matrix.conj().T @ result.matrix)) / tnorm2)
     rnorm = result.norm()
     if rnorm == 0:
@@ -405,7 +408,7 @@ def verify_commutator_chain(sys: ControlSystem) -> dict:
     a = {k + 1: sys.controls[k] for k in range(9)}
 
     def skew_dir(blocks):
-        return embed_product(sys.space, blocks, kind="hermitian").skew()
+        return embed_product(sys.space, blocks).skew()
 
     report = {}
     c1 = commutator(commutator(a[8], a[5]), commutator(a[6], a[9]))
@@ -502,7 +505,10 @@ def hsb_generation_search(
     words: list[tuple[str, Operator]] = []
     frontier: list[tuple[str, Operator]] = []
     for lbl, op in zip(labels, controls):
-        unit = op * (1.0 / op.norm())
+        nrm = op.norm()
+        if nrm < tol:
+            continue                                       # switched off by its parameter
+        unit = op * (1.0 / nrm)
         if span.add(realify(unit.matrix.ravel())):
             words.append((lbl, unit))
             frontier.append((lbl, unit))

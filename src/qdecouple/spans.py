@@ -7,8 +7,9 @@ relative least-squares residuals.  RealSpan keeps new directions by this
 rank policy: rows at or below an absolute floor are zero, one Gram-Schmidt
 pass rejects rows whose residual relative to their norm is at most tol,
 a second pass runs on the survivors only, and a column-pivoted QR of
-those keeps the columns with |R_jj| > tol * |R_00|.  (algebra.realified_rank
-and tangent.DistributionBasis.rank still cut an SVD at s > tol * s_max.)
+those keeps the columns before the first |R_jj| <= tol * |R_00|.  That
+cut, leading_rank, is the package's one rank decision: every QR or SVD
+that decides a rank hands it its diagonal, with its own tol and floor.
 
 close_real_span is the one closure routine: it iterates a seed set under
 real-linear maps until the span stabilizes and hands back the new
@@ -33,7 +34,7 @@ apply it falls back to the realified closure of C~.
 from __future__ import annotations
 
 import math
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 from scipy.linalg.lapack import dgeqp3, dorgqr
@@ -159,8 +160,8 @@ class RealSpan:
         rejects every row whose relative residual is at most tol; the
         second pass runs on the survivors only (it can only shrink a
         residual), and the survivors are tested again.  A column-pivoted
-        QR of what is left keeps the columns with |R_jj| > tol * |R_00|;
-        their Q columns are the new directions.
+        QR of what is left keeps the columns leading_rank keeps (relative,
+        no floor); their Q columns are the new directions.
         """
         if floor is None:
             floor = self.tol
@@ -188,11 +189,26 @@ class RealSpan:
         return new
 
 
+def leading_rank(magnitudes: np.ndarray, tol: float, floor: float = 0.0) -> int:
+    """Index of the first magnitude <= tol * max(first, floor), else their count.
+
+    The magnitudes are singular values or pivoted-QR |R_jj|, in order.  The
+    cut stops at the first small one even if a later one is larger (|R_jj|
+    need not decrease strictly in floating point).  A floor of 1 keeps a
+    stack of pure roundoff from counting as full rank.
+    """
+    magnitudes = np.asarray(magnitudes)
+    if magnitudes.size == 0:
+        return 0
+    small = np.flatnonzero(magnitudes <= tol * max(magnitudes[0], floor))
+    return int(small[0]) if small.size else magnitudes.size
+
+
 def _pivoted_qr_directions(a: np.ndarray, tol: float) -> np.ndarray:
     """Rows of an orthonormal basis of the numerical column space of a.
 
     Businger-Golub column-pivoted QR (LAPACK dgeqp3, blocked workspace)
-    cut at |R_jj| > tol * |R_00|; dorgqr forms only the kept Q columns.
+    cut by leading_rank; dorgqr forms only the kept Q columns.
     Overwrites a when it is Fortran-ordered.  The raw LAPACK calls skip
     scipy.linalg.qr's per-call checks, which cost more than the
     factorization on the many one-row batches.
@@ -201,9 +217,7 @@ def _pivoted_qr_directions(a: np.ndarray, tol: float) -> np.ndarray:
     qr, _, tau, _, info = dgeqp3(a, lwork=2 * n + (n + 1) * _QR_BLOCK, overwrite_a=True)
     if info:
         raise np.linalg.LinAlgError(f"dgeqp3 failed (info={info})")
-    diag = np.abs(qr.diagonal())
-    cut = np.flatnonzero(diag <= tol * diag[0])
-    r = int(cut[0]) if cut.size else diag.size
+    r = leading_rank(np.abs(qr.diagonal()), tol)
     q, _, info = dorgqr(qr[:, :r], tau[:r], lwork=r * _QR_BLOCK, overwrite_a=True)
     if info:
         raise np.linalg.LinAlgError(f"dorgqr failed (info={info})")
@@ -265,7 +279,7 @@ def close_real_span(
 def realified_nullspace(rows: np.ndarray, dim: int, tol: float = 1e-9, floor: float = 1.0) -> np.ndarray:
     """Orthonormal basis (rows) of the real null space of a constraint stack.
 
-    Singular values are thresholded at tol * max(s_max, floor): the
+    The singular values are cut by leading_rank with the given floor: the
     absolute floor keeps a numerically-zero stack (pure roundoff) from
     masquerading as full rank.  U is never read, so a stack with at least
     as many rows as columns takes the thin SVD: its vt is already square and
@@ -276,5 +290,14 @@ def realified_nullspace(rows: np.ndarray, dim: int, tol: float = 1e-9, floor: fl
     if rows.size == 0 or not np.linalg.norm(rows, axis=1).any():
         return np.eye(dim)
     _, s, vt = np.linalg.svd(rows, full_matrices=rows.shape[0] < rows.shape[1])
-    r = int(np.sum(s > tol * max(s[0], floor)))
-    return vt[r:]
+    return vt[leading_rank(s, tol, floor):]
+
+
+def realified_rank(vectors: Iterable[np.ndarray], tol: float = 1e-9) -> int:
+    """Rank over the reals of complex vectors realified to [Re | Im] rows (no floor)."""
+    rows = [np.asarray(v, dtype=complex).ravel() for v in vectors]
+    if not rows:
+        return 0
+    if len({r.shape[0] for r in rows}) != 1:
+        raise ValueError("vectors have mixed dimensions")
+    return leading_rank(np.linalg.svd(realify(np.array(rows)), compute_uv=False), tol)

@@ -18,10 +18,12 @@ from typing import Callable
 
 import numpy as np
 
-from .algebra import Operator, StateVector, ad_maps, commutator, realified_rank, vectorized_map
+from .algebra import Operator, StateVector, ad_maps, commutator, is_hermitian, vectorized_map
 from .models import ControlSystem
 from .observation import Verdict
-from .spans import RealSpan, close_real_span, realified_nullspace, realify, unrealify
+from .spans import (
+    RealSpan, close_real_span, leading_rank, realified_nullspace, realified_rank, realify, unrealify
+)
 
 
 class NonRegularPointError(RuntimeError):
@@ -99,10 +101,7 @@ class CodistributionBasis:
         w = self.realized_covectors
         if w.size == 0:
             return 0
-        s = np.linalg.svd(w, compute_uv=False)
-        if s.size == 0 or s[0] == 0:
-            return 0
-        return int(np.sum(s > self.tol * max(s[0], 1.0)))
+        return leading_rank(np.linalg.svd(w, compute_uv=False), self.tol, floor=1.0)
 
     def delta_star(self) -> DistributionBasis:
         """Orthocomplement of the realized covectors (already inside ker dy)."""
@@ -116,7 +115,7 @@ def eval_field(a: Operator, xi: StateVector) -> TangentVector:
     """Value A xi of the linear vector field generated by skew-hermitian A."""
     if a.space != xi.space:
         raise ValueError("operator and state spaces differ")
-    if a.kind != "skew_hermitian":
+    if not is_hermitian(a.matrix, skew=True):
         raise ValueError("dynamics fields are generated by skew-hermitian operators")
     return TangentVector(xi, a.matrix @ xi.amplitudes)
 
@@ -322,7 +321,7 @@ def hermitian_derivative_chain(sys: ControlSystem, tol: float = 1e-9) -> list[li
     c_mat = sys.output_op.matrix
     seeds = np.array([(c_mat + c_mat.conj().T).ravel(), (-1j * (c_mat - c_mat.conj().T)).ravel()])
     _, batches, _ = close_real_span(seeds, ad_maps(_system_generators(sys)), tol=tol)
-    return [[Operator(sys.space, h.reshape(n, n), "hermitian") for h in batch] for batch in batches]
+    return [[Operator(sys.space, h.reshape(n, n)) for h in batch] for batch in batches]
 
 
 def bruteforce_invariant_distribution(
@@ -377,7 +376,7 @@ def bruteforce_invariant_distribution(
 def minimal_interaction_distribution(sys: ControlSystem, xi: StateVector, tol: float = 1e-9) -> DistributionBasis:
     """Delta = span{K_I} at xi; errors if the interaction field vanishes there."""
     k_i = eval_field(sys.interaction, xi)
-    if k_i.norm() <= tol * max(sys.interaction.norm(), 1.0):
+    if k_i.norm() <= sys.interaction_floor(tol):
         raise ValueError("interaction field vanishes at this state")
     return DistributionBasis(xi, [k_i], generating_ops=[sys.interaction])
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import qdecouple as qd
-from qdecouple.algebra import IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z
+from qdecouple.algebra import IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z, is_hermitian
 
 
 def op2(mat, kind="general"):
@@ -63,28 +63,39 @@ class TestOperatorValidation:
         op2(np.zeros((2, 2)), kind="hermitian")
         op2(np.zeros((2, 2)), kind="skew_hermitian")
 
+    def test_zero_matrix_passes_both_hermiticity_tests(self):
+        assert is_hermitian(np.zeros((3, 3)))
+        assert is_hermitian(np.zeros((3, 3)), skew=True)
+
+    def test_hermiticity_scale_is_relative(self):
+        gap = 1e-6 * (SIGMA_Y @ SIGMA_Z)                    # anti-hermitian part of size 1e-6
+        assert is_hermitian(1e4 * SIGMA_X + gap)            # within 1e-9 * max|M| = 1e-5
+        assert not is_hermitian(SIGMA_X + gap)              # max|M| = 1: the absolute 1e-9 applies
+        assert is_hermitian(-1j * (1e4 * SIGMA_X + gap), skew=True)
+        assert not is_hermitian(SIGMA_X, skew=True) and not is_hermitian(-1j * SIGMA_X)
+
     def test_skew_conversion(self):
         a = op2(SIGMA_X, kind="hermitian").skew()
-        assert a.kind == "skew_hermitian"
+        assert is_hermitian(a.matrix, skew=True) and not is_hermitian(a.matrix)
         assert np.allclose(a.matrix, -1j * SIGMA_X)
 
 
 class TestTensorEmbed:
     def test_identity_padding(self):
         sp = qd.HilbertSpace((("qubit1", 2), ("qubit2", 2)))
-        emb = qd.tensor_embed(op2(SIGMA_Z, "hermitian"), "qubit1", sp)
+        emb = qd.embed_product(sp, {"qubit1": SIGMA_Z})
         assert np.allclose(emb.matrix, np.kron(SIGMA_Z, IDENTITY_2))
-        assert emb.kind == "hermitian"
+        assert is_hermitian(emb.matrix)
 
     def test_identity_operator_gives_identity(self):
         sp = qd.HilbertSpace((("qubit", 2), ("env", 3)))
-        emb = qd.tensor_embed(op2(np.eye(2), "hermitian"), "qubit", sp)
+        emb = qd.embed_product(sp, {"qubit": np.eye(2)})
         assert np.allclose(emb.matrix, np.eye(6))
 
     def test_action_on_product_state(self):
         # sigma_x on qubit2 of qubit x qubit x env(3): |0>|1>|2> -> |0>|0>|2>
         sp = qd.HilbertSpace((("qubit1", 2), ("qubit2", 2), ("env", 3)))
-        emb = qd.tensor_embed(op2(SIGMA_X, "hermitian"), "qubit2", sp)
+        emb = qd.embed_product(sp, {"qubit2": SIGMA_X})
         psi = qd.basis_state(sp, (0, 1, 2))
         out = emb.matrix @ psi.amplitudes
         assert np.allclose(out, qd.basis_state(sp, (0, 0, 2)).amplitudes)
@@ -92,16 +103,16 @@ class TestTensorEmbed:
     def test_unknown_slot_and_dim_mismatch(self):
         sp = qd.HilbertSpace((("qubit", 2), ("env", 3)))
         with pytest.raises(ValueError):
-            qd.tensor_embed(op2(SIGMA_X), "nope", sp)
+            qd.embed_product(sp, {"nope": SIGMA_X})
         with pytest.raises(ValueError):
-            qd.tensor_embed(op2(SIGMA_X), "env", sp)
+            qd.embed_product(sp, {"env": SIGMA_X})
 
 
 class TestCommutator:
     def test_sigma_xy(self):
         got = qd.commutator(op2(SIGMA_X, "hermitian"), op2(SIGMA_Y, "hermitian"))
         assert np.allclose(got.matrix, 2j * SIGMA_Z)
-        assert got.kind == "skew_hermitian"  # i times hermitian
+        assert is_hermitian(got.matrix, skew=True)  # i times hermitian
 
     def test_self_commutator_vanishes(self):
         a = op2(SIGMA_X + 0.3 * SIGMA_Z, "hermitian")
@@ -247,6 +258,11 @@ class TestLieClosure:
         assert len(basis) == 3
         span = qd.OperatorSpan(basis[0].space, basis)
         assert span.contains(self._skew(SIGMA_Z))
+
+    def test_zero_generator_is_accepted(self):
+        zero = self._skew(np.zeros((2, 2)))
+        assert qd.lie_closure([zero], max_dim=10) == []
+        assert len(qd.lie_closure([zero, self._skew(SIGMA_X), self._skew(SIGMA_Y)], max_dim=10)) == 3
 
     def test_abelian_single_generator(self):
         basis = qd.lie_closure([self._skew(SIGMA_Z)], max_dim=10)

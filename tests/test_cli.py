@@ -6,7 +6,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qdecouple.cli import main
+import qdecouple.models
+from qdecouple.cli import _physical_memory_bytes, main
 
 
 def run_cli(args):
@@ -109,6 +110,51 @@ def test_check_refuses_n_env_beyond_physical_memory(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", [
+    ["check"], ["simulate"], ["rank"], ["maneuver", "--i", "1", "--j", "2"], ["synthesize-audit"],
+])
+def test_max_power_beyond_physical_memory_is_refused(tmp_path, capsys, monkeypatch, command):
+    # 4 * 10^12 controls of 12 x 12 complex entries would need petabytes
+    assert _physical_memory_bytes() is not None           # without it the guard cannot refuse
+
+    def tripwire(*args, **kwargs):
+        raise AssertionError("a system was built before the memory guard refused")
+
+    monkeypatch.setattr(qdecouple.models, "embed_product", tripwire)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"scenario": "restructured", "max_power": 10**12}))
+    out = tmp_path / "out"
+    tracemalloc.start()
+    try:
+        code = run_cli([*command, "--config", str(cfg), "--out", str(out)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert "max_power=1000000000000" in capsys.readouterr().err
+    assert peak < 1 << 20                          # refused before the system was built
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("params", [{"j1": 0}, {"w": 0}])
+def test_zero_control_runs_rank_and_chain(tmp_path, params):
+    # j1 = 0 zeroes the H_7 Ising control, w = 0 the H_9 bait-bath control
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"params": params, "rank_states": 3}))
+    assert run_cli(["rank", "--scenario", "bait", "--config", str(cfg), "--out", str(tmp_path / "rank")]) == 0
+    assert run_cli(["maneuver", "--chain", "--config", str(cfg), "--out", str(tmp_path / "chain")]) == 0
+
+    def refuse(constant):
+        raise ValueError(f"report.json holds {constant}")
+
+    report = json.loads((tmp_path / "chain/report.json").read_text(), parse_constant=refuse)
+    residuals = [row["residual"] for row in report["chain"].values()]
+    if "w" in params:
+        assert None in residuals                   # a zero target has no direction to fit
+    else:
+        assert None not in residuals
+
+
 def test_config_error_exit_code_2(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"scenario": "nope"}))
@@ -130,6 +176,7 @@ def test_config_error_exit_code_2(tmp_path):
         ("check", {"tol": False}),
         ("simulate", {"horizon": "10"}),
         ("simulate", {"horizon": float("nan")}),
+        ("check", {"params": {"g": 0}}),
     ):
         bad.write_text(json.dumps(cfg))
         assert run_cli([command, "--config", str(bad), "--out", str(tmp_path / "o")]) == 2, cfg

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import qdecouple as qd
+from qdecouple.algebra import is_hermitian
 from qdecouple.spans import realify
 
 
@@ -89,7 +90,7 @@ def test_batched_commutant_elements(case):
     a = interaction.matrix
     for x in basis:
         m = x.matrix
-        assert x.kind == "skew_hermitian"
+        assert is_hermitian(m, skew=True)
         assert abs(np.linalg.norm(m) - 1.0) < 1e-14
         assert np.abs(m + m.conj().T).max() == 0.0
         assert np.linalg.norm(m @ a - a @ m) < 1e-12

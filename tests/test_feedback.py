@@ -126,6 +126,18 @@ class TestSynthesize:
         assert lit.beta_singular
         assert not reg.beta_singular
 
+    def test_beta_singular_cuts_at_the_synthesis_tol(self, commutant_toy):
+        rng = np.random.default_rng(5)
+        xi = qd.random_state(commutant_toy.space, rng)
+        res = qd.build_frame(commutant_toy, xi)
+        law = qd.synthesize(commutant_toy, res.frame, mode="regularized", tol=1e-7)
+        assert law.details["tol"] == 1e-7
+        s = np.linalg.svd(law.beta, compute_uv=False)
+        law.details["tol"] = 0.5 * s[-1] / s[0]
+        assert not law.beta_singular
+        law.details["tol"] = 2.0 * s[-1] / s[0]             # the cut follows details["tol"], not an eps rule
+        assert law.beta_singular
+
     def test_rank_mismatch_rejected(self, commutant_toy):
         rng = np.random.default_rng(6)
         xi = qd.random_state(commutant_toy.space, rng)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import qdecouple as qd
-from qdecouple.algebra import SIGMA_X, SIGMA_Y, SIGMA_Z
+from qdecouple.algebra import SIGMA_X, SIGMA_Y, SIGMA_Z, is_hermitian
 
 
 def test_params_defaults_and_validation():
@@ -18,12 +18,23 @@ def test_params_defaults_and_validation():
 def test_every_scenario_passes_system_invariants(params):
     for name in qd.SCENARIOS:
         sys_ = qd.build_scenario(name, params)
-        assert sys_.drift.kind == "skew_hermitian"
-        assert sys_.interaction.kind == "skew_hermitian"
-        assert all(a.kind == "skew_hermitian" for a in sys_.controls)
+        assert is_hermitian(sys_.drift.matrix, skew=True)
+        assert is_hermitian(sys_.interaction.matrix, skew=True)
+        assert all(is_hermitian(a.matrix, skew=True) for a in sys_.controls)
         assert all(a.space == sys_.space for a in sys_.controls)
         # the coherence monitor is non-hermitian by construction
         assert not np.allclose(sys_.output_op.matrix, sys_.output_op.matrix.conj().T)
+
+
+def test_control_system_refuses_a_hermitian_control(single_qubit):
+    # a Hamiltonian assembled by arithmetic and never passed through .skew()
+    sp = single_qubit.space
+    ham = qd.embed_product(sp, {"qubit": SIGMA_X}) + 0.5 * qd.embed_product(sp, {"qubit": SIGMA_Y})
+    with pytest.raises(ValueError, match="skew-hermitian"):
+        qd.ControlSystem(sp, single_qubit.drift, [single_qubit.controls[0], ham],
+                         single_qubit.interaction, single_qubit.output_op, scenario="bad")
+    qd.ControlSystem(sp, single_qubit.drift, [single_qubit.controls[0], ham.skew()],
+                     single_qubit.interaction, single_qubit.output_op, scenario="ok")
 
 
 class TestSingleQubit:

@@ -13,7 +13,7 @@ coordinates must be an isometry of u(n) onto R^(n^2) with an exact inverse.
 import numpy as np
 import pytest
 
-from qdecouple.spans import RealSpan, realified_nullspace, realify, skew_hermitian_coordinates
+from qdecouple.spans import RealSpan, leading_rank, realified_nullspace, realify, skew_hermitian_coordinates
 
 TOL = 1e-9
 
@@ -211,3 +211,24 @@ def test_skew_hermitian_coordinates_are_an_isometry_with_exact_inverse(n):
     assert np.allclose(back, rows, rtol=0, atol=1e-14)
     mats = back.reshape(7, n, n)
     assert np.array_equal(mats, -mats.conj().transpose(0, 2, 1))
+
+
+def test_leading_rank_empty_and_all_zero():
+    assert leading_rank(np.zeros(0), TOL) == 0
+    assert leading_rank(np.zeros(4), TOL) == 0
+    assert leading_rank(np.zeros(4), TOL, floor=1.0) == 0
+
+
+def test_leading_rank_floor_makes_the_cut_absolute():
+    roundoff = np.array([1e-12, 1e-13, 1e-25])
+    assert leading_rank(roundoff, TOL) == 2              # relative to the first magnitude
+    assert leading_rank(roundoff, TOL, floor=1.0) == 0   # below tol * 1: nothing counts
+    big = np.array([10.0, 5e-8, 5e-9])                  # threshold 1e-8 either way
+    assert leading_rank(big, TOL) == leading_rank(big, TOL, floor=1.0) == 2
+
+
+def test_leading_rank_stops_at_the_first_small_magnitude():
+    # pivoted QR's |R_jj| can rise again after the cut; what follows it is dependent
+    assert leading_rank(np.array([1.0, 0.5, 1e-12, 1.1e-12, 1e-3]), TOL) == 2
+    assert leading_rank(np.array([1.0, 0.99, 1.01, 0.5]), TOL) == 4
+    assert leading_rank(np.array([1.0, 1e-9]), TOL) == 1  # at the threshold is small
