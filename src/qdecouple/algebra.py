@@ -115,9 +115,6 @@ class Operator:
     def dim(self) -> int:
         return self.space.total_dim
 
-    def dagger(self) -> "Operator":
-        return Operator(self.space, self.matrix.conj().T)
-
     def skew(self) -> "Operator":
         """Return -i * self; maps a hermitian Hamiltonian to its generator."""
         return Operator(self.space, -1j * self.matrix)

@@ -93,6 +93,16 @@ def _as_complex(value) -> complex:
     raise ConfigError(f"cannot parse complex value {value!r} (use a number or [re, im])")
 
 
+def _finite_number(val) -> bool:
+    """A JSON number that is not a boolean, Infinity, NaN or an integer beyond float range."""
+    if isinstance(val, bool) or not isinstance(val, (int, float)):
+        return False
+    try:
+        return math.isfinite(val)
+    except OverflowError:
+        return False
+
+
 def load_config(path: str | None, overrides: dict) -> dict:
     cfg = copy.deepcopy(DEFAULT_CONFIG)
     if path:
@@ -104,18 +114,23 @@ def load_config(path: str | None, overrides: dict) -> dict:
         if not isinstance(user, dict):
             raise ConfigError("config must be a JSON object")
         for key, val in user.items():
+            if key not in DEFAULT_CONFIG:
+                raise ConfigError(f"unknown config key {key!r}")
             if key == "params" and isinstance(val, dict):
+                unknown = sorted(set(val) - set(DEFAULT_CONFIG["params"]))
+                if unknown:
+                    raise ConfigError(f"unknown params key {unknown[0]!r}")
                 cfg["params"].update(val)
             else:
                 cfg[key] = val
     for key, val in overrides.items():
         if val is not None:
             cfg[key] = val
-    if cfg["scenario"] not in SCENARIOS + ("all",):
+    if cfg["scenario"] not in SCENARIOS:
         raise ConfigError(f"unknown scenario {cfg['scenario']!r}")
     for key in ("tol", "horizon", "dt"):
         val = cfg[key]
-        if isinstance(val, bool) or not isinstance(val, (int, float)) or not math.isfinite(val):
+        if not _finite_number(val):
             raise ConfigError(f"{key} must be a finite number, got {val!r}")
     if not 0 < cfg["tol"] <= 1e-3:
         raise ConfigError("tol must lie in (0, 1e-3]")
@@ -131,6 +146,12 @@ def load_config(path: str | None, overrides: dict) -> dict:
     for key, low in (("eval_states", 1), ("rank_states", 1), ("max_power", 0)):
         if isinstance(cfg[key], bool) or not isinstance(cfg[key], int) or cfg[key] < low:
             raise ConfigError(f"{key} must be an integer >= {low}")
+    # the CBH slope fit needs four points; a duration of 0 or less has no logarithm
+    t_list = cfg["maneuver_t_list"]
+    if not isinstance(t_list, list) or len(t_list) < 4 or not all(_finite_number(t) and t > 0 for t in t_list):
+        raise ConfigError(f"maneuver_t_list must hold at least 4 positive finite numbers, got {t_list!r}")
+    if not (_finite_number(cfg["maneuver_overlap_t"]) and cfg["maneuver_overlap_t"] > 0):
+        raise ConfigError(f"maneuver_overlap_t must be a positive finite number, got {cfg['maneuver_overlap_t']!r}")
     return cfg
 
 
@@ -180,12 +201,9 @@ def write_report(out_dir: Path, payload: dict, name: str = "report.json") -> Pat
 def write_trace_csv(out_dir: Path, trace, name: str) -> Path:
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / name
-    drifts = trace.norm_drifts
-    if drifts is None:
-        drifts = np.full(trace.times.shape, trace.norm_drift)
     with open(path, "w") as fh:
         fh.write("t,re_y,im_y,abs_y,norm_drift\n")
-        for t, y, d in zip(trace.times, trace.y_values, drifts):
+        for t, y, d in zip(trace.times, trace.y_values, trace.norm_drifts):
             fh.write(f"{t:.17g},{y.real:.17g},{y.imag:.17g},{abs(y):.17g},{d:.17g}\n")
     return path
 
@@ -228,13 +246,11 @@ def schedule_from_config(sys, cfg) -> PulseSchedule:
         for seg in raw:
             vals = np.asarray(seg["values"], dtype=float)
             if vals.shape != (sys.n_controls,):
-                raise ConfigError(
-                    f"schedule segment needs {sys.n_controls} control values, got {vals.shape}"
-                )
+                raise ValueError(f"a segment needs {sys.n_controls} control values, got {vals.shape}")
             segments.append((float(seg["duration"]), vals))
-    except (KeyError, TypeError) as exc:
+        return PulseSchedule(segments)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad schedule: {exc}") from exc
-    return PulseSchedule(segments)
 
 
 def _c_tilde_basis_bytes(n: int) -> int:
@@ -499,13 +515,17 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--config", help="JSON config file (defaults otherwise)")
         sp.add_argument("--out", default="out", help="output directory (default: ./out)")
         sp.add_argument("--seed", type=int, default=None, help="override the config seed")
-        sp.add_argument("--audit", action="store_true", help="write per-step JSON audit rows")
-        sp.add_argument(
-            "--feedback-mode",
-            choices=("literal", "regularized", "oracle_cancel", "open_loop"),
-            default=None,
-        )
-        sp.add_argument("--scenario", choices=SCENARIOS + ("all",), default=None)
+        # each subcommand takes only the overrides it reads
+        if name == "simulate":
+            sp.add_argument("--audit", action="store_true", help="write per-step JSON audit rows")
+        if name in ("simulate", "synthesize-audit"):
+            sp.add_argument(
+                "--feedback-mode",
+                choices=("literal", "regularized", "oracle_cancel", "open_loop"),
+                default=None,
+            )
+        if name != "check":
+            sp.add_argument("--scenario", choices=SCENARIOS, default=None)
         if name == "maneuver":
             sp.add_argument("--i", type=int, default=None, help="first control index (1-based)")
             sp.add_argument("--j", type=int, default=None, help="second control index (1-based)")

@@ -372,18 +372,16 @@ def synthesize(
     k0, k_rows = fields[0], fields[1:]                                             # (2n,), (r, 2n)
     v_rows = realify(np.array([v.components for v in frame.vectors]))              # (r, 2n)
 
-    d, res, rank, sing = np.linalg.lstsq(k_rows.T, v_rows.T, rcond=None)
-    d = d.T                                                                        # v ≈ d K
+    d = np.linalg.lstsq(k_rows.T, v_rows.T, rcond=None)[0].T                       # v ≈ d K
     resid = row_norms(v_rows - d @ k_rows)
     scale = row_norms(v_rows)
     if np.any(resid > tol * np.maximum(scale, 1.0)):
         raise SynthesisError(f"controls do not express the frame (residual {resid.max():.3e})")
-    if rank < r:
-        raise SynthesisError("d is singular: control fields are realified-dependent")
-    sing_d = np.linalg.svd(d, compute_uv=False)          # np.linalg.cond(d), minus its overhead
-    cond_d = float(sing_d[0] / sing_d[-1]) if sing_d[-1] > 0 else math.inf
-    if not np.isfinite(cond_d):
-        raise SynthesisError("d is singular: frame not invertible over the controls")
+    # the frame has rank r, so dependent control fields also leave d singular
+    sing_d = np.linalg.svd(d, compute_uv=False)
+    if leading_rank(sing_d, tol) < r:
+        raise SynthesisError("d is singular at the synthesis tol: frame not invertible over the controls")
+    cond_d = float(sing_d[0] / sing_d[-1])
 
     s_matrix = np.linalg.inv(d)
     s_matrix[:, 0] = 0.0

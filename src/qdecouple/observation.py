@@ -91,10 +91,6 @@ class Verdict:
     witness: dict | None = None
     details: dict = field(default_factory=dict)
 
-    @property
-    def label(self) -> str:
-        return "decoupled" if self.ok else "not_decoupled"
-
 
 def _closure_generators(sys: ControlSystem, order: str) -> list[Operator]:
     if order == "controls_first":

@@ -1,11 +1,15 @@
 """Piecewise-constant-exact propagation, CBH maneuvers, and decoupling runs.
 
-Per segment the total generator is constant, so propagation uses the
-exact eigendecomposition of the hermitian i*A (no ODE truncation error);
-dt only controls sampling density and, in closed loop, the feedback
-refresh cadence.  Paired decoupling runs share the schedule, the initial
-state and the control operators and differ only in whether the
-interaction generator is present.
+One loop, propagate_closed_loop, runs every mode; propagate is its open-loop
+case.  Each schedule segment of duration dur is cut into
+n = max(1, ceil(dur/dt)) equal steps of dur/n, so every step applies its own
+segment's controls and a run ends at the schedule's total duration.  Per
+step the total generator is constant, so propagation uses the exact
+eigendecomposition of the hermitian i*A (no ODE truncation error); dt only
+controls sampling density and, in closed loop, the feedback refresh
+cadence.  Paired decoupling runs share the schedule, the initial state and
+the control operators and differ only in whether the interaction generator
+is present.
 """
 
 from __future__ import annotations
@@ -54,9 +58,12 @@ class PulseSchedule:
     def __post_init__(self):
         cleaned = []
         for dur, vals in self.segments:
-            if dur <= 0:
-                raise ValueError("segment durations must be positive")
-            cleaned.append((float(dur), np.asarray(vals, dtype=float)))
+            dur, vals = float(dur), np.asarray(vals, dtype=float)
+            if not (math.isfinite(dur) and dur > 0):
+                raise ValueError(f"segment durations must be positive and finite, got {dur!r}")
+            if not np.all(np.isfinite(vals)):
+                raise ValueError(f"control values must be finite, got {vals.tolist()!r}")
+            cleaned.append((dur, vals))
         self.segments = cleaned
 
     @property
@@ -78,14 +85,13 @@ class PulseSchedule:
 
 @dataclass
 class Trace:
-    """Sampled coherence time series with run metadata."""
+    """Sampled coherence time series of one propagation run."""
 
     times: np.ndarray
     y_values: np.ndarray
     norm_drift: float
     final_state: StateVector
-    norm_drifts: np.ndarray | None = None
-    metadata: dict = field(default_factory=dict)
+    norm_drifts: np.ndarray
     audit: list = field(default_factory=list)
 
     def abs_y(self) -> np.ndarray:
@@ -100,35 +106,8 @@ def propagate(
     include_interaction: bool = True,
 ) -> Trace:
     """Propagate under piecewise-constant controls with exact segment exponentials."""
-    if xi0.space != sys.space:
-        raise ValueError("initial state lives on a different space")
-    xi = xi0.amplitudes.copy()
-    c_mat = sys.output_op.matrix
-    times = [0.0]
-    ys = [complex(np.vdot(xi, c_mat @ xi))]
-    drifts = [abs(np.linalg.norm(xi) - 1.0)]
-    t = 0.0
-    for dur, vals in sched.segments:
-        gen = sys.generator(vals, include_interaction=include_interaction)
-        step = unitary_stepper(gen.matrix)
-        n_steps = max(1, math.ceil(dur / dt_max))
-        dt = dur / n_steps
-        for _ in range(n_steps):
-            xi = step(xi, dt)
-            t += dt
-            drift = abs(np.linalg.norm(xi) - 1.0)
-            if drift > 1e-8:
-                raise NormDriftError(f"norm drift {drift:.3e} at t={t:.6f}")
-            times.append(t)
-            ys.append(complex(np.vdot(xi, c_mat @ xi)))
-            drifts.append(drift)
-    return Trace(
-        times=np.array(times),
-        y_values=np.array(ys),
-        norm_drift=float(max(drifts)),
-        final_state=StateVector(sys.space, xi),
-        norm_drifts=np.array(drifts),
-        metadata={"scenario": sys.scenario, "mode": "open_loop", "dt_max": dt_max},
+    return propagate_closed_loop(
+        sys, sched, xi0, dt_max, mode="open_loop", include_interaction=include_interaction
     )
 
 
@@ -158,12 +137,18 @@ def propagate_closed_loop(
     collect_audit: bool = False,
     plan: FramePlan | None = None,
 ) -> Trace:
-    """Closed-loop propagation with per-step re-synthesis u = alpha + beta v.
+    """Propagate under u = alpha + beta v, re-synthesized at every step, or under v.
+
+    Every segment of v_sched is cut into max(1, ceil(dur/dt)) equal steps of
+    dur/n, so each step applies its own segment's v and the run ends at the
+    schedule's total duration.
 
     mode:  'literal' / 'regularized' synthesize (alpha, beta) each step;
            'oracle_cancel' subtracts the interaction generator outright
            (test-only harness validation: requires knowing g);
-           'open_loop' applies v directly.
+           'open_loop' applies v directly (this is propagate).  These two
+           hold the generator constant over a segment and take one
+           exponential per segment.
     policy on frame rank-deficiency: 'abort' raises RankDeficiencyError,
            'freeze' reuses the last successful law, 'open_loop' falls back
            to u = v for that step; every decision is recorded in the audit.
@@ -174,84 +159,85 @@ def propagate_closed_loop(
         raise ValueError(f"unknown feedback mode {mode!r}")
     if policy not in ("abort", "freeze", "open_loop"):
         raise ValueError(f"unknown rank-deficiency policy {policy!r}")
+    if xi0.space != sys.space:
+        raise ValueError("initial state lives on a different space")
+    feedback = mode in ("literal", "regularized")
+    if feedback and plan is None:
+        plan = FramePlan.build(sys)
     xi = xi0.amplitudes.copy()
     c_mat = sys.output_op.matrix
-    total = v_sched.total_duration
-    n_steps = max(1, round(total / dt))
     times = [0.0]
     ys = [complex(np.vdot(xi, c_mat @ xi))]
-    audit: list[dict] = []
     drifts = [abs(np.linalg.norm(xi) - 1.0)]
-    if mode in ("literal", "regularized") and plan is None:
-        plan = FramePlan.build(sys)
+    audit: list[dict] = []
     last_law = None
     t = 0.0
-    for k in range(n_steps):
-        v = v_sched.values_at(t)
-        row: dict = {"step": k, "t": t}
-        if mode in ("literal", "regularized"):
-            state = StateVector(sys.space, xi / np.linalg.norm(xi))
-            result: FrameResult = build_frame(sys, state, plan=plan)
-            if result.ok:
-                law = synthesize(sys, result.frame, mode=mode, tol=plan.tol)
-                last_law = law
-                row.update(
-                    {
-                        "frame_rank": result.report["frame_rank"],
-                        "cond_d": law.details["cond_d"],
-                        "action": "synthesized",
-                    }
-                )
-                gen = closed_loop_generator(sys, law, v)
-                if collect_audit:
-                    row["beta_singular"] = law.beta_singular
-                    row["alpha"] = law.alpha.tolist()
-                    row["beta"] = law.beta.tolist()
-                    row["d"] = law.d_matrix.tolist()
-                    row["S"] = law.s_matrix.tolist()
-                    row["J"] = law.j_matrix.tolist()
-            else:
-                row.update({"rank_report": result.report, "action": f"deficient:{policy}"})
-                if policy == "abort":
-                    report = dict(result.report)
-                    report.update({"step": k, "t": t, "scenario": sys.scenario})
-                    raise RankDeficiencyError(report)
-                if policy == "freeze" and last_law is not None:
-                    gen = closed_loop_generator(sys, last_law, v)
-                elif policy == "freeze":
-                    report = dict(result.report)
-                    report.update({"step": k, "t": t, "note": "no prior law to freeze"})
-                    raise RankDeficiencyError(report)
+    k = 0
+    for dur, v in v_sched.segments:
+        n_steps = max(1, math.ceil(dur / dt))
+        h = dur / n_steps
+        if not feedback:
+            # oracle_cancel adds the interaction and subtracts it: its net effect is its absence
+            gen = sys.generator(v, include_interaction=include_interaction and mode == "open_loop")
+            step = unitary_stepper(gen.matrix)
+        for _ in range(n_steps):
+            row: dict = {"step": k, "t": t, "action": mode}
+            if feedback:
+                state = StateVector(sys.space, xi / np.linalg.norm(xi))
+                result: FrameResult = build_frame(sys, state, plan=plan)
+                if result.ok:
+                    law = synthesize(sys, result.frame, mode=mode, tol=plan.tol)
+                    last_law = law
+                    row.update(
+                        {
+                            "frame_rank": result.report["frame_rank"],
+                            "cond_d": law.details["cond_d"],
+                            "action": "synthesized",
+                        }
+                    )
+                    gen = closed_loop_generator(sys, law, v)
+                    if collect_audit:
+                        row["beta_singular"] = law.beta_singular
+                        row["alpha"] = law.alpha.tolist()
+                        row["beta"] = law.beta.tolist()
+                        row["d"] = law.d_matrix.tolist()
+                        row["S"] = law.s_matrix.tolist()
+                        row["J"] = law.j_matrix.tolist()
                 else:
-                    gen = sys.generator(v, include_interaction=False)
-            mat = gen.matrix
-            if include_interaction:
-                mat = mat + sys.interaction.matrix
-        elif mode == "oracle_cancel":
-            mat = sys.generator(v, include_interaction=False).matrix
-            row["action"] = "oracle_cancel"
-            # interaction both added and subtracted: net effect is its absence
-        else:
-            mat = sys.generator(v, include_interaction=include_interaction).matrix
-            row["action"] = "open_loop"
-        step = unitary_stepper(mat)
-        xi = step(xi, dt)
-        t += dt
-        drift = abs(np.linalg.norm(xi) - 1.0)
-        if drift > 1e-8:
-            raise NormDriftError(f"norm drift {drift:.3e} at t={t:.6f}")
-        times.append(t)
-        ys.append(complex(np.vdot(xi, c_mat @ xi)))
-        drifts.append(drift)
-        if collect_audit:
-            audit.append(row)
+                    row.update({"rank_report": result.report, "action": f"deficient:{policy}"})
+                    if policy == "abort":
+                        report = dict(result.report)
+                        report.update({"step": k, "t": t, "scenario": sys.scenario})
+                        raise RankDeficiencyError(report)
+                    if policy == "freeze" and last_law is not None:
+                        gen = closed_loop_generator(sys, last_law, v)
+                    elif policy == "freeze":
+                        report = dict(result.report)
+                        report.update({"step": k, "t": t, "note": "no prior law to freeze"})
+                        raise RankDeficiencyError(report)
+                    else:
+                        gen = sys.generator(v, include_interaction=False)
+                mat = gen.matrix
+                if include_interaction:
+                    mat = mat + sys.interaction.matrix
+                step = unitary_stepper(mat)
+            xi = step(xi, h)
+            t += h
+            drift = abs(np.linalg.norm(xi) - 1.0)
+            if drift > 1e-8:
+                raise NormDriftError(f"norm drift {drift:.3e} at t={t:.6f}")
+            times.append(t)
+            ys.append(complex(np.vdot(xi, c_mat @ xi)))
+            drifts.append(drift)
+            if collect_audit:
+                audit.append(row)
+            k += 1
     return Trace(
         times=np.array(times),
         y_values=np.array(ys),
         norm_drift=float(max(drifts)),
         final_state=StateVector(sys.space, xi / np.linalg.norm(xi)),
         norm_drifts=np.array(drifts),
-        metadata={"scenario": sys.scenario, "mode": mode, "dt": dt, "policy": policy},
         audit=audit,
     )
 

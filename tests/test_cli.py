@@ -177,9 +177,43 @@ def test_config_error_exit_code_2(tmp_path):
         ("simulate", {"horizon": "10"}),
         ("simulate", {"horizon": float("nan")}),
         ("check", {"params": {"g": 0}}),
+        ("check", {"scenario": "all"}),
+        ("check", {"maneuver_t_list": [0.1, 0.05, 0.025]}),
+        ("check", {"maneuver_t_list": [0.1, 0.05, 0.025, 0.0]}),
+        ("check", {"maneuver_t_list": [0.1, 0.05, 0.025, -0.0125]}),
+        ("check", {"maneuver_overlap_t": 0.0}),
+        ("simulate", {"schedule": [{"duration": -1.0, "values": [0, 0, 0, 0]}]}),
+        ("simulate", {"schedule": [{"duration": float("inf"), "values": [0, 0, 0, 0]}]}),
+        ("simulate", {"schedule": [{"duration": float("nan"), "values": [0, 0, 0, 0]}]}),
+        ("simulate", {"schedule": [{"duration": 1.0, "values": [float("nan"), 0, 0, 0]}]}),
+        ("check", {"params": {"nenv": 4}}),
+        ("check", {"horizn": 10.0}),
+        ("simulate", {"horizon": 10**400}),
     ):
         bad.write_text(json.dumps(cfg))
         assert run_cli([command, "--config", str(bad), "--out", str(tmp_path / "o")]) == 2, cfg
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--audit"],
+    ["check", "--feedback-mode", "literal"],
+    ["check", "--scenario", "bait"],
+    ["rank", "--audit"],
+    ["rank", "--feedback-mode", "literal"],
+    ["maneuver", "--chain", "--audit"],
+    ["maneuver", "--chain", "--feedback-mode", "literal"],
+    ["synthesize-audit", "--audit"],
+    ["simulate", "--scenario", "all"],
+    ["rank", "--scenario", "all"],
+    ["maneuver", "--scenario", "all"],
+    ["synthesize-audit", "--scenario", "all"],
+])
+def test_subcommands_refuse_flags_they_do_not_read(tmp_path, argv):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        run_cli([*argv, "--out", str(out)])
+    assert exc.value.code == 2
+    assert not out.exists()
 
 
 def test_rank_command_reports_histograms(tmp_path):

@@ -138,6 +138,28 @@ class TestSynthesize:
         law.details["tol"] = 2.0 * s[-1] / s[0]             # the cut follows details["tol"], not an eps rule
         assert law.beta_singular
 
+    def test_nearly_singular_d_rejected_at_the_synthesis_tol(self, commutant_toy):
+        # v_1 = K_1, v_2 = K_1 + 1e-12 K_2: d = [[1, 0], [1, 1e-12]] expresses the
+        # frame exactly, but its singular values are 1e-12 apart in scale
+        sub = qd.ControlSystem(
+            commutant_toy.space,
+            commutant_toy.drift,
+            commutant_toy.controls[:2],
+            commutant_toy.interaction,
+            commutant_toy.output_op,
+            scenario="toy_r2",
+            control_labels=["B1", "B2"],
+        )
+        xi = qd.random_state(sub.space, np.random.default_rng(2))
+        k1, k2 = (qd.eval_field(a, xi).components for a in sub.controls)
+        frame = qd.CommutingFrame(
+            xi,
+            [qd.TangentVector(xi, k1), qd.TangentVector(xi, k1 + 1e-12 * k2)],
+            [sub.controls[0], sub.controls[0] + sub.controls[1] * 1e-12],
+        )
+        with pytest.raises(qd.SynthesisError):
+            qd.synthesize(sub, frame)
+
     def test_rank_mismatch_rejected(self, commutant_toy):
         rng = np.random.default_rng(6)
         xi = qd.random_state(commutant_toy.space, rng)

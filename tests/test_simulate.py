@@ -111,6 +111,50 @@ class TestClosedLoop:
         assert "cond_d" in row
 
 
+class TestStepGrid:
+    # two segments whose boundary a t accumulated by dt misses: ten additions of 0.01 stay below 0.1
+    SEGMENTS = [(0.1, np.array([0.0, 1.0, 0.4, 0.0, 0.2])), (0.3, np.array([0.0, -0.5, 0.2, 0.3, 0.0]))]
+
+    def test_open_loop_mode_is_propagate(self, commutant_toy):
+        xi0 = qd.random_state(commutant_toy.space, np.random.default_rng(11))
+        sched = qd.PulseSchedule(self.SEGMENTS)
+        a = qd.propagate(commutant_toy, sched, xi0, dt_max=0.01)
+        b = qd.propagate_closed_loop(commutant_toy, sched, xi0, dt=0.01, mode="open_loop")
+        assert a.y_values.tobytes() == b.y_values.tobytes()
+        assert a.times.tobytes() == b.times.tobytes()
+
+    def test_oracle_cancel_matches_interaction_free_propagation(self, two_qubit):
+        xi0 = qd.random_state(two_qubit.space, np.random.default_rng(12))
+        sched = qd.PulseSchedule([(0.1, [1.0, 0.2, 0.0, 0.0]), (0.3, [0.0, -0.5, 0.3, 0.1])])
+        ref = qd.propagate(two_qubit, sched, xi0, dt_max=0.01, include_interaction=False)
+        tr = qd.propagate_closed_loop(two_qubit, sched, xi0, dt=0.01, mode="oracle_cancel")
+        assert len(tr.times) == len(ref.times) == 41
+        assert np.abs(tr.times - ref.times).max() < 1e-12
+        assert np.abs(tr.y_values - ref.y_values).max() < 1e-12
+
+    def test_closed_loop_ends_at_the_total_duration(self, two_qubit):
+        xi0 = qd.random_state(two_qubit.space, np.random.default_rng(13))
+        sched = qd.PulseSchedule.constant(0.004, [1.0, 0.0, 0.0, 0.0])
+        tr = qd.propagate_closed_loop(two_qubit, sched, xi0, dt=0.01, mode="oracle_cancel")
+        assert tr.times.tolist() == [0.0, 0.004]
+
+    def test_feedback_applies_each_segment_on_its_own_steps(self, commutant_toy, monkeypatch):
+        import qdecouple.simulate
+
+        seen = []
+        generator = qdecouple.simulate.closed_loop_generator
+
+        def spy(sys_, law, v):
+            seen.append(tuple(v))
+            return generator(sys_, law, v)
+
+        monkeypatch.setattr(qdecouple.simulate, "closed_loop_generator", spy)
+        xi0 = qd.random_state(commutant_toy.space, np.random.default_rng(14))
+        qd.propagate_closed_loop(commutant_toy, qd.PulseSchedule(self.SEGMENTS), xi0, dt=0.01, mode="literal")
+        first, second = (tuple(v) for _, v in self.SEGMENTS)
+        assert seen == [first] * 10 + [second] * 30
+
+
 class TestManeuver:
     def test_schedule_shape(self):
         sched = maneuver_schedule(9, 5, 8, 0.25)
