@@ -22,7 +22,6 @@ from .algebra import (
     field_quadrature,
     ladder_pair,
     lie_closure,
-    matrix_exp_apply,
     normalize,
     number_operator,
     random_state,
@@ -37,7 +36,6 @@ from .models import (
     build_scenario,
     build_single_qubit,
     build_two_qubit,
-    coherence,
     dfs_state,
 )
 from .spans import realified_rank
@@ -46,9 +44,7 @@ from .observation import (
     Verdict,
     build_c_tilde,
     check_closed_loop_necessary,
-    check_control_algebra,
     check_open_loop,
-    verify_dfs,
 )
 from .tangent import (
     CodistributionBasis,
@@ -59,7 +55,6 @@ from .tangent import (
     bruteforce_invariant_distribution,
     check_controlled_invariance,
     eval_field,
-    fd_field_bracket,
     hermitian_derivative_chain,
     kernel_dy,
     minimal_interaction_distribution,
@@ -92,7 +87,6 @@ from .simulate import (
     propagate,
     propagate_closed_loop,
     verify_commutator_chain,
-    zero_interaction,
 )
 
 __version__ = "0.1.0"

@@ -259,23 +259,6 @@ def unitary_stepper(a_mat: np.ndarray) -> Callable[[np.ndarray, float], np.ndarr
     return step
 
 
-def matrix_exp_apply(a: Operator, t: float, xi: StateVector, tol: float = DEFAULT_TOL) -> StateVector:
-    """Apply exp(t a) to a state; a must be skew-hermitian (unitary flow).
-
-    Uses the eigendecomposition of the hermitian matrix i*a, so norms are
-    preserved to machine precision (checked against 1e-10).
-    """
-    if a.space != xi.space:
-        raise ValueError("operator and state spaces differ")
-    if not is_hermitian(a.matrix, tol, skew=True):
-        raise ValueError("generator is not skew-hermitian; propagation would not be unitary")
-    out = unitary_stepper(a.matrix)(xi.amplitudes, t)
-    nrm = np.linalg.norm(out)
-    if abs(nrm - 1.0) > 1e-10:
-        raise RuntimeError(f"propagation lost unitarity: norm {nrm}")
-    return StateVector(xi.space, out)
-
-
 def vectorized_map(n: int, fn: Callable[[np.ndarray], np.ndarray]) -> Callable[[np.ndarray], np.ndarray]:
     """Lift a map on (B, n, n) matrix stacks to (B, n^2) row-major vectorized rows."""
     return lambda batch: fn(batch.reshape(-1, n, n)).reshape(-1, n * n)

@@ -105,6 +105,7 @@ def _finite_number(val) -> bool:
 
 def load_config(path: str | None, overrides: dict) -> dict:
     cfg = copy.deepcopy(DEFAULT_CONFIG)
+    user = {}
     if path:
         try:
             with open(path) as fh:
@@ -136,6 +137,16 @@ def load_config(path: str | None, overrides: dict) -> dict:
         raise ConfigError("tol must lie in (0, 1e-3]")
     if cfg["horizon"] <= 0:
         raise ConfigError("horizon must be positive")
+    if cfg["schedule"] is not None:
+        # a schedule fixes the run's length; horizon only echoes it
+        total = sum(d for d, _ in _parse_schedule(cfg["schedule"]).segments)
+        if "horizon" not in user:
+            cfg["horizon"] = total
+        elif not math.isclose(cfg["horizon"], total, rel_tol=1e-12):
+            raise ConfigError(
+                f"horizon {cfg['horizon']!r} differs from the schedule's total duration {total!r}; "
+                "leave horizon out or set it to that total"
+            )
     if cfg["feedback_mode"] not in ("literal", "regularized", "oracle_cancel", "open_loop"):
         raise ConfigError(f"unknown feedback_mode {cfg['feedback_mode']!r}")
     if cfg["rank_policy"] not in ("abort", "freeze", "open_loop"):
@@ -237,20 +248,22 @@ def initial_state(sys, cfg):
     raise ConfigError(f"unknown initial_state {kind!r}")
 
 
+def _parse_schedule(raw) -> PulseSchedule:
+    try:
+        return PulseSchedule([(seg["duration"], seg["values"]) for seg in raw])
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"bad schedule: {exc}") from exc
+
+
 def schedule_from_config(sys, cfg) -> PulseSchedule:
     raw = cfg.get("schedule")
     if raw is None:
         return PulseSchedule.constant(cfg["horizon"], np.zeros(sys.n_controls))
-    segments = []
-    try:
-        for seg in raw:
-            vals = np.asarray(seg["values"], dtype=float)
-            if vals.shape != (sys.n_controls,):
-                raise ValueError(f"a segment needs {sys.n_controls} control values, got {vals.shape}")
-            segments.append((float(seg["duration"]), vals))
-        return PulseSchedule(segments)
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"bad schedule: {exc}") from exc
+    sched = _parse_schedule(raw)
+    for _, vals in sched.segments:
+        if vals.shape != (sys.n_controls,):
+            raise ConfigError(f"bad schedule: a segment needs {sys.n_controls} control values, got {vals.shape}")
+    return sched
 
 
 def _c_tilde_basis_bytes(n: int) -> int:

@@ -113,13 +113,6 @@ class ControlSystem:
         return tol * max(self.interaction.norm(), 1.0)
 
 
-def coherence(xi: StateVector, c_op: Operator) -> complex:
-    """Complex coherence functional <xi|C|xi>."""
-    if xi.space.total_dim != c_op.dim:
-        raise ValueError("state and output operator dimensions differ")
-    return complex(np.vdot(xi.amplitudes, c_op.matrix @ xi.amplitudes))
-
-
 def _coherence_block(ket: int, bra: int, dim: int = 2) -> np.ndarray:
     m = np.zeros((dim, dim), dtype=complex)
     m[ket, bra] = 1.0

@@ -32,7 +32,6 @@ checks run the same residual tests on either basis.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -40,7 +39,6 @@ from .algebra import (
     ClosureBlowupError,
     HilbertSpace,
     Operator,
-    StateVector,
     ad_maps,
     commutator,
     lie_closure,
@@ -92,32 +90,19 @@ class Verdict:
     details: dict = field(default_factory=dict)
 
 
-def _closure_generators(sys: ControlSystem, order: str) -> list[Operator]:
-    if order == "controls_first":
-        return [*sys.controls, sys.drift]
-    if order == "drift_first":
-        return [sys.drift, *sys.controls]
-    raise ValueError(f"unknown closure order {order!r}")
-
-
-def close_c_tilde(
-    sys: ControlSystem,
-    max_dim: int | None = None,
-    tol: float = 1e-9,
-    order: str = "controls_first",
-) -> OperatorSpan:
+def close_c_tilde(sys: ControlSystem, max_dim: int | None = None, tol: float = 1e-9) -> OperatorSpan:
     """Stable ad-closure of the output operator under controls and drift.
 
     Iterates span <- span + [A, span] for A over the control generators and
-    the drift until the real span stabilizes (the iteration order is a
-    flag; the fixpoint does not depend on it), in realified 2n^2
-    coordinates.  Raises ClosureBlowupError past max_dim.  The kernel
-    behind build_c_tilde's fallback, and the oracle for its certificate.
+    the drift until the real span stabilizes (the fixpoint does not depend
+    on their order), in realified 2n^2 coordinates.  Raises
+    ClosureBlowupError past max_dim.  The kernel behind build_c_tilde's
+    fallback, and the oracle for its certificate.
     """
     n = sys.space.total_dim
     if max_dim is None:
         max_dim = 2 * n * n
-    maps = ad_maps(_closure_generators(sys, order))
+    maps = ad_maps([*sys.controls, sys.drift])
     seed = sys.output_op.matrix.ravel()
     seed = seed / np.linalg.norm(seed)
     try:
@@ -133,7 +118,7 @@ def _generates_su(sys: ControlSystem, tol: float) -> bool:
     n = sys.space.total_dim
     eye = np.eye(n)
     gens = []
-    for g in _closure_generators(sys, "controls_first"):
+    for g in [*sys.controls, sys.drift]:
         traceless = g.matrix - (np.trace(g.matrix) / n) * eye
         # a generator that is a multiple of the identity leaves only roundoff
         if np.linalg.norm(traceless) > tol * g.norm():
@@ -171,12 +156,7 @@ def _sl_basis(n: int) -> np.ndarray:
     return np.concatenate(pairs)
 
 
-def build_c_tilde(
-    sys: ControlSystem,
-    max_dim: int | None = None,
-    tol: float = 1e-9,
-    order: str = "controls_first",
-) -> OperatorSpan:
+def build_c_tilde(sys: ControlSystem, max_dim: int | None = None, tol: float = 1e-9) -> OperatorSpan:
     """C~, the ad-closure of the output under the controls and the drift.
 
     When the sl(n) certificate of the module docstring applies and
@@ -195,7 +175,7 @@ def build_c_tilde(
         span.q = realify(mats.reshape(len(mats), n * n))
         ops = [Operator(sys.space, m) for m in mats]
         return OperatorSpan(sys.space, ops, tol=tol, details={"method": SL_CERTIFICATE}, _span=span)
-    return close_c_tilde(sys, max_dim=max_dim, tol=tol, order=order)
+    return close_c_tilde(sys, max_dim=max_dim, tol=tol)
 
 
 def _basis_matrices(span: OperatorSpan) -> np.ndarray:
@@ -270,97 +250,3 @@ def check_closed_loop_necessary(
         True,
         details={"c_tilde_dim": c_tilde.dim, "max_containment_residual": float(res.max(initial=0.0))},
     )
-
-
-def _ad_chain(base: Operator, by: Operator, tol: float) -> list[Operator]:
-    """Orthonormal basis of span{base, [by, base], [by, [by, base]], ...}."""
-    _, batches, _ = close_real_span(base.matrix.ravel()[None, :], ad_maps([by]), tol=tol)
-    return [Operator(base.space, row.reshape(base.dim, base.dim)) for row in np.vstack(batches)]
-
-
-def check_control_algebra(
-    sys: ControlSystem,
-    delta: OperatorSpan,
-    max_dim: int | None = None,
-    tol: float = 1e-9,
-) -> Verdict:
-    """Control-algebra decouplability test:
-    [Delta, G] and [Delta, C] must land in span(Delta (+) G), where G is the
-    Lie closure of the controls and C = {ad^j_{K_i} K_0} truncated at span
-    stabilization.  Propagates closure blowup.
-
-    Backs the paper's control-algebra condition; called by tests only.
-    """
-    n = sys.space.total_dim
-    if max_dim is None:
-        max_dim = 2 * n * n
-    g_alg = lie_closure(sys.controls, max_dim=max_dim, tol=tol)
-    c_set: list[Operator] = []
-    if sys.drift.norm() > tol:
-        for k_i in sys.controls:
-            c_set.extend(_ad_chain(sys.drift, k_i, tol))
-    combined = OperatorSpan(sys.space, [*delta.basis, *g_alg], tol=tol)
-    d_mats = _basis_matrices(delta)
-    for tag, family in (("control_algebra", g_alg), ("drift_chain", c_set)):
-        for k, other in enumerate(family):
-            # [D, other] for the whole Delta basis at once, then one projection
-            brackets = _brackets(d_mats, other)
-            norms = np.linalg.norm(brackets, axis=1)
-            live = np.flatnonzero(norms > tol)
-            if not live.size:
-                continue
-            res = np.linalg.norm(combined._span.project_out(brackets[live]), axis=1) / norms[live]
-            failing = np.flatnonzero(res > tol)
-            if failing.size:
-                first = failing[0]
-                return Verdict(
-                    "control_algebra",
-                    False,
-                    witness={"kind": tag, "member_index": k, "delta_index": int(live[first]),
-                             "residual": float(res[first])},
-                    details={"g_dim": len(g_alg), "c_set_size": len(c_set)},
-                )
-    return Verdict(
-        "control_algebra", True, details={"g_dim": len(g_alg), "c_set_size": len(c_set)}
-    )
-
-
-def verify_dfs(sys: ControlSystem, subspace: Sequence[StateVector], tol: float = 1e-9) -> Verdict:
-    """Check that the interaction annihilates subspace (x) environment.
-
-    The subspace vectors live on the system-side factors (everything but
-    the trailing environment); each is tensored with every environment
-    basis state and must be mapped to zero by the interaction generator
-    (the collective-dephasing sufficient condition).
-
-    Backs the abstract's DFS result; called by tests only.
-    """
-    if not subspace:
-        raise ValueError("empty subspace")
-    gram = np.array(
-        [[np.vdot(a.amplitudes, b.amplitudes) for b in subspace] for a in subspace]
-    )
-    if np.abs(gram - np.eye(len(subspace))).max() > 1e-8:
-        raise ValueError("subspace vectors must be orthonormal")
-    sub_dim = subspace[0].space.total_dim
-    n_total = sys.space.total_dim
-    if n_total % sub_dim:
-        raise ValueError("subspace dimension does not divide the system dimension")
-    n_env = n_total // sub_dim
-    a_i = sys.interaction
-    scale = max(a_i.norm(), 1.0)
-    worst = 0.0
-    for k, v in enumerate(subspace):
-        for e in range(n_env):
-            env = np.zeros(n_env, dtype=complex)
-            env[e] = 1.0
-            full = np.kron(v.amplitudes, env)
-            nrm = float(np.linalg.norm(a_i.matrix @ full))
-            worst = max(worst, nrm)
-            if nrm > tol * scale:
-                return Verdict(
-                    "dfs",
-                    False,
-                    witness={"kind": "interaction_image", "vector_index": k, "env_level": e, "norm": nrm},
-                )
-    return Verdict("dfs", True, details={"max_image_norm": worst})

@@ -64,19 +64,9 @@ class PulseSchedule:
             if not np.all(np.isfinite(vals)):
                 raise ValueError(f"control values must be finite, got {vals.tolist()!r}")
             cleaned.append((dur, vals))
+        if not cleaned:
+            raise ValueError("a schedule needs at least one segment")
         self.segments = cleaned
-
-    @property
-    def total_duration(self) -> float:
-        return sum(d for d, _ in self.segments)
-
-    def values_at(self, t: float) -> np.ndarray:
-        acc = 0.0
-        for dur, vals in self.segments:
-            acc += dur
-            if t < acc:
-                return vals
-        return self.segments[-1][1]
 
     @staticmethod
     def constant(duration: float, values) -> "PulseSchedule":
@@ -111,21 +101,6 @@ def propagate(
     )
 
 
-def zero_interaction(sys: ControlSystem) -> ControlSystem:
-    """Copy of the system with the interaction generator removed (g -> 0)."""
-    zero = Operator(sys.space, np.zeros_like(sys.interaction.matrix))
-    return ControlSystem(
-        sys.space,
-        sys.drift,
-        list(sys.controls),
-        zero,
-        sys.output_op,
-        scenario=sys.scenario + "+g0",
-        control_labels=list(sys.control_labels),
-        params=sys.params,
-    )
-
-
 def propagate_closed_loop(
     sys: ControlSystem,
     v_sched: PulseSchedule,
@@ -145,7 +120,9 @@ def propagate_closed_loop(
 
     mode:  'literal' / 'regularized' synthesize (alpha, beta) each step;
            'oracle_cancel' subtracts the interaction generator outright
-           (test-only harness validation: requires knowing g);
+           (test-only harness validation: requires knowing g), so it runs
+           without the interaction whatever include_interaction says and
+           its oracle deviation is 0 by construction;
            'open_loop' applies v directly (this is propagate).  These two
            hold the generator constant over a segment and take one
            exponential per segment.
@@ -256,13 +233,17 @@ def decoupling_pair(
 
     Both runs use the same feedback function (synthesized from the nominal
     interaction structure, with frames and laws decided at tol); only the
-    plant's interaction term differs.
+    plant's interaction term differs.  In 'oracle_cancel' mode the loop
+    drops the interaction from both runs, so the pair is one run returned
+    twice and the deviation is 0 by construction.
     """
     plan = FramePlan.build(sys, tol=tol) if mode in ("literal", "regularized") else None
     trace_g = propagate_closed_loop(
         sys, v_sched, xi0, dt, mode=mode, policy=policy, include_interaction=True,
         collect_audit=collect_audit, plan=plan,
     )
+    if mode == "oracle_cancel":
+        return trace_g, trace_g, 0.0
     trace_0 = propagate_closed_loop(
         sys, v_sched, xi0, dt, mode=mode, policy=policy, include_interaction=False,
         collect_audit=collect_audit, plan=plan,

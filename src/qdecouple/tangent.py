@@ -14,11 +14,10 @@ all downstream uses are span-membership tests, which are sign-invariant.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
-from .algebra import Operator, StateVector, ad_maps, commutator, is_hermitian, vectorized_map
+from .algebra import Operator, StateVector, ad_maps, commutator, is_hermitian
 from .models import ControlSystem
 from .observation import Verdict
 from .spans import (
@@ -125,36 +124,9 @@ def bracket_linear_fields(a: Operator, b: Operator) -> Operator:
     return commutator(b, a)
 
 
-def fd_field_bracket(
-    f: Callable[[np.ndarray], np.ndarray],
-    g: Callable[[np.ndarray], np.ndarray],
-    x: np.ndarray,
-    h: float = 1e-5,
-) -> np.ndarray:
-    """Central-difference Lie bracket [f, g](x) = Dg f - Df g on the realified state.
-
-    The finite-difference oracle for bracket_linear_fields; called by tests only.
-    """
-    xr = realify(np.asarray(x, dtype=complex))
-
-    def lift(fun):
-        return lambda r: realify(fun(unrealify(r)))
-
-    fr, gr = lift(f), lift(g)
-
-    def jtimes(fun, direction):
-        return (fun(xr + h * direction) - fun(xr - h * direction)) / (2 * h)
-
-    out = jtimes(gr, fr(xr)) - jtimes(fr, gr(xr))
-    return unrealify(out)
-
-
 def output_covectors(xi: StateVector, c_op: Operator) -> np.ndarray:
     """The two real covectors d(Re y), d(Im y) of y = <xi|C|xi>, realified."""
-    rows = []
-    for mat in (c_op.matrix, -1j * c_op.matrix):
-        rows.append(realify((mat + mat.conj().T) @ xi.amplitudes))
-    return np.array(rows)
+    return np.array([covector_of(mat, xi.amplitudes) for mat in (c_op.matrix, -1j * c_op.matrix)])
 
 
 def covector_of(op_matrix: np.ndarray, xi: np.ndarray) -> np.ndarray:
@@ -175,24 +147,20 @@ def _system_generators(sys: ControlSystem) -> list[Operator]:
     return [sys.drift, *sys.controls]
 
 
-def lie_step_maps(generators: list[Operator]) -> list[Callable[[np.ndarray], np.ndarray]]:
-    """M -> M A + A† M for each generator, as vectorized maps (two matmuls per row)."""
-    return [
-        vectorized_map(a.dim, lambda m, a_mat=a.matrix, a_dag=a.matrix.conj().T: m @ a_mat + a_dag @ m)
-        for a in generators
-    ]
-
-
 def omega_generator_basis(
     sys: ControlSystem, tol: float = 1e-9, max_gens: int | None = None
 ) -> tuple[list[Operator], dict]:
-    """State-independent quadratic-generator closure for omega_closure_open."""
+    """State-independent quadratic-generator closure for omega_closure_open.
+
+    The Lie-derivative step on quadratic generators, M -> M A + A† M, is
+    -|A| ad_{A/|A|}(M) for skew A, so the closure runs on ad_maps.
+    """
     n = sys.space.total_dim
     if max_gens is None:
         max_gens = 2 * n * n
     c = sys.output_op.matrix.ravel()
     c = c / np.linalg.norm(c)
-    maps = lie_step_maps(_system_generators(sys))
+    maps = ad_maps(_system_generators(sys))
     span, batches, rounds = close_real_span(np.array([c, -1j * c]), maps, tol=tol, max_dim=max_gens)
     ops = [Operator(sys.space, row.reshape(n, n)) for row in np.vstack(batches)]
     return ops, {"rounds": rounds, "generator_rank": span.rank}
@@ -208,8 +176,8 @@ def omega_closure_open(
     """Codistribution closure Omega <- Omega + sum_A L_{K_A} Omega.
 
     Closes the real span of quadratic generators, seeded with C and -iC
-    (the two real output components), under M -> M A + A† M for the drift
-    and every control; the realized covectors at xi then yield
+    (the two real output components), under M -> M A + A† M (as ad_maps)
+    for the drift and every control; the realized covectors at xi then yield
     Delta* = (Omega*)^perp.  Pass `generators` (from omega_generator_basis)
     to amortize the closure across states.
     """
@@ -257,7 +225,7 @@ def omega_closure_closed(
     n = sys.space.total_dim
     if max_rounds is None:
         max_rounds = 2 * n * n
-    maps = lie_step_maps(_system_generators(sys))
+    maps = ad_maps(_system_generators(sys))
     c = sys.output_op.matrix.ravel()
     c = c / np.linalg.norm(c)
     gens = [c, -1j * c]

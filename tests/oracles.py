@@ -1,0 +1,68 @@
+"""Reference oracles for the tests: naive on purpose, one difference, bracket or residual at a time."""
+
+from typing import Callable
+
+import numpy as np
+
+import qdecouple as qd
+from qdecouple.spans import RealSpan, realify, unrealify
+
+
+def fd_field_bracket(
+    f: Callable[[np.ndarray], np.ndarray],
+    g: Callable[[np.ndarray], np.ndarray],
+    x: np.ndarray,
+    h: float = 1e-5,
+) -> np.ndarray:
+    """Central-difference Lie bracket [f, g](x) = Dg f - Df g on the realified state.
+
+    The finite-difference oracle for bracket_linear_fields.
+    """
+    xr = realify(np.asarray(x, dtype=complex))
+
+    def lift(fun):
+        return lambda r: realify(fun(unrealify(r)))
+
+    fr, gr = lift(f), lift(g)
+
+    def jtimes(fun, direction):
+        return (fun(xr + h * direction) - fun(xr - h * direction)) / (2 * h)
+
+    out = jtimes(gr, fr(xr)) - jtimes(fr, gr(xr))
+    return unrealify(out)
+
+
+def drift_chain(drift: qd.Operator, by: qd.Operator, tol: float = 1e-9) -> list[qd.Operator]:
+    """drift, [by, drift], [by, [by, drift]], ... (normalized) until a bracket adds no direction."""
+    span = RealSpan(2 * drift.dim * drift.dim, tol=tol)
+    chain = []
+    op = drift
+    while op.norm() > tol and span.add(realify(op.matrix.ravel())):
+        op = op * (1.0 / op.norm())
+        chain.append(op)
+        op = qd.commutator(by, op)
+    return chain
+
+
+def control_algebra_verdict(sys_: qd.ControlSystem, delta: qd.OperatorSpan, tol: float = 1e-9):
+    """The control-algebra decouplability condition, one pair at a time.
+
+    [Delta, G] and [Delta, C] must land in span(Delta (+) G), where G is the
+    Lie closure of the controls and C the drift chains ad^j_{K_i} K_0.
+    Returns (ok, witness, details) with details {"g_dim", "c_set_size"}.
+    """
+    n = sys_.space.total_dim
+    g_alg = qd.lie_closure(sys_.controls, max_dim=2 * n * n, tol=tol)
+    c_set = [op for k_i in sys_.controls for op in drift_chain(sys_.drift, k_i, tol)]
+    details = {"g_dim": len(g_alg), "c_set_size": len(c_set)}
+    combined = qd.OperatorSpan(sys_.space, [*delta.basis, *g_alg], tol=tol)
+    for tag, family in (("control_algebra", g_alg), ("drift_chain", c_set)):
+        for k, other in enumerate(family):
+            for d_idx, d_op in enumerate(delta.basis):
+                br = qd.commutator(d_op, other)
+                if br.norm() <= tol:
+                    continue
+                res = combined.residual(br)
+                if res > tol:
+                    return False, {"kind": tag, "member_index": k, "delta_index": d_idx, "residual": res}, details
+    return True, None, details

@@ -173,11 +173,14 @@ def test_dims_and_verdicts_invariant_under_unitary_change_of_basis(bait2):
     assert _verdicts(_conjugated(bait2, u)) == want
 
 
-def test_dims_and_verdicts_invariant_under_control_permutation(bait2):
+def test_dims_and_verdicts_invariant_under_control_permutation(bait2, two_qubit):
     rng = np.random.default_rng(8)
     order = rng.permutation(bait2.n_controls)
     permuted = _with(bait2, controls=[bait2.controls[k] for k in order])
     assert _verdicts(permuted) == _verdicts(bait2)
+    # two_qubit takes the closure path, whose rounds see the generators in order
+    reversed_controls = _with(two_qubit, controls=two_qubit.controls[::-1])
+    assert _verdicts(reversed_controls) == _verdicts(two_qubit) == (18, CLOSURE, False, False, False)
 
 
 def test_verdict_table_at_n_env_4():

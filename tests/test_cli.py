@@ -51,6 +51,26 @@ def test_simulate_open_loop_csv_format(tmp_path):
     assert "." in cells[1] or cells[1] == "0"      # plain decimal, no locale
 
 
+def test_schedule_sets_the_echoed_horizon(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    segments = [{"duration": 0.1, "values": [1, 0, 0, 0]}, {"duration": 0.2, "values": [0, 1, 0, 0]}]
+    # no horizon: the report echoes the schedule's total
+    cfg_path.write_text(json.dumps({"schedule": segments}))
+    assert run_cli(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "a")]) == 0
+    report = json.loads((tmp_path / "a/report.json").read_text())
+    assert report["config"]["horizon"] == 0.1 + 0.2
+    # a horizon equal to the total up to rounding is accepted and echoed as given
+    cfg_path.write_text(json.dumps({"horizon": 0.3, "schedule": segments}))
+    assert run_cli(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "b")]) == 0
+    assert json.loads((tmp_path / "b/report.json").read_text())["config"]["horizon"] == 0.3
+    # any other horizon is a config error that names both keys
+    cfg_path.write_text(json.dumps({"horizon": 1.0, "schedule": segments}))
+    capsys.readouterr()
+    assert run_cli(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "c")]) == 2
+    err = capsys.readouterr().err
+    assert "horizon" in err and "schedule" in err
+
+
 def test_simulate_paired_feedback_outputs(tmp_path, commutant_toy):
     # the oracle mode runs through the CLI on a benchmark scenario
     cfg = {"scenario": "two_qubit", "horizon": 0.5, "initial_state": "random",
@@ -189,6 +209,8 @@ def test_config_error_exit_code_2(tmp_path):
         ("check", {"params": {"nenv": 4}}),
         ("check", {"horizn": 10.0}),
         ("simulate", {"horizon": 10**400}),
+        ("simulate", {"horizon": 1.0, "schedule": [{"duration": 5.0, "values": [0, 0, 0, 0]}]}),
+        ("simulate", {"schedule": []}),
     ):
         bad.write_text(json.dumps(cfg))
         assert run_cli([command, "--config", str(bad), "--out", str(tmp_path / "o")]) == 2, cfg

@@ -14,7 +14,8 @@ from qdecouple.algebra import ad_maps, is_hermitian
 from qdecouple.observation import close_c_tilde
 from qdecouple.spans import close_real_span, realify
 from qdecouple.report import decouplability_table
-from qdecouple.tangent import lie_step_maps, omega_generator_basis
+from qdecouple.tangent import omega_generator_basis
+from oracles import control_algebra_verdict
 
 C_TILDE = {"single_qubit": (6, 3), "two_qubit": (18, 5), "restructured": (286, 8)}
 HERMITIAN_CHAIN_ROUNDS = {
@@ -30,18 +31,21 @@ def _random_matrix(rng, n):
 
 
 def test_ad_and_lie_step_maps_match_matrix_forms():
+    # for skew A the Lie step X -> X A + A† X of the omega closures is
+    # -|A| times the ad map X -> [A/|A|, X] they run on
     rng = np.random.default_rng(21)
     space = qd.HilbertSpace((("a", 2), ("b", 3)))
-    a = qd.Operator(space, _random_matrix(rng, 6))
+    m = _random_matrix(rng, 6)
+    a = qd.Operator(space, m - m.conj().T, "skew_hermitian")
     xs = np.array([_random_matrix(rng, 6) for _ in range(4)])
     rows = xs.reshape(4, 36)                       # row-major vectorization
     (ad,) = ad_maps([a])
-    (step,) = lie_step_maps([a])
     a_unit = qd.Operator(space, a.matrix / a.norm())
-    for x, got_ad, got_step in zip(xs, ad(rows), step(rows)):
+    for x, got_ad in zip(xs, ad(rows)):
         want_ad = qd.commutator(a_unit, qd.Operator(space, x)).matrix
         assert np.allclose(got_ad.reshape(6, 6), want_ad, atol=1e-12)
-        assert np.allclose(got_step.reshape(6, 6), x @ a.matrix + a.matrix.conj().T @ x, atol=1e-12)
+        step = x @ a.matrix + a.matrix.conj().T @ x
+        assert np.allclose(got_ad.reshape(6, 6), -step / a.norm(), atol=1e-12)
 
 
 def test_ad_maps_skip_zero_generators():
@@ -114,9 +118,9 @@ def test_bait_control_lie_algebra_dim(bait):
 
 def test_control_algebra_sizes():
     sys_ = qd.build_restructured(qd.ScenarioParams(omega_env=0.0))
-    v = qd.check_control_algebra(sys_, qd.OperatorSpan(sys_.space, [sys_.interaction]))
-    assert v.ok
-    assert v.details == {"g_dim": 18, "c_set_size": 72}
+    ok, _, details = control_algebra_verdict(sys_, qd.OperatorSpan(sys_.space, [sys_.interaction]))
+    assert ok
+    assert details == {"g_dim": 18, "c_set_size": 72}
 
 
 # the verdict table at the default tol 1e-9 (criterion 01 and the C~ pins above):

@@ -3,6 +3,7 @@ import pytest
 
 import qdecouple as qd
 from qdecouple.algebra import SIGMA_Z
+from oracles import fd_field_bracket
 
 
 class TestCommutantBasis:
@@ -199,7 +200,7 @@ class TestSynthesize:
         k_i_field = lambda x: commutant_toy.interaction.matrix @ x
         v1 = commutant_toy.interaction.matrix @ xi.amplitudes
         for i in range(2):
-            br = qd.fd_field_bracket(k_tilde(i), k_i_field, xi.amplitudes, h=1e-5)
+            br = fd_field_bracket(k_tilde(i), k_i_field, xi.amplitudes, h=1e-5)
             coeff = np.vdot(v1, br) / np.vdot(v1, v1)
             assert np.linalg.norm(br - coeff * v1) < 1e-5
 

@@ -5,6 +5,7 @@ import qdecouple as qd
 from qdecouple.algebra import SIGMA_X, SIGMA_Y, SIGMA_Z
 from qdecouple.spans import RealSpan, realify
 from qdecouple.tangent import control_field_matrix
+from oracles import fd_field_bracket
 
 
 class TestEvalField:
@@ -52,7 +53,7 @@ class TestBracketLinearFields:
         xi = qd.random_state(two_qubit.space, rng)
         a, b = two_qubit.controls[0], two_qubit.interaction
         alg = qd.bracket_linear_fields(a, b).matrix @ xi.amplitudes
-        fd = qd.fd_field_bracket(
+        fd = fd_field_bracket(
             lambda x: a.matrix @ x, lambda x: b.matrix @ x, xi.amplitudes, h=1e-5
         )
         assert np.linalg.norm(alg - fd) < 1e-6
