@@ -29,11 +29,11 @@ for name in ("single_qubit", "two_qubit", "restructured"):
     delta = omega.delta_star()
     brute = qd.bruteforce_invariant_distribution(sys_, xi)
     k_i = qd.eval_field(sys_.interaction, xi)
-    in_ker = qd.kernel_dy(xi, sys_.output_op).residual(k_i.components) < 1e-9
-    in_delta = delta.residual(k_i.components) < 1e-9
+    in_ker = qd.kernel_dy(xi, sys_.output_op).residual(k_i) < 1e-9
+    in_delta = delta.residual(k_i) < 1e-9
     mutual = max(
-        [brute.residual(v.components) for v in delta.vectors]
-        + [delta.residual(v.components) for v in brute.vectors]
+        [brute.residual(v) for v in delta.vectors]
+        + [delta.residual(v) for v in brute.vectors]
     )
     print(f"-- {name} (2n = {2*n})")
     print(f"   rank Omega* = {omega.rank}, dim Delta* = {delta.dim} "

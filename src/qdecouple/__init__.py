@@ -50,7 +50,6 @@ from .tangent import (
     CodistributionBasis,
     DistributionBasis,
     NonRegularPointError,
-    TangentVector,
     bracket_linear_fields,
     bruteforce_invariant_distribution,
     check_controlled_invariance,

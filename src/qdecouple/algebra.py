@@ -221,8 +221,8 @@ def commutator(a: Operator, b: Operator) -> Operator:
     return Operator(a.space, a.matrix @ b.matrix - b.matrix @ a.matrix)
 
 
-def ladder_pair(n_levels: int, space: HilbertSpace | None = None) -> tuple[Operator, Operator]:
-    """Truncated lowering/raising pair (b, b†) on an n_levels oscillator.
+def ladder_pair(n_levels: int) -> tuple[Operator, Operator]:
+    """Truncated lowering/raising pair (b, b†) on an n_levels oscillator "env".
 
     b|n> = sqrt(n)|n-1> and b†|n> = sqrt(n+1)|n+1>, zero past the top
     level; b† is exactly the conjugate transpose of b, so [b, b†] = I on
@@ -230,22 +230,19 @@ def ladder_pair(n_levels: int, space: HilbertSpace | None = None) -> tuple[Opera
     """
     if n_levels < 2:
         raise ValueError("need at least two oscillator levels")
-    if space is None:
-        space = HilbertSpace((("env", n_levels),))
-    elif space.total_dim != n_levels:
-        raise ValueError("space dimension does not match n_levels")
+    space = HilbertSpace((("env", n_levels),))
     b = np.diag(np.sqrt(np.arange(1, n_levels, dtype=float)), 1).astype(complex)
     return Operator(space, b), Operator(space, b.conj().T)
 
 
-def field_quadrature(w: complex, n_levels: int, space: HilbertSpace | None = None) -> Operator:
+def field_quadrature(w: complex, n_levels: int) -> Operator:
     """Hermitian bath quadrature w b† + w* b on an n_levels oscillator."""
-    b, bd = ladder_pair(n_levels, space)
+    b, bd = ladder_pair(n_levels)
     return Operator(b.space, w * bd.matrix + np.conj(w) * b.matrix)
 
 
-def number_operator(n_levels: int, space: HilbertSpace | None = None) -> Operator:
-    b, bd = ladder_pair(n_levels, space)
+def number_operator(n_levels: int) -> Operator:
+    b, bd = ladder_pair(n_levels)
     return Operator(b.space, bd.matrix @ b.matrix)
 
 

@@ -83,16 +83,6 @@ class ConfigError(ValueError):
     pass
 
 
-def _as_complex(value) -> complex:
-    if value is None:
-        return None
-    if isinstance(value, (int, float)):
-        return complex(value)
-    if isinstance(value, (list, tuple)) and len(value) == 2:
-        return complex(value[0], value[1])
-    raise ConfigError(f"cannot parse complex value {value!r} (use a number or [re, im])")
-
-
 def _finite_number(val) -> bool:
     """A JSON number that is not a boolean, Infinity, NaN or an integer beyond float range."""
     if isinstance(val, bool) or not isinstance(val, (int, float)):
@@ -129,6 +119,9 @@ def load_config(path: str | None, overrides: dict) -> dict:
             cfg[key] = val
     if cfg["scenario"] not in SCENARIOS:
         raise ConfigError(f"unknown scenario {cfg['scenario']!r}")
+    seed = cfg["seed"]
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
     for key in ("tol", "horizon", "dt"):
         val = cfg[key]
         if not _finite_number(val):
@@ -166,17 +159,32 @@ def load_config(path: str | None, overrides: dict) -> dict:
     return cfg
 
 
+def _param_complex(value, key: str) -> complex:
+    """params.<key> as a complex number: a finite number or a [re, im] pair of them."""
+    parts = value if isinstance(value, list) and len(value) == 2 else [value, 0.0]
+    if not all(_finite_number(v) for v in parts):
+        raise ConfigError(f"params.{key} must be a finite number or a [re, im] pair of them, got {value!r}")
+    return complex(*parts)
+
+
 def scenario_params(cfg: dict) -> ScenarioParams:
     p = cfg["params"]
+    if not isinstance(p, dict):
+        raise ConfigError(f"params must be a JSON object, got {p!r}")
+    n_env = p["n_env"]
+    if isinstance(n_env, bool) or not isinstance(n_env, int):
+        raise ConfigError(f"params.n_env must be an integer, got {n_env!r}")
+    g = _param_complex(p["g"], "g")
+    w = None if p["w"] is None else _param_complex(p["w"], "w")
     try:
         return ScenarioParams(
             omega0=float(p["omega0"]),
             omega_env=float(p["omega_env"]),
-            g=_as_complex(p["g"]),
-            w=_as_complex(p.get("w")),
+            g=g,
+            w=w,
             j1=float(p["j1"]),
             j2=float(p["j2"]),
-            n_env=int(p["n_env"]),
+            n_env=n_env,
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad params: {exc}") from exc

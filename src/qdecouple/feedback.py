@@ -41,7 +41,7 @@ import numpy as np
 from .algebra import DEFAULT_TOL, Operator, StateVector, commutator, is_hermitian
 from .models import ControlSystem
 from .spans import RealSpan, leading_rank, realified_nullspace, realify, row_norms
-from .tangent import TangentVector
+from .tangent import tangent_rows
 
 
 class SynthesisError(RuntimeError):
@@ -72,6 +72,7 @@ def commutator_norm_table(mats) -> np.ndarray:
 class CommutingFrame:
     """Frame v_1 = K_I(xi), v_2.. from interaction-commutant operators.
 
+    vectors holds the frame's tangent vectors at base, (k, n) complex.
     field_rows holds the realified drift and control fields at base
     ([K_0, K_1..K_r]) and commutator_norms the pairwise commutator norms of
     the generating operators, both as the plan produced them; a frame
@@ -79,15 +80,18 @@ class CommutingFrame:
     """
 
     base: StateVector
-    vectors: list[TangentVector]
+    vectors: np.ndarray
     generating_ops: list[Operator]
     details: dict = field(default_factory=dict)
     field_rows: np.ndarray | None = None
     commutator_norms: np.ndarray | None = None
 
+    def __post_init__(self):
+        self.vectors = tangent_rows(self.base, self.vectors)
+
     @property
     def rank(self) -> int:
-        return len(self.vectors)
+        return self.vectors.shape[0]
 
     def pairwise_commutator_norms(self) -> np.ndarray:
         if self.commutator_norms is None:
@@ -283,7 +287,7 @@ def build_frame(
         "control_commutant_dim": len(plan.candidates),
     }
     basis = np.zeros((r, 2 * n))
-    vectors: list[TangentVector] = []
+    vectors: list[np.ndarray] = []
     ops: list[Operator] = []
     table_index: list[int] | None = []                     # rows of plan.commutator_norms
 
@@ -292,13 +296,13 @@ def build_frame(
         if direction is None:
             return False
         basis[len(vectors)] = direction
-        vectors.append(TangentVector(xi, val))
+        vectors.append(val)
         return True
 
     if report["interaction_in_control_span"]:
         # K_I always enters: it cleared the interaction floor above
         basis[0] = rows[0] / k_i_norm
-        vectors.append(TangentVector(xi, vals[0]))
+        vectors.append(vals[0])
         ops.append(sys.interaction)
         table_index.append(0)
         for j, cand in enumerate(plan.candidates):
@@ -370,7 +374,7 @@ def synthesize(
     if fields is None:
         fields = realify(np.array([a.matrix @ xi.amplitudes for a in (sys.drift, *sys.controls)]))
     k0, k_rows = fields[0], fields[1:]                                             # (2n,), (r, 2n)
-    v_rows = realify(np.array([v.components for v in frame.vectors]))              # (r, 2n)
+    v_rows = realify(frame.vectors)                                                # (r, 2n)
 
     d = np.linalg.lstsq(k_rows.T, v_rows.T, rcond=None)[0].T                       # v ≈ d K
     resid = row_norms(v_rows - d @ k_rows)
@@ -412,10 +416,9 @@ def synthesize(
     )
 
 
-def closed_loop_generator(sys: ControlSystem, law: FeedbackLaw, v_ext: np.ndarray) -> Operator:
-    """Effective generator A_0 + sum_j (alpha_j + sum_i v_i beta[i,j]) A_j.
-
-    The interaction is added separately by the propagator.
-    """
+def closed_loop_generator(
+    sys: ControlSystem, law: FeedbackLaw, v_ext: np.ndarray, include_interaction: bool
+) -> Operator:
+    """Total generator A_0 + sum_j (alpha_j + sum_i v_i beta[i,j]) A_j (+ A_I)."""
     u = law.alpha + np.asarray(v_ext, dtype=float) @ law.beta
-    return sys.generator(u, include_interaction=False)
+    return sys.generator(u, include_interaction=include_interaction)

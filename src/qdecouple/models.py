@@ -328,12 +328,12 @@ def build_scenario(name: str, p: ScenarioParams, max_power: int = 5) -> ControlS
     raise ValueError(f"unknown scenario {name!r}")
 
 
-def dfs_state(sys: ControlSystem, c1: complex = 1.0, c2: complex = 1.0, env_level: int = 0) -> StateVector:
-    """(c1|01> + c2|10>)/norm (x) |env_level>, matching the system layout."""
+def dfs_state(sys: ControlSystem, c1: complex = 1.0, c2: complex = 1.0) -> StateVector:
+    """(c1|01> + c2|10>)/norm (x) |0...>, matching the system layout."""
     if sys.scenario == "single_qubit":
         raise ValueError("single-qubit system has no two-qubit DFS")
     amps = np.zeros(sys.space.total_dim, dtype=complex)
     tail_dim = sys.space.total_dim // 4    # everything after the two data qubits
-    amps[1 * tail_dim + env_level] = c1    # |01> (x) |0...> (x) |env_level>
-    amps[2 * tail_dim + env_level] = c2    # |10>
+    amps[1 * tail_dim] = c1                # |01> (x) |0...>
+    amps[2 * tail_dim] = c2                # |10> (x) |0...>
     return normalize(sys.space, amps)

@@ -76,9 +76,6 @@ class OperatorSpan:
         """Relative realified least-squares residual of op against the span."""
         return self._span.residual(realify(op.matrix.ravel()))
 
-    def contains(self, op: Operator) -> bool:
-        return self.residual(op) < self.tol
-
 
 @dataclass
 class Verdict:
@@ -228,9 +225,8 @@ def check_closed_loop_necessary(
     if c_tilde is None:
         c_tilde = build_c_tilde(sys, tol=tol)
     brackets = _brackets(_basis_matrices(c_tilde), a_i)
-    norms = row_norms(brackets)
-    live = np.flatnonzero(norms > tol * max(a_i.norm(), 1.0))
-    res = row_norms(c_tilde._span.project_out(brackets[live])) / norms[live]
+    live = np.flatnonzero(row_norms(brackets) > tol * max(a_i.norm(), 1.0))
+    res = c_tilde._span.residuals(brackets[live])
     failing = np.flatnonzero(res > tol)
     if failing.size:
         k = int(live[failing[0]])

@@ -11,6 +11,9 @@ Column semantics:
                            separate diagnostic: the environment
                            self-energy escalates bath-quadrature
                            directions no finite control family contains.
+                           Each state is checked once, drift included;
+                           the closed-loop verdict is that check's
+                           control part.
   closed_loop_restructured The same closed-loop rule applied to the
                            restructured system (bait row); rows without a
                            bait have nothing to restructure and inherit
@@ -45,41 +48,48 @@ def _verdict_str(ok: bool, starred: bool = False) -> str:
     return "YES*" if starred else "YES"
 
 
-def controlled_invariance_at_states(
-    sys: ControlSystem,
-    n_states: int,
-    seed: int,
-    tol: float = 1e-9,
-    include_drift: bool = False,
-) -> dict:
-    """Run the minimal-distribution invariance check at seeded random states."""
+def _summary(oks: list[bool], witnesses: list[dict | None]) -> dict:
+    """Verdict over the states; the witness is that of the first failing state."""
+    witness = next((w for ok, w in zip(oks, witnesses) if not ok), None)
+    return {"ok": all(oks), "stable": len(set(oks)) == 1, "per_state": oks, "witness": witness}
+
+
+def controlled_invariance_at_states(sys: ControlSystem, n_states: int, seed: int, tol: float = 1e-9) -> dict:
+    """Check the minimal distribution at seeded random states, once per state.
+
+    Each check includes the drift.  Its verdict is the drift diagnostic
+    ("drift"); its control part, details["controls_ok"], is the
+    closed-loop condition ("closed_loop").
+    """
     rng = np.random.default_rng(seed)
-    verdicts = []
-    witness = None
+    checks = []
     for _ in range(n_states):
         xi = random_state(sys.space, rng)
         delta = minimal_interaction_distribution(sys, xi, tol=tol)
-        v = check_controlled_invariance(delta, sys, include_drift=include_drift, tol=tol)
-        verdicts.append(v.ok)
-        if witness is None and not v.ok:
-            witness = v.witness
-    return {"ok": all(verdicts), "stable": len(set(verdicts)) == 1, "per_state": verdicts, "witness": witness}
+        checks.append(check_controlled_invariance(delta, sys, tol=tol))
+    witnesses = [v.witness for v in checks]
+    return {
+        "closed_loop": _summary([v.details["controls_ok"] for v in checks], witnesses),
+        "drift": _summary([v.ok for v in checks], witnesses),
+    }
 
 
-def closed_loop_verdict(sys: ControlSystem, n_states: int, seed: int, tol: float = 1e-9, c_tilde=None) -> dict:
-    """Case II necessary conditions plus pointwise controlled invariance."""
+def closed_loop_verdict(sys: ControlSystem, invariance: dict, tol: float = 1e-9, c_tilde=None) -> dict:
+    """Case II necessary conditions plus pointwise controlled invariance.
+
+    invariance is the "closed_loop" part of controlled_invariance_at_states.
+    """
     necessary = check_closed_loop_necessary(sys, c_tilde, tol=tol)
     out = {"necessary_ok": necessary.ok, "witness": necessary.witness}
     if not necessary.ok:
         out.update({"ok": False, "stable": True})
         return out
-    ci = controlled_invariance_at_states(sys, n_states, seed, tol=tol)
     out.update(
         {
-            "ok": ci["ok"],
-            "stable": ci["stable"],
-            "witness": ci["witness"],
-            "invariance_per_state": ci["per_state"],
+            "ok": invariance["ok"],
+            "stable": invariance["stable"],
+            "witness": invariance["witness"],
+            "invariance_per_state": invariance["per_state"],
         }
     )
     return out
@@ -97,6 +107,7 @@ def scenario_report(
     """One table row: open/closed/restructured verdicts with witnesses."""
     sys = build_scenario(name, params, max_power)
     row: dict = {"scenario": name, "dim": sys.space.total_dim}
+    invariance = controlled_invariance_at_states(sys, eval_states, seed, tol=tol)
     try:
         c_tilde = build_c_tilde(sys, max_dim=max_dim, tol=tol)
         row["c_tilde_dim"] = c_tilde.dim
@@ -115,20 +126,20 @@ def scenario_report(
     else:
         open_v = check_open_loop(sys, c_tilde, tol=tol)
         row["open_loop"] = {"verdict": _verdict_str(open_v.ok), "witness": open_v.witness}
-        closed = closed_loop_verdict(sys, eval_states, seed, tol=tol, c_tilde=c_tilde)
+        closed = closed_loop_verdict(sys, invariance["closed_loop"], tol=tol, c_tilde=c_tilde)
         row["closed_loop"] = {
             "verdict": _verdict_str(closed["ok"]),
             "witness": closed["witness"],
             "stable": closed["stable"],
         }
 
-    drift_ci = controlled_invariance_at_states(sys, eval_states, seed, tol=tol, include_drift=True)
-    row["drift_bracket_invariance"] = {"ok": drift_ci["ok"], "witness": drift_ci["witness"]}
+    row["drift_bracket_invariance"] = {"ok": invariance["drift"]["ok"], "witness": invariance["drift"]["witness"]}
 
     if name == "bait":
         restructured = build_restructured(params, max_power)
         ct_r = build_c_tilde(restructured, max_dim=max_dim, tol=tol)
-        closed_r = closed_loop_verdict(restructured, eval_states, seed, tol=tol, c_tilde=ct_r)
+        invariance_r = controlled_invariance_at_states(restructured, eval_states, seed, tol=tol)
+        closed_r = closed_loop_verdict(restructured, invariance_r["closed_loop"], tol=tol, c_tilde=ct_r)
         row["closed_loop_restructured"] = {
             "verdict": _verdict_str(closed_r["ok"], starred=True),
             "witness": closed_r["witness"],

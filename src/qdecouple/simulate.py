@@ -44,6 +44,9 @@ from .models import ControlSystem
 from .spans import RealSpan, realify
 from .tangent import bracket_linear_fields
 
+# hsb_generation_search grows bracket words up to this length
+_MAX_DEPTH = 8
+
 
 class NormDriftError(RuntimeError):
     """State norm drifted beyond the accepted 1e-8 during propagation."""
@@ -172,7 +175,7 @@ def propagate_closed_loop(
                             "action": "synthesized",
                         }
                     )
-                    gen = closed_loop_generator(sys, law, v)
+                    gen = closed_loop_generator(sys, law, v, include_interaction)
                     if collect_audit:
                         row["beta_singular"] = law.beta_singular
                         row["alpha"] = law.alpha.tolist()
@@ -187,17 +190,14 @@ def propagate_closed_loop(
                         report.update({"step": k, "t": t, "scenario": sys.scenario})
                         raise RankDeficiencyError(report)
                     if policy == "freeze" and last_law is not None:
-                        gen = closed_loop_generator(sys, last_law, v)
+                        gen = closed_loop_generator(sys, last_law, v, include_interaction)
                     elif policy == "freeze":
                         report = dict(result.report)
                         report.update({"step": k, "t": t, "note": "no prior law to freeze"})
                         raise RankDeficiencyError(report)
                     else:
-                        gen = sys.generator(v, include_interaction=False)
-                mat = gen.matrix
-                if include_interaction:
-                    mat = mat + sys.interaction.matrix
-                step = unitary_stepper(mat)
+                        gen = sys.generator(v, include_interaction=include_interaction)
+                step = unitary_stepper(gen.matrix)
             xi = step(xi, h)
             t += h
             drift = abs(np.linalg.norm(xi) - 1.0)
@@ -274,9 +274,6 @@ class CbhReport:
     residuals: list[float]
     slope: float | None
     exact: bool
-
-    def certified(self, min_slope: float = 2.7) -> bool:
-        return self.exact or (self.slope is not None and self.slope >= min_slope)
 
 
 def _maneuver_unitary(a: Operator, b: Operator, t: float) -> np.ndarray:
@@ -423,17 +420,14 @@ def verify_commutator_chain(sys: ControlSystem) -> dict:
     return report
 
 
-def hsb_generation_search(
-    sys: ControlSystem,
-    max_depth: int = 8,
-    tol: float = 1e-9,
-) -> dict:
+def hsb_generation_search(sys: ControlSystem, tol: float = 1e-9) -> dict:
     """Search bracket words of the bait controls for the interaction generator.
 
     Phase 1 tries every triple [[H_a, H_b], H_c] for direct proportionality
     to A_SB (the literal claim).  Phase 2 grows left-normed bracket words
     [[...[H_a, H_b], ...], H_c] with provenance until A_SB enters their
-    real span, and records the witness words with their coefficients.
+    real span, a word length adds no direction or the words reach length
+    _MAX_DEPTH, and records the witness words with their coefficients.
     """
     controls = sys.controls
     labels = sys.control_labels
@@ -480,7 +474,7 @@ def hsb_generation_search(
             words.append((lbl, unit))
             frontier.append((lbl, unit))
     found_depth = None
-    for depth in range(2, max_depth + 1):
+    for depth in range(2, _MAX_DEPTH + 1):
         new_frontier = []
         for wl, wop in frontier:
             for gl, gop in zip(labels, controls):

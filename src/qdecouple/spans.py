@@ -143,12 +143,19 @@ class RealSpan:
         res = self.project_out(row[None, :])[0]
         return math.sqrt(np.dot(res, res)) / nrm
 
-    def contains(self, row: np.ndarray) -> bool:
-        return self.residual(row) < self.tol
+    def residuals(self, rows: np.ndarray) -> np.ndarray:
+        """Relative membership residual of each row of a batch, by one projection; 0.0 for a zero row.
 
-    def add(self, row: np.ndarray, floor: float | None = None) -> bool:
+        The same ratio as residual, with the norms reduced by row_norms, so a
+        value can differ from residual's in the last bits.
+        """
+        rows = np.atleast_2d(np.asarray(rows, dtype=float))
+        norms = row_norms(rows)
+        return np.divide(row_norms(self.project_out(rows)), norms, out=np.zeros_like(norms), where=norms > 0.0)
+
+    def add(self, row: np.ndarray) -> bool:
         """Add one vector; returns True if it increased the rank."""
-        kept = self.add_batch(np.asarray(row, dtype=float)[None, :], floor=floor)
+        kept = self.add_batch(np.asarray(row, dtype=float)[None, :])
         return kept.shape[0] > 0
 
     def add_batch(self, rows: np.ndarray, floor: float | None = None) -> np.ndarray:

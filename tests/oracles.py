@@ -5,6 +5,7 @@ from typing import Callable
 import numpy as np
 
 import qdecouple as qd
+from qdecouple.observation import Verdict
 from qdecouple.spans import RealSpan, realify, unrealify
 
 
@@ -66,3 +67,49 @@ def control_algebra_verdict(sys_: qd.ControlSystem, delta: qd.OperatorSpan, tol:
                 if res > tol:
                     return False, {"kind": tag, "member_index": k, "delta_index": d_idx, "residual": res}, details
     return True, None, details
+
+
+def controlled_invariance_per_pair(
+    delta: qd.DistributionBasis,
+    sys: qd.ControlSystem,
+    include_drift: bool = False,
+    tol: float = 1e-9,
+):
+    """The pointwise controlled-invariance test, one bracket Operator and one residual per pair.
+
+    The reference for tangent.check_controlled_invariance: the span grows one
+    row at a time, each (generator, generating op) pair gets its own bracket
+    operator and residual, and the first failing pair in (controls, then
+    drift; delta_index) order is the witness.
+    """
+    if delta.generating_ops is None:
+        raise ValueError("controlled-invariance test needs generating operators")
+    if not delta.generating_ops:
+        return Verdict("controlled_invariance", True, details={"vacuous": True})
+    xi = delta.base
+    n = sys.space.total_dim
+    span = RealSpan(2 * n, tol=tol)
+    for row in realify(delta.vectors):
+        span.add(row)
+    for a in sys.controls:
+        span.add(realify(a.matrix @ xi.amplitudes))
+    gens = list(zip(sys.control_labels, sys.controls))
+    if include_drift:
+        gens = gens + [("drift", sys.drift)]
+    worst = 0.0
+    for label, a in gens:
+        for d_idx, d_op in enumerate(delta.generating_ops):
+            br = qd.bracket_linear_fields(d_op, a)
+            val = br.matrix @ xi.amplitudes
+            nrm = np.linalg.norm(val)
+            if nrm <= tol * max(d_op.norm() * a.norm(), 1.0):
+                continue
+            res = span.residual(realify(val))
+            worst = max(worst, res)
+            if res > tol:
+                return Verdict(
+                    "controlled_invariance",
+                    False,
+                    witness={"kind": "bracket_outside_span", "generator": label, "delta_index": d_idx, "residual": res},
+                )
+    return Verdict("controlled_invariance", True, details={"max_residual": worst})

@@ -202,8 +202,8 @@ def test_criterion_06_duality_and_oracle_equivalence(name, params):
         assert ds.dim + om.rank == 2 * n, (name, k)
         assert ds.dim == bf.dim, (name, k)
         if ds.dim:
-            assert max(bf.residual(v.components) for v in ds.vectors) < TOL
-            assert max(ds.residual(v.components) for v in bf.vectors) < TOL
+            assert max(bf.residual(v) for v in ds.vectors) < TOL
+            assert max(ds.residual(v) for v in bf.vectors) < TOL
     _report(f"criterion 06 duality + oracle equivalence ({name}, 20 states)")
 
 
@@ -218,8 +218,8 @@ def test_criterion_07_closed_loop_termination(restructured):
     ds = om.delta_star()
     ker = qd.kernel_dy(xi, restructured.output_op)
     assert ds.dim == ker.dim
-    assert max(ker.residual(v.components) for v in ds.vectors) < TOL
-    assert max(qd.DistributionBasis(xi, ds.vectors).residual(v.components) for v in ker.vectors) < TOL
+    assert max(ker.residual(v) for v in ds.vectors) < TOL
+    assert max(qd.DistributionBasis(xi, ds.vectors).residual(v) for v in ker.vectors) < TOL
     _report("criterion 07 closed-loop termination after one round")
 
 

@@ -13,7 +13,9 @@ import pytest
 import qdecouple as qd
 from qdecouple import observation
 from qdecouple.observation import CLOSURE, SL_CERTIFICATE, close_c_tilde
-from qdecouple.report import closed_loop_verdict, decouplability_table, scenario_report
+from qdecouple.report import (
+    closed_loop_verdict, controlled_invariance_at_states, decouplability_table, scenario_report
+)
 
 
 def _subspace_distance(a: qd.OperatorSpan, b: qd.OperatorSpan) -> float:
@@ -69,7 +71,7 @@ def test_bait_certificate_equals_kernel_at_default_truncation(bait, bait_c_tilde
     assert cert.details["method"] == SL_CERTIFICATE
     assert cert.dim == bait_c_tilde.dim == 1150
     assert _subspace_distance(cert, bait_c_tilde) < 1e-10
-    assert cert.contains(bait.output_op)
+    assert cert.residual(bait.output_op) < cert.tol
 
 
 def test_certificate_basis_is_orthonormal_and_traceless(bait2):
@@ -155,7 +157,7 @@ def test_blowup_row_reports_the_closure(params):
 
 def _verdicts(sys_):
     ct = qd.build_c_tilde(sys_)
-    closed = closed_loop_verdict(sys_, n_states=2, seed=3, c_tilde=ct)
+    closed = closed_loop_verdict(sys_, controlled_invariance_at_states(sys_, n_states=2, seed=3)["closed_loop"], c_tilde=ct)
     return (
         ct.dim,
         ct.details["method"],

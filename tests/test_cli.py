@@ -183,6 +183,7 @@ def test_config_error_exit_code_2(tmp_path):
     assert run_cli(["check", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
     bad.write_text(json.dumps({"tol": 1.0}))
     assert run_cli(["check", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+    assert run_cli(["check", "--seed", "-1", "--out", str(tmp_path / "o")]) == 2
     # each of these used to crash with a traceback or flip a verdict
     for command, cfg in (
         ("check", {"eval_states": 0}),
@@ -211,6 +212,16 @@ def test_config_error_exit_code_2(tmp_path):
         ("simulate", {"horizon": 10**400}),
         ("simulate", {"horizon": 1.0, "schedule": [{"duration": 5.0, "values": [0, 0, 0, 0]}]}),
         ("simulate", {"schedule": []}),
+        ("check", {"seed": "x"}),
+        ("rank", {"seed": 1.5}),
+        ("check", {"seed": -1}),
+        ("check", {"params": {"g": float("nan")}}),
+        ("rank", {"params": {"g": float("inf")}}),
+        ("check", {"params": {"g": [0.1, float("nan")]}}),
+        ("check", {"params": {"w": float("inf")}}),
+        ("rank", {"params": {"w": float("nan")}}),
+        ("check", {"params": {"n_env": 2.7}}),
+        ("rank", {"params": {"n_env": 2.7}}),
     ):
         bad.write_text(json.dumps(cfg))
         assert run_cli([command, "--config", str(bad), "--out", str(tmp_path / "o")]) == 2, cfg

@@ -96,7 +96,7 @@ def test_batched_commutant_elements(case):
         assert np.linalg.norm(m @ a - a @ m) < 1e-12
     span = qd.OperatorSpan(interaction.space, basis)
     assert span.dim == len(basis)
-    assert span.contains(interaction)
+    assert span.residual(interaction) < span.tol
     identity = qd.Operator(interaction.space, 1j * np.eye(interaction.dim), "skew_hermitian")
-    assert span.contains(identity)
+    assert span.residual(identity) < span.tol
 

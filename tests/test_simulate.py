@@ -140,9 +140,9 @@ class TestStepGrid:
         seen = []
         generator = qdecouple.simulate.closed_loop_generator
 
-        def spy(sys_, law, v):
+        def spy(sys_, law, v, include_interaction):
             seen.append(tuple(v))
-            return generator(sys_, law, v)
+            return generator(sys_, law, v, include_interaction)
 
         monkeypatch.setattr(qdecouple.simulate, "closed_loop_generator", spy)
         xi0 = qd.random_state(commutant_toy.space, np.random.default_rng(14))
@@ -196,13 +196,13 @@ class TestCbh:
         rep = qd.cbh_order_check(ax, ay, [1e-1, 5e-2, 2.5e-2, 1.25e-2])
         assert not rep.exact
         assert 2.7 <= rep.slope <= 3.3
-        assert rep.certified()
+        assert rep.exact or rep.slope >= 2.7
 
     def test_commuting_pair_exact(self):
         sp = qd.HilbertSpace((("qubit", 2),))
         az = qd.Operator(sp, -1j * qd.SIGMA_Z, "skew_hermitian")
         rep = qd.cbh_order_check(az, 0.5 * az, [1e-1, 5e-2, 2.5e-2, 1.25e-2])
-        assert rep.exact and rep.certified()
+        assert rep.exact and (rep.exact or rep.slope >= 2.7)
 
     def test_needs_enough_points(self):
         sp = qd.HilbertSpace((("qubit", 2),))
@@ -241,6 +241,14 @@ class TestHsbGenerationSearch:
         assert rep["membership_depth"] is not None
         words = [w["word"] for w in rep["witness_words"]]
         assert words, "witness bracket words must be recorded"
+
+    def test_search_stops_at_word_length_8(self):
+        # a bait-bath coupling w in phase quadrature with g keeps A_SB out of
+        # the words up to length 8, where the search stops
+        rep = qd.hsb_generation_search(qd.build_scenario("bait", qd.ScenarioParams(w=0.1j)))
+        assert not rep["closure_contains_interaction"]
+        assert rep["membership_depth"] is None
+        assert rep["closure_dim"] == 184
 
 
 class TestEscalation:

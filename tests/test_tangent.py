@@ -4,8 +4,10 @@ import pytest
 import qdecouple as qd
 from qdecouple.algebra import SIGMA_X, SIGMA_Y, SIGMA_Z
 from qdecouple.spans import RealSpan, realify
+from qdecouple.models import build_commutant_toy
+from qdecouple.report import controlled_invariance_at_states
 from qdecouple.tangent import control_field_matrix
-from oracles import fd_field_bracket
+from oracles import controlled_invariance_per_pair, fd_field_bracket
 
 
 class TestEvalField:
@@ -13,7 +15,7 @@ class TestEvalField:
         rng = np.random.default_rng(0)
         xi = qd.random_state(single_qubit.space, rng)
         zero = qd.Operator(single_qubit.space, np.zeros((6, 6)), "skew_hermitian")
-        assert qd.eval_field(zero, xi).norm() == 0.0
+        assert np.linalg.norm(qd.eval_field(zero, xi)) == 0.0
 
     def test_rank_deficiency_at_basis_state(self):
         # {iI, -i sigma_z, -i sigma_x, -i sigma_y} evaluate to rank 3 at |0>
@@ -25,15 +27,15 @@ class TestEvalField:
             qd.Operator(sp, -1j * SIGMA_X, "skew_hermitian"),
             qd.Operator(sp, -1j * SIGMA_Y, "skew_hermitian"),
         ]
-        fields = [qd.eval_field(a, xi).components for a in ops]
+        fields = [qd.eval_field(a, xi) for a in ops]
         assert qd.realified_rank(fields) == 3
 
     def test_sigma_z_on_plus_state(self):
         sp = qd.HilbertSpace((("qubit", 2),))
         xi = qd.normalize(sp, [1, 1])
         out = qd.eval_field(qd.Operator(sp, -1j * SIGMA_Z, "skew_hermitian"), xi)
-        assert np.allclose(out.components, np.array([1j, -1j]) / np.sqrt(2))
-        assert abs(out.norm() - 1.0) < 1e-12
+        assert np.allclose(out, np.array([1j, -1j]) / np.sqrt(2))
+        assert abs(np.linalg.norm(out) - 1.0) < 1e-12
 
     def test_requires_skew(self, single_qubit):
         rng = np.random.default_rng(0)
@@ -95,7 +97,7 @@ class TestKernelDy:
             xi = qd.random_state(two_qubit.space, rng)
             ker = qd.kernel_dy(xi, two_qubit.output_op)
             k_i = qd.eval_field(two_qubit.interaction, xi)
-            assert ker.residual(k_i.components) < 1e-9
+            assert ker.residual(k_i) < 1e-9
 
     def test_listed_kernel_members(self, restructured, params):
         # (I x I) F^i xi and (sigma_z(1)+sigma_z(2)) F^i xi lie in ker(dy)
@@ -126,7 +128,7 @@ class TestOmegaAndBruteForce:
         ds = om.delta_star()
         assert om.rank == 2
         assert ds.dim == ker.dim
-        assert all(ker.residual(v.components) < 1e-9 for v in ds.vectors)
+        assert all(ker.residual(v) < 1e-9 for v in ds.vectors)
 
     @pytest.mark.parametrize("name", ["single_qubit", "two_qubit", "restructured"])
     def test_oracle_equivalence_and_duality(self, name, params):
@@ -143,15 +145,15 @@ class TestOmegaAndBruteForce:
             assert ds.dim + om.rank == 2 * n
             assert ds.dim == bf.dim
             if ds.dim:
-                assert max(bf.residual(v.components) for v in ds.vectors) < 1e-9
-                assert max(ds.residual(v.components) for v in bf.vectors) < 1e-9
+                assert max(bf.residual(v) for v in ds.vectors) < 1e-9
+                assert max(ds.residual(v) for v in bf.vectors) < 1e-9
 
     def test_single_qubit_interaction_not_in_delta_star(self, single_qubit):
         rng = np.random.default_rng(6)
         xi = qd.random_state(single_qubit.space, rng)
         ds = qd.omega_closure_open(single_qubit, xi).delta_star()
         k_i = qd.eval_field(single_qubit.interaction, xi)
-        assert ds.residual(k_i.components) > 1e-3
+        assert ds.residual(k_i) > 1e-3
 
     def test_removal_monotone(self, two_qubit):
         rng = np.random.default_rng(8)
@@ -237,7 +239,7 @@ class TestOmegaClosedLoop:
         ds = om.delta_star()
         ker = qd.kernel_dy(xi, restructured.output_op)
         assert ds.dim == ker.dim
-        assert max(ker.residual(v.components) for v in ds.vectors) < 1e-9
+        assert max(ker.residual(v) for v in ds.vectors) < 1e-9
 
     def test_non_regular_point_detected_at_dfs_state(self, two_qubit):
         # the dy-covector pairing with G vanishes exactly on the DFS but
@@ -257,7 +259,7 @@ class TestOmegaClosedLoop:
         assert oc.rank == oo.rank
         d1, d2 = oc.delta_star(), oo.delta_star()
         assert d1.dim == d2.dim
-        assert max(d2.residual(v.components) for v in d1.vectors) < 1e-9
+        assert max(d2.residual(v) for v in d1.vectors) < 1e-9
 
     def test_two_qubit_bracket_three_part_claim(self, two_qubit):
         # [K_1, K_I] lies in none of: span G, the realized control algebra,
@@ -281,14 +283,14 @@ class TestControlledInvariance:
         for _ in range(3):
             xi = qd.random_state(restructured.space, rng)
             delta = qd.minimal_interaction_distribution(restructured, xi)
-            assert qd.check_controlled_invariance(delta, restructured).ok
+            assert qd.check_controlled_invariance(delta, restructured).details["controls_ok"]
 
     def test_two_qubit_fails_with_bracket_witness(self, two_qubit):
         rng = np.random.default_rng(17)
         xi = qd.random_state(two_qubit.space, rng)
         delta = qd.minimal_interaction_distribution(two_qubit, xi)
         v = qd.check_controlled_invariance(delta, two_qubit)
-        assert not v.ok
+        assert not v.details["controls_ok"]
         assert v.witness["kind"] == "bracket_outside_span"
         assert v.witness["generator"] == "H_1"
 
@@ -309,6 +311,89 @@ class TestControlledInvariance:
         rng = np.random.default_rng(19)
         xi = qd.random_state(restructured.space, rng)
         delta = qd.minimal_interaction_distribution(restructured, xi)
-        v = qd.check_controlled_invariance(delta, restructured, include_drift=True)
+        v = qd.check_controlled_invariance(delta, restructured)
+        assert v.details["controls_ok"]
         assert not v.ok
         assert v.witness["generator"] == "drift"
+
+
+class TestDistributionBasis:
+    def test_refuses_dependent_zero_and_foreign_vectors(self, two_qubit):
+        xi = qd.random_state(two_qubit.space, np.random.default_rng(20))
+        v = qd.eval_field(two_qubit.interaction, xi)
+        w = qd.eval_field(two_qubit.controls[0], xi)
+        assert qd.DistributionBasis(xi, [v, 1j * v, w]).dim == 3       # i v is a new real direction
+        for vectors in ([v, 2 * v], [v, w, v - 0.5 * w], [v, np.zeros_like(v)], [np.zeros_like(v)],
+                        [np.append(v, 0.0)], [v[:-1]]):
+            with pytest.raises(ValueError):
+                qd.DistributionBasis(xi, vectors)
+
+    def test_small_nonzero_vectors_are_kept(self, two_qubit):
+        # independence has no absolute floor: only an exactly zero vector is refused
+        xi = qd.random_state(two_qubit.space, np.random.default_rng(22))
+        v = qd.eval_field(two_qubit.interaction, xi)
+        w = qd.eval_field(two_qubit.controls[0], xi)
+        assert qd.DistributionBasis(xi, [1e-12 * v, 1e-12 * w]).dim == 2
+
+    def test_weak_coupling_below_the_default_tol(self):
+        # g = 1e-10 clears the interaction floor at tol 1e-11; the check must run to a verdict
+        sys_ = qd.build_scenario("two_qubit", qd.ScenarioParams(g=1e-10))
+        xi = qd.random_state(sys_.space, np.random.default_rng(23))
+        delta = qd.minimal_interaction_distribution(sys_, xi, tol=1e-11)
+        assert delta.dim == 1
+        assert not qd.check_controlled_invariance(delta, sys_, tol=1e-11).details["controls_ok"]
+
+
+def _invariance_systems():
+    for n_env in (2, 3):
+        params = qd.ScenarioParams(n_env=n_env)
+        for name in qd.SCENARIOS:
+            yield pytest.param(qd.build_scenario(name, params), id=f"{name}-{n_env}")
+        yield pytest.param(build_commutant_toy(n_env=n_env), id=f"toy-{n_env}")
+
+
+@pytest.mark.parametrize("sys_", list(_invariance_systems()))
+def test_controlled_invariance_matches_the_per_pair_oracle(sys_):
+    rng = np.random.default_rng(21)
+    for _ in range(5):
+        xi = qd.random_state(sys_.space, rng)
+        minimal = qd.minimal_interaction_distribution(sys_, xi)
+        # two generating operators, so that a witness can sit at delta_index 1
+        ops = [sys_.controls[-1], sys_.interaction]
+        pair = qd.DistributionBasis(xi, [qd.eval_field(a, xi) for a in ops], generating_ops=ops)
+        for delta in (minimal, pair):
+            got = qd.check_controlled_invariance(delta, sys_)
+            for include_drift in (False, True):
+                want = controlled_invariance_per_pair(delta, sys_, include_drift=include_drift)
+                # without the drift the oracle decides the control part alone
+                assert (got.ok if include_drift else got.details["controls_ok"]) == want.ok
+                if want.ok and include_drift:
+                    assert abs(got.details["max_residual"] - want.details["max_residual"]) < 1e-12
+                elif not want.ok:
+                    for key in ("kind", "generator", "delta_index"):
+                        assert got.witness[key] == want.witness[key]
+                    assert abs(got.witness["residual"] - want.witness["residual"]) < 1e-12
+
+
+@pytest.mark.parametrize("name", [*qd.SCENARIOS, "toy"])
+def test_one_pass_at_states_equals_two_separate_passes(name, params):
+    sys_ = build_commutant_toy() if name == "toy" else qd.build_scenario(name, params)
+    one = controlled_invariance_at_states(sys_, n_states=5, seed=0)
+    for part, include_drift in (("closed_loop", False), ("drift", True)):
+        rng = np.random.default_rng(0)
+        verdicts = []
+        for _ in range(5):
+            xi = qd.random_state(sys_.space, rng)
+            delta = qd.minimal_interaction_distribution(sys_, xi)
+            verdicts.append(controlled_invariance_per_pair(delta, sys_, include_drift=include_drift))
+        got = one[part]
+        assert got["per_state"] == [v.ok for v in verdicts]
+        assert got["ok"] == all(v.ok for v in verdicts)
+        assert got["stable"] == (len({v.ok for v in verdicts}) == 1)
+        first = next((v.witness for v in verdicts if not v.ok), None)
+        if first is None:
+            assert got["witness"] is None
+        else:
+            assert {k: got["witness"][k] for k in ("kind", "generator", "delta_index")} == \
+                {k: first[k] for k in ("kind", "generator", "delta_index")}
+            assert abs(got["witness"]["residual"] - first["residual"]) < 1e-12
