@@ -41,14 +41,11 @@ vs = [np.array([-1j, 0]), np.array([0, 1j]), np.array([0, -1]), np.array([1j, 0]
 print("the four qubit tangent vectors at |0> have rank", qd.realified_rank(vs), "(not 4)")
 
 print("\n== Lie closure and the blowup signal ==")
-sp2 = qd.HilbertSpace((("qubit", 2),))
-basis = qd.lie_closure([qd.Operator(sp2, -1j * SIGMA_X, "skew_hermitian"),
-                        qd.Operator(sp2, -1j * SIGMA_Y, "skew_hermitian")], max_dim=10)
+basis = qd.lie_closure(np.array([-1j * SIGMA_X, -1j * SIGMA_Y]), max_dim=10)
 print("closure of {-i sigma_x, -i sigma_y} has dimension", len(basis), "(su(2))")
 for n_env in (3, 6):
-    sp = qd.HilbertSpace((("qubit", 2), ("env", n_env)))
     fq = qd.field_quadrature(0.3, n_env).matrix
-    gens = [qd.Operator(sp, -1j * np.kron(s, fq), "skew_hermitian") for s in (SIGMA_X, SIGMA_Y)]
+    gens = np.array([-1j * np.kron(s, fq) for s in (SIGMA_X, SIGMA_Y)])
     dim = len(qd.lie_closure(gens, max_dim=1000))
     print(f"closure of sigma_x/y (x) F at N={n_env}: dimension {dim}")
 print("the dimension grows with the quadrature powers; an infinite environment")

@@ -261,45 +261,42 @@ def vectorized_map(n: int, fn: Callable[[np.ndarray], np.ndarray]) -> Callable[[
     return lambda batch: fn(batch.reshape(-1, n, n)).reshape(-1, n * n)
 
 
-def ad_maps(generators: Sequence[Operator]) -> list[Callable[[np.ndarray], np.ndarray]]:
-    """X -> [A/|A|, X] for each nonzero generator, as vectorized maps (two matmuls per row)."""
+def ad_maps(generators: np.ndarray) -> list[Callable[[np.ndarray], np.ndarray]]:
+    """X -> [A/|A|, X] for each nonzero A of a (k, n, n) stack, as vectorized maps (two matmuls per row)."""
     maps = []
     for g in generators:
-        nrm = g.norm()
+        nrm = np.linalg.norm(g)
         if nrm > 0:
-            a = (1.0 / nrm) * g.matrix
-            maps.append(vectorized_map(g.dim, lambda x, a=a: a @ x - x @ a))
+            a = (1.0 / nrm) * g
+            maps.append(vectorized_map(g.shape[0], lambda x, a=a: a @ x - x @ a))
     return maps
 
 
-def lie_closure(generators: Sequence[Operator], max_dim: int, tol: float = DEFAULT_TOL) -> list[Operator]:
-    """Real basis of the smallest commutator-closed real span of the generators.
+def lie_closure(generators: np.ndarray, max_dim: int, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Real basis of the smallest commutator-closed real span of a (k, n, n) generator stack.
 
-    Closes the span under ad of each generator (left-normed bracket words
-    span the generated Lie algebra, so this reaches the full closure) and
-    raises ClosureBlowupError when the real dimension exceeds max_dim --
-    the finite-truncation signal for environments whose coupling powers
-    keep producing new directions.  The generators are skew-hermitian, so
-    the closure stays in u(n) = i*Herm and runs in the n^2 hermitian
-    coordinates of spans.skew_hermitian_coordinates: an isometry, so the
-    ranks and the closure order are the realified ones, with rows half as
-    long; the basis comes back exactly skew-hermitian.
+    Returns the basis as a complex (L, n, n) stack, exactly skew-hermitian
+    and orthonormal in the Frobenius inner product; (0, n, n) when every
+    generator is zero.  Closes the span under ad of each generator
+    (left-normed bracket words span the generated Lie algebra, so this
+    reaches the full closure) and raises ClosureBlowupError when the real
+    dimension exceeds max_dim -- the finite-truncation signal for
+    environments whose coupling powers keep producing new directions.  The
+    generators are skew-hermitian, so the closure stays in u(n) = i*Herm
+    and runs in the n^2 hermitian coordinates of
+    spans.skew_hermitian_coordinates: an isometry, so the ranks and the
+    closure order are the realified ones, with rows half as long.
     """
-    if not generators:
-        return []
-    space = generators[0].space
-    for g in generators:
-        _require_same_space(generators[0], g)
-        if not is_hermitian(g.matrix, tol, skew=True):
-            raise ValueError("lie_closure expects skew-hermitian generators")
-    seeds = np.array([g.matrix.ravel() / g.norm() for g in generators if g.norm() > 0])
+    n = generators.shape[-1]
+    if not all(is_hermitian(g, tol, skew=True) for g in generators):
+        raise ValueError("lie_closure expects skew-hermitian generators")
+    seeds = np.array([g.ravel() / nrm for g in generators if (nrm := np.linalg.norm(g)) > 0])
     if seeds.size == 0:
-        return []
-    n = space.total_dim
+        return np.zeros((0, n, n), dtype=complex)
     try:
         _, batches, _ = close_real_span(
             seeds, ad_maps(generators), tol=tol, max_dim=max_dim, coords=skew_hermitian_coordinates(n)
         )
     except SpanBlowupError as exc:
         raise ClosureBlowupError(exc.rank, exc.max_dim) from exc
-    return [Operator(space, row.reshape(n, n)) for row in np.vstack(batches)]
+    return np.vstack(batches).reshape(-1, n, n)

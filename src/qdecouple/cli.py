@@ -32,7 +32,7 @@ import numpy as np
 
 from . import __version__
 from .algebra import (
-    SIGMA_X, ClosureBlowupError, embed_product, field_quadrature, lie_closure, normalize, random_state
+    SIGMA_X, embed_product, field_quadrature, lie_closure, normalize, random_state
 )
 from .feedback import FramePlan, RankDeficiencyError, build_frame, synthesize
 from .models import SCENARIOS, ScenarioParams, build_scenario, dfs_state
@@ -176,6 +176,9 @@ def scenario_params(cfg: dict) -> ScenarioParams:
         raise ConfigError(f"params.n_env must be an integer, got {n_env!r}")
     g = _param_complex(p["g"], "g")
     w = None if p["w"] is None else _param_complex(p["w"], "w")
+    for key in ("omega0", "omega_env", "j1", "j2"):
+        if not _finite_number(p[key]):
+            raise ConfigError(f"params.{key} must be a finite number, got {p[key]!r}")
     try:
         return ScenarioParams(
             omega0=float(p["omega0"]),
@@ -186,7 +189,7 @@ def scenario_params(cfg: dict) -> ScenarioParams:
             j2=float(p["j2"]),
             n_env=n_env,
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad params: {exc}") from exc
 
 
@@ -274,11 +277,24 @@ def schedule_from_config(sys, cfg) -> PulseSchedule:
     return sched
 
 
-def _c_tilde_basis_bytes(n: int) -> int:
-    """Bytes of a full C~ basis at dimension n: 2(n^2 - 1) realified rows of
-    2n^2 floats plus as many n x n complex matrices."""
-    rows = 2 * (n * n - 1)
-    return rows * 2 * n * n * 8 + rows * n * n * 16
+# what `check` holds besides the six C~-sized arrays of _check_peak_bytes:
+# measured at 65-101 MiB for n_env 2-5, 58 MiB of it the interpreter with
+# NumPy, SciPy and OpenBLAS loaded
+_CHECK_BASELINE_BYTES = 128 << 20
+
+
+def _check_peak_bytes(n: int) -> int:
+    """Bytes `check` holds at its peak when the bait system has dimension n.
+
+    The unit is one C~-sized array, U = 2(n^2 - 1) realified rows of 2n^2
+    floats: C~'s basis q, and as many bytes as its decoded (k, n, n)
+    matrices or its realified bracket rows.  The closed-loop containment
+    check holds six: q, the matrices, the bracket rows, their live copy and
+    the two products of the projection.  The su(n) Lie closure peaks lower,
+    at about 3.6 U: rows of n^2 floats, a largest candidate batch of about
+    2n^2 complex n x n matrices, its codes and the add_batch temporaries.
+    """
+    return _CHECK_BASELINE_BYTES + 6 * 2 * (n * n - 1) * 2 * n * n * 8
 
 
 def _physical_memory_bytes() -> int | None:
@@ -318,7 +334,7 @@ def cmd_check(cfg: dict, out_dir: Path) -> int:
         raise ConfigError("g = 0 switches the interaction off: there is nothing to decouple from")
     # refuse before building anything: the bait system (two qubits, the bait
     # qubit and the environment) holds the largest C~
-    _refuse_beyond_memory(_c_tilde_basis_bytes(8 * params.n_env), "n_env", params.n_env, "the bait C~ basis")
+    _refuse_beyond_memory(_check_peak_bytes(8 * params.n_env), "n_env", params.n_env, "the bait C~ checks")
     _refuse_oversized_restructured(cfg, params)
     report = decouplability_table(
         params,
@@ -382,19 +398,16 @@ def cmd_rank(cfg: dict, out_dir: Path) -> int:
     sys_ = build_system(cfg, name, params)
     rng = np.random.default_rng(cfg["seed"])
     tol = cfg["tol"]
-    try:
-        algebra = lie_closure(sys_.controls, max_dim=2 * sys_.space.total_dim ** 2, tol=tol)
-    except ClosureBlowupError:
-        algebra = None
+    n = sys_.space.total_dim
+    # lie_closure keeps orthonormal rows in n^2 coordinates, so it never
+    # exceeds max_dim 2n^2.  Its (L, n, n) stack is used as is: a flat
+    # (L n, n) product is big enough for OpenBLAS to thread, which made it
+    # and the small QRs after it slower on 2 cores
+    algebra = lie_closure(sys_.control_stack.reshape(-1, n, n), max_dim=2 * n * n, tol=tol)
     field_ranks = []
     algebra_ranks = []
     res_fields = []
     res_algebra = []
-    n = sys_.space.total_dim
-    if algebra is not None:
-        # kept (L, n, n): a flat (L n, n) product is big enough for OpenBLAS
-        # to thread, which made it and the small QRs after it slower on 2 cores
-        algebra_stack = np.array([a.matrix for a in algebra])
     for _ in range(cfg["rank_states"]):
         xi = random_state(sys_.space, rng)
         span = RealSpan(2 * n, tol=tol)
@@ -402,11 +415,10 @@ def cmd_rank(cfg: dict, out_dir: Path) -> int:
         field_ranks.append(span.rank)
         k_i = realify(sys_.interaction.matrix @ xi.amplitudes)
         res_fields.append(span.residual(k_i))
-        if algebra is not None:
-            span_a = RealSpan(2 * n, tol=tol)
-            span_a.add_batch(realify(algebra_stack @ xi.amplitudes))
-            algebra_ranks.append(span_a.rank)
-            res_algebra.append(span_a.residual(k_i))
+        span_a = RealSpan(2 * n, tol=tol)
+        span_a.add_batch(realify(algebra @ xi.amplitudes))
+        algebra_ranks.append(span_a.rank)
+        res_algebra.append(span_a.residual(k_i))
     def hist(values):
         out = {}
         for v in values:
@@ -423,18 +435,17 @@ def cmd_rank(cfg: dict, out_dir: Path) -> int:
             "below_tol_fraction": float(np.mean([r < tol for r in res_fields])),
             "median_residual": float(np.median(res_fields)),
         },
-    }
-    if algebra is not None:
-        payload["control_algebra_dim"] = len(algebra)
-        payload["control_algebra_rank_histogram"] = hist(algebra_ranks)
-        payload["interaction_membership_in_algebra"] = {
+        "control_algebra_dim": len(algebra),
+        "control_algebra_rank_histogram": hist(algebra_ranks),
+        "interaction_membership_in_algebra": {
             "below_tol_fraction": float(np.mean([r < tol for r in res_algebra])),
             "median_residual": float(np.median(res_algebra)),
-        }
+        },
+    }
     write_report(out_dir, payload)
-    frac = payload.get("interaction_membership_in_algebra", {}).get("below_tol_fraction")
+    frac = payload["interaction_membership_in_algebra"]["below_tol_fraction"]
     print(f"control-field ranks: {payload['control_field_rank_histogram']}; "
-          f"K_I in control algebra at {frac if frac is not None else 'n/a'} of states")
+          f"K_I in control algebra at {frac} of states")
     return 0
 
 

@@ -72,7 +72,8 @@ def commutator_norm_table(mats) -> np.ndarray:
 class CommutingFrame:
     """Frame v_1 = K_I(xi), v_2.. from interaction-commutant operators.
 
-    vectors holds the frame's tangent vectors at base, (k, n) complex.
+    vectors holds the frame's tangent vectors at base, (k, n) complex, and
+    generating_ops the operators that generate them, a (k, n, n) stack.
     field_rows holds the realified drift and control fields at base
     ([K_0, K_1..K_r]) and commutator_norms the pairwise commutator norms of
     the generating operators, both as the plan produced them; a frame
@@ -81,7 +82,7 @@ class CommutingFrame:
 
     base: StateVector
     vectors: np.ndarray
-    generating_ops: list[Operator]
+    generating_ops: np.ndarray
     details: dict = field(default_factory=dict)
     field_rows: np.ndarray | None = None
     commutator_norms: np.ndarray | None = None
@@ -95,7 +96,7 @@ class CommutingFrame:
 
     def pairwise_commutator_norms(self) -> np.ndarray:
         if self.commutator_norms is None:
-            self.commutator_norms = commutator_norm_table([op.matrix for op in self.generating_ops])
+            self.commutator_norms = commutator_norm_table(self.generating_ops)
         return self.commutator_norms
 
 
@@ -128,8 +129,8 @@ class FeedbackLaw:
         return leading_rank(s, self.details["tol"]) < self.beta.shape[0]
 
 
-def commutant_basis(a_i: Operator, tol: float = DEFAULT_TOL) -> list[Operator]:
-    """Real basis of the skew-hermitian solutions of [X, A_I] = 0.
+def commutant_basis(a_i: Operator, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Real basis of the skew-hermitian solutions of [X, A_I] = 0, as a (k, n, n) stack.
 
     Parameterizes the skew-hermitian matrices (real dimension n^2) and
     returns the kernel of the realified commutation map; the kernel always
@@ -166,48 +167,45 @@ def commutant_basis(a_i: Operator, tol: float = DEFAULT_TOL) -> list[Operator]:
     out.real[:, re_pos] = null[:, re_elem] * re_sign
     out.imag[:, im_pos] = null[:, im_elem]
     out *= (1.0 / np.linalg.norm(out, axis=1))[:, None]
-    return [Operator(a_i.space, mat) for mat in out.reshape(-1, n, n)]
+    return out.reshape(-1, n, n)
 
 
-def control_commutant_combos(sys: ControlSystem, tol: float = DEFAULT_TOL) -> list[Operator]:
-    """Real combinations of the control generators commuting with A_I.
+def control_commutant_combos(sys: ControlSystem, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Unit real combinations of the control generators commuting with A_I, as a (k, n, n) stack.
 
     These are the preferred commuting-frame candidates: being exact combos
     of the controls, their d-matrix rows are state-independent constants,
     so the synthesized feedback inherits no pointwise rank noise.
     """
-    r = sys.n_controls
+    n, r = sys.space.total_dim, sys.n_controls
     if r == 0:
-        return []
+        return np.zeros((0, n, n), dtype=complex)
     rows = np.array(
         [realify(commutator(a, sys.interaction).matrix.ravel()) for a in sys.controls]
     )
     null = realified_nullspace(rows.T, r, tol=tol)
-    out = []
-    mats = np.array([a.matrix for a in sys.controls])
-    for coeffs in null:
-        mat = np.tensordot(coeffs, mats, axes=1)
-        nrm = np.linalg.norm(mat)
-        if nrm > tol:
-            out.append(Operator(sys.space, mat / nrm))
-    return out
+    mats = sys.control_stack.reshape(r, n, n)
+    combos = [np.tensordot(coeffs, mats, axes=1) for coeffs in null]
+    return np.array([m / nrm for m in combos if (nrm := np.linalg.norm(m)) > tol]).reshape(-1, n, n)
 
 
 @dataclass
 class FramePlan:
     """The state-independent half of frame construction for one system.
 
+    Operator families are (k, n, n) complex stacks: candidates are the
+    control-commutant combinations, commutant the commutant basis of A_I.
     stack holds the generator matrices evaluated at every state, one n-row
-    block each, in the order A_I, A_0, A_1..A_r, then the control-commutant
-    candidates; the commutant's fields are evaluated only when the
+    block each, in the order A_I, A_0, A_1..A_r (from sys.control_stack),
+    then the candidates; the commutant's fields are evaluated only when the
     candidates fall short of rank r.  commutator_norms is the pairwise
     table over [A_I, *candidates].
     """
 
     sys: ControlSystem
     tol: float
-    candidates: list[Operator]
-    commutant: list[Operator]
+    candidates: np.ndarray
+    commutant: np.ndarray
     stack: np.ndarray
     commutator_norms: np.ndarray
     interaction_floor: float
@@ -216,15 +214,15 @@ class FramePlan:
     def build(cls, sys: ControlSystem, tol: float = DEFAULT_TOL) -> "FramePlan":
         n = sys.space.total_dim
         candidates = control_commutant_combos(sys, tol=tol)
-        commutant = commutant_basis(sys.interaction, tol=tol)
-        fields = [sys.interaction, sys.drift, *sys.controls, *candidates]
+        a_i = sys.interaction.matrix[None]
+        fields = [a_i, sys.drift.matrix[None], sys.control_stack.reshape(-1, n, n), candidates]
         return cls(
             sys=sys,
             tol=tol,
             candidates=candidates,
-            commutant=commutant,
-            stack=np.array([op.matrix for op in fields]).reshape(-1, n),
-            commutator_norms=commutator_norm_table([sys.interaction.matrix, *(c.matrix for c in candidates)]),
+            commutant=commutant_basis(sys.interaction, tol=tol),
+            stack=np.concatenate(fields).reshape(-1, n),
+            commutator_norms=commutator_norm_table(np.concatenate([a_i, candidates])),
             interaction_floor=sys.interaction_floor(tol),
         )
 
@@ -288,7 +286,7 @@ def build_frame(
     }
     basis = np.zeros((r, 2 * n))
     vectors: list[np.ndarray] = []
-    ops: list[Operator] = []
+    ops: list[np.ndarray] = []                             # generating matrices
     table_index: list[int] | None = []                     # rows of plan.commutator_norms
 
     def try_add(val: np.ndarray, row: np.ndarray) -> bool:
@@ -303,7 +301,7 @@ def build_frame(
         # K_I always enters: it cleared the interaction floor above
         basis[0] = rows[0] / k_i_norm
         vectors.append(vals[0])
-        ops.append(sys.interaction)
+        ops.append(sys.interaction.matrix)
         table_index.append(0)
         for j, cand in enumerate(plan.candidates):
             if len(vectors) == r:
@@ -316,12 +314,10 @@ def build_frame(
             # span(G(xi)); the projector onto the valid combination
             # subspace is basis-independent, keeping the candidate order
             # as reproducible as the pointwise ranks allow
-            m = len(plan.commutant)
-            report["commutant_dim"] = m
-            comm_mats = np.array([op.matrix for op in plan.commutant]).reshape(m, n, n)
-            w_vals = comm_mats @ xi.amplitudes
+            report["commutant_dim"] = len(plan.commutant)
+            w_vals = plan.commutant @ xi.amplitudes
             res_w = g_span.project_out(realify(w_vals))
-            combo_basis = realified_nullspace(res_w.T, m, tol=tol)
+            combo_basis = realified_nullspace(res_w.T, len(plan.commutant), tol=tol)
             combos = combo_basis.T @ combo_basis               # projected e_1..e_m
             for coeffs in combos:
                 if len(vectors) == r:
@@ -330,7 +326,7 @@ def build_frame(
                     continue
                 val = coeffs @ w_vals
                 if try_add(val, realify(val)):
-                    ops.append(Operator(sys.space, np.tensordot(coeffs, comm_mats, axes=1)))
+                    ops.append(np.tensordot(coeffs, plan.commutant, axes=1))
                     table_index = None
     report["frame_rank"] = len(vectors)
     report["missing_codim"] = r - len(vectors)
@@ -338,7 +334,7 @@ def build_frame(
         return FrameResult(False, None, report)
     norms = None if table_index is None else plan.commutator_norms.take(table_index, 0).take(table_index, 1)
     frame = CommutingFrame(
-        xi, vectors, ops, details=dict(report), field_rows=rows[1 : 2 + r], commutator_norms=norms
+        xi, vectors, np.array(ops), details=dict(report), field_rows=rows[1 : 2 + r], commutator_norms=norms
     )
     frame.details["max_pairwise_commutator"] = float(frame.pairwise_commutator_norms().max(initial=0.0))
     return FrameResult(True, frame, report)

@@ -96,6 +96,12 @@ class ControlSystem:
     def n_controls(self) -> int:
         return len(self.controls)
 
+    @property
+    def generator_stack(self) -> np.ndarray:
+        """(r + 1, n, n): the control generators A_1..A_r, then the drift A_0."""
+        n = self.space.total_dim
+        return np.concatenate([self.control_stack.reshape(-1, n, n), self.drift.matrix[None]])
+
     def generator(self, u: np.ndarray | None = None, include_interaction: bool = True) -> Operator:
         """Total skew generator A_0 + sum u_i A_i (+ A_I)."""
         mat = self.drift.matrix.copy()

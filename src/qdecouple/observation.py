@@ -27,6 +27,13 @@ In every other case (so(n)-type generators, a traced or a hermitian
 output, a closure that would exceed max_dim) it falls back to the
 realified closure close_c_tilde, which stays the oracle.  The verdict
 checks run the same residual tests on either basis.
+
+A family of n x n operators is a complex (k, n, n) stack throughout the
+package; Operator is kept for single operators.  C~ is an OperatorSpan:
+one RealSpan over realified 2n^2 coordinates, whose orthonormal rows
+decode to the stack the checks bracket with A_I in one matmul.  For the
+closure those rows are exactly the batches close_real_span decoded; for
+the certificate they are realify(_sl_basis(n)).
 """
 
 from __future__ import annotations
@@ -44,7 +51,7 @@ from .algebra import (
     lie_closure,
 )
 from .models import ControlSystem
-from .spans import RealSpan, SpanBlowupError, close_real_span, realified_rank, realify, row_norms
+from .spans import RealSpan, SpanBlowupError, close_real_span, realified_rank, realify, row_norms, unrealify
 
 # how build_c_tilde found C~, reported per row as c_tilde_method
 SL_CERTIFICATE = "sl(n) certificate"
@@ -53,28 +60,30 @@ CLOSURE = "closure"
 
 @dataclass
 class OperatorSpan:
-    """Real-linear span of operators with fast membership tests."""
+    """A real-linear span of n x n operators, kept as one RealSpan.
+
+    The span's orthonormal rows are realified row-major matrices (2n^2
+    reals each); matrices decodes them to the (k, n, n) complex stack on
+    demand, so no second copy of the basis is held.
+    """
 
     space: HilbertSpace
-    basis: list[Operator]
-    tol: float = 1e-9
+    span: RealSpan
     details: dict = field(default_factory=dict)
-    _span: RealSpan | None = field(default=None, repr=False)
-
-    def __post_init__(self):
-        if self._span is None:
-            n = self.space.total_dim
-            self._span = RealSpan(2 * n * n, tol=self.tol)
-            for op in self.basis:
-                self._span.add(realify(op.matrix.ravel()))
 
     @property
     def dim(self) -> int:
-        return self._span.rank
+        return self.span.rank
+
+    @property
+    def matrices(self) -> np.ndarray:
+        """The orthonormal basis as a (k, n, n) complex stack."""
+        n = self.space.total_dim
+        return unrealify(self.span.q).reshape(-1, n, n)
 
     def residual(self, op: Operator) -> float:
         """Relative realified least-squares residual of op against the span."""
-        return self._span.residual(realify(op.matrix.ravel()))
+        return self.span.residual(realify(op.matrix.ravel()))
 
 
 @dataclass
@@ -99,28 +108,24 @@ def close_c_tilde(sys: ControlSystem, max_dim: int | None = None, tol: float = 1
     n = sys.space.total_dim
     if max_dim is None:
         max_dim = 2 * n * n
-    maps = ad_maps([*sys.controls, sys.drift])
+    maps = ad_maps(sys.generator_stack)
     seed = sys.output_op.matrix.ravel()
     seed = seed / np.linalg.norm(seed)
     try:
-        span, batches, rounds = close_real_span(seed[None, :], maps, tol=tol, max_dim=max_dim)
+        span, _, rounds = close_real_span(seed[None, :], maps, tol=tol, max_dim=max_dim)
     except SpanBlowupError as exc:
         raise ClosureBlowupError(exc.rank, exc.max_dim) from exc
-    ops = [Operator(sys.space, row.reshape(n, n)) for row in np.vstack(batches)]
-    return OperatorSpan(sys.space, ops, tol=tol, details={"method": CLOSURE, "rounds": rounds}, _span=span)
+    return OperatorSpan(sys.space, span, details={"method": CLOSURE, "rounds": rounds})
 
 
 def _generates_su(sys: ControlSystem, tol: float) -> bool:
     """True when dim lie_closure(pi(controls and drift)) = n^2 - 1, i.e. su(n) is generated."""
     n = sys.space.total_dim
-    eye = np.eye(n)
-    gens = []
-    for g in [*sys.controls, sys.drift]:
-        traceless = g.matrix - (np.trace(g.matrix) / n) * eye
-        # a generator that is a multiple of the identity leaves only roundoff
-        if np.linalg.norm(traceless) > tol * g.norm():
-            gens.append(Operator(sys.space, traceless))
-    return len(lie_closure(gens, max_dim=n * n, tol=tol)) == n * n - 1
+    gens = sys.generator_stack
+    traceless = gens - (np.trace(gens, axis1=1, axis2=2) / n)[:, None, None] * np.eye(n)
+    # a generator that is a multiple of the identity leaves only roundoff
+    keep = np.linalg.norm(traceless, axis=(1, 2)) > tol * np.linalg.norm(gens, axis=(1, 2))
+    return len(lie_closure(traceless[keep], max_dim=n * n, tol=tol)) == n * n - 1
 
 
 def _sl_certificate_applies(sys: ControlSystem, tol: float) -> bool:
@@ -170,14 +175,8 @@ def build_c_tilde(sys: ControlSystem, max_dim: int | None = None, tol: float = 1
         mats = _sl_basis(n)
         span = RealSpan(2 * n * n, tol=tol)
         span.q = realify(mats.reshape(len(mats), n * n))
-        ops = [Operator(sys.space, m) for m in mats]
-        return OperatorSpan(sys.space, ops, tol=tol, details={"method": SL_CERTIFICATE}, _span=span)
+        return OperatorSpan(sys.space, span, details={"method": SL_CERTIFICATE})
     return close_c_tilde(sys, max_dim=max_dim, tol=tol)
-
-
-def _basis_matrices(span: OperatorSpan) -> np.ndarray:
-    n = span.space.total_dim
-    return np.array([op.matrix for op in span.basis]).reshape(-1, n, n)
 
 
 def _brackets(mats: np.ndarray, op: Operator) -> np.ndarray:
@@ -191,7 +190,7 @@ def check_open_loop(sys: ControlSystem, c_tilde: OperatorSpan | None = None, tol
         c_tilde = build_c_tilde(sys, tol=tol)
     a_i = sys.interaction
     scale = max(a_i.norm(), 1.0)
-    mats = _basis_matrices(c_tilde)
+    mats = c_tilde.matrices
     op_norms = np.linalg.norm(mats, axis=(1, 2))
     failing = np.flatnonzero(row_norms(_brackets(mats, a_i)) > tol * scale * np.maximum(op_norms, 1.0))
     if failing.size:
@@ -200,7 +199,7 @@ def check_open_loop(sys: ControlSystem, c_tilde: OperatorSpan | None = None, tol
         # bytes; it is the same Frobenius norm as the batched row norm that
         # failed, so it can be at most the threshold only when that row norm
         # was within rounding of it
-        nrm = commutator(c_tilde.basis[k], a_i).norm()
+        nrm = float(np.linalg.norm(mats[k] @ a_i.matrix - a_i.matrix @ mats[k]))
         return Verdict(
             "open_loop",
             False,
@@ -224,9 +223,10 @@ def check_closed_loop_necessary(
         )
     if c_tilde is None:
         c_tilde = build_c_tilde(sys, tol=tol)
-    brackets = _brackets(_basis_matrices(c_tilde), a_i)
+    mats = c_tilde.matrices
+    brackets = _brackets(mats, a_i)
     live = np.flatnonzero(row_norms(brackets) > tol * max(a_i.norm(), 1.0))
-    res = c_tilde._span.residuals(brackets[live])
+    res = c_tilde.span.residuals(brackets[live])
     failing = np.flatnonzero(res > tol)
     if failing.size:
         k = int(live[failing[0]])
@@ -234,7 +234,7 @@ def check_closed_loop_necessary(
         # their bytes; both formulas are ||P_perp [B_k, A_I]|| / ||[B_k, A_I]||
         # against the same orthonormal basis, so the witness can be at most
         # tol only when the failing batched residual was within rounding of tol
-        residual = c_tilde.residual(commutator(c_tilde.basis[k], a_i))
+        residual = c_tilde.residual(commutator(Operator(sys.space, mats[k]), a_i))
         return Verdict(
             "closed_loop_necessary",
             False,

@@ -15,6 +15,10 @@ array (eval_field returns A xi itself).  A distribution at xi is a
 DistributionBasis: a (k, n) complex array of independent tangent vectors
 and one RealSpan of their realified rows, built once with one add_batch;
 that span's rank is the independence check and answers every residual.
+A family of operators -- the generating operators of a distribution, the
+quadratic generators of a codistribution, a round of the hermitian
+derivative chain -- is a (k, n, n) complex stack, so its fields at xi are
+one product (stack @ xi) and its covectors one covector_of call.
 """
 
 from __future__ import annotations
@@ -55,7 +59,7 @@ class DistributionBasis:
 
     base: StateVector
     vectors: np.ndarray
-    generating_ops: list[Operator] | None = None
+    generating_ops: np.ndarray | None = None                # (m, n, n)
     details: dict = field(default_factory=dict)
     span: RealSpan = field(init=False, repr=False, compare=False)
 
@@ -77,10 +81,10 @@ class DistributionBasis:
 
 @dataclass
 class CodistributionBasis:
-    """Quadratic-form generators and their realized covectors at a state."""
+    """Quadratic-form generators, (k, n, n), and their realized covectors at a state."""
 
     base: StateVector
-    quadratic_generators: list[Operator]
+    quadratic_generators: np.ndarray
     realized_covectors: np.ndarray
     details: dict = field(default_factory=dict)
     tol: float = 1e-9
@@ -118,12 +122,12 @@ def bracket_linear_fields(a: Operator, b: Operator) -> Operator:
 
 def output_covectors(xi: StateVector, c_op: Operator) -> np.ndarray:
     """The two real covectors d(Re y), d(Im y) of y = <xi|C|xi>, realified."""
-    return np.array([covector_of(mat, xi.amplitudes) for mat in (c_op.matrix, -1j * c_op.matrix)])
+    return covector_of(np.array([c_op.matrix, -1j * c_op.matrix]), xi.amplitudes)
 
 
 def covector_of(op_matrix: np.ndarray, xi: np.ndarray) -> np.ndarray:
-    """Realified d(Re <xi|M|xi>) at xi for the quadratic generator M."""
-    return realify((op_matrix + op_matrix.conj().T) @ xi)
+    """Realified d(Re <xi|M|xi>) at xi for a quadratic generator M; one row per M for a (k, n, n) stack."""
+    return realify((op_matrix + np.swapaxes(op_matrix.conj(), -1, -2)) @ xi)
 
 
 def kernel_dy(xi: StateVector, c_op: Operator, tol: float = 1e-9) -> DistributionBasis:
@@ -134,12 +138,13 @@ def kernel_dy(xi: StateVector, c_op: Operator, tol: float = 1e-9) -> Distributio
     return DistributionBasis(xi, unrealify(null), details={"codim": 2 * n - null.shape[0]})
 
 
-def _system_generators(sys: ControlSystem) -> list[Operator]:
-    return [sys.drift, *sys.controls]
+def _system_generators(sys: ControlSystem) -> np.ndarray:
+    """(r + 1, n, n): the drift, then the control generators."""
+    return np.roll(sys.generator_stack, 1, axis=0)
 
 
-def omega_generator_basis(sys: ControlSystem, tol: float = 1e-9) -> tuple[list[Operator], dict]:
-    """State-independent quadratic-generator closure for omega_closure_open.
+def omega_generator_basis(sys: ControlSystem, tol: float = 1e-9) -> tuple[np.ndarray, dict]:
+    """State-independent quadratic-generator closure for omega_closure_open, as a (k, n, n) stack.
 
     The Lie-derivative step on quadratic generators, M -> M A + A† M, is
     -|A| ad_{A/|A|}(M) for skew A, so the closure runs on ad_maps.
@@ -149,15 +154,14 @@ def omega_generator_basis(sys: ControlSystem, tol: float = 1e-9) -> tuple[list[O
     c = c / np.linalg.norm(c)
     maps = ad_maps(_system_generators(sys))
     span, batches, rounds = close_real_span(np.array([c, -1j * c]), maps, tol=tol)
-    ops = [Operator(sys.space, row.reshape(n, n)) for row in np.vstack(batches)]
-    return ops, {"rounds": rounds, "generator_rank": span.rank}
+    return np.vstack(batches).reshape(-1, n, n), {"rounds": rounds, "generator_rank": span.rank}
 
 
 def omega_closure_open(
     sys: ControlSystem,
     xi: StateVector,
     tol: float = 1e-9,
-    generators: tuple[list[Operator], dict] | None = None,
+    generators: tuple[np.ndarray, dict] | None = None,
 ) -> CodistributionBasis:
     """Codistribution closure Omega <- Omega + sum_A L_{K_A} Omega.
 
@@ -169,9 +173,8 @@ def omega_closure_open(
     """
     if generators is None:
         generators = omega_generator_basis(sys, tol=tol)
-    ops, details = generators
-    covs = np.array([covector_of(op.matrix, xi.amplitudes) for op in ops])
-    return CodistributionBasis(xi, ops, covs, details=dict(details), tol=tol)
+    mats, details = generators
+    return CodistributionBasis(xi, mats, covector_of(mats, xi.amplitudes), details=dict(details), tol=tol)
 
 
 def control_field_matrix(sys: ControlSystem, xi: StateVector) -> np.ndarray:
@@ -195,7 +198,7 @@ def omega_closure_closed(sys: ControlSystem, xi: StateVector, tol: float = 1e-9)
     maps = ad_maps(_system_generators(sys))
     c = sys.output_op.matrix.ravel()
     c = c / np.linalg.norm(c)
-    gens = [c, -1j * c]
+    gens = np.array([c, -1j * c])                            # (m, n^2), row-major matrices
     span = RealSpan(2 * n * n, tol=tol)
     for gvec in gens:
         span.add(realify(gvec))
@@ -212,11 +215,11 @@ def omega_closure_closed(sys: ControlSystem, xi: StateVector, tol: float = 1e-9)
     rounds = 0
     while True:
         rounds += 1
-        mats = [g.reshape(n, n) for g in gens]
+        mats = gens.reshape(-1, n, n)
         if sys.n_controls:
             pair_blocks = []
             for id_s, s in enumerate(states):
-                w = np.array([covector_of(m, s) for m in mats])  # (m, 2n)
+                w = covector_of(mats, s)                          # (m, 2n)
                 pair_blocks.append(g_fields[id_s] @ w.T)         # (r, m)
             null_at_base = realified_nullspace(pair_blocks[0], len(gens), tol=tol)
             null_all = realified_nullspace(np.vstack(pair_blocks), len(gens), tol=tol)
@@ -230,29 +233,27 @@ def omega_closure_closed(sys: ControlSystem, xi: StateVector, tol: float = 1e-9)
             combos = np.eye(len(gens))
         if combos.shape[0] == 0:
             break
-        g_arr = np.array(gens)
-        selected = combos @ g_arr                                # (k, n^2) complex
+        selected = combos @ gens                                 # (k, n^2) complex
         candidates = np.vstack([f(selected) for f in maps])
         new = span.add_batch(realify(candidates))
         if new.shape[0] == 0:
             break
-        gens.extend(unrealify(new))
-    ops = [Operator(sys.space, g.reshape(n, n)) for g in gens]
-    covs = np.array([covector_of(op.matrix, xi.amplitudes) for op in ops])
-    covs = np.vstack([covs, output_covectors(xi, sys.output_op)])
+        gens = np.vstack([gens, unrealify(new)])
+    mats = gens.reshape(-1, n, n)
+    covs = np.vstack([covector_of(mats, xi.amplitudes), output_covectors(xi, sys.output_op)])
     return CodistributionBasis(
-        xi, ops, covs, details={"rounds": rounds, "generator_rank": span.rank}, tol=tol
+        xi, mats, covs, details={"rounds": rounds, "generator_rank": span.rank}, tol=tol
     )
 
 
-def hermitian_derivative_chain(sys: ControlSystem, tol: float = 1e-9) -> list[list[Operator]]:
+def hermitian_derivative_chain(sys: ControlSystem, tol: float = 1e-9) -> list[np.ndarray]:
     """Hermitian differentials of the iterated output Lie derivatives.
 
     d(L_{K_w} Re y) at any state is realified(H xi) for a hermitian H, and
     the H's are generated from the output's hermitian parts by ad-chains
     under the drift and controls (taking hermitian parts commutes with
-    bracketing against skew generators).  Returns one batch of new
-    hermitian operators per chain round, state-independently: the rounds
+    bracketing against skew generators).  Returns one (k, n, n) stack of
+    new hermitian operators per chain round, state-independently: the rounds
     of the ad-closure, hermitian because its seeds are and ad by a skew
     generator preserves hermiticity.
     """
@@ -260,14 +261,14 @@ def hermitian_derivative_chain(sys: ControlSystem, tol: float = 1e-9) -> list[li
     c_mat = sys.output_op.matrix
     seeds = np.array([(c_mat + c_mat.conj().T).ravel(), (-1j * (c_mat - c_mat.conj().T)).ravel()])
     _, batches, _ = close_real_span(seeds, ad_maps(_system_generators(sys)), tol=tol)
-    return [[Operator(sys.space, h.reshape(n, n)) for h in batch] for batch in batches]
+    return [batch.reshape(-1, n, n) for batch in batches]
 
 
 def bruteforce_invariant_distribution(
     sys: ControlSystem,
     xi: StateVector,
     tol: float = 1e-9,
-    chains: list[list[Operator]] | None = None,
+    chains: list[np.ndarray] | None = None,
 ) -> DistributionBasis:
     """Iterative-removal computation of the maximal invariant distribution.
 
@@ -286,25 +287,22 @@ def bruteforce_invariant_distribution(
     if chains is None:
         chains = hermitian_derivative_chain(sys, tol)
     x = xi.amplitudes
-    basis = realified_nullspace(
-        np.array([realify(h.matrix @ x) for h in chains[0]]), 2 * n, tol=tol
-    )
+    basis = realified_nullspace(realify(chains[0] @ x), 2 * n, tol=tol)
     dims = [basis.shape[0]]
     for batch in chains[1:]:
         if basis.shape[0] == 0:
             break
-        covs = np.array([realify(h.matrix @ x) for h in batch])
+        covs = realify(batch @ x)
         pair = basis @ covs.T                                    # (dim, k)
         keep = realified_nullspace(pair.T, basis.shape[0], tol=tol)
         if keep.shape[0] < basis.shape[0]:
             basis = keep @ basis
         dims.append(basis.shape[0])
     vectors = unrealify(basis)
-    gen_ops = [Operator(sys.space, np.outer(v, x.conj())) for v in vectors]
     return DistributionBasis(
         xi,
         vectors,
-        generating_ops=gen_ops,
+        generating_ops=vectors[:, :, None] * x.conj(),       # the outer products |v><xi|
         details={"iteration_dims": dims, "chain_rounds": len(chains)},
     )
 
@@ -314,7 +312,7 @@ def minimal_interaction_distribution(sys: ControlSystem, xi: StateVector, tol: f
     k_i = eval_field(sys.interaction, xi)
     if np.linalg.norm(k_i) <= sys.interaction_floor(tol):
         raise ValueError("interaction field vanishes at this state")
-    return DistributionBasis(xi, k_i[None, :], generating_ops=[sys.interaction])
+    return DistributionBasis(xi, k_i[None, :], generating_ops=sys.interaction.matrix[None])
 
 
 def check_controlled_invariance(delta: DistributionBasis, sys: ControlSystem, tol: float = 1e-9):
@@ -336,14 +334,14 @@ def check_controlled_invariance(delta: DistributionBasis, sys: ControlSystem, to
     """
     if delta.generating_ops is None:
         raise ValueError("controlled-invariance test needs generating operators")
-    if not delta.generating_ops:
+    if not len(delta.generating_ops):
         return Verdict("controlled_invariance", True, details={"vacuous": True, "controls_ok": True})
     x = delta.base.amplitudes
     n = sys.space.total_dim
     r = sys.n_controls
     labels = [*sys.control_labels, "drift"]
-    gens = np.concatenate([sys.control_stack.reshape(r, n, n), sys.drift.matrix[None]])
-    ops = np.array([op.matrix for op in delta.generating_ops])
+    gens = sys.generator_stack
+    ops = delta.generating_ops
     gen_fields = gens @ x                                   # (r + 1, n): A xi
     op_fields = ops @ x                                     # (k, n): D xi
     span = RealSpan(2 * n, tol=tol)

@@ -5,8 +5,22 @@ from typing import Callable
 import numpy as np
 
 import qdecouple as qd
-from qdecouple.observation import Verdict
+from qdecouple.observation import OperatorSpan, Verdict
 from qdecouple.spans import RealSpan, realify, unrealify
+
+
+def operator_span(space: qd.HilbertSpace, family, tol: float = 1e-9) -> OperatorSpan:
+    """The OperatorSpan of a (k, n, n) stack or a list of Operators, by one add_batch of realified rows."""
+    n = space.total_dim
+    mats = np.array([getattr(m, "matrix", m) for m in family], dtype=complex).reshape(-1, n * n)
+    span = RealSpan(2 * n * n, tol=tol)
+    span.add_batch(realify(mats))
+    return OperatorSpan(space, span)
+
+
+def operators(space: qd.HilbertSpace, mats) -> list[qd.Operator]:
+    """One Operator per matrix of a (k, n, n) stack, for the one-at-a-time oracles."""
+    return [qd.Operator(space, m) for m in mats]
 
 
 def fd_field_bracket(
@@ -53,13 +67,15 @@ def control_algebra_verdict(sys_: qd.ControlSystem, delta: qd.OperatorSpan, tol:
     Returns (ok, witness, details) with details {"g_dim", "c_set_size"}.
     """
     n = sys_.space.total_dim
-    g_alg = qd.lie_closure(sys_.controls, max_dim=2 * n * n, tol=tol)
+    algebra = qd.lie_closure(sys_.control_stack.reshape(-1, n, n), max_dim=2 * n * n, tol=tol)
+    g_alg = operators(sys_.space, algebra)
     c_set = [op for k_i in sys_.controls for op in drift_chain(sys_.drift, k_i, tol)]
     details = {"g_dim": len(g_alg), "c_set_size": len(c_set)}
-    combined = qd.OperatorSpan(sys_.space, [*delta.basis, *g_alg], tol=tol)
+    basis = operators(sys_.space, delta.matrices)
+    combined = operator_span(sys_.space, [*basis, *g_alg], tol=tol)
     for tag, family in (("control_algebra", g_alg), ("drift_chain", c_set)):
         for k, other in enumerate(family):
-            for d_idx, d_op in enumerate(delta.basis):
+            for d_idx, d_op in enumerate(basis):
                 br = qd.commutator(d_op, other)
                 if br.norm() <= tol:
                     continue
@@ -84,7 +100,7 @@ def controlled_invariance_per_pair(
     """
     if delta.generating_ops is None:
         raise ValueError("controlled-invariance test needs generating operators")
-    if not delta.generating_ops:
+    if not len(delta.generating_ops):
         return Verdict("controlled_invariance", True, details={"vacuous": True})
     xi = delta.base
     n = sys.space.total_dim
@@ -98,7 +114,7 @@ def controlled_invariance_per_pair(
         gens = gens + [("drift", sys.drift)]
     worst = 0.0
     for label, a in gens:
-        for d_idx, d_op in enumerate(delta.generating_ops):
+        for d_idx, d_op in enumerate(operators(sys.space, delta.generating_ops)):
             br = qd.bracket_linear_fields(d_op, a)
             val = br.matrix @ xi.amplitudes
             nrm = np.linalg.norm(val)

@@ -243,7 +243,7 @@ def test_criterion_08_higher_power_escalation(params):
     # restructured span is built to capture) at >= 95% of them; the
     # literal-field membership fraction is recorded alongside
     full = qd.build_restructured(params, max_power=5)
-    algebra = qd.lie_closure(full.controls, max_dim=2 * 144)
+    algebra = qd.lie_closure(full.control_stack.reshape(-1, 12, 12), max_dim=2 * 144)
     ranks = []
     member_algebra = []
     member_fields = []
@@ -255,7 +255,7 @@ def test_criterion_08_higher_power_escalation(params):
         ranks.append(span_f.rank)
         member_fields.append(span_f.residual(k_i) < TOL)
         span_a = RealSpan(24)
-        span_a.add_batch(np.array([realify(a.matrix @ xi.amplitudes) for a in algebra]))
+        span_a.add_batch(np.array([realify(a @ xi.amplitudes) for a in algebra]))
         member_algebra.append(span_a.residual(k_i) < TOL)
     assert set(ranks) == {12}, "the 24 fields saturate at realified rank 12"
     frac = np.mean(member_algebra)

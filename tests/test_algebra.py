@@ -3,6 +3,7 @@ import pytest
 
 import qdecouple as qd
 from qdecouple.algebra import IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z, is_hermitian, unitary_stepper
+from oracles import operator_span
 
 
 def op2(mat, kind="general"):
@@ -245,19 +246,24 @@ class TestLieClosure:
     def _skew(self, mat):
         return qd.Operator(qd.HilbertSpace((("qubit", 2),)), -1j * np.asarray(mat, complex), "skew_hermitian")
 
+    @staticmethod
+    def _stack(*ops):
+        return np.array([op.matrix for op in ops])
+
     def test_su2_closure(self):
-        basis = qd.lie_closure([self._skew(SIGMA_X), self._skew(SIGMA_Y)], max_dim=10)
+        basis = qd.lie_closure(self._stack(self._skew(SIGMA_X), self._skew(SIGMA_Y)), max_dim=10)
         assert len(basis) == 3
-        span = qd.OperatorSpan(basis[0].space, basis)
-        assert span.residual(self._skew(SIGMA_Z)) < span.tol
+        span = operator_span(self._skew(SIGMA_Z).space, basis)
+        assert span.residual(self._skew(SIGMA_Z)) < span.span.tol
 
     def test_zero_generator_is_accepted(self):
         zero = self._skew(np.zeros((2, 2)))
-        assert qd.lie_closure([zero], max_dim=10) == []
-        assert len(qd.lie_closure([zero, self._skew(SIGMA_X), self._skew(SIGMA_Y)], max_dim=10)) == 3
+        assert len(qd.lie_closure(self._stack(zero), max_dim=10)) == 0
+        gens = self._stack(zero, self._skew(SIGMA_X), self._skew(SIGMA_Y))
+        assert len(qd.lie_closure(gens, max_dim=10)) == 3
 
     def test_abelian_single_generator(self):
-        basis = qd.lie_closure([self._skew(SIGMA_Z)], max_dim=10)
+        basis = qd.lie_closure(self._stack(self._skew(SIGMA_Z)), max_dim=10)
         assert len(basis) == 1
 
     def test_environment_power_growth_and_blowup(self):
@@ -268,7 +274,7 @@ class TestLieClosure:
             gens = [
                 qd.Operator(sp, -1j * np.kron(s, f), "skew_hermitian") for s in (SIGMA_X, SIGMA_Y)
             ]
-            return len(qd.lie_closure(gens, max_dim=max_dim))
+            return len(qd.lie_closure(self._stack(*gens), max_dim=max_dim))
 
         small = closure_dim(3, 200)
         large = closure_dim(6, 400)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import qdecouple.models
-from qdecouple.cli import _physical_memory_bytes, main
+from qdecouple.cli import _check_peak_bytes, _physical_memory_bytes, main
 
 
 def run_cli(args):
@@ -130,6 +130,13 @@ def test_check_refuses_n_env_beyond_physical_memory(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("n_env,rss_mib", [(4, 292.8), (5, 545.4)])
+def test_check_memory_estimate_covers_the_measured_peak(n_env, rss_mib):
+    # ru_maxrss of `qdecouple check` at these n_env (bait n = 8 n_env), one
+    # process each, NumPy 2.4 with OpenBLAS on x86-64 Linux
+    assert _check_peak_bytes(8 * n_env) >= rss_mib * 2**20
+
+
 @pytest.mark.parametrize("command", [
     ["check"], ["simulate"], ["rank"], ["maneuver", "--i", "1", "--j", "2"], ["synthesize-audit"],
 ])
@@ -222,6 +229,8 @@ def test_config_error_exit_code_2(tmp_path):
         ("rank", {"params": {"w": float("nan")}}),
         ("check", {"params": {"n_env": 2.7}}),
         ("rank", {"params": {"n_env": 2.7}}),
+        ("rank", {"params": {"omega0": "1.0"}}),
+        ("rank", {"params": {"j1": True}}),
     ):
         bad.write_text(json.dumps(cfg))
         assert run_cli([command, "--config", str(bad), "--out", str(tmp_path / "o")]) == 2, cfg

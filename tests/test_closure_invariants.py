@@ -15,7 +15,7 @@ from qdecouple.observation import close_c_tilde
 from qdecouple.spans import close_real_span, realify
 from qdecouple.report import decouplability_table
 from qdecouple.tangent import omega_generator_basis
-from oracles import control_algebra_verdict
+from oracles import control_algebra_verdict, operator_span
 
 C_TILDE = {"single_qubit": (6, 3), "two_qubit": (18, 5), "restructured": (286, 8)}
 HERMITIAN_CHAIN_ROUNDS = {
@@ -39,7 +39,7 @@ def test_ad_and_lie_step_maps_match_matrix_forms():
     a = qd.Operator(space, m - m.conj().T, "skew_hermitian")
     xs = np.array([_random_matrix(rng, 6) for _ in range(4)])
     rows = xs.reshape(4, 36)                       # row-major vectorization
-    (ad,) = ad_maps([a])
+    (ad,) = ad_maps(a.matrix[None])
     a_unit = qd.Operator(space, a.matrix / a.norm())
     for x, got_ad in zip(xs, ad(rows)):
         want_ad = qd.commutator(a_unit, qd.Operator(space, x)).matrix
@@ -50,7 +50,7 @@ def test_ad_and_lie_step_maps_match_matrix_forms():
 
 def test_ad_maps_skip_zero_generators():
     space = qd.HilbertSpace((("q", 2),))
-    assert ad_maps([qd.Operator(space, np.zeros((2, 2)), "skew_hermitian")]) == []
+    assert ad_maps(qd.Operator(space, np.zeros((2, 2)), "skew_hermitian").matrix[None]) == []
 
 
 @pytest.mark.parametrize("name", sorted(C_TILDE))
@@ -67,7 +67,7 @@ def test_bait_c_tilde_dim_and_rounds(bait_c_tilde):
 def test_hermitian_chain_round_sizes(name, params):
     chain = qd.hermitian_derivative_chain(qd.build_scenario(name, params))
     assert [len(batch) for batch in chain] == HERMITIAN_CHAIN_ROUNDS[name]
-    assert all(is_hermitian(op.matrix) for batch in chain for op in batch)
+    assert all(is_hermitian(op) for batch in chain for op in batch)
 
 
 @pytest.mark.parametrize("name", sorted(OMEGA_RANK_ROUNDS))
@@ -81,10 +81,11 @@ def _assert_lie_closure_spans_the_realified_closure(gens):
     # lie_closure runs in the n^2 skew-hermitian coordinates; the realified
     # 2n^2-coordinate closure of the same generators is its oracle
     n = gens[0].dim
-    basis = qd.lie_closure(gens, max_dim=2 * n * n)
+    stack = np.array([g.matrix for g in gens])
+    basis = qd.lie_closure(stack, max_dim=2 * n * n)
     seeds = np.array([g.matrix.ravel() / g.norm() for g in gens])
-    span, _, _ = close_real_span(seeds, ad_maps(gens))
-    rows = realify(np.array([op.matrix.ravel() for op in basis]))
+    span, _, _ = close_real_span(seeds, ad_maps(stack))
+    rows = realify(basis.reshape(len(basis), -1))
     assert len(basis) == span.rank
     assert np.abs(rows @ rows.T - np.eye(len(basis))).max() < 1e-12
     assert np.linalg.norm(rows - (rows @ span.q.T) @ span.q) < 1e-10
@@ -107,18 +108,18 @@ def test_lie_closure_of_a_rotated_so4_spans_the_realified_closure():
     for _ in range(2):
         m = rng.normal(size=(4, 4))
         gens.append(qd.Operator(space, u @ (m - m.T) @ u.conj().T, "skew_hermitian"))
-    assert len(qd.lie_closure(gens, max_dim=32)) == 6
+    assert len(qd.lie_closure(np.array([g.matrix for g in gens]), max_dim=32)) == 6
     _assert_lie_closure_spans_the_realified_closure(gens)
 
 
 def test_bait_control_lie_algebra_dim(bait):
     n = bait.space.total_dim
-    assert len(qd.lie_closure(bait.controls, max_dim=2 * n * n)) == 189
+    assert len(qd.lie_closure(bait.control_stack.reshape(-1, n, n), max_dim=2 * n * n)) == 189
 
 
 def test_control_algebra_sizes():
     sys_ = qd.build_restructured(qd.ScenarioParams(omega_env=0.0))
-    ok, _, details = control_algebra_verdict(sys_, qd.OperatorSpan(sys_.space, [sys_.interaction]))
+    ok, _, details = control_algebra_verdict(sys_, operator_span(sys_.space, [sys_.interaction]))
     assert ok
     assert details == {"g_dim": 18, "c_set_size": 72}
 

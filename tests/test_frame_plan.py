@@ -17,6 +17,7 @@ from qdecouple.algebra import SIGMA_X, SIGMA_Y, embed_product
 from qdecouple.cli import main as cli_main
 from qdecouple.feedback import FramePlan, commutator_norm_table, control_commutant_combos
 from qdecouple.spans import RealSpan, realified_nullspace, realify
+from oracles import operators
 
 TOL = 1e-9
 
@@ -46,12 +47,12 @@ def reference_frame_and_law(sys_, xi, tol=TOL):
         for cand in control_commutant_combos(sys_, tol=tol):
             if len(vectors) == r:
                 break
-            try_add(cand.matrix)
+            try_add(cand)
         if len(vectors) < r:
             commutant = qd.commutant_basis(sys_.interaction, tol=tol)
-            w = np.array([realify(op.matrix @ xi.amplitudes) for op in commutant])
+            w = np.array([realify(op @ xi.amplitudes) for op in commutant])
             combo_basis = realified_nullspace(g_span.project_out(w).T, len(commutant), tol=tol)
-            mats = np.array([op.matrix for op in commutant])
+            mats = commutant
             for coeffs in combo_basis.T @ combo_basis:
                 if len(vectors) == r:
                     break
@@ -130,8 +131,8 @@ def test_table_lookup_equals_commutators(commutant_toy):
     xi = qd.random_state(commutant_toy.space, np.random.default_rng(5))
     frame = qd.build_frame(commutant_toy, xi, plan=plan).frame
     by_hand = qd.CommutingFrame(xi, frame.vectors, frame.generating_ops)
-    naive = np.array([[qd.commutator(a, b).norm() for b in frame.generating_ops]
-                      for a in frame.generating_ops])
+    ops = operators(xi.space, frame.generating_ops)
+    naive = np.array([[qd.commutator(a, b).norm() for b in ops] for a in ops])
     np.testing.assert_allclose(frame.pairwise_commutator_norms(), naive, atol=1e-12)
     np.testing.assert_allclose(by_hand.pairwise_commutator_norms(), naive, atol=1e-12)
     assert commutator_norm_table([]).shape == (0, 0)

@@ -5,7 +5,9 @@ import pytest
 
 import qdecouple as qd
 from qdecouple.algebra import SIGMA_X
-from oracles import control_algebra_verdict
+from qdecouple.observation import OperatorSpan
+from qdecouple.spans import RealSpan
+from oracles import control_algebra_verdict, operator_span, operators
 
 
 def _without_interaction(sys_):
@@ -15,9 +17,9 @@ def _without_interaction(sys_):
 
 def test_c_tilde_contains_output_and_is_bracket_stable(single_qubit):
     ct = qd.build_c_tilde(single_qubit)
-    assert ct.residual(single_qubit.output_op) < ct.tol
+    assert ct.residual(single_qubit.output_op) < ct.span.tol
     # one more closure round adds no rank
-    for op in ct.basis:
+    for op in operators(single_qubit.space, ct.matrices):
         for gen in [single_qubit.drift, *single_qubit.controls]:
             assert ct.residual(qd.commutator(op, gen)) < 1e-9 or \
                 qd.commutator(op, gen).norm() < 1e-9
@@ -30,7 +32,7 @@ def test_c_tilde_trivial_without_dynamics(two_qubit):
     )
     ct = qd.build_c_tilde(frozen)
     assert ct.dim == 1            # span{C}: nothing to close over
-    assert ct.residual(frozen.output_op) < ct.tol
+    assert ct.residual(frozen.output_op) < ct.span.tol
 
 
 def test_c_tilde_blowup_signal(bait):
@@ -40,7 +42,8 @@ def test_c_tilde_blowup_signal(bait):
 
 def test_single_qubit_c_tilde_interaction_noncommuting(single_qubit):
     ct = qd.build_c_tilde(single_qubit)
-    bad = [op for op in ct.basis if qd.commutator(op, single_qubit.interaction).norm() > 1e-6]
+    bad = [op for op in operators(single_qubit.space, ct.matrices)
+           if qd.commutator(op, single_qubit.interaction).norm() > 1e-6]
     assert bad, "some C~ element must fail to commute with H_SB"
 
 
@@ -48,7 +51,7 @@ def test_bait_c_tilde_contains_env_coupled_qubit_terms(bait, bait_c_tilde, param
     # sigma_x(1) x I x (g b† + g* b) shows up in the closed span
     f_g = qd.field_quadrature(params.g, params.n_env).matrix
     probe = qd.embed_product(bait.space, {"qubit1": SIGMA_X, "env": f_g}, kind="hermitian").skew()
-    assert bait_c_tilde.residual(probe) < bait_c_tilde.tol
+    assert bait_c_tilde.residual(probe) < bait_c_tilde.span.tol
 
 
 class TestOpenLoop:
@@ -108,7 +111,7 @@ class TestBatchedWitnessParity:
     def _naive_open(sys_, ct, tol=1e-9):
         a_i = sys_.interaction
         scale = max(a_i.norm(), 1.0)
-        for k, op in enumerate(ct.basis):
+        for k, op in enumerate(operators(sys_.space, ct.matrices)):
             nrm = qd.commutator(op, a_i).norm()
             if nrm > tol * scale * max(op.norm(), 1.0):
                 return False, {"kind": "ctilde_interaction_commutator", "basis_index": k, "norm": nrm}
@@ -120,7 +123,7 @@ class TestBatchedWitnessParity:
         c_norm = qd.commutator(sys_.output_op, a_i).norm()
         if c_norm > tol * max(a_i.norm(), 1.0):
             return False, {"kind": "output_interaction_commutator", "norm": c_norm}
-        for k, op in enumerate(ct.basis):
+        for k, op in enumerate(operators(sys_.space, ct.matrices)):
             br = qd.commutator(op, a_i)
             if br.norm() <= tol * max(a_i.norm(), 1.0):
                 continue
@@ -155,9 +158,13 @@ class TestBatchedWitnessParity:
         # elements whose bracket with A_I vanishes go first instead
         ct = qd.build_c_tilde(two_qubit)
         a_i = two_qubit.interaction
-        zero = [qd.commutator(op, a_i).norm() <= 1e-9 for op in ct.basis]
-        order = sorted(range(len(ct.basis)), key=lambda k: not zero[k])
-        reordered = qd.OperatorSpan(two_qubit.space, [ct.basis[k] for k in order])
+        basis = ct.matrices
+        zero = [qd.commutator(op, a_i).norm() <= 1e-9 for op in operators(two_qubit.space, basis)]
+        order = sorted(range(len(basis)), key=lambda k: not zero[k])
+        # the same orthonormal rows, permuted (an add_batch would re-pivot them)
+        permuted = RealSpan(ct.span.dim, tol=ct.span.tol)
+        permuted.q = ct.span.q[order]
+        reordered = OperatorSpan(two_qubit.space, permuted)
         got_open, got_closed = self._assert_parity(two_qubit, reordered)
         assert got_open.witness["basis_index"] == got_closed.witness["basis_index"] == sum(zero) == 5
 
@@ -168,18 +175,18 @@ class TestControlAlgebra:
         # satisfied scenario with Delta = span{H_SB}
         p = qd.ScenarioParams(omega_env=0.0)
         sys_ = qd.build_restructured(p)
-        delta = qd.OperatorSpan(sys_.space, [sys_.interaction])
+        delta = operator_span(sys_.space, [sys_.interaction])
         assert control_algebra_verdict(sys_, delta)[0]
 
     def test_output_violating_delta_fails(self, single_qubit, params):
         f_g = qd.field_quadrature(params.g, params.n_env).matrix
         bad = qd.embed_product(single_qubit.space, {"qubit": SIGMA_X, "env": f_g}, kind="hermitian").skew()
-        delta = qd.OperatorSpan(single_qubit.space, [bad])
+        delta = operator_span(single_qubit.space, [bad])
         ok, witness, _ = control_algebra_verdict(single_qubit, delta)
         assert not ok and witness["kind"] == "control_algebra"
 
     def test_empty_delta_vacuous(self, single_qubit):
-        delta = qd.OperatorSpan(single_qubit.space, [])
+        delta = operator_span(single_qubit.space, [])
         assert control_algebra_verdict(single_qubit, delta)[0]
 
 

@@ -144,7 +144,7 @@ def test_empty_span_and_empty_batch():
 
 
 def test_bait_c_tilde_basis_is_orthonormal(bait_c_tilde):
-    q = bait_c_tilde._span.q
+    q = bait_c_tilde.span.q
     assert q.shape == (1150, 1152)
     assert np.linalg.norm(q @ q.T - np.eye(q.shape[0]), 2) < 1e-13
 

@@ -198,9 +198,9 @@ class TestObservationCorrespondence:
         for m_op in om.quadratic_generators[:6]:
             for a in gens:
                 field = a.matrix @ xi.amplitudes
-                w = qd.tangent.covector_of(m_op.matrix, xi.amplitudes)
+                w = qd.tangent.covector_of(m_op, xi.amplitudes)
                 pair = float(w @ realify(field))
-                form = a.matrix.conj().T @ m_op.matrix + m_op.matrix @ a.matrix
+                form = a.matrix.conj().T @ m_op + m_op @ a.matrix
                 want = np.real(np.vdot(xi.amplitudes, form @ xi.amplitudes))
                 assert abs(pair - want) < 1e-9
 
@@ -270,9 +270,9 @@ class TestOmegaClosedLoop:
         val = br.matrix @ xi.amplitudes
         g_span = RealSpan(24); g_span.add_batch(control_field_matrix(two_qubit, xi))
         assert g_span.residual(realify(val)) > 1e-3
-        algebra = qd.lie_closure(two_qubit.controls, max_dim=600)
+        algebra = qd.lie_closure(two_qubit.control_stack.reshape(-1, 12, 12), max_dim=600)
         a_span = RealSpan(24)
-        a_span.add_batch(np.array([realify(a.matrix @ xi.amplitudes) for a in algebra]))
+        a_span.add_batch(np.array([realify(a @ xi.amplitudes) for a in algebra]))
         assert a_span.residual(realify(val)) > 1e-3
         assert qd.kernel_dy(xi, two_qubit.output_op).residual(val) > 1e-3
 
@@ -297,7 +297,7 @@ class TestControlledInvariance:
     def test_empty_delta_vacuous(self, two_qubit):
         rng = np.random.default_rng(18)
         xi = qd.random_state(two_qubit.space, rng)
-        delta = qd.DistributionBasis(xi, [], generating_ops=[])
+        delta = qd.DistributionBasis(xi, [], generating_ops=np.zeros((0, 12, 12), dtype=complex))
         assert qd.check_controlled_invariance(delta, two_qubit).ok
 
     def test_interaction_field_vanishing_raises(self, two_qubit):
@@ -360,7 +360,8 @@ def test_controlled_invariance_matches_the_per_pair_oracle(sys_):
         minimal = qd.minimal_interaction_distribution(sys_, xi)
         # two generating operators, so that a witness can sit at delta_index 1
         ops = [sys_.controls[-1], sys_.interaction]
-        pair = qd.DistributionBasis(xi, [qd.eval_field(a, xi) for a in ops], generating_ops=ops)
+        pair = qd.DistributionBasis(xi, [qd.eval_field(a, xi) for a in ops],
+                                    generating_ops=np.array([a.matrix for a in ops]))
         for delta in (minimal, pair):
             got = qd.check_controlled_invariance(delta, sys_)
             for include_drift in (False, True):
