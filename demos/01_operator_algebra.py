@@ -2,8 +2,9 @@
 
 Walks through the primitives everything else is built from: the Pauli
 conventions, tensor embedding, the truncated ladder pair, realified rank,
-and a small Lie closure -- including the blowup signal that motivates
-truncating the environment in the first place.
+and small Lie closures -- including how their dimension grows with the
+environment truncation, the growth that motivates truncating the
+environment in the first place.
 """
 
 import numpy as np
@@ -40,13 +41,13 @@ print("rank{v, iv} =", qd.realified_rank([v, 1j * v]), " rank{v, 2v} =", qd.real
 vs = [np.array([-1j, 0]), np.array([0, 1j]), np.array([0, -1]), np.array([1j, 0])]
 print("the four qubit tangent vectors at |0> have rank", qd.realified_rank(vs), "(not 4)")
 
-print("\n== Lie closure and the blowup signal ==")
-basis = qd.lie_closure(np.array([-1j * SIGMA_X, -1j * SIGMA_Y]), max_dim=10)
+print("\n== Lie closure and its growth with the truncation ==")
+basis = qd.lie_closure(np.array([-1j * SIGMA_X, -1j * SIGMA_Y]))
 print("closure of {-i sigma_x, -i sigma_y} has dimension", len(basis), "(su(2))")
 for n_env in (3, 6):
     fq = qd.field_quadrature(0.3, n_env).matrix
     gens = np.array([-1j * np.kron(s, fq) for s in (SIGMA_X, SIGMA_Y)])
-    dim = len(qd.lie_closure(gens, max_dim=1000))
+    dim = len(qd.lie_closure(gens))
     print(f"closure of sigma_x/y (x) F at N={n_env}: dimension {dim}")
 print("the dimension grows with the quadrature powers; an infinite environment")
 print("never closes, which is exactly why the benchmark truncates it.")

@@ -12,7 +12,6 @@ from .algebra import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
-    ClosureBlowupError,
     HilbertSpace,
     Operator,
     StateVector,

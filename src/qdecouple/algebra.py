@@ -27,7 +27,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .spans import SpanBlowupError, close_real_span, skew_hermitian_coordinates
+from .spans import close_real_span, skew_hermitian_coordinates
 
 DEFAULT_TOL = 1e-9
 
@@ -35,15 +35,6 @@ SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, 1.0j], [-1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[-1.0, 0.0], [0.0, 1.0]], dtype=complex)
 IDENTITY_2 = np.eye(2, dtype=complex)
-
-
-class ClosureBlowupError(RuntimeError):
-    """Lie/ad closure exceeded its dimension bound (finite-truncation signal)."""
-
-    def __init__(self, rank: int, max_dim: int):
-        super().__init__(f"closure dimension {rank} exceeded max_dim={max_dim}")
-        self.rank = rank
-        self.max_dim = max_dim
 
 
 @dataclass(frozen=True)
@@ -70,12 +61,6 @@ class HilbertSpace:
     @property
     def labels(self) -> tuple[str, ...]:
         return tuple(l for l, _ in self.factors)
-
-    def dim(self, label: str) -> int:
-        for l, d in self.factors:
-            if l == label:
-                return d
-        raise KeyError(f"unknown factor label {label!r}")
 
 
 def is_hermitian(matrix: np.ndarray, tol: float = DEFAULT_TOL, skew: bool = False) -> bool:
@@ -163,9 +148,6 @@ class StateVector:
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
-
-    def overlap(self, other: "StateVector") -> complex:
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
 
 
 def normalize(space: HilbertSpace, amplitudes: np.ndarray) -> StateVector:
@@ -272,20 +254,19 @@ def ad_maps(generators: np.ndarray) -> list[Callable[[np.ndarray], np.ndarray]]:
     return maps
 
 
-def lie_closure(generators: np.ndarray, max_dim: int, tol: float = DEFAULT_TOL) -> np.ndarray:
+def lie_closure(generators: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Real basis of the smallest commutator-closed real span of a (k, n, n) generator stack.
 
     Returns the basis as a complex (L, n, n) stack, exactly skew-hermitian
     and orthonormal in the Frobenius inner product; (0, n, n) when every
     generator is zero.  Closes the span under ad of each generator
     (left-normed bracket words span the generated Lie algebra, so this
-    reaches the full closure) and raises ClosureBlowupError when the real
-    dimension exceeds max_dim -- the finite-truncation signal for
-    environments whose coupling powers keep producing new directions.  The
-    generators are skew-hermitian, so the closure stays in u(n) = i*Herm
-    and runs in the n^2 hermitian coordinates of
-    spans.skew_hermitian_coordinates: an isometry, so the ranks and the
-    closure order are the realified ones, with rows half as long.
+    reaches the full closure).  The generators are skew-hermitian, so the
+    closure stays in u(n) = i*Herm and runs in the n^2 hermitian
+    coordinates of spans.skew_hermitian_coordinates: an isometry, so the
+    ranks and the closure order are the realified ones, with rows half as
+    long.  It stops at its fixpoint, L <= n^2; on a truncated environment
+    the growth of L with the truncation is the finite-truncation signal.
     """
     n = generators.shape[-1]
     if not all(is_hermitian(g, tol, skew=True) for g in generators):
@@ -293,10 +274,5 @@ def lie_closure(generators: np.ndarray, max_dim: int, tol: float = DEFAULT_TOL) 
     seeds = np.array([g.ravel() / nrm for g in generators if (nrm := np.linalg.norm(g)) > 0])
     if seeds.size == 0:
         return np.zeros((0, n, n), dtype=complex)
-    try:
-        _, batches, _ = close_real_span(
-            seeds, ad_maps(generators), tol=tol, max_dim=max_dim, coords=skew_hermitian_coordinates(n)
-        )
-    except SpanBlowupError as exc:
-        raise ClosureBlowupError(exc.rank, exc.max_dim) from exc
+    _, batches, _ = close_real_span(seeds, ad_maps(generators), tol=tol, coords=skew_hermitian_coordinates(n))
     return np.vstack(batches).reshape(-1, n, n)

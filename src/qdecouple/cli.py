@@ -277,10 +277,13 @@ def schedule_from_config(sys, cfg) -> PulseSchedule:
     return sched
 
 
-# what `check` holds besides the six C~-sized arrays of _check_peak_bytes:
-# measured at 65-101 MiB for n_env 2-5, 58 MiB of it the interpreter with
+# what a command holds besides the arrays its estimate counts: measured at
+# 65-101 MiB for `check` at n_env 2-5, 58 MiB of it the interpreter with
 # NumPy, SciPy and OpenBLAS loaded
-_CHECK_BASELINE_BYTES = 128 << 20
+_BASELINE_BYTES = 128 << 20
+
+# a scenario's dimension n over n_env: the qubits' dimension
+_QUBITS_DIM = {"single_qubit": 2, "two_qubit": 4, "bait": 8, "restructured": 4}
 
 
 def _check_peak_bytes(n: int) -> int:
@@ -294,7 +297,31 @@ def _check_peak_bytes(n: int) -> int:
     at about 3.6 U: rows of n^2 floats, a largest candidate batch of about
     2n^2 complex n x n matrices, its codes and the add_batch temporaries.
     """
-    return _CHECK_BASELINE_BYTES + 6 * 2 * (n * n - 1) * 2 * n * n * 8
+    return _BASELINE_BYTES + 6 * 2 * (n * n - 1) * 2 * n * n * 8
+
+
+def _system_peak_bytes(n: int) -> int:
+    """Bytes a scenario system of dimension n peaks at while it is built.
+
+    tracemalloc shows 17 to 36 complex n x n matrices at n_env 2-5, the bait
+    system the most: it holds 21 (the drift, the interaction, the output and
+    its nine controls twice, listed and in control_stack), and
+    embed_product's products and sums add the rest.  The restructured
+    system's controls beyond the first four are the max_power estimate's.
+    """
+    return 36 * n * n * 16
+
+
+def _plan_peak_bytes(n: int) -> int:
+    """Bytes FramePlan.build holds at its peak for a system of dimension n.
+
+    commutant_basis dominates; its unit is one n^2 x n^2 complex array
+    (16 n^4 bytes).  tracemalloc shows 4.5 of them at bait n_env 2-5: the
+    basis, the brackets with the temporaries of their stacked matmul, the
+    realified rows and the SVD's U.  The SVD's LAPACK workspace, which
+    tracemalloc does not see, brings ru_maxrss to about 8.5.
+    """
+    return _BASELINE_BYTES + 9 * 16 * n**4
 
 
 def _physical_memory_bytes() -> int | None:
@@ -321,8 +348,15 @@ def _refuse_oversized_restructured(cfg: dict, params: ScenarioParams) -> None:
     _refuse_beyond_memory(need, "max_power", cfg["max_power"], "the restructured system's control matrices")
 
 
+def _refuse_oversized_plan(name: str, params: ScenarioParams) -> None:
+    n = _QUBITS_DIM[name] * params.n_env
+    _refuse_beyond_memory(_plan_peak_bytes(n), "n_env", params.n_env, "the feedback frame plan's commutant basis")
+
+
 def build_system(cfg: dict, name: str, params: ScenarioParams):
-    """build_scenario, after refusing a restructured system too big for memory."""
+    """build_scenario, after refusing a system too big for memory."""
+    n = _QUBITS_DIM[name] * params.n_env
+    _refuse_beyond_memory(_system_peak_bytes(n), "n_env", params.n_env, f"the {name} system's matrices")
     if name == "restructured":
         _refuse_oversized_restructured(cfg, params)
     return build_scenario(name, params, cfg["max_power"])
@@ -353,10 +387,12 @@ def cmd_check(cfg: dict, out_dir: Path) -> int:
 
 def cmd_simulate(cfg: dict, out_dir: Path, audit: bool) -> int:
     params = scenario_params(cfg)
+    mode = cfg["feedback_mode"]
+    if mode in ("literal", "regularized"):
+        _refuse_oversized_plan(cfg["scenario"], params)
     sys_ = build_system(cfg, cfg["scenario"], params)
     xi0 = initial_state(sys_, cfg)
     sched = schedule_from_config(sys_, cfg)
-    mode = cfg["feedback_mode"]
     if mode in ("literal", "regularized"):
         k_i = sys_.interaction.matrix @ xi0.amplitudes
         if np.linalg.norm(k_i) <= sys_.interaction_floor(cfg["tol"]):
@@ -399,11 +435,10 @@ def cmd_rank(cfg: dict, out_dir: Path) -> int:
     rng = np.random.default_rng(cfg["seed"])
     tol = cfg["tol"]
     n = sys_.space.total_dim
-    # lie_closure keeps orthonormal rows in n^2 coordinates, so it never
-    # exceeds max_dim 2n^2.  Its (L, n, n) stack is used as is: a flat
-    # (L n, n) product is big enough for OpenBLAS to thread, which made it
-    # and the small QRs after it slower on 2 cores
-    algebra = lie_closure(sys_.control_stack.reshape(-1, n, n), max_dim=2 * n * n, tol=tol)
+    # the control algebra's (L, n, n) stack is used as is: a flat (L n, n)
+    # product is big enough for OpenBLAS to thread, which made it and the
+    # small QRs after it slower on 2 cores
+    algebra = lie_closure(sys_.control_stack.reshape(-1, n, n), tol=tol)
     field_ranks = []
     algebra_ranks = []
     res_fields = []
@@ -456,7 +491,7 @@ def cmd_maneuver(cfg: dict, out_dir: Path, i: int | None, j: int | None, chain: 
     payload = {"command": "maneuver", "config": cfg, "version": __version__, "scenario": name}
     if chain:
         payload["chain"] = verify_commutator_chain(sys_)
-        payload["hsb_generation"] = hsb_generation_search(sys_)
+        payload["hsb_generation"] = hsb_generation_search(sys_, tol=cfg["tol"])
         write_report(out_dir, payload)
         for key, row in payload["chain"].items():
             residual = "n/a" if row["residual"] is None else f"{row['residual']:.2e}"
@@ -498,6 +533,7 @@ def cmd_maneuver(cfg: dict, out_dir: Path, i: int | None, j: int | None, chain: 
 
 def cmd_synthesize_audit(cfg: dict, out_dir: Path) -> int:
     params = scenario_params(cfg)
+    _refuse_oversized_plan(cfg["scenario"], params)
     sys_ = build_system(cfg, cfg["scenario"], params)
     rng = np.random.default_rng(cfg["seed"])
     plan = FramePlan.build(sys_, tol=cfg["tol"])

@@ -24,9 +24,10 @@ hermitian parts H1 = (C + C†)/2, H2 = (C - C†)/2i are linearly
 independent, C lies in no proper one, so C~ = sl(n, C), of real dimension
 2(n^2 - 1), and build_c_tilde returns a fixed orthonormal basis of it.
 In every other case (so(n)-type generators, a traced or a hermitian
-output, a closure that would exceed max_dim) it falls back to the
-realified closure close_c_tilde, which stays the oracle.  The verdict
-checks run the same residual tests on either basis.
+output) it falls back to the realified closure close_c_tilde, which
+stays the oracle.  Both closures stop at their fixpoint, inside the n^2
+and 2n^2 real dimensions they run in.  The verdict checks run the same
+residual tests on either basis.
 
 A family of n x n operators is a complex (k, n, n) stack throughout the
 package; Operator is kept for single operators.  C~ is an OperatorSpan:
@@ -42,16 +43,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import (
-    ClosureBlowupError,
-    HilbertSpace,
-    Operator,
-    ad_maps,
-    commutator,
-    lie_closure,
-)
+from .algebra import HilbertSpace, Operator, ad_maps, commutator, lie_closure
 from .models import ControlSystem
-from .spans import RealSpan, SpanBlowupError, close_real_span, realified_rank, realify, row_norms, unrealify
+from .spans import RealSpan, close_real_span, realified_rank, realify, row_norms, unrealify
 
 # how build_c_tilde found C~, reported per row as c_tilde_method
 SL_CERTIFICATE = "sl(n) certificate"
@@ -96,25 +90,19 @@ class Verdict:
     details: dict = field(default_factory=dict)
 
 
-def close_c_tilde(sys: ControlSystem, max_dim: int | None = None, tol: float = 1e-9) -> OperatorSpan:
+def close_c_tilde(sys: ControlSystem, tol: float = 1e-9) -> OperatorSpan:
     """Stable ad-closure of the output operator under controls and drift.
 
     Iterates span <- span + [A, span] for A over the control generators and
     the drift until the real span stabilizes (the fixpoint does not depend
-    on their order), in realified 2n^2 coordinates.  Raises
-    ClosureBlowupError past max_dim.  The kernel behind build_c_tilde's
-    fallback, and the oracle for its certificate.
+    on their order), in realified 2n^2 coordinates, so it stops at most
+    2n^2 dimensions in.  The kernel behind build_c_tilde's fallback, and
+    the oracle for its certificate.
     """
-    n = sys.space.total_dim
-    if max_dim is None:
-        max_dim = 2 * n * n
     maps = ad_maps(sys.generator_stack)
     seed = sys.output_op.matrix.ravel()
     seed = seed / np.linalg.norm(seed)
-    try:
-        span, _, rounds = close_real_span(seed[None, :], maps, tol=tol, max_dim=max_dim)
-    except SpanBlowupError as exc:
-        raise ClosureBlowupError(exc.rank, exc.max_dim) from exc
+    span, _, rounds = close_real_span(seed[None, :], maps, tol=tol)
     return OperatorSpan(sys.space, span, details={"method": CLOSURE, "rounds": rounds})
 
 
@@ -125,7 +113,7 @@ def _generates_su(sys: ControlSystem, tol: float) -> bool:
     traceless = gens - (np.trace(gens, axis1=1, axis2=2) / n)[:, None, None] * np.eye(n)
     # a generator that is a multiple of the identity leaves only roundoff
     keep = np.linalg.norm(traceless, axis=(1, 2)) > tol * np.linalg.norm(gens, axis=(1, 2))
-    return len(lie_closure(traceless[keep], max_dim=n * n, tol=tol)) == n * n - 1
+    return len(lie_closure(traceless[keep], tol=tol)) == n * n - 1
 
 
 def _sl_certificate_applies(sys: ControlSystem, tol: float) -> bool:
@@ -158,25 +146,22 @@ def _sl_basis(n: int) -> np.ndarray:
     return np.concatenate(pairs)
 
 
-def build_c_tilde(sys: ControlSystem, max_dim: int | None = None, tol: float = 1e-9) -> OperatorSpan:
+def build_c_tilde(sys: ControlSystem, tol: float = 1e-9) -> OperatorSpan:
     """C~, the ad-closure of the output under the controls and the drift.
 
-    When the sl(n) certificate of the module docstring applies and
-    2(n^2 - 1) <= max_dim, returns the fixed orthonormal basis _sl_basis(n)
-    with details {"method": SL_CERTIFICATE}; no closure over 2n^2 real
-    coordinates runs.  Otherwise returns close_c_tilde (details
-    {"method": CLOSURE, "rounds": ...}), which raises ClosureBlowupError
-    past max_dim.  Either way the span is the same subspace.
+    When the sl(n) certificate of the module docstring applies, returns
+    the fixed orthonormal basis _sl_basis(n) with details
+    {"method": SL_CERTIFICATE}; no closure over 2n^2 real coordinates
+    runs.  Otherwise returns close_c_tilde (details {"method": CLOSURE,
+    "rounds": ...}).  Either way the span is the same subspace.
     """
     n = sys.space.total_dim
-    if max_dim is None:
-        max_dim = 2 * n * n
-    if 2 * (n * n - 1) <= max_dim and _sl_certificate_applies(sys, tol):
+    if _sl_certificate_applies(sys, tol):
         mats = _sl_basis(n)
         span = RealSpan(2 * n * n, tol=tol)
         span.q = realify(mats.reshape(len(mats), n * n))
         return OperatorSpan(sys.space, span, details={"method": SL_CERTIFICATE})
-    return close_c_tilde(sys, max_dim=max_dim, tol=tol)
+    return close_c_tilde(sys, tol=tol)
 
 
 def _brackets(mats: np.ndarray, op: Operator) -> np.ndarray:
@@ -184,10 +169,8 @@ def _brackets(mats: np.ndarray, op: Operator) -> np.ndarray:
     return realify((mats @ op.matrix - op.matrix @ mats).reshape(-1, op.dim * op.dim))
 
 
-def check_open_loop(sys: ControlSystem, c_tilde: OperatorSpan | None = None, tol: float = 1e-9) -> Verdict:
-    """Case I: every element of C~ commutes with the interaction generator."""
-    if c_tilde is None:
-        c_tilde = build_c_tilde(sys, tol=tol)
+def check_open_loop(sys: ControlSystem, c_tilde: OperatorSpan, tol: float = 1e-9) -> Verdict:
+    """Case I: every element of C~ (build_c_tilde(sys)) commutes with the interaction generator."""
     a_i = sys.interaction
     scale = max(a_i.norm(), 1.0)
     mats = c_tilde.matrices
@@ -209,10 +192,8 @@ def check_open_loop(sys: ControlSystem, c_tilde: OperatorSpan | None = None, tol
     return Verdict("open_loop", True, details={"c_tilde_dim": c_tilde.dim})
 
 
-def check_closed_loop_necessary(
-    sys: ControlSystem, c_tilde: OperatorSpan | None = None, tol: float = 1e-9
-) -> Verdict:
-    """Case II necessary conditions: [C, A_I] = 0 and [C~, A_I] subset C~."""
+def check_closed_loop_necessary(sys: ControlSystem, c_tilde: OperatorSpan, tol: float = 1e-9) -> Verdict:
+    """Case II necessary conditions: [C, A_I] = 0 and [C~, A_I] subset C~ (c_tilde = build_c_tilde(sys))."""
     a_i = sys.interaction
     c_norm = commutator(sys.output_op, a_i).norm()
     if c_norm > tol * max(a_i.norm(), 1.0):
@@ -221,8 +202,6 @@ def check_closed_loop_necessary(
             False,
             witness={"kind": "output_interaction_commutator", "norm": c_norm},
         )
-    if c_tilde is None:
-        c_tilde = build_c_tilde(sys, tol=tol)
     mats = c_tilde.matrices
     brackets = _brackets(mats, a_i)
     live = np.flatnonzero(row_norms(brackets) > tol * max(a_i.norm(), 1.0))

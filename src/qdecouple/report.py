@@ -34,7 +34,7 @@ import numpy as np
 
 from .algebra import random_state
 from .models import ControlSystem, ScenarioParams, build_restructured, build_scenario
-from .observation import build_c_tilde, check_closed_loop_necessary, check_open_loop
+from .observation import OperatorSpan, build_c_tilde, check_closed_loop_necessary, check_open_loop
 from .tangent import check_controlled_invariance, minimal_interaction_distribution
 
 FOOTNOTE = "decoupled under the finite-dimensional environment truncation"
@@ -74,10 +74,11 @@ def controlled_invariance_at_states(sys: ControlSystem, n_states: int, seed: int
     }
 
 
-def closed_loop_verdict(sys: ControlSystem, invariance: dict, tol: float = 1e-9, c_tilde=None) -> dict:
+def closed_loop_verdict(sys: ControlSystem, invariance: dict, c_tilde: OperatorSpan, tol: float = 1e-9) -> dict:
     """Case II necessary conditions plus pointwise controlled invariance.
 
-    invariance is the "closed_loop" part of controlled_invariance_at_states.
+    invariance is the "closed_loop" part of controlled_invariance_at_states,
+    c_tilde is build_c_tilde(sys).
     """
     necessary = check_closed_loop_necessary(sys, c_tilde, tol=tol)
     out = {"necessary_ok": necessary.ok, "witness": necessary.witness}
@@ -107,13 +108,12 @@ def scenario_report(
     sys = build_scenario(name, params, max_power)
     row: dict = {"scenario": name, "dim": sys.space.total_dim}
     invariance = controlled_invariance_at_states(sys, eval_states, seed, tol=tol)
-    # the closure is capped at 2n^2 in 2n^2 realified coordinates, so it cannot blow up
     c_tilde = build_c_tilde(sys, tol=tol)
     row["c_tilde_dim"] = c_tilde.dim
     row["c_tilde_method"] = c_tilde.details["method"]
     open_v = check_open_loop(sys, c_tilde, tol=tol)
     row["open_loop"] = {"verdict": _verdict_str(open_v.ok), "witness": open_v.witness}
-    closed = closed_loop_verdict(sys, invariance["closed_loop"], tol=tol, c_tilde=c_tilde)
+    closed = closed_loop_verdict(sys, invariance["closed_loop"], c_tilde, tol=tol)
     row["closed_loop"] = {
         "verdict": _verdict_str(closed["ok"]),
         "witness": closed["witness"],
@@ -126,7 +126,7 @@ def scenario_report(
         restructured = build_restructured(params, max_power)
         ct_r = build_c_tilde(restructured, tol=tol)
         invariance_r = controlled_invariance_at_states(restructured, eval_states, seed, tol=tol)
-        closed_r = closed_loop_verdict(restructured, invariance_r["closed_loop"], tol=tol, c_tilde=ct_r)
+        closed_r = closed_loop_verdict(restructured, invariance_r["closed_loop"], ct_r, tol=tol)
         row["closed_loop_restructured"] = {
             "verdict": _verdict_str(closed_r["ok"], starred=True),
             "witness": closed_r["witness"],

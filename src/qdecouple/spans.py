@@ -103,15 +103,6 @@ def skew_hermitian_coordinates(n: int) -> Coordinates:
     return Coordinates(encode, decode)
 
 
-class SpanBlowupError(RuntimeError):
-    """Raised when a span closure exceeds its configured dimension bound."""
-
-    def __init__(self, rank: int, max_dim: int):
-        super().__init__(f"span closure exceeded max_dim={max_dim} (rank {rank})")
-        self.rank = rank
-        self.max_dim = max_dim
-
-
 class RealSpan:
     """Growing orthonormal basis of a real subspace of R^dim."""
 
@@ -235,7 +226,6 @@ def close_real_span(
     seeds: np.ndarray,
     maps: Sequence[Callable[[np.ndarray], np.ndarray]],
     tol: float = 1e-9,
-    max_dim: int | None = None,
     coords: Coordinates = REALIFIED,
 ) -> tuple[RealSpan, list[np.ndarray], int]:
     """Close the real span of complex seed rows under real-linear maps.
@@ -248,11 +238,12 @@ def close_real_span(
         Each maps a (B, m) complex batch to a (B, m) complex batch; the
         closure adds map images of newly found directions until nothing
         new appears (frontier strategy, so every basis direction passes
-        through every map exactly once).
+        through every map exactly once).  The span keeps orthonormal rows
+        in the coordinates' d reals, so every round that does not stop
+        the closure adds at least one of at most d directions: the
+        fixpoint is reached after at most d rounds, and no bound is needed.
     tol : float
         Relative residual threshold for accepting a new direction.
-    max_dim : int, optional
-        Raise SpanBlowupError when the real rank exceeds this.
     coords : Coordinates
         The real coordinates the span is kept in (default: realified).
         Seeds and every map image must lie in the domain of coords.encode.
@@ -274,21 +265,18 @@ def close_real_span(
     while frontier.shape[0] and maps:
         rounds += 1
         candidates = np.vstack([np.atleast_2d(f(frontier)) for f in maps])
-        new = span.add_batch(coords.encode(candidates))
-        if max_dim is not None and span.rank > max_dim:
-            raise SpanBlowupError(span.rank, max_dim)
-        frontier = coords.decode(new)
+        frontier = coords.decode(span.add_batch(coords.encode(candidates)))
         if frontier.shape[0]:
             batches.append(frontier)
     return span, batches, rounds
 
 
-def realified_nullspace(rows: np.ndarray, dim: int, tol: float = 1e-9, floor: float = 1.0) -> np.ndarray:
+def realified_nullspace(rows: np.ndarray, dim: int, tol: float = 1e-9) -> np.ndarray:
     """Orthonormal basis (rows) of the real null space of a constraint stack.
 
-    The singular values are cut by leading_rank with the given floor: the
-    absolute floor keeps a numerically-zero stack (pure roundoff) from
-    masquerading as full rank.  U is never read, so a stack with at least
+    The singular values are cut by leading_rank with floor 1: singular
+    values at most tol * max(s_max, 1) are not constraints, so a
+    numerically-zero stack (pure roundoff) cannot masquerade as full rank.  U is never read, so a stack with at least
     as many rows as columns takes the thin SVD: its vt is already square and
     complete and the cut sees the same singular values.  Only a wide stack
     needs the full vt, whose trailing rows span the rest of the null space.
@@ -297,7 +285,7 @@ def realified_nullspace(rows: np.ndarray, dim: int, tol: float = 1e-9, floor: fl
     if rows.size == 0 or not np.linalg.norm(rows, axis=1).any():
         return np.eye(dim)
     _, s, vt = np.linalg.svd(rows, full_matrices=rows.shape[0] < rows.shape[1])
-    return vt[leading_rank(s, tol, floor):]
+    return vt[leading_rank(s, tol, floor=1.0):]
 
 
 def realified_rank(vectors: Iterable[np.ndarray], tol: float = 1e-9) -> int:

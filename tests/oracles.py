@@ -67,7 +67,7 @@ def control_algebra_verdict(sys_: qd.ControlSystem, delta: qd.OperatorSpan, tol:
     Returns (ok, witness, details) with details {"g_dim", "c_set_size"}.
     """
     n = sys_.space.total_dim
-    algebra = qd.lie_closure(sys_.control_stack.reshape(-1, n, n), max_dim=2 * n * n, tol=tol)
+    algebra = qd.lie_closure(sys_.control_stack.reshape(-1, n, n), tol=tol)
     g_alg = operators(sys_.space, algebra)
     c_set = [op for k_i in sys_.controls for op in drift_chain(sys_.drift, k_i, tol)]
     details = {"g_dim": len(g_alg), "c_set_size": len(c_set)}

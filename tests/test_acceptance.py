@@ -243,7 +243,7 @@ def test_criterion_08_higher_power_escalation(params):
     # restructured span is built to capture) at >= 95% of them; the
     # literal-field membership fraction is recorded alongside
     full = qd.build_restructured(params, max_power=5)
-    algebra = qd.lie_closure(full.control_stack.reshape(-1, 12, 12), max_dim=2 * 144)
+    algebra = qd.lie_closure(full.control_stack.reshape(-1, 12, 12))
     ranks = []
     member_algebra = []
     member_fields = []

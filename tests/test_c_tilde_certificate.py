@@ -107,7 +107,7 @@ def test_so_n_generators_fall_back():
     c = rng.normal(size=(4, 4))
     c -= np.trace(c) / 4 * np.eye(4)
     sys_ = qd.ControlSystem(space, so4(), [so4(), so4()], so4(), qd.Operator(space, c), scenario="so4")
-    assert len(qd.lie_closure(np.array([a.matrix for a in (sys_.drift, *sys_.controls)]), max_dim=32)) == 6
+    assert len(qd.lie_closure(np.array([a.matrix for a in (sys_.drift, *sys_.controls)]))) == 6
     ct = qd.build_c_tilde(sys_)
     assert ct.details["method"] == CLOSURE
     assert ct.dim == close_c_tilde(sys_).dim == 15
@@ -142,15 +142,9 @@ def test_one_short_of_su_n_does_not_certify(bait2, monkeypatch):
     assert ct.dim == 510
 
 
-def test_max_dim_below_sl_n_raises_as_before(bait2):
-    with pytest.raises(qd.ClosureBlowupError):
-        qd.build_c_tilde(bait2, max_dim=509)
-    assert qd.build_c_tilde(bait2, max_dim=510).details["method"] == SL_CERTIFICATE
-
-
 def _verdicts(sys_):
     ct = qd.build_c_tilde(sys_)
-    closed = closed_loop_verdict(sys_, controlled_invariance_at_states(sys_, n_states=2, seed=3)["closed_loop"], c_tilde=ct)
+    closed = closed_loop_verdict(sys_, controlled_invariance_at_states(sys_, n_states=2, seed=3)["closed_loop"], ct)
     return (
         ct.dim,
         ct.details["method"],

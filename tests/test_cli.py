@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import qdecouple.models
-from qdecouple.cli import _check_peak_bytes, _physical_memory_bytes, main
+from qdecouple.cli import _check_peak_bytes, _physical_memory_bytes, _plan_peak_bytes, main
 
 
 def run_cli(args):
@@ -137,11 +137,16 @@ def test_check_memory_estimate_covers_the_measured_peak(n_env, rss_mib):
     assert _check_peak_bytes(8 * n_env) >= rss_mib * 2**20
 
 
-@pytest.mark.parametrize("command", [
-    ["check"], ["simulate"], ["rank"], ["maneuver", "--i", "1", "--j", "2"], ["synthesize-audit"],
-])
-def test_max_power_beyond_physical_memory_is_refused(tmp_path, capsys, monkeypatch, command):
-    # 4 * 10^12 controls of 12 x 12 complex entries would need petabytes
+@pytest.mark.parametrize("n_env,rss_mib", [(4, 196.7), (5, 384.9)])
+def test_frame_plan_memory_estimate_covers_the_measured_peak(n_env, rss_mib):
+    # ru_maxrss of `qdecouple synthesize-audit --scenario bait` with one
+    # sampled state at these n_env (n = 8 n_env), one process each, NumPy 2.4
+    # with OpenBLAS on x86-64 Linux; FramePlan.build's commutant basis is the peak
+    assert _plan_peak_bytes(8 * n_env) >= rss_mib * 2**20
+
+
+def _run_refused(tmp_path, monkeypatch, command, config):
+    """Run a command that must be refused; the exit code, whether out/ exists and the tracemalloc peak."""
     assert _physical_memory_bytes() is not None           # without it the guard cannot refuse
 
     def tripwire(*args, **kwargs):
@@ -149,7 +154,7 @@ def test_max_power_beyond_physical_memory_is_refused(tmp_path, capsys, monkeypat
 
     monkeypatch.setattr(qdecouple.models, "embed_product", tripwire)
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"scenario": "restructured", "max_power": 10**12}))
+    cfg.write_text(json.dumps(config))
     out = tmp_path / "out"
     tracemalloc.start()
     try:
@@ -157,10 +162,36 @@ def test_max_power_beyond_physical_memory_is_refused(tmp_path, capsys, monkeypat
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    return code, out.exists(), peak
+
+
+@pytest.mark.parametrize("command", [
+    ["check"], ["simulate"], ["rank"], ["maneuver", "--i", "1", "--j", "2"], ["synthesize-audit"],
+])
+def test_max_power_beyond_physical_memory_is_refused(tmp_path, capsys, monkeypatch, command):
+    # 4 * 10^12 controls of 12 x 12 complex entries would need petabytes
+    code, wrote, peak = _run_refused(tmp_path, monkeypatch, command, {"scenario": "restructured", "max_power": 10**12})
     assert code == 2
     assert "max_power=1000000000000" in capsys.readouterr().err
     assert peak < 1 << 20                          # refused before the system was built
-    assert not out.exists()
+    assert not wrote
+
+
+@pytest.mark.parametrize("command,n_env,refused", [
+    # the bait system at n_env 10000 (n = 80000) would need terabytes
+    *((command, 10000, "n_env=10000") for command in
+      (["simulate"], ["rank"], ["maneuver", "--chain"], ["synthesize-audit"])),
+    # at n_env 200 the bait system (n = 1600) needs about 1.4 GiB, the
+    # frame plan's commutant basis (n^4 complex entries) about a petabyte
+    (["simulate", "--feedback-mode", "literal"], 200, "commutant basis"),
+    (["synthesize-audit"], 200, "commutant basis"),
+])
+def test_n_env_beyond_physical_memory_is_refused(tmp_path, capsys, monkeypatch, command, n_env, refused):
+    code, wrote, peak = _run_refused(tmp_path, monkeypatch, command, {"scenario": "bait", "params": {"n_env": n_env}})
+    assert code == 2
+    assert refused in capsys.readouterr().err
+    assert peak < 1 << 20                          # refused before the system was built
+    assert not wrote
 
 
 @pytest.mark.parametrize("params", [{"j1": 0}, {"w": 0}])
@@ -327,6 +358,23 @@ def test_feedback_commands_build_the_plan_at_the_configured_tol(tmp_path, monkey
     assert code == 4
     assert run_cli(["synthesize-audit", "--config", str(cfg), "--out", str(tmp_path / "audit")]) == 0
     assert seen == [1e-7, 1e-7]
+
+
+def test_maneuver_chain_searches_at_the_configured_tol(tmp_path, monkeypatch):
+    import qdecouple.cli
+
+    seen = []
+    search = qdecouple.cli.hsb_generation_search
+
+    def spy(sys_, tol=1e-9):
+        seen.append(tol)
+        return search(sys_, tol=tol)
+
+    monkeypatch.setattr(qdecouple.cli, "hsb_generation_search", spy)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"tol": 1e-7}))
+    assert run_cli(["maneuver", "--chain", "--config", str(cfg), "--out", str(tmp_path / "chain")]) == 0
+    assert seen == [1e-7]
 
 
 def test_console_script_entrypoint():

@@ -82,7 +82,7 @@ def _assert_lie_closure_spans_the_realified_closure(gens):
     # 2n^2-coordinate closure of the same generators is its oracle
     n = gens[0].dim
     stack = np.array([g.matrix for g in gens])
-    basis = qd.lie_closure(stack, max_dim=2 * n * n)
+    basis = qd.lie_closure(stack)
     seeds = np.array([g.matrix.ravel() / g.norm() for g in gens])
     span, _, _ = close_real_span(seeds, ad_maps(stack))
     rows = realify(basis.reshape(len(basis), -1))
@@ -108,13 +108,28 @@ def test_lie_closure_of_a_rotated_so4_spans_the_realified_closure():
     for _ in range(2):
         m = rng.normal(size=(4, 4))
         gens.append(qd.Operator(space, u @ (m - m.T) @ u.conj().T, "skew_hermitian"))
-    assert len(qd.lie_closure(np.array([g.matrix for g in gens]), max_dim=32)) == 6
+    assert len(qd.lie_closure(np.array([g.matrix for g in gens]))) == 6
+    _assert_lie_closure_spans_the_realified_closure(gens)
+
+
+def test_lie_closure_of_traced_generic_generators_is_all_of_u_n():
+    # two generic skew-hermitian generators generate su(n); their traces add
+    # i*identity, so the closure fills the ambient n^2 dimensions and stops there
+    rng = np.random.default_rng(5)
+    n = 6
+    space = qd.HilbertSpace((("a", n),))
+    gens = []
+    for _ in range(2):
+        m = _random_matrix(rng, n)
+        gens.append(qd.Operator(space, m - m.conj().T, "skew_hermitian"))
+    assert all(abs(np.trace(g.matrix)) > 0.1 for g in gens)
+    assert len(qd.lie_closure(np.array([g.matrix for g in gens]))) == n * n
     _assert_lie_closure_spans_the_realified_closure(gens)
 
 
 def test_bait_control_lie_algebra_dim(bait):
     n = bait.space.total_dim
-    assert len(qd.lie_closure(bait.control_stack.reshape(-1, n, n), max_dim=2 * n * n)) == 189
+    assert len(qd.lie_closure(bait.control_stack.reshape(-1, n, n))) == 189
 
 
 def test_control_algebra_sizes():

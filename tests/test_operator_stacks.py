@@ -17,7 +17,7 @@ def _c_tilde(name, n_env, method):
 
 
 FAMILIES = {
-    "lie_closure": lambda s: [qd.lie_closure(s.generator_stack, max_dim=2 * s.space.total_dim ** 2)],
+    "lie_closure": lambda s: [qd.lie_closure(s.generator_stack)],
     "commutant_basis": lambda s: [qd.commutant_basis(s.interaction)],
     "control_commutant_combos": lambda s: [control_commutant_combos(s)],
     "omega_generator_basis": lambda s: [omega_generator_basis(s)[0]],

@@ -2,10 +2,12 @@
 
 A module-level function or class counts as used when a top-level statement
 of src/qdecouple other than its own definition, or a demo, references it as
-a name or an attribute.  A public method or property of a public class
-counts as used when a statement of src/qdecouple other than its own
-definition (another member of its class included), or a demo, references
-its name.  The __init__.py re-exports do not count; cli.main is the
+a name or an attribute.  A public method of a public class counts as used
+when a statement of src/qdecouple other than its own definition (another
+member of its class included), or a demo, calls it as x.m(...); a public
+property counts when such a statement reads it as x.p.  A bare name (a
+local variable) or an attribute of the same name that is only assigned
+does not count.  The __init__.py re-exports do not count; cli.main is the
 console-script entry point.
 """
 
@@ -25,8 +27,23 @@ def _modules() -> dict[str, ast.Module]:
             if p.name != "__init__.py"}
 
 
+def _member_uses(node: ast.AST) -> tuple[set[str], set[str]]:
+    """Attribute names node calls as x.m(...), and attribute names it reads as x.p."""
+    calls = {n.func.attr for n in ast.walk(node) if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)}
+    reads = {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    return calls, reads
+
+
+def _is_property(node: ast.FunctionDef) -> bool:
+    return any(isinstance(d, ast.Name) and d.id == "property" for d in node.decorator_list)
+
+
+def _demos() -> list[ast.Module]:
+    return [ast.parse(p.read_text()) for p in sorted((ROOT / "demos").glob("*.py"))]
+
+
 def _demo_names() -> set[str]:
-    return set().union(*(_names(ast.parse(p.read_text())) for p in (ROOT / "demos").glob("*.py")))
+    return set().union(*(_names(tree) for tree in _demos()))
 
 
 def test_every_public_name_has_a_caller_outside_the_tests():
@@ -46,17 +63,18 @@ def test_every_public_name_has_a_caller_outside_the_tests():
 
 def test_every_public_method_has_a_caller_outside_the_tests():
     modules = _modules()
-    demos = _demo_names()
     # class members are statements of their own, so a method's own body never counts for it
-    refs = [(stmt, _names(stmt)) for tree in modules.values() for top in tree.body
-            for stmt in (top.body if isinstance(top, ast.ClassDef) else [top])]
+    stmts = [stmt for tree in modules.values() for top in tree.body
+             for stmt in (top.body if isinstance(top, ast.ClassDef) else [top])]
+    refs = [(stmt, _member_uses(stmt)) for stmt in [*stmts, *_demos()]]
     unused = [
         f"{module}.{cls.name}.{node.name}"
         for module, tree in modules.items()
         for cls in tree.body
         if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_")
         for node in cls.body
-        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_") and node.name not in demos
-        and not any(node.name in names for stmt, names in refs if stmt is not node)
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+        and not any(node.name in (reads if _is_property(node) else calls)
+                    for stmt, (calls, reads) in refs if stmt is not node)
     ]
     assert unused == []

@@ -167,7 +167,7 @@ class TestManeuver:
         p0 = qd.ScenarioParams(omega0=0.0, omega_env=0.0)
         frozen = qd.build_bait(p0)
         tr2 = qd.propagate(frozen, sched, xi0, dt_max=0.3, include_interaction=False)
-        assert abs(abs(tr2.final_state.overlap(xi0)) - 1.0) < 1e-12
+        assert abs(abs(np.vdot(tr2.final_state.amplitudes, xi0.amplitudes)) - 1.0) < 1e-12
 
     def test_out_of_range_indices(self):
         with pytest.raises(ValueError):

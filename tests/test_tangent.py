@@ -270,7 +270,7 @@ class TestOmegaClosedLoop:
         val = br.matrix @ xi.amplitudes
         g_span = RealSpan(24); g_span.add_batch(control_field_matrix(two_qubit, xi))
         assert g_span.residual(realify(val)) > 1e-3
-        algebra = qd.lie_closure(two_qubit.control_stack.reshape(-1, 12, 12), max_dim=600)
+        algebra = qd.lie_closure(two_qubit.control_stack.reshape(-1, 12, 12))
         a_span = RealSpan(24)
         a_span.add_batch(np.array([realify(a @ xi.amplitudes) for a in algebra]))
         assert a_span.residual(realify(val)) > 1e-3
