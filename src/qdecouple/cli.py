@@ -117,6 +117,8 @@ def load_config(path: str | None, overrides: dict) -> dict:
     for key, val in overrides.items():
         if val is not None:
             cfg[key] = val
+    if type(cfg["schema_version"]) is not int or cfg["schema_version"] != 1:
+        raise ConfigError(f"schema_version must be the integer 1, got {cfg['schema_version']!r}")
     if cfg["scenario"] not in SCENARIOS:
         raise ConfigError(f"unknown scenario {cfg['scenario']!r}")
     seed = cfg["seed"]
@@ -261,8 +263,13 @@ def initial_state(sys, cfg):
 
 def _parse_schedule(raw) -> PulseSchedule:
     try:
-        return PulseSchedule([(seg["duration"], seg["values"]) for seg in raw])
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        segments = [(seg["duration"], seg["values"]) for seg in raw]
+        for duration, values in segments:
+            # PulseSchedule would coerce a string or a boolean through float()
+            if not (_finite_number(duration) and all(map(_finite_number, values))):
+                raise ValueError(f"a segment's duration and values must be finite numbers, got {duration!r}, {values!r}")
+        return PulseSchedule(segments)
+    except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad schedule: {exc}") from exc
 
 
@@ -315,13 +322,13 @@ def _system_peak_bytes(n: int) -> int:
 def _plan_peak_bytes(n: int) -> int:
     """Bytes FramePlan.build holds at its peak for a system of dimension n.
 
-    commutant_basis dominates; its unit is one n^2 x n^2 complex array
-    (16 n^4 bytes).  tracemalloc shows 4.5 of them at bait n_env 2-5: the
-    basis, the brackets with the temporaries of their stacked matmul, the
-    realified rows and the SVD's U.  The SVD's LAPACK workspace, which
-    tracemalloc does not see, brings ru_maxrss to about 8.5.
+    commutant_basis dominates.  Its worst case is A_I = 0 (g = 0), where the
+    commutant is all of u(n): it then holds two n^2 x n^2 complex arrays,
+    the stack and the conjugate transpose Y - Y† subtracts.  ru_maxrss of
+    `synthesize-audit --scenario bait` at g = 0 is 60 MiB + 2.0 x 16 n^4
+    bytes (93.2 and 139.4 MiB at n_env 4 and 5).
     """
-    return _BASELINE_BYTES + 9 * 16 * n**4
+    return _BASELINE_BYTES + 2 * 16 * n**4
 
 
 def _physical_memory_bytes() -> int | None:

@@ -132,42 +132,34 @@ class FeedbackLaw:
 def commutant_basis(a_i: Operator, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Real basis of the skew-hermitian solutions of [X, A_I] = 0, as a (k, n, n) stack.
 
-    Parameterizes the skew-hermitian matrices (real dimension n^2) and
-    returns the kernel of the realified commutation map; the kernel always
-    contains A_I itself and i*identity.  The assembly is batched: the n^2
-    basis elements are one index-filled stack, bracketed with A_I in one
-    stacked matmul, and the null vectors are scattered back into matrices
-    (each entry takes one coefficient) and normalized in one batched norm.
-    The rank cut is realified_nullspace's SVD cut: singular values above
-    tol * max(s_max, 1) are constraints.  A unit null vector gives a matrix
-    of norm >= 1, so none is dropped.
+    A_I is normal, so its commutant is block-diagonal in its eigenbasis.
+    With iA_I = V diag(w) V† from one eigh, the commutation map takes the
+    orthonormal basis i v_k v_k†, (v_k v_l† - v_l v_k†)/sqrt(2),
+    i(v_k v_l† + v_l v_k†)/sqrt(2) (k < l) of u(n) to orthogonal images of
+    norms 0 and |w_k - w_l|: these are its singular values, and the gaps are
+    cut by leading_rank with floor 1, as realified_nullspace cuts an SVD.
+    Every i v_k v_k† and both elements of each pair whose gap is at most
+    tol * max(largest gap, 1) are returned, at unit norm and skew-hermitian
+    bit for bit (each is Y - Y†).  An SVD over the standard basis, whose
+    off-diagonal elements E_kl - E_lk, i(E_kl + E_lk) have norm sqrt(2),
+    keeps the same dimension unless a gap lies within a factor sqrt(2) of the cut.
     """
     if not is_hermitian(a_i.matrix, tol, skew=True):
         raise ValueError("commutant is taken against a skew-hermitian generator")
     n = a_i.dim
-    # the basis is i E_kk (k < n), then for each k < l in row-major order
-    # E_kl - E_lk and i (E_kl + E_lk); each entry's real and imaginary part
-    # comes from one element: element re_elem[t] puts re_sign[t] into the
-    # real part at flat position re_pos[t], im_elem[t] puts 1 into the
-    # imaginary part at im_pos[t]
+    w, v = np.linalg.eigh(1j * a_i.matrix)
     k, l = np.triu_indices(n, 1)
-    anti = n + 2 * np.arange(k.size)
-    upper, lower = k * n + l, l * n + k
-    re_elem, re_pos = np.concatenate([anti, anti]), np.concatenate([upper, lower])
-    re_sign = np.repeat([1.0, -1.0], k.size)
-    im_elem = np.concatenate([np.arange(n), anti + 1, anti + 1])
-    im_pos = np.concatenate([np.arange(n) * (n + 1), upper, lower])
-    basis = np.zeros((n * n, n * n), dtype=complex)       # one flattened element per row
-    basis.real[re_elem, re_pos] = re_sign
-    basis.imag[im_elem, im_pos] = 1.0
-    mats = basis.reshape(-1, n, n)
-    brackets = mats @ a_i.matrix - a_i.matrix @ mats
-    null = realified_nullspace(realify(brackets.reshape(n * n, -1)).T, n * n, tol=tol)
-    out = np.zeros((null.shape[0], n * n), dtype=complex)
-    out.real[:, re_pos] = null[:, re_elem] * re_sign
-    out.imag[:, im_pos] = null[:, im_elem]
-    out *= (1.0 / np.linalg.norm(out, axis=1))[:, None]
-    return out.reshape(-1, n, n)
+    gaps = np.abs(w[k] - w[l])
+    order = np.argsort(gaps)[::-1]
+    pairs = np.sort(order[leading_rank(gaps[order], tol, floor=1.0):])
+    # c is i/2 for each v_k v_k†, then 1/sqrt(2) and i/sqrt(2) for each kept pair
+    rows = np.concatenate([np.arange(n), np.repeat(k[pairs], 2)])
+    cols = np.concatenate([np.arange(n), np.repeat(l[pairs], 2)])
+    coef = np.concatenate([np.full(n, 0.5j), np.tile([1.0, 1.0j], pairs.size) / math.sqrt(2.0)])
+    out = (coef[:, None] * v.T[rows])[:, :, None] * v.T[cols].conj()[:, None, :]
+    out -= out.conj().transpose(0, 2, 1)
+    out *= (1.0 / row_norms(out.reshape(len(out), -1).view(float)))[:, None, None]
+    return out
 
 
 def control_commutant_combos(sys: ControlSystem, tol: float = DEFAULT_TOL) -> np.ndarray:

@@ -6,8 +6,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import qdecouple.feedback
 import qdecouple.models
 from qdecouple.cli import _check_peak_bytes, _physical_memory_bytes, _plan_peak_bytes, main
+from qdecouple.feedback import commutant_basis
 
 
 def run_cli(args):
@@ -137,12 +139,33 @@ def test_check_memory_estimate_covers_the_measured_peak(n_env, rss_mib):
     assert _check_peak_bytes(8 * n_env) >= rss_mib * 2**20
 
 
-@pytest.mark.parametrize("n_env,rss_mib", [(4, 196.7), (5, 384.9)])
+@pytest.mark.parametrize("n_env,rss_mib", [(4, 93.2), (5, 139.4)])
 def test_frame_plan_memory_estimate_covers_the_measured_peak(n_env, rss_mib):
-    # ru_maxrss of `qdecouple synthesize-audit --scenario bait` with one
-    # sampled state at these n_env (n = 8 n_env), one process each, NumPy 2.4
-    # with OpenBLAS on x86-64 Linux; FramePlan.build's commutant basis is the peak
+    # ru_maxrss of `qdecouple synthesize-audit --scenario bait` at g = 0 with
+    # one sampled state at these n_env (n = 8 n_env), one process each, NumPy
+    # 2.4 with OpenBLAS on x86-64 Linux; FramePlan.build's commutant basis is
+    # the peak, and at g = 0 it is all of u(n), n^2 elements
     assert _plan_peak_bytes(8 * n_env) >= rss_mib * 2**20
+
+
+def test_synthesize_audit_without_interaction_builds_the_full_commutant(tmp_path, monkeypatch):
+    # g = 0 makes A_I = 0: the plan's commutant is all of u(24), the worst
+    # case the plan estimate is measured on, and K_I vanishes at every state
+    dims = []
+
+    def spy(a_i, tol):
+        basis = commutant_basis(a_i, tol)
+        dims.append(len(basis))
+        return basis
+
+    monkeypatch.setattr(qdecouple.feedback, "commutant_basis", spy)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"params": {"g": 0}}))
+    out = tmp_path / "out"
+    assert run_cli(["synthesize-audit", "--scenario", "bait", "--config", str(cfg), "--out", str(out)]) == 0
+    assert dims == [24 * 24]
+    states = json.loads((out / "report.json").read_text())["states"]
+    assert [set(row) for row in states] == [{"state", "error"}] * 5
 
 
 def _run_refused(tmp_path, monkeypatch, command, config):
@@ -182,7 +205,7 @@ def test_max_power_beyond_physical_memory_is_refused(tmp_path, capsys, monkeypat
     *((command, 10000, "n_env=10000") for command in
       (["simulate"], ["rank"], ["maneuver", "--chain"], ["synthesize-audit"])),
     # at n_env 200 the bait system (n = 1600) needs about 1.4 GiB, the
-    # frame plan's commutant basis (n^4 complex entries) about a petabyte
+    # frame plan's commutant basis (n^4 complex entries) hundreds of terabytes
     (["simulate", "--feedback-mode", "literal"], 200, "commutant basis"),
     (["synthesize-audit"], 200, "commutant basis"),
 ])
@@ -262,6 +285,11 @@ def test_config_error_exit_code_2(tmp_path):
         ("rank", {"params": {"n_env": 2.7}}),
         ("rank", {"params": {"omega0": "1.0"}}),
         ("rank", {"params": {"j1": True}}),
+        ("simulate", {"schedule": [{"duration": "0.5", "values": [0, 0, 0, 0]}]}),
+        ("simulate", {"schedule": [{"duration": 0.5, "values": ["1", 0, 0, 0]}]}),
+        ("simulate", {"schedule": [{"duration": 0.5, "values": [1, 0, True, 0]}]}),
+        ("rank", {"schema_version": 2}),
+        ("rank", {"schema_version": True}),
     ):
         bad.write_text(json.dumps(cfg))
         assert run_cli([command, "--config", str(bad), "--out", str(tmp_path / "o")]) == 2, cfg

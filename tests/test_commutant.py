@@ -1,11 +1,12 @@
-"""The batched commutant basis against the per-element loop it replaced.
+"""The closed-form commutant basis against a null-space loop.
 
-commutant_basis builds its constraint matrix from one index-filled stack of
-the n^2 skew-hermitian basis elements and scatters the null vectors back
-into matrices.  The oracle below is the loop it replaced: one matmul per
-basis element for the constraints and a sum over all basis elements per
-null vector.  Both must find the same commutant, element by element where
-the SVDs agree bitwise and as a subspace otherwise.
+commutant_basis reads A_I's commutant off one eigh of iA_I: every
+i v_k v_k^dagger, plus the two skew-hermitian combinations of v_k v_l^dagger
+for each eigenvalue pair whose gap falls under the cut.  The oracle below
+knows nothing of eigenvalues: one matmul per skew-hermitian basis element
+for the constraints, an SVD null space, and a sum over all basis elements
+per null vector.  Both must find the same commutant, element by element
+where they agree bitwise and as a subspace otherwise.
 """
 
 import numpy as np
@@ -100,3 +101,23 @@ def test_batched_commutant_elements(case):
     identity = qd.Operator(interaction.space, 1j * np.eye(interaction.dim), "skew_hermitian")
     assert span.residual(identity) < span.span.tol
 
+
+def test_closed_form_cuts_the_eigenvalue_gaps_where_the_loop_cuts_the_singular_values():
+    # one eigenvalue gap 10x below the cut tol * max(largest gap, 1) = tol
+    # (the largest gap is 1.0) and one 10x above it: the closed form keeps
+    # the first pair and drops the second, as the loop's SVD cut does
+    tol = 1e-9
+    space = qd.HilbertSpace((("a", 5),))
+    rng = np.random.default_rng(11)
+    u, _ = np.linalg.qr(rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5)))
+    a = u @ np.diag(1j * np.array([0.3, 0.3 + 0.1 * tol, -0.4, -0.4 + 10 * tol, 0.6])) @ u.conj().T
+    interaction = qd.Operator(space, 0.5 * (a - a.conj().T), "skew_hermitian")
+    new = qd.commutant_basis(interaction, tol)
+    old = np.array(_loop_commutant(interaction, tol))
+    assert len(new) == len(old) == 5 + 2
+    a = interaction.matrix
+    assert max(np.linalg.norm(m @ a - a @ m) for m in new) < tol
+    # the loop's basis elements off the diagonal have norm sqrt(2), so its
+    # singular vectors below the cut tilt off the kept eigenvalue block by
+    # about (gap below / gap above)^2 = 1e-4; the closed form takes the block
+    assert _projector_distance(new, old) < (0.1 / 10) ** 2
