@@ -135,6 +135,8 @@ def load_config(path: str | None, overrides: dict) -> dict:
     if cfg["schedule"] is not None:
         # a schedule fixes the run's length; horizon only echoes it
         total = sum(d for d, _ in _parse_schedule(cfg["schedule"]).segments)
+        if not math.isfinite(total):
+            raise ConfigError(f"the schedule's total duration overflows to {total!r}")
         if "horizon" not in user:
             cfg["horizon"] = total
         elif not math.isclose(cfg["horizon"], total, rel_tol=1e-12):
@@ -297,14 +299,15 @@ def _check_peak_bytes(n: int) -> int:
     """Bytes `check` holds at its peak when the bait system has dimension n.
 
     The unit is one C~-sized array, U = 2(n^2 - 1) realified rows of 2n^2
-    floats: C~'s basis q, and as many bytes as its decoded (k, n, n)
-    matrices or its realified bracket rows.  The closed-loop containment
-    check holds six: q, the matrices, the bracket rows, their live copy and
-    the two products of the projection.  The su(n) Lie closure peaks lower,
-    at about 3.6 U: rows of n^2 floats, a largest candidate batch of about
-    2n^2 complex n x n matrices, its codes and the add_batch temporaries.
+    floats.  The peak is the su(n) Lie closure inside build_c_tilde: rows
+    of n^2 floats, a largest candidate batch of about 2n^2 complex n x n
+    matrices, its codes and the add_batch temporaries, 3.2-3.5 U by
+    tracemalloc.  The checks after it hold less: the open loop decodes one
+    element at a time and the closed loop tests no containment on a
+    certified C~.  ru_maxrss of `check` is about 88 MiB + 3.5 U (201.1,
+    363.8 and 654.0 MiB at n_env 4, 5 and 6); the estimate allows 4 U.
     """
-    return _BASELINE_BYTES + 6 * 2 * (n * n - 1) * 2 * n * n * 8
+    return _BASELINE_BYTES + 4 * 2 * (n * n - 1) * 2 * n * n * 8
 
 
 def _system_peak_bytes(n: int) -> int:
@@ -375,7 +378,7 @@ def cmd_check(cfg: dict, out_dir: Path) -> int:
         raise ConfigError("g = 0 switches the interaction off: there is nothing to decouple from")
     # refuse before building anything: the bait system (two qubits, the bait
     # qubit and the environment) holds the largest C~
-    _refuse_beyond_memory(_check_peak_bytes(8 * params.n_env), "n_env", params.n_env, "the bait C~ checks")
+    _refuse_beyond_memory(_check_peak_bytes(8 * params.n_env), "n_env", params.n_env, "the bait C~")
     _refuse_oversized_restructured(cfg, params)
     report = decouplability_table(
         params,

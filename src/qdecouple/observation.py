@@ -26,15 +26,16 @@ independent, C lies in no proper one, so C~ = sl(n, C), of real dimension
 In every other case (so(n)-type generators, a traced or a hermitian
 output) it falls back to the realified closure close_c_tilde, which
 stays the oracle.  Both closures stop at their fixpoint, inside the n^2
-and 2n^2 real dimensions they run in.  The verdict checks run the same
-residual tests on either basis.
+and 2n^2 real dimensions they run in.  On a certified C~ the closed-loop
+containment cannot fail, since a commutator is traceless: [sl(n, C),
+A_I] lies in sl(n, C) = C~, so only a closed C~ is tested for it.
 
 A family of n x n operators is a complex (k, n, n) stack throughout the
 package; Operator is kept for single operators.  C~ is an OperatorSpan:
 one RealSpan over realified 2n^2 coordinates, whose orthonormal rows
-decode to the stack the checks bracket with A_I in one matmul.  For the
-closure those rows are exactly the batches close_real_span decoded; for
-the certificate they are realify(_sl_basis(n)).
+decode to the (k, n, n) stack.  For the closure those rows are exactly
+the batches close_real_span decoded; for the certificate they are
+realify(_sl_basis(n)).
 """
 
 from __future__ import annotations
@@ -164,32 +165,21 @@ def build_c_tilde(sys: ControlSystem, tol: float = 1e-9) -> OperatorSpan:
     return close_c_tilde(sys, tol=tol)
 
 
-def _brackets(mats: np.ndarray, op: Operator) -> np.ndarray:
-    """[B_k, op] for a stack of matrices B_k in one matmul, as realified rows."""
-    return realify((mats @ op.matrix - op.matrix @ mats).reshape(-1, op.dim * op.dim))
-
-
 def check_open_loop(sys: ControlSystem, c_tilde: OperatorSpan, tol: float = 1e-9) -> Verdict:
-    """Case I: every element of C~ (build_c_tilde(sys)) commutes with the interaction generator."""
-    a_i = sys.interaction
-    scale = max(a_i.norm(), 1.0)
-    mats = c_tilde.matrices
-    op_norms = np.linalg.norm(mats, axis=(1, 2))
-    failing = np.flatnonzero(row_norms(_brackets(mats, a_i)) > tol * scale * np.maximum(op_norms, 1.0))
-    if failing.size:
-        k = int(failing[0])
-        # the witness norm by the per-element formula, so reports keep their
-        # bytes; it is the same Frobenius norm as the batched row norm that
-        # failed, so it can be at most the threshold only when that row norm
-        # was within rounding of it
-        nrm = float(np.linalg.norm(mats[k] @ a_i.matrix - a_i.matrix @ mats[k]))
-        return Verdict(
-            "open_loop",
-            False,
-            witness={"kind": "ctilde_interaction_commutator", "basis_index": k, "norm": nrm},
-            details={"c_tilde_dim": c_tilde.dim},
-        )
-    return Verdict("open_loop", True, details={"c_tilde_dim": c_tilde.dim})
+    """Case I: every element of C~ (build_c_tilde(sys)) commutes with the interaction generator.
+
+    Decodes one element at a time and stops at the first that fails.
+    """
+    a = sys.interaction.matrix
+    scale = max(sys.interaction.norm(), 1.0)
+    n = sys.space.total_dim
+    for k, row in enumerate(c_tilde.span.q):
+        b = unrealify(row).reshape(n, n)
+        nrm = float(np.linalg.norm(b @ a - a @ b))
+        if nrm > tol * scale * max(np.linalg.norm(b), 1.0):
+            witness = {"kind": "ctilde_interaction_commutator", "basis_index": k, "norm": nrm}
+            return Verdict("open_loop", False, witness=witness)
+    return Verdict("open_loop", True)
 
 
 def check_closed_loop_necessary(sys: ControlSystem, c_tilde: OperatorSpan, tol: float = 1e-9) -> Verdict:
@@ -202,11 +192,14 @@ def check_closed_loop_necessary(sys: ControlSystem, c_tilde: OperatorSpan, tol: 
             False,
             witness={"kind": "output_interaction_commutator", "norm": c_norm},
         )
+    if c_tilde.details.get("method") == SL_CERTIFICATE:
+        # a commutator is traceless, so [sl(n, C), A_I] lies in sl(n, C) = C~
+        return Verdict("closed_loop_necessary", True)
     mats = c_tilde.matrices
-    brackets = _brackets(mats, a_i)
+    a = a_i.matrix
+    brackets = realify((mats @ a - a @ mats).reshape(len(mats), -1))
     live = np.flatnonzero(row_norms(brackets) > tol * max(a_i.norm(), 1.0))
-    res = c_tilde.span.residuals(brackets[live])
-    failing = np.flatnonzero(res > tol)
+    failing = np.flatnonzero(c_tilde.span.residuals(brackets[live]) > tol)
     if failing.size:
         k = int(live[failing[0]])
         # the witness residual by the per-element formula, so reports keep
@@ -218,10 +211,5 @@ def check_closed_loop_necessary(sys: ControlSystem, c_tilde: OperatorSpan, tol: 
             "closed_loop_necessary",
             False,
             witness={"kind": "ctilde_containment", "basis_index": k, "residual": residual},
-            details={"c_tilde_dim": c_tilde.dim},
         )
-    return Verdict(
-        "closed_loop_necessary",
-        True,
-        details={"c_tilde_dim": c_tilde.dim, "max_containment_residual": float(res.max(initial=0.0))},
-    )
+    return Verdict("closed_loop_necessary", True)

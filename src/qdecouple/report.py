@@ -21,7 +21,9 @@ Column semantics:
 
 Each row, and the restructured column of the bait row, records
 c_tilde_method: "sl(n) certificate" when C~ = sl(n, C) was certified
-structurally, "closure" when it was closed numerically.
+structurally, "closure" when it was closed numerically.  On a certified
+C~ the containment [C~, H_SB] subset C~ holds by the trace argument (a
+commutator is traceless) and is not tested; on a closed C~ it is.
 
 A YES in the restructured column carries the finite-environment footnote:
 the verdict relies on the bath-quadrature power reduction of the

@@ -132,7 +132,7 @@ def test_check_refuses_n_env_beyond_physical_memory(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("n_env,rss_mib", [(4, 292.8), (5, 545.4)])
+@pytest.mark.parametrize("n_env,rss_mib", [(4, 201.1), (5, 363.8)])
 def test_check_memory_estimate_covers_the_measured_peak(n_env, rss_mib):
     # ru_maxrss of `qdecouple check` at these n_env (bait n = 8 n_env), one
     # process each, NumPy 2.4 with OpenBLAS on x86-64 Linux
@@ -290,6 +290,7 @@ def test_config_error_exit_code_2(tmp_path):
         ("simulate", {"schedule": [{"duration": 0.5, "values": [1, 0, True, 0]}]}),
         ("rank", {"schema_version": 2}),
         ("rank", {"schema_version": True}),
+        ("rank", {"rank_states": 2, "schedule": [{"duration": 1e308, "values": [0, 0, 0, 0]}] * 2}),
     ):
         bad.write_text(json.dumps(cfg))
         assert run_cli([command, "--config", str(bad), "--out", str(tmp_path / "o")]) == 2, cfg

@@ -140,25 +140,42 @@ def test_control_algebra_sizes():
 
 
 # the verdict table at the default tol 1e-9 (criterion 01 and the C~ pins above):
-# scenario -> (open, closed, restructured verdict, C~ dim, restructured C~ dim)
+# scenario -> (open, closed, restructured verdict, C~ dim, restructured C~ dim,
+#              open-loop witness (kind, basis_index), closed-loop witness (kind, basis_index))
 TABLE_AT_DEFAULT_TOL = {
-    "single_qubit": ("NO", "NO", "NO", 6, None),
-    "two_qubit": ("NO", "NO", "NO", 18, None),
-    "bait": ("NO", "NO", "YES*", 1150, 286),
+    "single_qubit": ("NO", "NO", "NO", 6, None,
+                     ("ctilde_interaction_commutator", 0), ("output_interaction_commutator", None)),
+    "two_qubit": ("NO", "NO", "NO", 18, None,
+                  ("ctilde_interaction_commutator", 1), ("ctilde_containment", 1)),
+    "bait": ("NO", "NO", "YES*", 1150, 286,
+             ("ctilde_interaction_commutator", 0), ("bracket_outside_span", None)),
+}
+# scenario -> (open-loop witness ||[B_k, A_I]||, closed-loop witness ||[C, A_I]|| or None)
+WITNESS_NORMS = {
+    "single_qubit": (0.28284271247461906, 0.4898979485566357),
+    "two_qubit": (0.28284271247461906, None),
+    "bait": (0.4, None),
 }
 
 
 @pytest.mark.parametrize("tol", [1e-11, 1e-6])
 def test_verdict_table_invariant_under_tol(tol, params):
     table = decouplability_table(params, tol=tol)
+    rows = {row["scenario"]: row for row in table["rows"]}
     got = {
-        row["scenario"]: (
+        name: (
             row["open_loop"]["verdict"],
             row["closed_loop"]["verdict"],
             row["closed_loop_restructured"]["verdict"],
             row["c_tilde_dim"],
             row["closed_loop_restructured"].get("c_tilde_dim"),
+            (row["open_loop"]["witness"]["kind"], row["open_loop"]["witness"]["basis_index"]),
+            (row["closed_loop"]["witness"]["kind"], row["closed_loop"]["witness"].get("basis_index")),
         )
-        for row in table["rows"]
+        for name, row in rows.items()
     }
     assert got == TABLE_AT_DEFAULT_TOL
+    for name, (open_norm, closed_norm) in WITNESS_NORMS.items():
+        assert rows[name]["open_loop"]["witness"]["norm"] == pytest.approx(open_norm, rel=1e-12)
+        if closed_norm is not None:
+            assert rows[name]["closed_loop"]["witness"]["norm"] == pytest.approx(closed_norm, rel=1e-12)

@@ -1,10 +1,12 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
+import pytest
 
 import qdecouple as qd
 from qdecouple.algebra import SIGMA_X
-from qdecouple.observation import OperatorSpan
+from qdecouple.observation import SL_CERTIFICATE, OperatorSpan
 from qdecouple.spans import RealSpan
 from oracles import control_algebra_verdict, operator_span, operators
 
@@ -99,8 +101,30 @@ class TestClosedLoopNecessary:
         )
 
 
+@pytest.fixture(scope="module")
+def certified_bait_c_tilde(bait):
+    ct = qd.build_c_tilde(bait)
+    assert ct.details["method"] == SL_CERTIFICATE
+    return ct
+
+
+@pytest.mark.parametrize("check", [qd.check_open_loop, qd.check_closed_loop_necessary])
+def test_checks_on_the_certified_bait_c_tilde_allocate_little(bait, certified_bait_c_tilde, check):
+    # bait fails the open loop at element 0, and on sl(n, C) containment
+    # holds by the trace argument: neither check needs C~ decoded or bracketed
+    ct = certified_bait_c_tilde
+    limit = 0.2 * ct.span.q.nbytes
+    tracemalloc.start()
+    try:
+        check(bait, ct)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < limit
+
+
 class TestBatchedWitnessParity:
-    """The stacked-bracket checks return the per-element loop's verdict and witness."""
+    """The checks return the per-element loop's verdict and witness."""
 
     @staticmethod
     def _naive_open(sys_, ct, tol=1e-9):
