@@ -238,28 +238,12 @@ def unitary_stepper(a_mat: np.ndarray) -> Callable[[np.ndarray, float], np.ndarr
     return step
 
 
-def vectorized_map(n: int, fn: Callable[[np.ndarray], np.ndarray]) -> Callable[[np.ndarray], np.ndarray]:
-    """Lift a map on (B, n, n) matrix stacks to (B, n^2) row-major vectorized rows."""
-    return lambda batch: fn(batch.reshape(-1, n, n)).reshape(-1, n * n)
-
-
-def ad_maps(generators: np.ndarray) -> list[Callable[[np.ndarray], np.ndarray]]:
-    """X -> [A/|A|, X] for each nonzero A of a (k, n, n) stack, as vectorized maps (two matmuls per row)."""
-    maps = []
-    for g in generators:
-        nrm = np.linalg.norm(g)
-        if nrm > 0:
-            a = (1.0 / nrm) * g
-            maps.append(vectorized_map(g.shape[0], lambda x, a=a: a @ x - x @ a))
-    return maps
-
-
 def lie_closure(generators: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Real basis of the smallest commutator-closed real span of a (k, n, n) generator stack.
 
     Returns the basis as a complex (L, n, n) stack, exactly skew-hermitian
     and orthonormal in the Frobenius inner product; (0, n, n) when every
-    generator is zero.  Closes the span under ad of each generator
+    generator is zero.  Closes the span under ad of the generator stack
     (left-normed bracket words span the generated Lie algebra, so this
     reaches the full closure).  The generators are skew-hermitian, so the
     closure stays in u(n) = i*Herm and runs in the n^2 hermitian
@@ -274,5 +258,5 @@ def lie_closure(generators: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     seeds = np.array([g.ravel() / nrm for g in generators if (nrm := np.linalg.norm(g)) > 0])
     if seeds.size == 0:
         return np.zeros((0, n, n), dtype=complex)
-    _, batches, _ = close_real_span(seeds, ad_maps(generators), tol=tol, coords=skew_hermitian_coordinates(n))
+    _, batches, _ = close_real_span(seeds, generators, tol=tol, coords=skew_hermitian_coordinates(n))
     return np.vstack(batches).reshape(-1, n, n)

@@ -301,11 +301,12 @@ def _check_peak_bytes(n: int) -> int:
     The unit is one C~-sized array, U = 2(n^2 - 1) realified rows of 2n^2
     floats.  The peak is the su(n) Lie closure inside build_c_tilde: rows
     of n^2 floats, a largest candidate batch of about 2n^2 complex n x n
-    matrices, its codes and the add_batch temporaries, 3.2-3.5 U by
-    tracemalloc.  The checks after it hold less: the open loop decodes one
-    element at a time and the closed loop tests no containment on a
-    certified C~.  ru_maxrss of `check` is about 88 MiB + 3.5 U (201.1,
-    363.8 and 654.0 MiB at n_env 4, 5 and 6); the estimate allows 4 U.
+    matrices, its codes and the add_batch temporaries, 2.8-3.0 U by
+    tracemalloc at n_env 3-4.  The checks after it hold less: the open loop
+    decodes one element at a time and the closed loop tests no containment
+    on a certified C~.  ru_maxrss of `check` is at most 88 MiB + 3.2 U
+    (189.6, 314.6 and 584.5 MiB at n_env 4, 5 and 6); the estimate allows
+    4 U.
     """
     return _BASELINE_BYTES + 4 * 2 * (n * n - 1) * 2 * n * n * 8
 
@@ -372,10 +373,14 @@ def build_system(cfg: dict, name: str, params: ScenarioParams):
     return build_scenario(name, params, cfg["max_power"])
 
 
+def _refuse_zero_interaction(params: ScenarioParams) -> None:
+    if params.g == 0:                      # check, rank and maneuver --chain ask about A_I
+        raise ConfigError("g = 0 switches the interaction off: there is nothing to decouple from")
+
+
 def cmd_check(cfg: dict, out_dir: Path) -> int:
     params = scenario_params(cfg)
-    if params.g == 0:
-        raise ConfigError("g = 0 switches the interaction off: there is nothing to decouple from")
+    _refuse_zero_interaction(params)
     # refuse before building anything: the bait system (two qubits, the bait
     # qubit and the environment) holds the largest C~
     _refuse_beyond_memory(_check_peak_bytes(8 * params.n_env), "n_env", params.n_env, "the bait C~")
@@ -440,6 +445,7 @@ def cmd_simulate(cfg: dict, out_dir: Path, audit: bool) -> int:
 
 def cmd_rank(cfg: dict, out_dir: Path) -> int:
     params = scenario_params(cfg)
+    _refuse_zero_interaction(params)
     name = cfg["scenario"] if cfg["scenario"] != "two_qubit" else "restructured"
     sys_ = build_system(cfg, name, params)
     rng = np.random.default_rng(cfg["seed"])
@@ -500,6 +506,7 @@ def cmd_maneuver(cfg: dict, out_dir: Path, i: int | None, j: int | None, chain: 
     sys_ = build_system(cfg, name, params)
     payload = {"command": "maneuver", "config": cfg, "version": __version__, "scenario": name}
     if chain:
+        _refuse_zero_interaction(params)
         payload["chain"] = verify_commutator_chain(sys_)
         payload["hsb_generation"] = hsb_generation_search(sys_, tol=cfg["tol"])
         write_report(out_dir, payload)

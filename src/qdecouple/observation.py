@@ -44,9 +44,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import HilbertSpace, Operator, ad_maps, commutator, lie_closure
+from .algebra import HilbertSpace, Operator, commutator, lie_closure
 from .models import ControlSystem
-from .spans import RealSpan, close_real_span, realified_rank, realify, row_norms, unrealify
+from .spans import RealSpan, ad_images, close_real_span, realified_rank, realify, row_norms, unrealify
 
 # how build_c_tilde found C~, reported per row as c_tilde_method
 SL_CERTIFICATE = "sl(n) certificate"
@@ -100,10 +100,9 @@ def close_c_tilde(sys: ControlSystem, tol: float = 1e-9) -> OperatorSpan:
     2n^2 dimensions in.  The kernel behind build_c_tilde's fallback, and
     the oracle for its certificate.
     """
-    maps = ad_maps(sys.generator_stack)
     seed = sys.output_op.matrix.ravel()
     seed = seed / np.linalg.norm(seed)
-    span, _, rounds = close_real_span(seed[None, :], maps, tol=tol)
+    span, _, rounds = close_real_span(seed[None, :], sys.generator_stack, tol=tol)
     return OperatorSpan(sys.space, span, details={"method": CLOSURE, "rounds": rounds})
 
 
@@ -196,8 +195,8 @@ def check_closed_loop_necessary(sys: ControlSystem, c_tilde: OperatorSpan, tol: 
         # a commutator is traceless, so [sl(n, C), A_I] lies in sl(n, C) = C~
         return Verdict("closed_loop_necessary", True)
     mats = c_tilde.matrices
-    a = a_i.matrix
-    brackets = realify((mats @ a - a @ mats).reshape(len(mats), -1))
+    # [B_k, A_I] = -ad_{A_I}(B_k); norms and membership residuals are sign-blind
+    brackets = realify(ad_images(a_i.matrix[None], mats).reshape(len(mats), -1))
     live = np.flatnonzero(row_norms(brackets) > tol * max(a_i.norm(), 1.0))
     failing = np.flatnonzero(c_tilde.span.residuals(brackets[live]) > tol)
     if failing.size:

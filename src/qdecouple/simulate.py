@@ -41,7 +41,7 @@ from .feedback import (
     synthesize,
 )
 from .models import ControlSystem
-from .spans import RealSpan, realify
+from .spans import RealSpan, ad_images, realify
 from .tangent import bracket_linear_fields
 
 # hsb_generation_search grows bracket words up to this length
@@ -341,19 +341,19 @@ def bait_identity_deviation(sys: ControlSystem, op: Operator) -> float:
     return float(np.linalg.norm(op.matrix - rebuilt))
 
 
-def _fit_direction(result: Operator, target: Operator) -> tuple[float, float | None]:
-    """Real least-squares scale c and relative residual of result vs c*target.
+def _fit_direction(result: np.ndarray, target: np.ndarray) -> tuple[float, float | None]:
+    """Real least-squares scale c and relative residual of result vs c*target, two n x n matrices.
 
     A zero target (a coupling parameter set to 0) has no residual: None.
     """
-    tnorm2 = target.norm() ** 2
+    tnorm2 = float(np.linalg.norm(target)) ** 2
     if tnorm2 == 0:
         return 0.0, None
-    c = float(np.real(np.trace(target.matrix.conj().T @ result.matrix)) / tnorm2)
-    rnorm = result.norm()
+    c = float(np.real(np.trace(target.conj().T @ result)) / tnorm2)
+    rnorm = float(np.linalg.norm(result))
     if rnorm == 0:
         return 0.0, 0.0
-    resid = np.linalg.norm(result.matrix - c * target.matrix) / rnorm
+    resid = np.linalg.norm(result - c * target) / rnorm
     return c, float(resid)
 
 
@@ -377,17 +377,17 @@ def verify_commutator_chain(sys: ControlSystem) -> dict:
     report = {}
     c1 = commutator(commutator(a[8], a[5]), commutator(a[6], a[9]))
     t1 = skew_dir({"qubit2": SIGMA_Z, "bait": SIGMA_Z, "env": f_w})
-    c_, r_ = _fit_direction(c1, t1)
+    c_, r_ = _fit_direction(c1.matrix, t1.matrix)
     report["comm1"] = {"c": c_, "residual": r_, "target": "sz2 szb F"}
 
     c2 = commutator(a[4], a[8])
     t2 = skew_dir({"qubit2": SIGMA_X, "bait": SIGMA_Z})
-    c_, r_ = _fit_direction(c2, t2)
+    c_, r_ = _fit_direction(c2.matrix, t2.matrix)
     report["comm2"] = {"c": c_, "residual": r_, "target": "sx2 szb"}
 
     c3 = commutator(c2, c1)
     t3 = skew_dir({"qubit2": SIGMA_Y, "env": f_w})
-    c_, r_ = _fit_direction(c3, t3)
+    c_, r_ = _fit_direction(c3.matrix, t3.matrix)
     report["comm3"] = {
         "c": c_, "residual": r_, "target": "sy2 Ib F",
         "bait_identity_deviation": bait_identity_deviation(sys, c3),
@@ -395,7 +395,7 @@ def verify_commutator_chain(sys: ControlSystem) -> dict:
 
     c4 = commutator(commutator(a[3], a[8]), c1)
     t4 = skew_dir({"qubit2": SIGMA_X, "env": f_w})
-    c_, r_ = _fit_direction(c4, t4)
+    c_, r_ = _fit_direction(c4.matrix, t4.matrix)
     report["comm4"] = {
         "c": c_, "residual": r_, "target": "sx2 Ib F",
         "bait_identity_deviation": bait_identity_deviation(sys, c4),
@@ -404,7 +404,7 @@ def verify_commutator_chain(sys: ControlSystem) -> dict:
     c1q1 = commutator(commutator(a[7], a[5]), commutator(a[6], a[9]))
     c5 = commutator(commutator(a[2], a[7]), c1q1)
     t5 = skew_dir({"qubit1": SIGMA_Y, "env": f_w})
-    c_, r_ = _fit_direction(c5, t5)
+    c_, r_ = _fit_direction(c5.matrix, t5.matrix)
     report["comm5"] = {
         "c": c_, "residual": r_, "target": "sy1 Ib F",
         "bait_identity_deviation": bait_identity_deviation(sys, c5),
@@ -412,7 +412,7 @@ def verify_commutator_chain(sys: ControlSystem) -> dict:
 
     c6 = commutator(commutator(a[1], a[7]), c1q1)
     t6 = skew_dir({"qubit1": SIGMA_X, "env": f_w})
-    c_, r_ = _fit_direction(c6, t6)
+    c_, r_ = _fit_direction(c6.matrix, t6.matrix)
     report["comm6"] = {
         "c": c_, "residual": r_, "target": "sx1 Ib F",
         "bait_identity_deviation": bait_identity_deviation(sys, c6),
@@ -429,69 +429,61 @@ def hsb_generation_search(sys: ControlSystem, tol: float = 1e-9) -> dict:
     real span, a word length adds no direction or the words reach length
     _MAX_DEPTH, and records the witness words with their coefficients.
     """
-    controls = sys.controls
+    n = sys.space.total_dim
+    controls = sys.control_stack.reshape(-1, n, n)
     labels = sys.control_labels
-    target = sys.interaction
-    tvec = realify(target.matrix.ravel() / target.norm())
+    k = len(controls)
+    target = sys.interaction.matrix
+    tnorm = float(np.linalg.norm(target))
+    tvec = realify(target.ravel() / tnorm)
 
+    pairs = ad_images(controls, controls)                  # [H_a, H_b] at a k + b
+    inner = [(ia, ib) for ia in range(k) for ib in range(k)
+             if ib != ia and np.linalg.norm(pairs[ia * k + ib]) >= tol]
+    triples = ad_images(pairs[[ia * k + ib for ia, ib in inner]], controls)
     best = {"overlap": 0.0, "triple": None, "residual": 1.0}
     proportional = []
-    for ia in range(len(controls)):
-        for ib in range(len(controls)):
-            if ib == ia:
+    for j, (ia, ib) in enumerate(inner):
+        for ic in range(k):
+            word = triples[j * k + ic]
+            nrm = float(np.linalg.norm(word))
+            if nrm < tol:
                 continue
-            inner = commutator(controls[ia], controls[ib])
-            if inner.norm() < tol:
-                continue
-            for ic in range(len(controls)):
-                word = commutator(inner, controls[ic])
-                nrm = word.norm()
-                if nrm < tol:
-                    continue
-                c, resid = _fit_direction(target, word)
-                overlap = abs(
-                    np.trace(word.matrix.conj().T @ target.matrix)
-                ) / (nrm * target.norm())
-                if overlap > best["overlap"]:
-                    best = {
-                        "overlap": float(overlap),
-                        "triple": f"[[{labels[ia]},{labels[ib]}],{labels[ic]}]",
-                        "residual": float(resid),
-                    }
-                if resid < tol:
-                    proportional.append(f"[[{labels[ia]},{labels[ib]}],{labels[ic]}]")
+            _, resid = _fit_direction(target, word)
+            overlap = abs(np.trace(word.conj().T @ target)) / (nrm * tnorm)
+            triple = f"[[{labels[ia]},{labels[ib]}],{labels[ic]}]"
+            if overlap > best["overlap"]:
+                best = {"overlap": float(overlap), "triple": triple, "residual": float(resid)}
+            if resid < tol:
+                proportional.append(triple)
 
-    n = sys.space.total_dim
     span = RealSpan(2 * n * n, tol=tol)
-    words: list[tuple[str, Operator]] = []
-    frontier: list[tuple[str, Operator]] = []
+    words: list[tuple[str, np.ndarray]] = []               # words[start:] is the frontier
     for lbl, op in zip(labels, controls):
-        nrm = op.norm()
+        nrm = float(np.linalg.norm(op))
         if nrm < tol:
             continue                                       # switched off by its parameter
-        unit = op * (1.0 / nrm)
-        if span.add(realify(unit.matrix.ravel())):
+        unit = (1.0 / nrm) * op
+        if span.add(realify(unit.ravel())):
             words.append((lbl, unit))
-            frontier.append((lbl, unit))
     found_depth = None
+    start = 0
     for depth in range(2, _MAX_DEPTH + 1):
-        new_frontier = []
-        for wl, wop in frontier:
-            for gl, gop in zip(labels, controls):
-                cand = commutator(wop, gop)
-                nrm = cand.norm()
-                if nrm < tol:
-                    continue
-                cand = cand * (1.0 / nrm)
-                if span.add(realify(cand.matrix.ravel())):
-                    entry = (f"[{wl},{gl}]", cand)
-                    words.append(entry)
-                    new_frontier.append(entry)
-        frontier = new_frontier
+        frontier, start = words[start:], len(words)
+        images = ad_images(np.array([w for _, w in frontier]).reshape(-1, n, n), controls)
+        # [W, H_c] word-major, with the words as ad_images' generators; one add
+        # at a time, in that order, since the order fixes which words are kept
+        for lbl, cand in zip([f"[{wl},{gl}]" for wl, _ in frontier for gl in labels], images):
+            nrm = float(np.linalg.norm(cand))
+            if nrm < tol:
+                continue
+            cand = (1.0 / nrm) * cand
+            if span.add(realify(cand.ravel())):
+                words.append((lbl, cand))
         if span.residual(tvec) < tol:
             found_depth = depth
             break
-        if not frontier:
+        if len(words) == start:
             break
 
     result = {
@@ -502,7 +494,7 @@ def hsb_generation_search(sys: ControlSystem, tol: float = 1e-9) -> dict:
         "closure_dim": span.rank,
     }
     if result["closure_contains_interaction"]:
-        mat = np.array([realify(op.matrix.ravel()) for _, op in words])
+        mat = np.array([realify(w.ravel()) for _, w in words])
         coeffs, *_ = np.linalg.lstsq(mat.T, tvec, rcond=None)
         top = sorted(
             ((abs(c), lbl, float(c)) for c, (lbl, _) in zip(coeffs, words)), reverse=True

@@ -11,11 +11,13 @@ those keeps the columns before the first |R_jj| <= tol * |R_00|.  That
 cut, leading_rank, is the package's one rank decision: every QR or SVD
 that decides a rank hands it its diagonal, with its own tol and floor.
 
-close_real_span is the one closure routine: it iterates a seed set under
-real-linear maps until the span stabilizes and hands back the new
-directions round by round, so callers that need the growth history
-(derivative chains) and callers that need one basis (C~, the control Lie
-algebra, the Omega generators) share it.
+close_real_span is the one closure routine: it closes a seed set of
+n x n matrices under ad of a (k, n, n) generator stack until the span
+stabilizes and hands back the new directions round by round, so callers
+that need the growth history (derivative chains) and callers that need
+one basis (C~, the control Lie algebra, the Omega generators) share it.
+ad_images is the one bracket kernel behind its rounds and every other
+stacked bracket of the package.
 
 The caller picks the real coordinates the span is kept in.  The default
 realifies a complex vector to [Re | Im] (2m reals for m complex entries),
@@ -34,7 +36,7 @@ apply it falls back to the realified closure of C~.
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 from scipy.linalg.lapack import dgeqp3, dorgqr
@@ -88,8 +90,9 @@ def skew_hermitian_coordinates(n: int) -> Coordinates:
     root2 = math.sqrt(2.0)
 
     def encode(rows: np.ndarray) -> np.ndarray:
-        h = -1j * np.atleast_2d(rows)
-        return np.concatenate([h[:, diag].real, root2 * h[:, up].real, root2 * h[:, up].imag], axis=1)
+        rows = np.atleast_2d(rows)                          # H = -iA = Im A - i Re A, read off A
+        z = rows[:, up]
+        return np.concatenate([rows[:, diag].imag, root2 * z.imag, -root2 * z.real], axis=1)
 
     def decode(codes: np.ndarray) -> np.ndarray:
         codes = np.atleast_2d(codes)
@@ -222,50 +225,63 @@ def _pivoted_qr_directions(a: np.ndarray, tol: float) -> np.ndarray:
     return q.T
 
 
+def ad_images(generators: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """[A, X] for every A of a (k, n, n) stack and every X of an (F, n, n) stack, as one (k F, n, n) stack.
+
+    Generator-major: block i holds [A_i, X] for the X in order.  [X, A] is
+    the negated image up to the sign of a zero entry, which can steer a
+    later Householder reflection: for [X, A]'s bytes pass X as a generator.
+    """
+    f, n = rows.shape[0], rows.shape[-1]
+    out = np.empty((len(generators) * f, n, n), dtype=np.result_type(generators, rows))
+    for a, block in zip(generators, out.reshape(len(generators), f, n, n)):
+        np.matmul(a, rows, out=block)
+        block -= rows @ a
+    return out
+
+
+def unit_generators(generators: np.ndarray) -> np.ndarray:
+    """The nonzero matrices of a (k, n, n) stack, each scaled by 1/|A| (Frobenius)."""
+    n = generators.shape[-1]
+    return np.array([(1.0 / nrm) * g for g in generators if (nrm := np.linalg.norm(g)) > 0]).reshape(-1, n, n)
+
+
 def close_real_span(
     seeds: np.ndarray,
-    maps: Sequence[Callable[[np.ndarray], np.ndarray]],
+    generators: np.ndarray,
     tol: float = 1e-9,
     coords: Coordinates = REALIFIED,
 ) -> tuple[RealSpan, list[np.ndarray], int]:
-    """Close the real span of complex seed rows under real-linear maps.
+    """Close the real span of vectorized n x n seed matrices under ad of a generator stack.
 
-    Parameters
-    ----------
-    seeds : (k, m) complex array
-        Initial vectors, one per row.
-    maps : sequence of callables
-        Each maps a (B, m) complex batch to a (B, m) complex batch; the
-        closure adds map images of newly found directions until nothing
-        new appears (frontier strategy, so every basis direction passes
-        through every map exactly once).  The span keeps orthonormal rows
-        in the coordinates' d reals, so every round that does not stop
-        the closure adds at least one of at most d directions: the
-        fixpoint is reached after at most d rounds, and no bound is needed.
-    tol : float
-        Relative residual threshold for accepting a new direction.
-    coords : Coordinates
-        The real coordinates the span is kept in (default: realified).
-        Seeds and every map image must lie in the domain of coords.encode.
+    seeds is a (k, n^2) complex array of row-major matrices, generators an
+    (r, n, n) stack.  Each round brackets the newly found directions X with
+    every nonzero generator A, [A/|A|, X] by one ad_images call, and keeps
+    what is new, until nothing new appears (frontier strategy, so every
+    basis direction meets every generator exactly once).  The span keeps
+    orthonormal rows in the coordinates' d reals (default: realified;
+    seeds and brackets must lie in the domain of coords.encode), so every
+    round that does not stop the closure adds at least one of at most d
+    directions: the fixpoint is reached after at most d rounds, and no
+    bound is needed.  tol is the relative residual threshold for a new
+    direction.
 
-    Returns
-    -------
-    span : RealSpan over the encoded vectors.
-    batches : list of (R_k, m) complex arrays, the directions accepted in
-        each round (batches[0] from the seeds, always present; later
-        rounds only when they added something).  Together they are
-        orthonormal in the real sense; np.vstack(batches) is the basis.
-    rounds : number of frontier rounds performed.
+    Returns the RealSpan over the encoded vectors; batches, the (R_k, n^2)
+    complex directions accepted in each round (batches[0] from the seeds,
+    always present; later rounds only when they added something), which
+    together are orthonormal in the real sense, so np.vstack(batches) is
+    the basis; and the number of frontier rounds performed.
     """
     seeds = coords.encode(np.atleast_2d(np.asarray(seeds, dtype=complex)))
     span = RealSpan(seeds.shape[1], tol=tol)
+    units = unit_generators(np.asarray(generators))
     frontier = coords.decode(span.add_batch(seeds))
     batches = [frontier]
     rounds = 0
-    while frontier.shape[0] and maps:
+    while frontier.shape[0] and len(units):
         rounds += 1
-        candidates = np.vstack([np.atleast_2d(f(frontier)) for f in maps])
-        frontier = coords.decode(span.add_batch(coords.encode(candidates)))
+        candidates = ad_images(units, frontier.reshape(len(frontier), *units.shape[1:]))
+        frontier = coords.decode(span.add_batch(coords.encode(candidates.reshape(len(candidates), -1))))
         if frontier.shape[0]:
             batches.append(frontier)
     return span, batches, rounds

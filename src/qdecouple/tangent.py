@@ -27,10 +27,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import DEFAULT_TOL, Operator, StateVector, ad_maps, commutator, is_hermitian
+from .algebra import DEFAULT_TOL, Operator, StateVector, commutator, is_hermitian
 from .models import ControlSystem
 from .observation import Verdict
-from .spans import RealSpan, close_real_span, leading_rank, realified_nullspace, realify, row_norms, unrealify
+from .spans import (RealSpan, ad_images, close_real_span, leading_rank, realified_nullspace, realify, row_norms,
+                    unit_generators, unrealify)
 
 # omega_closure_closed compares Omega ∩ G^perp at xi with that at this many
 # seeded states within this distance of xi
@@ -147,13 +148,13 @@ def omega_generator_basis(sys: ControlSystem, tol: float = 1e-9) -> tuple[np.nda
     """State-independent quadratic-generator closure for omega_closure_open, as a (k, n, n) stack.
 
     The Lie-derivative step on quadratic generators, M -> M A + A† M, is
-    -|A| ad_{A/|A|}(M) for skew A, so the closure runs on ad_maps.
+    -|A| ad_{A/|A|}(M) for skew A, so the closure is close_real_span's
+    ad-closure under the drift and the controls.
     """
     n = sys.space.total_dim
     c = sys.output_op.matrix.ravel()
     c = c / np.linalg.norm(c)
-    maps = ad_maps(_system_generators(sys))
-    span, batches, rounds = close_real_span(np.array([c, -1j * c]), maps, tol=tol)
+    span, batches, rounds = close_real_span(np.array([c, -1j * c]), _system_generators(sys), tol=tol)
     return np.vstack(batches).reshape(-1, n, n), {"rounds": rounds, "generator_rank": span.rank}
 
 
@@ -166,7 +167,7 @@ def omega_closure_open(
     """Codistribution closure Omega <- Omega + sum_A L_{K_A} Omega.
 
     Closes the real span of quadratic generators, seeded with C and -iC
-    (the two real output components), under M -> M A + A† M (as ad_maps)
+    (the two real output components), under M -> M A + A† M (as ad of A/|A|)
     for the drift and every control; the realized covectors at xi then yield
     Delta* = (Omega*)^perp.  Pass `generators` (from omega_generator_basis)
     to amortize the closure across states.
@@ -195,7 +196,7 @@ def omega_closure_closed(sys: ControlSystem, xi: StateVector, tol: float = 1e-9)
     rounds.
     """
     n = sys.space.total_dim
-    maps = ad_maps(_system_generators(sys))
+    units = unit_generators(_system_generators(sys))
     c = sys.output_op.matrix.ravel()
     c = c / np.linalg.norm(c)
     gens = np.array([c, -1j * c])                            # (m, n^2), row-major matrices
@@ -234,8 +235,8 @@ def omega_closure_closed(sys: ControlSystem, xi: StateVector, tol: float = 1e-9)
         if combos.shape[0] == 0:
             break
         selected = combos @ gens                                 # (k, n^2) complex
-        candidates = np.vstack([f(selected) for f in maps])
-        new = span.add_batch(realify(candidates))
+        candidates = ad_images(units, selected.reshape(-1, n, n))
+        new = span.add_batch(realify(candidates.reshape(len(candidates), n * n)))
         if new.shape[0] == 0:
             break
         gens = np.vstack([gens, unrealify(new)])
@@ -260,7 +261,7 @@ def hermitian_derivative_chain(sys: ControlSystem, tol: float = 1e-9) -> list[np
     n = sys.space.total_dim
     c_mat = sys.output_op.matrix
     seeds = np.array([(c_mat + c_mat.conj().T).ravel(), (-1j * (c_mat - c_mat.conj().T)).ravel()])
-    _, batches, _ = close_real_span(seeds, ad_maps(_system_generators(sys)), tol=tol)
+    _, batches, _ = close_real_span(seeds, _system_generators(sys), tol=tol)
     return [batch.reshape(-1, n, n) for batch in batches]
 
 

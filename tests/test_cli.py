@@ -291,9 +291,24 @@ def test_config_error_exit_code_2(tmp_path):
         ("rank", {"schema_version": 2}),
         ("rank", {"schema_version": True}),
         ("rank", {"rank_states": 2, "schedule": [{"duration": 1e308, "values": [0, 0, 0, 0]}] * 2}),
+        ("rank", {"params": {"g": 0}}),
     ):
         bad.write_text(json.dumps(cfg))
         assert run_cli([command, "--config", str(bad), "--out", str(tmp_path / "o")]) == 2, cfg
+    bad.write_text(json.dumps({"params": {"g": 0}}))
+    assert run_cli(["maneuver", "--chain", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+
+
+def test_zero_interaction_is_refused_only_where_a_command_asks_about_it(tmp_path, capsys):
+    # check, rank and maneuver --chain decide something about A_I, which g = 0
+    # makes zero; a single maneuver does not use it
+    cfg = tmp_path / "g0.json"
+    cfg.write_text(json.dumps({"params": {"g": 0}}))
+    for argv in (["check"], ["rank"], ["maneuver", "--chain"]):
+        assert run_cli([*argv, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert "g = 0 switches the interaction off" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+    assert run_cli(["maneuver", "--i", "6", "--j", "9", "--config", str(cfg), "--out", str(tmp_path / "m")]) == 0
 
 
 @pytest.mark.parametrize("argv", [

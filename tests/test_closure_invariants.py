@@ -1,18 +1,19 @@
 """Pinned dimensions and round counts of every span closure.
 
-All closures run through spans.close_real_span with matmul maps; the
-numbers below are the ones the Kronecker-matrix implementation produced,
-so any change to the closure kernel or its maps that moves a rank or a
-round count shows up here.
+All closures run through spans.close_real_span, whose rounds take their
+brackets from the one kernel spans.ad_images; the numbers below are the
+ones the Kronecker-matrix implementation produced, so any change to the
+closure or its bracket kernel that moves a rank or a round count shows up
+here.
 """
 
 import numpy as np
 import pytest
 
 import qdecouple as qd
-from qdecouple.algebra import ad_maps, is_hermitian
+from qdecouple.algebra import is_hermitian
 from qdecouple.observation import close_c_tilde
-from qdecouple.spans import close_real_span, realify
+from qdecouple.spans import ad_images, close_real_span, realify
 from qdecouple.report import decouplability_table
 from qdecouple.tangent import omega_generator_basis
 from oracles import control_algebra_verdict, operator_span
@@ -30,27 +31,39 @@ def _random_matrix(rng, n):
     return rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
 
 
-def test_ad_and_lie_step_maps_match_matrix_forms():
+def test_ad_images_match_commutators_and_the_lie_step():
+    # ad_images is generator-major, block i holding [A_i, X] for every X;
     # for skew A the Lie step X -> X A + A† X of the omega closures is
-    # -|A| times the ad map X -> [A/|A|, X] they run on
+    # -[A, X], so -|A| times the bracket [A/|A|, X] close_real_span takes
     rng = np.random.default_rng(21)
     space = qd.HilbertSpace((("a", 2), ("b", 3)))
-    m = _random_matrix(rng, 6)
-    a = qd.Operator(space, m - m.conj().T, "skew_hermitian")
+    gens = []
+    for _ in range(2):
+        m = _random_matrix(rng, 6)
+        gens.append(qd.Operator(space, m - m.conj().T, "skew_hermitian"))
     xs = np.array([_random_matrix(rng, 6) for _ in range(4)])
-    rows = xs.reshape(4, 36)                       # row-major vectorization
-    (ad,) = ad_maps(a.matrix[None])
-    a_unit = qd.Operator(space, a.matrix / a.norm())
-    for x, got_ad in zip(xs, ad(rows)):
-        want_ad = qd.commutator(a_unit, qd.Operator(space, x)).matrix
-        assert np.allclose(got_ad.reshape(6, 6), want_ad, atol=1e-12)
-        step = x @ a.matrix + a.matrix.conj().T @ x
-        assert np.allclose(got_ad.reshape(6, 6), -step / a.norm(), atol=1e-12)
+    got = ad_images(np.array([a.matrix for a in gens]), xs)
+    assert got.shape == (8, 6, 6)
+    for i, a in enumerate(gens):
+        for j, x in enumerate(xs):
+            image = got[i * len(xs) + j]
+            want = qd.commutator(a, qd.Operator(space, x)).matrix
+            assert np.allclose(image, want, atol=1e-12)
+            step = x @ a.matrix + a.matrix.conj().T @ x
+            assert np.allclose(image, -step, atol=1e-12)
 
 
-def test_ad_maps_skip_zero_generators():
-    space = qd.HilbertSpace((("q", 2),))
-    assert ad_maps(qd.Operator(space, np.zeros((2, 2)), "skew_hermitian").matrix[None]) == []
+def test_a_zero_generator_leaves_the_closure_unchanged(two_qubit):
+    # close_real_span drops a zero generator before its first round: the
+    # basis keeps its bytes and the round count stays
+    stack = two_qubit.generator_stack
+    seed = two_qubit.output_op.matrix.ravel()[None, :]
+    span, batches, rounds = close_real_span(seed, stack)
+    with_zero = np.concatenate([stack[:2], np.zeros_like(stack[:1]), stack[2:]])
+    span_z, batches_z, rounds_z = close_real_span(seed, with_zero)
+    assert rounds_z == rounds
+    assert span_z.q.tobytes() == span.q.tobytes()
+    assert [b.tobytes() for b in batches_z] == [b.tobytes() for b in batches]
 
 
 @pytest.mark.parametrize("name", sorted(C_TILDE))
@@ -84,7 +97,7 @@ def _assert_lie_closure_spans_the_realified_closure(gens):
     stack = np.array([g.matrix for g in gens])
     basis = qd.lie_closure(stack)
     seeds = np.array([g.matrix.ravel() / g.norm() for g in gens])
-    span, _, _ = close_real_span(seeds, ad_maps(stack))
+    span, _, _ = close_real_span(seeds, stack)
     rows = realify(basis.reshape(len(basis), -1))
     assert len(basis) == span.rank
     assert np.abs(rows @ rows.T - np.eye(len(basis))).max() < 1e-12

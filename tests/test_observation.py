@@ -6,7 +6,7 @@ import pytest
 
 import qdecouple as qd
 from qdecouple.algebra import SIGMA_X
-from qdecouple.observation import SL_CERTIFICATE, OperatorSpan
+from qdecouple.observation import SL_CERTIFICATE, OperatorSpan, _generates_su
 from qdecouple.spans import RealSpan
 from oracles import control_algebra_verdict, operator_span, operators
 
@@ -121,6 +121,20 @@ def test_checks_on_the_certified_bait_c_tilde_allocate_little(bait, certified_ba
     finally:
         tracemalloc.stop()
     assert peak < limit
+
+
+def test_su_n_certificate_closure_peaks_below_three_c_tilde_arrays(bait):
+    # the su(n) Lie closure behind the certificate is the peak of `check`; its
+    # encoder reads the hermitian coordinates off the batch without a -iA copy
+    n = bait.space.total_dim
+    unit = 2 * (n * n - 1) * 2 * n * n * 8                # one C~-sized array
+    tracemalloc.start()
+    try:
+        assert _generates_su(bait, 1e-9)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.0 * unit
 
 
 class TestBatchedWitnessParity:

@@ -242,6 +242,17 @@ class TestHsbGenerationSearch:
         words = [w["word"] for w in rep["witness_words"]]
         assert words, "witness bracket words must be recorded"
 
+    def test_default_bait_closure_depth_and_witness_words(self, bait):
+        # best_triple is not pinned: its overlap is roundoff (about 1e-17)
+        rep = qd.hsb_generation_search(bait)
+        assert (rep["closure_dim"], rep["membership_depth"]) == (169, 7)
+        assert [w["word"] for w in rep["witness_words"]] == [
+            "[[[[[[H_1,H_7],H_5],H_9],H_6],H_7],H_2]",
+            "[[[[[[H_3,H_8],H_5],H_9],H_6],H_8],H_4]",
+        ]
+        for w, c in zip(rep["witness_words"], (-0.7071067811865478, -0.7071067811865471)):
+            assert w["coefficient"] == pytest.approx(c, rel=1e-12)
+
     def test_search_stops_at_word_length_8(self):
         # a bait-bath coupling w in phase quadrature with g keeps A_SB out of
         # the words up to length 8, where the search stops
