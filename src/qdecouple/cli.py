@@ -299,16 +299,17 @@ def _check_peak_bytes(n: int) -> int:
     """Bytes `check` holds at its peak when the bait system has dimension n.
 
     The unit is one C~-sized array, U = 2(n^2 - 1) realified rows of 2n^2
-    floats.  The peak is the su(n) Lie closure inside build_c_tilde: rows
-    of n^2 floats, a largest candidate batch of about 2n^2 complex n x n
-    matrices, its codes and the add_batch temporaries, 2.8-3.0 U by
-    tracemalloc at n_env 3-4.  The checks after it hold less: the open loop
-    decodes one element at a time and the closed loop tests no containment
-    on a certified C~.  ru_maxrss of `check` is at most 88 MiB + 3.2 U
-    (189.6, 314.6 and 584.5 MiB at n_env 4, 5 and 6); the estimate allows
-    4 U.
+    floats.  The peak is the certified C~ that build_c_tilde materializes:
+    _sl_basis(n), 1 U of complex matrices, built from its off-diagonal
+    half and that half's i-multiple, then its realified rows q, 1 U;
+    2.5 U by tracemalloc at n_env 3-4.  The spectral su(n) test before it
+    holds n x n matrices only, and the checks after it hold less: the open
+    loop decodes one element at a time and the closed loop tests no
+    containment on a certified C~.  ru_maxrss of `check` is about
+    65 MiB + 2.5 U (142.8, 260.0 and 469.9 MiB at n_env 4, 5 and 6); the
+    estimate allows 3 U.
     """
-    return _BASELINE_BYTES + 4 * 2 * (n * n - 1) * 2 * n * n * 8
+    return _BASELINE_BYTES + 3 * 2 * (n * n - 1) * 2 * n * n * 8
 
 
 def _system_peak_bytes(n: int) -> int:

@@ -428,6 +428,8 @@ def hsb_generation_search(sys: ControlSystem, tol: float = 1e-9) -> dict:
     [[...[H_a, H_b], ...], H_c] with provenance until A_SB enters their
     real span, a word length adds no direction or the words reach length
     _MAX_DEPTH, and records the witness words with their coefficients.
+    Raises ValueError when the interaction generator vanishes (g = 0):
+    there is no direction to search for.
     """
     n = sys.space.total_dim
     controls = sys.control_stack.reshape(-1, n, n)
@@ -435,6 +437,8 @@ def hsb_generation_search(sys: ControlSystem, tol: float = 1e-9) -> dict:
     k = len(controls)
     target = sys.interaction.matrix
     tnorm = float(np.linalg.norm(target))
+    if tnorm <= sys.interaction_floor(tol):
+        raise ValueError("the interaction generator vanishes: there is nothing to search for")
     tvec = realify(target.ravel() / tnorm)
 
     pairs = ad_images(controls, controls)                  # [H_a, H_b] at a k + b

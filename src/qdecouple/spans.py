@@ -27,10 +27,10 @@ skew_hermitian_coordinates instead: n^2 reals per n x n matrix (the
 diagonal of H = -iA, then sqrt(2)*Re and sqrt(2)*Im of its upper
 triangle).  That map is an isometry onto R^(n^2), so every residual,
 every rank and the closure order are the ones the realified coordinates
-give, with rows half as long.  observation.build_c_tilde relies on such a
-Lie closure, of the traceless parts of the controls and the drift, to
-certify C~ = sl(n, C) without closing C~; where the certificate does not
-apply it falls back to the realified closure of C~.
+give, with rows half as long.  algebra.lie_closure, behind the `rank`
+command's control algebra, runs in them.  observation.build_c_tilde
+closes no Lie algebra: it certifies C~ = sl(n, C) from one spectrum, and
+where the certificate does not apply it runs the realified closure of C~.
 """
 
 from __future__ import annotations

@@ -23,6 +23,19 @@ def operators(space: qd.HilbertSpace, mats) -> list[qd.Operator]:
     return [qd.Operator(space, m) for m in mats]
 
 
+def traceless_generators(generators: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+    """The traceless parts of a (k, n, n) stack, less those of the multiples of the identity."""
+    n = generators.shape[-1]
+    traceless = generators - (np.trace(generators, axis1=1, axis2=2) / n)[:, None, None] * np.eye(n)
+    return traceless[np.linalg.norm(traceless, axis=(1, 2)) > tol * np.linalg.norm(generators, axis=(1, 2))]
+
+
+def closure_generates_su(generators: np.ndarray, tol: float = 1e-9) -> bool:
+    """dim lie_closure(traceless_generators) = n^2 - 1: the oracle for the spectral su(n) test."""
+    n = generators.shape[-1]
+    return len(qd.lie_closure(traceless_generators(generators, tol), tol=tol)) == n * n - 1
+
+
 def fd_field_bracket(
     f: Callable[[np.ndarray], np.ndarray],
     g: Callable[[np.ndarray], np.ndarray],

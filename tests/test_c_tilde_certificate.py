@@ -5,17 +5,22 @@ generators give su(n), tr C = 0 and C's hermitian parts are independent;
 otherwise it runs close_c_tilde.  The kernel is the oracle: wherever the
 certificate fires, its span must be the kernel's, and wherever one of the
 three conditions fails, the kernel's dimension must come back unchanged.
+The spectral su(n) test behind the first condition has its own oracle,
+the dimension of the Lie closure of the traceless generators.
 """
 
 import numpy as np
 import pytest
 
 import qdecouple as qd
-from qdecouple import observation
-from qdecouple.observation import CLOSURE, SL_CERTIFICATE, close_c_tilde
+from qdecouple import algebra, observation
+from qdecouple.observation import (
+    CLOSURE, SL_CERTIFICATE, _generates_su, _spectral_margins, _spectral_pair, close_c_tilde
+)
 from qdecouple.report import (
     closed_loop_verdict, controlled_invariance_at_states, decouplability_table
 )
+from oracles import closure_generates_su, traceless_generators
 
 
 def _subspace_distance(a: qd.OperatorSpan, b: qd.OperatorSpan) -> float:
@@ -134,12 +139,106 @@ def test_dependent_hermitian_parts_fall_back(bait2, phase):
     assert ct.dim == n * n - 1
 
 
-def test_one_short_of_su_n_does_not_certify(bait2, monkeypatch):
-    real = observation.lie_closure
-    monkeypatch.setattr(observation, "lie_closure", lambda *a, **k: real(*a, **k)[:-1])
-    ct = qd.build_c_tilde(bait2)
+def _block_diagonal_system(rng):
+    # generators in u(2) (+) u(3): distinct levels, but no generator couples
+    # the blocks, so the graph of Y has two components; C couples them
+    space = qd.HilbertSpace((("a", 5),))
+
+    def block_skew():
+        m = np.zeros((5, 5), dtype=complex)
+        for sl in (slice(0, 2), slice(2, 5)):
+            k = sl.stop - sl.start
+            h = rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))
+            m[sl, sl] = -0.5j * (h + h.conj().T)
+        return qd.Operator(space, m, "skew_hermitian")
+
+    c = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
+    c -= np.trace(c) / 5 * np.eye(5)
+    return qd.ControlSystem(space, block_skew(), [block_skew()], block_skew(), qd.Operator(space, c),
+                            scenario="blocks")
+
+
+def test_a_refused_spectrum_falls_back_to_the_kernel():
+    sys_ = _block_diagonal_system(np.random.default_rng(4))
+    separation, separation_bound, _, _ = _spectral_margins(*_spectral_pair(sys_.generator_stack, 1e-9))
+    assert separation > 1e6 * separation_bound          # so the graph is what refuses
+    assert not _generates_su(sys_.generator_stack, 1e-9)
+    assert not closure_generates_su(sys_.generator_stack)
+    ct = qd.build_c_tilde(sys_)
     assert ct.details["method"] == CLOSURE
-    assert ct.dim == 510
+    assert ct.dim == close_c_tilde(sys_).dim < 2 * (5 * 5 - 1)
+
+
+def test_certified_c_tilde_runs_no_closure(bait, monkeypatch):
+    def tripwire(*args, **kwargs):
+        raise AssertionError("a closure ran behind the sl(n) certificate")
+
+    monkeypatch.setattr(algebra, "lie_closure", tripwire)
+    monkeypatch.setattr(observation, "close_real_span", tripwire)
+    assert not hasattr(observation, "lie_closure")
+    assert qd.build_c_tilde(bait).details["method"] == SL_CERTIFICATE
+
+
+@pytest.mark.parametrize(
+    "name,n_env,params",
+    [("bait", 2, {}), ("bait", 3, {}), ("bait", 4, {}), ("bait", 2, {"omega0": 0.0}),
+     ("restructured", 2, {}), ("restructured", 3, {}), ("restructured", 4, {}),
+     ("single_qubit", 3, {}), ("two_qubit", 3, {})],
+)
+def test_spectral_test_agrees_with_the_lie_closure(name, n_env, params):
+    # bait at omega0 = 0 repeats frequencies on every combination of its
+    # generators alone: the first brackets in X and Y are what certify it
+    gens = qd.build_scenario(name, qd.ScenarioParams(n_env=n_env, **params)).generator_stack
+    assert _generates_su(gens, 1e-9) == closure_generates_su(gens)
+
+
+def _random_su(rng, n, count):
+    h = rng.normal(size=(count, n, n)) + 1j * rng.normal(size=(count, n, n))
+    h = h + h.conj().transpose(0, 2, 1)
+    h -= (np.trace(h, axis1=1, axis2=2) / n)[:, None, None] * np.eye(n)
+    return -1j * h
+
+
+@pytest.mark.parametrize("n", [8, 16, 24])
+def test_spectral_test_certifies_random_su_n_pairs(n):
+    gens = _random_su(np.random.default_rng(n), n, 2)
+    assert _generates_su(gens, 1e-9)
+    assert closure_generates_su(gens)
+
+
+def test_spectral_test_refuses_so_n_and_sp_n():
+    # both have spectra symmetric about 0, so frequencies repeat exactly
+    rng = np.random.default_rng(6)
+    m = rng.normal(size=(3, 6, 6))
+    so6 = m - m.transpose(0, 2, 1)
+    a = _random_su(rng, 3, 3)
+    b = rng.normal(size=(3, 3, 3)) + 1j * rng.normal(size=(3, 3, 3))
+    b = b + b.transpose(0, 2, 1)
+    sp6 = np.block([[a, b], [-b.conj(), a.conj()]])       # sp(6, C) inside u(6): sp(3)
+    for gens, dim in ((so6, 15), (sp6, 21)):
+        assert not _generates_su(gens, 1e-9)
+        assert len(qd.lie_closure(gens)) == dim
+
+
+def test_spectral_test_certifies_where_the_closure_over_counts():
+    # two random combinations of the traceless bait generators at n_env 3:
+    # lie_closure returns 576 > 575 = dim su(24) on this stack
+    traceless = traceless_generators(qd.build_bait(qd.ScenarioParams(n_env=3)).generator_stack)
+    rng = np.random.default_rng(0)
+    pair = np.array([np.tensordot(rng.normal(size=len(traceless)), traceless, axes=1) for _ in range(2)])
+    assert _generates_su(pair, 1e-9)
+
+
+@pytest.mark.parametrize("name,n_env", [("bait", 2), ("restructured", 3)])
+def test_spectral_margins_invariant_under_unitary_change_of_basis(name, n_env):
+    gens = qd.build_scenario(name, qd.ScenarioParams(n_env=n_env)).generator_stack
+    u = _random_unitary(np.random.default_rng(9), gens.shape[-1])
+    a = _spectral_margins(*_spectral_pair(gens, 1e-9))
+    b = _spectral_margins(*_spectral_pair(u @ gens @ u.conj().T, 1e-9))
+    # each margin moves by at most the two computations' roundoff bounds
+    for margin, bound in ((0, 1), (2, 3)):
+        assert abs(a[margin] - b[margin]) <= a[bound] + b[bound]
+        assert a[margin] > 1e6 * a[bound]
 
 
 def _verdicts(sys_):

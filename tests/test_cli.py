@@ -132,7 +132,7 @@ def test_check_refuses_n_env_beyond_physical_memory(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("n_env,rss_mib", [(4, 201.1), (5, 363.8)])
+@pytest.mark.parametrize("n_env,rss_mib", [(4, 142.8), (5, 260.0)])
 def test_check_memory_estimate_covers_the_measured_peak(n_env, rss_mib):
     # ru_maxrss of `qdecouple check` at these n_env (bait n = 8 n_env), one
     # process each, NumPy 2.4 with OpenBLAS on x86-64 Linux

@@ -261,6 +261,13 @@ class TestHsbGenerationSearch:
         assert rep["membership_depth"] is None
         assert rep["closure_dim"] == 184
 
+    def test_zero_interaction_is_refused(self):
+        # without the guard the target direction is 0/0 and all 84 triples
+        # pass as proportional
+        sys0 = qd.build_scenario("bait", qd.ScenarioParams(g=0.0))
+        with pytest.raises(ValueError, match="interaction generator vanishes"):
+            qd.hsb_generation_search(sys0)
+
 
 class TestEscalation:
     def test_power_escalation_threshold(self, params):
