@@ -188,7 +188,8 @@ def kron_factors(space: HilbertSpace, blocks: dict[str, np.ndarray]) -> np.ndarr
         blk = np.asarray(blk, dtype=complex)
         if blk.shape != (d, d):
             raise ValueError(f"block for {label!r} has shape {blk.shape}, need ({d}, {d})")
-        out = np.kron(out, blk)
+        # np.kron's products, formed by one broadcast multiply
+        out = (out[:, None, :, None] * blk[None, :, None, :]).reshape(out.shape[0] * d, -1)
     return out
 
 

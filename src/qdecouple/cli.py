@@ -24,7 +24,6 @@ import argparse
 import copy
 import json
 import math
-import os
 import sys as _sys
 from pathlib import Path
 
@@ -36,6 +35,7 @@ from .algebra import (
 )
 from .feedback import FramePlan, RankDeficiencyError, build_frame, synthesize
 from .models import SCENARIOS, ScenarioParams, build_scenario, dfs_state
+from .observation import ClosureTooLarge, _physical_memory_bytes
 from .report import decouplability_table, format_table
 from .simulate import (
     NormDriftError,
@@ -295,21 +295,33 @@ _BASELINE_BYTES = 128 << 20
 _QUBITS_DIM = {"single_qubit": 2, "two_qubit": 4, "bait": 8, "restructured": 4}
 
 
-def _check_peak_bytes(n: int) -> int:
-    """Bytes `check` holds at its peak when the bait system has dimension n.
+def _spectral_peak_bytes(n: int, k: int) -> int:
+    """Bytes the spectral su(n) test holds for k generators of dimension n.
 
-    The unit is one C~-sized array, U = 2(n^2 - 1) realified rows of 2n^2
-    floats.  The peak is the certified C~ that build_c_tilde materializes:
-    _sl_basis(n), 1 U of complex matrices, built from its off-diagonal
-    half and that half's i-multiple, then its realified rows q, 1 U;
-    2.5 U by tracemalloc at n_env 3-4.  The spectral su(n) test before it
-    holds n x n matrices only, and the checks after it hold less: the open
-    loop decodes one element at a time and the closed loop tests no
-    containment on a certified C~.  ru_maxrss of `check` is about
-    65 MiB + 2.5 U (142.8, 260.0 and 469.9 MiB at n_env 4, 5 and 6); the
-    estimate allows 3 U.
+    The k traceless generators, their k unit multiples, the k^2 brackets,
+    and the stack of units and brackets: 2k^2 + 3k complex n x n matrices
+    (tracemalloc reads 230 for bait, k = 10, and 1325 for restructured,
+    k = 25, at n_env 3-6).
     """
-    return _BASELINE_BYTES + 3 * 2 * (n * n - 1) * 2 * n * n * 8
+    return (2 * k * k + 3 * k) * n * n * 16
+
+
+def _check_peak_bytes(n_env: int, max_power: int) -> int:
+    """Bytes `check` holds at its peak at this n_env and max_power.
+
+    No array of C~'s size: a certified C~ holds no rows, and
+    build_c_tilde refuses a fallback closure that cannot fit before it
+    starts.  The bait row holds the most: the bait system (n = 8 n_env,
+    10 generators) and the restructured one (n = 4 n_env, k = 4(max_power
+    + 1) + 1 generators, its controls listed and stacked), and the
+    spectral su(n) test of one of them.  ru_maxrss of `check` is 68.9,
+    72.5, 77.0, 101.8 and 214.2 MiB at n_env 4, 5, 6, 10 and 20.
+    """
+    n_bait, n_restructured = 8 * n_env, 4 * n_env
+    k = 4 * (max_power + 1) + 1
+    systems = _system_peak_bytes(n_bait) + _system_peak_bytes(n_restructured) + 2 * k * n_restructured**2 * 16
+    spectral = max(_spectral_peak_bytes(n_bait, 10), _spectral_peak_bytes(n_restructured, k))
+    return _BASELINE_BYTES + systems + spectral
 
 
 def _system_peak_bytes(n: int) -> int:
@@ -334,14 +346,6 @@ def _plan_peak_bytes(n: int) -> int:
     bytes (93.2 and 139.4 MiB at n_env 4 and 5).
     """
     return _BASELINE_BYTES + 2 * 16 * n**4
-
-
-def _physical_memory_bytes() -> int | None:
-    """The host's physical memory, or None where os.sysconf cannot tell."""
-    try:
-        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    except (AttributeError, ValueError, OSError):
-        return None
 
 
 def _refuse_beyond_memory(need: int, key: str, value, what: str) -> None:
@@ -382,17 +386,23 @@ def _refuse_zero_interaction(params: ScenarioParams) -> None:
 def cmd_check(cfg: dict, out_dir: Path) -> int:
     params = scenario_params(cfg)
     _refuse_zero_interaction(params)
-    # refuse before building anything: the bait system (two qubits, the bait
-    # qubit and the environment) holds the largest C~
-    _refuse_beyond_memory(_check_peak_bytes(8 * params.n_env), "n_env", params.n_env, "the bait C~")
+    # refuse before building anything: the bait row's systems and their
+    # spectral su(n) tests are the largest arrays `check` holds
     _refuse_oversized_restructured(cfg, params)
-    report = decouplability_table(
-        params,
-        tol=cfg["tol"],
-        eval_states=cfg["eval_states"],
-        seed=cfg["seed"],
-        max_power=cfg["max_power"],
+    _refuse_beyond_memory(
+        _check_peak_bytes(params.n_env, cfg["max_power"]), "n_env", params.n_env,
+        "the bait and restructured systems and their spectral su(n) tests",
     )
+    try:
+        report = decouplability_table(
+            params,
+            tol=cfg["tol"],
+            eval_states=cfg["eval_states"],
+            seed=cfg["seed"],
+            max_power=cfg["max_power"],
+        )
+    except ClosureTooLarge as exc:
+        raise ConfigError(f"n_env={params.n_env}: {exc}; lower n_env") from exc
     payload = {"command": "check", "config": cfg, "version": __version__, **report}
     write_report(out_dir, payload)
     table = format_table(report)

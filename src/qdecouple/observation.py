@@ -50,26 +50,31 @@ subspaces of sl(n, C) = su(n) (+) i su(n) are su(n) (x) W for the
 subspaces W of R^2.  If moreover tr C = 0 (within tol * ||C||) and the
 hermitian parts H1 = (C + C†)/2, H2 = (C - C†)/2i are linearly
 independent, C lies in no proper one, so C~ = sl(n, C), of real dimension
-2(n^2 - 1), and build_c_tilde returns a fixed orthonormal basis of it.
-In every other case (so(n)-type generators, a traced or a hermitian
-output, a refused spectrum) it falls back to the realified closure
-close_c_tilde, which stays the oracle.  The closure stops at its
-fixpoint, inside the 2n^2 real dimensions it runs in.  On a certified C~
-the closed-loop containment cannot fail, since a commutator is
-traceless: [sl(n, C), A_I] lies in sl(n, C) = C~, so only a closed C~ is
-tested for it.
+2(n^2 - 1).  build_c_tilde then returns a description, not a basis: an
+OperatorSpan with no rows, whose elements are built one n x n matrix at
+a time in a fixed orthonormal order (_sl_element).  In every other case
+(so(n)-type generators, a traced or a hermitian output, a refused
+spectrum) it falls back to the realified closure close_c_tilde, which
+stays the oracle.  The closure stops at its fixpoint, inside the 2n^2
+real dimensions it runs in; before it starts, build_c_tilde bounds its
+peak (_closure_peak_bytes) and raises ClosureTooLarge where that exceeds
+the host's physical memory.  On a certified C~ the closed-loop
+containment cannot fail, since a commutator is traceless: [sl(n, C),
+A_I] lies in sl(n, C) = C~, so only a closed C~ is tested for it.
 
 A family of n x n operators is a complex (k, n, n) stack throughout the
-package; Operator is kept for single operators.  C~ is an OperatorSpan:
-one RealSpan over realified 2n^2 coordinates, whose orthonormal rows
-decode to the (k, n, n) stack.  For the closure those rows are exactly
-the batches close_real_span decoded; for the certificate they are
-realify(_sl_basis(n)).
+package; Operator is kept for single operators.  C~ is an OperatorSpan.
+A closed C~ is one RealSpan over realified 2n^2 coordinates, whose
+orthonormal rows are the batches close_real_span decoded and decode to
+the (k, n, n) stack; a certified C~ holds no array of C~'s size at all.
 """
 
 from __future__ import annotations
 
+import math
+import os
 from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 
@@ -88,30 +93,53 @@ _SPECTRAL_FACTOR = 10.0
 
 @dataclass
 class OperatorSpan:
-    """A real-linear span of n x n operators, kept as one RealSpan.
+    """A real-linear span of n x n operators: C~, or a family of operators.
 
-    The span's orthonormal rows are realified row-major matrices (2n^2
-    reals each); matrices decodes them to the (k, n, n) complex stack on
-    demand, so no second copy of the basis is held.
+    With a RealSpan, the span's orthonormal rows are realified row-major
+    matrices (2n^2 reals each); matrices decodes them to the (k, n, n)
+    complex stack on demand, so no second copy of the basis is held.
+    Without one (span None) it is a certified C~ = sl(n, C): it holds no
+    rows, its dim is 2(n^2 - 1), and elements builds its orthonormal
+    basis one matrix at a time.
     """
 
     space: HilbertSpace
-    span: RealSpan
+    span: RealSpan | None
     details: dict = field(default_factory=dict)
 
     @property
     def dim(self) -> int:
+        if self.span is None:
+            n = self.space.total_dim
+            return 2 * (n * n - 1)
         return self.span.rank
 
     @property
     def matrices(self) -> np.ndarray:
-        """The orthonormal basis as a (k, n, n) complex stack."""
+        """The orthonormal basis as a (k, n, n) complex stack; a certified C~ has none to decode."""
+        if self.span is None:
+            raise ValueError("a certified C~ = sl(n, C) holds no rows; iterate elements()")
         n = self.space.total_dim
         return unrealify(self.span.q).reshape(-1, n, n)
 
+    def elements(self) -> Iterator[np.ndarray]:
+        """The orthonormal basis, one n x n complex matrix at a time."""
+        n = self.space.total_dim
+        if self.span is None:
+            return (_sl_element(n, k) for k in range(self.dim))
+        return (unrealify(row).reshape(n, n) for row in self.span.q)
+
     def residual(self, op: Operator) -> float:
-        """Relative realified least-squares residual of op against the span."""
-        return self.span.residual(realify(op.matrix.ravel()))
+        """Relative realified least-squares residual of op against the span.
+
+        On sl(n, C) the part outside the span is the trace part, so the
+        residual is |tr M| / (sqrt(n) ||M||).
+        """
+        m = op.matrix
+        if self.span is None:
+            nrm = float(np.linalg.norm(m))
+            return abs(np.trace(m)) / (math.sqrt(self.space.total_dim) * nrm) if nrm else 0.0
+        return self.span.residual(realify(m.ravel()))
 
 
 @dataclass
@@ -137,6 +165,62 @@ def close_c_tilde(sys: ControlSystem, tol: float = 1e-9) -> OperatorSpan:
     seed = seed / np.linalg.norm(seed)
     span, _, rounds = close_real_span(seed[None, :], sys.generator_stack, tol=tol)
     return OperatorSpan(sys.space, span, details={"method": CLOSURE, "rounds": rounds})
+
+
+class ClosureTooLarge(MemoryError):
+    """build_c_tilde's fallback closure cannot fit in physical memory; raised before it starts."""
+
+
+def _physical_memory_bytes() -> int | None:
+    """The host's physical memory, or None where os.sysconf cannot tell."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
+
+
+def _c_tilde_dim_bound(sys: ControlSystem, tol: float) -> int:
+    """An upper bound on the real dimension of C~, read off the tensor structure.
+
+    The last tensor factor (dimension f, the rest r = n / f) splits off
+    when the output and every generator are local sums M_r (x) I + I (x)
+    M_f (within tol * ||M||).  Brackets of local sums are local sums, so
+    C~ then lies in gl(r) (x) I + I (x) gl(f): 2(r^2 + f^2 - 1) real
+    dimensions.  The single- and two-qubit systems split their
+    environment off; the bait and restructured systems couple it.
+    Otherwise the bound is the 2n^2 real dimensions of gl(n, C).
+    """
+    n = sys.space.total_dim
+    f = sys.space.factors[-1][1]
+    r = n // f
+    stack = np.concatenate([sys.output_op.matrix[None], sys.generator_stack])
+    blocks = stack.reshape(-1, r, f, r, f)
+    # M_r and M_f from the partial traces; the identity part is split so that
+    # M_r (x) I + I (x) M_f keeps tr M
+    rest = np.einsum("kajbj->kab", blocks) / f
+    last = np.einsum("kiaib->kab", blocks) / r
+    last -= (np.trace(stack, axis1=1, axis2=2) / n)[:, None, None] * np.eye(f)
+    local = np.einsum("kab,ij->kaibj", rest, np.eye(f)) + np.einsum("ab,kij->kaibj", np.eye(r), last)
+    gaps = np.linalg.norm((blocks - local).reshape(len(stack), -1), axis=1)
+    if np.all(gaps <= tol * np.linalg.norm(stack, axis=(1, 2))):
+        return 2 * (r * r + f * f - 1)
+    return 2 * n * n
+
+
+def _closure_peak_bytes(sys: ControlSystem, tol: float) -> int:
+    """Bytes close_c_tilde can hold at its peak: 5k + 3 realified rows per dimension of C~.
+
+    A row is 2n^2 floats.  Per dimension the closure can reach
+    (_c_tilde_dim_bound), a round holds the basis and its stacked copy
+    and the frontier (3 rows), and for each of the k generators the
+    brackets, their realified copy, the live copy add_batch projects and
+    two temporaries of its projection (5 rows).  tracemalloc reads 7.0
+    and 8.2 of these C~ units (2(n^2 - 1) rows) for bait at n_env 2 and 3
+    (k = 10), 37 for restructured at n_env 4 (k = 25) and 39 for nine
+    random generators at n = 16, under the 53, 53, 128 and 48 estimated.
+    """
+    n = sys.space.total_dim
+    return (5 * len(sys.generator_stack) + 3) * _c_tilde_dim_bound(sys, tol) * 2 * n * n * 8
 
 
 def _spectral_pair(generators: np.ndarray, tol: float) -> np.ndarray:
@@ -211,53 +295,56 @@ def _sl_certificate_applies(sys: ControlSystem, tol: float) -> bool:
     return realified_rank([h1, h2], tol=tol) == 2 and _generates_su(sys.generator_stack, tol)
 
 
-def _sl_basis(n: int) -> np.ndarray:
-    """Fixed orthonormal real basis of sl(n, C), as a (2(n^2 - 1), n, n) stack.
+def _sl_element(n: int, k: int) -> np.ndarray:
+    """Element k of the fixed orthonormal real basis of sl(n, C), as an n x n matrix.
 
-    E_kl and i E_kl for k != l (row-major), then d_j and i d_j for the
-    orthonormal traceless diagonal d_j = (E_00 + ... + E_{j-1,j-1} - j E_jj)
-    / sqrt(j(j + 1)), j = 1..n-1.  The realified rows are orthonormal.
+    Elements 2p and 2p + 1 are B_p and i B_p, where B_p runs over E_jl for
+    j != l (row-major), then over the orthonormal traceless diagonals
+    d_j = (E_00 + ... + E_{j-1,j-1} - j E_jj) / sqrt(j(j + 1)),
+    j = 1..n-1.  Realified, the elements are orthonormal.
     """
-    k, l = np.nonzero(~np.eye(n, dtype=bool))
-    off = np.zeros((k.size, n, n), dtype=complex)
-    off[np.arange(k.size), k, l] = 1.0
-    j = np.arange(1, n)[:, None]
-    diag = np.where(np.arange(n) < j, 1.0, 0.0) - j * (np.arange(n) == j)
-    diag = diag / np.sqrt(j * (j + 1))
-    diag_mats = np.zeros((n - 1, n, n), dtype=complex)
-    diag_mats[:, np.arange(n), np.arange(n)] = diag
-    pairs = [np.stack([m, 1j * m], axis=1).reshape(-1, n, n) for m in (off, diag_mats)]
-    return np.concatenate(pairs)
+    p, imaginary = divmod(k, 2)
+    m = np.zeros((n, n), dtype=complex)
+    if p < n * (n - 1):
+        j, c = divmod(p, n - 1)
+        m[j, c + (c >= j)] = 1.0
+    else:
+        j = p - n * (n - 1) + 1
+        levels = np.arange(n)
+        m[levels, levels] = (np.where(levels < j, 1.0, 0.0) - j * (levels == j)) / np.sqrt(j * (j + 1))
+    return 1j * m if imaginary else m
 
 
 def build_c_tilde(sys: ControlSystem, tol: float = 1e-9) -> OperatorSpan:
     """C~, the ad-closure of the output under the controls and the drift.
 
     When the sl(n) certificate of the module docstring applies, returns
-    the fixed orthonormal basis _sl_basis(n) with details
+    the rowless OperatorSpan of sl(n, C) with details
     {"method": SL_CERTIFICATE}; no closure runs.  Otherwise returns
-    close_c_tilde (details {"method": CLOSURE, "rounds": ...}).  Either way
-    the span is the same subspace.
+    close_c_tilde (details {"method": CLOSURE, "rounds": ...}), after
+    raising ClosureTooLarge if its peak bound exceeds physical memory.
+    Either way the span is the same subspace.
     """
-    n = sys.space.total_dim
     if _sl_certificate_applies(sys, tol):
-        mats = _sl_basis(n)
-        span = RealSpan(2 * n * n, tol=tol)
-        span.q = realify(mats.reshape(len(mats), n * n))
-        return OperatorSpan(sys.space, span, details={"method": SL_CERTIFICATE})
+        return OperatorSpan(sys.space, None, details={"method": SL_CERTIFICATE})
+    need = _closure_peak_bytes(sys, tol)
+    have = _physical_memory_bytes()
+    if have is not None and need > have:
+        raise ClosureTooLarge(
+            f"the {sys.scenario} C~ closure (the sl(n) certificate does not apply) needs about "
+            f"{need / 2**30:.1f} GiB, more than the {have / 2**30:.1f} GiB of physical memory"
+        )
     return close_c_tilde(sys, tol=tol)
 
 
 def check_open_loop(sys: ControlSystem, c_tilde: OperatorSpan, tol: float = 1e-9) -> Verdict:
     """Case I: every element of C~ (build_c_tilde(sys)) commutes with the interaction generator.
 
-    Decodes one element at a time and stops at the first that fails.
+    Builds one element at a time and stops at the first that fails.
     """
     a = sys.interaction.matrix
     scale = max(sys.interaction.norm(), 1.0)
-    n = sys.space.total_dim
-    for k, row in enumerate(c_tilde.span.q):
-        b = unrealify(row).reshape(n, n)
+    for k, b in enumerate(c_tilde.elements()):
         nrm = float(np.linalg.norm(b @ a - a @ b))
         if nrm > tol * scale * max(np.linalg.norm(b), 1.0):
             witness = {"kind": "ctilde_interaction_commutator", "basis_index": k, "norm": nrm}

@@ -18,6 +18,40 @@ def operator_span(space: qd.HilbertSpace, family, tol: float = 1e-9) -> Operator
     return OperatorSpan(space, span)
 
 
+def sl_basis(n: int) -> np.ndarray:
+    """The orthonormal real basis of sl(n, C) in observation._sl_element's order, as a (2(n^2 - 1), n, n) stack.
+
+    E_kl and i E_kl for k != l (row-major), then d_j and i d_j for the
+    orthonormal traceless diagonal d_j = (E_00 + ... + E_{j-1,j-1} - j E_jj)
+    / sqrt(j(j + 1)), j = 1..n-1, built for all elements at once.
+    """
+    k, l = np.nonzero(~np.eye(n, dtype=bool))
+    off = np.zeros((k.size, n, n), dtype=complex)
+    off[np.arange(k.size), k, l] = 1.0
+    j = np.arange(1, n)[:, None]
+    diag = np.where(np.arange(n) < j, 1.0, 0.0) - j * (np.arange(n) == j)
+    diag = diag / np.sqrt(j * (j + 1))
+    diag_mats = np.zeros((n - 1, n, n), dtype=complex)
+    diag_mats[:, np.arange(n), np.arange(n)] = diag
+    pairs = [np.stack([m, 1j * m], axis=1).reshape(-1, n, n) for m in (off, diag_mats)]
+    return np.concatenate(pairs)
+
+
+def materialized(c_tilde: OperatorSpan) -> OperatorSpan:
+    """C~ with its orthonormal basis held as realified rows.
+
+    A certified C~ = sl(n, C) holds none: its rows become realify(sl_basis(n)).
+    A closed C~ already holds its rows and is returned as it is.
+    """
+    if c_tilde.span is not None:
+        return c_tilde
+    n = c_tilde.space.total_dim
+    mats = sl_basis(n)
+    span = RealSpan(2 * n * n)
+    span.q = realify(mats.reshape(len(mats), n * n))
+    return OperatorSpan(c_tilde.space, span, dict(c_tilde.details))
+
+
 def operators(space: qd.HilbertSpace, mats) -> list[qd.Operator]:
     """One Operator per matrix of a (k, n, n) stack, for the one-at-a-time oracles."""
     return [qd.Operator(space, m) for m in mats]

@@ -1,13 +1,16 @@
 """The sl(n) certificate of build_c_tilde against the closure kernel.
 
-build_c_tilde returns a fixed orthonormal basis of sl(n, C) when the
-generators give su(n), tr C = 0 and C's hermitian parts are independent;
-otherwise it runs close_c_tilde.  The kernel is the oracle: wherever the
-certificate fires, its span must be the kernel's, and wherever one of the
+build_c_tilde returns sl(n, C), an OperatorSpan that holds no rows, when
+the generators give su(n), tr C = 0 and C's hermitian parts are
+independent; otherwise it runs close_c_tilde.  The kernel is the oracle:
+wherever the certificate fires, its span (the oracle basis sl_basis,
+which its elements equal bit for bit) must be the kernel's, and wherever one of the
 three conditions fails, the kernel's dimension must come back unchanged.
 The spectral su(n) test behind the first condition has its own oracle,
 the dimension of the Lie closure of the traceless generators.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,12 +18,13 @@ import pytest
 import qdecouple as qd
 from qdecouple import algebra, observation
 from qdecouple.observation import (
-    CLOSURE, SL_CERTIFICATE, _generates_su, _spectral_margins, _spectral_pair, close_c_tilde
+    CLOSURE, SL_CERTIFICATE, OperatorSpan, _c_tilde_dim_bound, _closure_peak_bytes, _generates_su,
+    _spectral_margins, _spectral_pair, close_c_tilde
 )
 from qdecouple.report import (
     closed_loop_verdict, controlled_invariance_at_states, decouplability_table
 )
-from oracles import closure_generates_su, traceless_generators
+from oracles import closure_generates_su, materialized, sl_basis, traceless_generators
 
 
 def _subspace_distance(a: qd.OperatorSpan, b: qd.OperatorSpan) -> float:
@@ -63,7 +67,7 @@ def bait2():
 def test_certificate_span_equals_kernel(name, n_env):
     sys_ = qd.build_scenario(name, qd.ScenarioParams(n_env=n_env))
     n = sys_.space.total_dim
-    cert = qd.build_c_tilde(sys_)
+    cert = materialized(qd.build_c_tilde(sys_))
     kernel = close_c_tilde(sys_)
     assert cert.details["method"] == SL_CERTIFICATE
     assert cert.dim == kernel.dim == 2 * (n * n - 1)
@@ -72,7 +76,7 @@ def test_certificate_span_equals_kernel(name, n_env):
 
 
 def test_bait_certificate_equals_kernel_at_default_truncation(bait, bait_c_tilde):
-    cert = qd.build_c_tilde(bait)
+    cert = materialized(qd.build_c_tilde(bait))
     assert cert.details["method"] == SL_CERTIFICATE
     assert cert.dim == bait_c_tilde.dim == 1150
     assert _subspace_distance(cert, bait_c_tilde) < 1e-10
@@ -80,12 +84,56 @@ def test_bait_certificate_equals_kernel_at_default_truncation(bait, bait_c_tilde
 
 
 def test_certificate_basis_is_orthonormal_and_traceless(bait2):
-    ct = qd.build_c_tilde(bait2)
+    ct = materialized(qd.build_c_tilde(bait2))
     q = ct.span.q
     assert np.abs(q @ q.T - np.eye(ct.dim)).max() < 1e-15
     mats = ct.matrices
     assert np.abs(np.trace(mats, axis1=1, axis2=2)).max() < 1e-15
     assert len(ct.matrices) == ct.dim
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_certificate_elements_are_the_oracle_basis_bit_for_bit(n):
+    ct = OperatorSpan(qd.HilbertSpace((("a", n),)), None, details={"method": SL_CERTIFICATE})
+    elements = np.array(list(ct.elements()))
+    assert ct.dim == len(elements) == 2 * (n * n - 1)
+    assert elements.dtype == np.complex128
+    assert elements.tobytes() == sl_basis(n).tobytes()
+
+
+def test_certificate_residual_is_the_trace_share(bait2):
+    # the closed form |tr M| / (sqrt(n) ||M||) against the projection onto the rows
+    ct = qd.build_c_tilde(bait2)
+    full = materialized(ct)
+    n = bait2.space.total_dim
+    rng = np.random.default_rng(2)
+    probes = [bait2.output_op, bait2.drift, qd.Operator(bait2.space, np.eye(n)),
+              qd.Operator(bait2.space, np.zeros((n, n)))]
+    probes += [qd.Operator(bait2.space, rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))) for _ in range(3)]
+    for op in probes:
+        assert abs(ct.residual(op) - full.residual(op)) < 1e-12
+    assert ct.residual(qd.Operator(bait2.space, np.eye(n))) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize(
+    "name,n_env,split",
+    [("single_qubit", 3, True), ("two_qubit", 3, True), ("bait", 2, False), ("restructured", 2, False)],
+)
+def test_closure_peak_bound_covers_the_closure(name, n_env, split):
+    # the single- and two-qubit systems split their environment off, which
+    # bounds C~ far below gl(n, C); bait and restructured couple it
+    sys_ = qd.build_scenario(name, qd.ScenarioParams(n_env=n_env))
+    n = sys_.space.total_dim
+    bound = _c_tilde_dim_bound(sys_, 1e-9)
+    assert (bound < 2 * n * n) == split
+    tracemalloc.start()
+    try:
+        ct = close_c_tilde(sys_)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ct.dim <= bound
+    assert peak <= _closure_peak_bytes(sys_, 1e-9)
 
 
 @pytest.mark.parametrize(

@@ -8,8 +8,10 @@ import pytest
 
 import qdecouple.feedback
 import qdecouple.models
+import qdecouple.observation
 from qdecouple.cli import _check_peak_bytes, _physical_memory_bytes, _plan_peak_bytes, main
 from qdecouple.feedback import commutant_basis
+from qdecouple.spans import close_real_span
 
 
 def run_cli(args):
@@ -132,11 +134,36 @@ def test_check_refuses_n_env_beyond_physical_memory(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("n_env,rss_mib", [(4, 142.8), (5, 260.0)])
+@pytest.mark.parametrize("n_env,rss_mib", [(4, 68.9), (5, 72.5), (6, 77.0), (10, 101.8), (20, 214.2)])
 def test_check_memory_estimate_covers_the_measured_peak(n_env, rss_mib):
-    # ru_maxrss of `qdecouple check` at these n_env (bait n = 8 n_env), one
-    # process each, NumPy 2.4 with OpenBLAS on x86-64 Linux
-    assert _check_peak_bytes(8 * n_env) >= rss_mib * 2**20
+    # ru_maxrss of `qdecouple check` at these n_env (bait n = 8 n_env) and
+    # the default max_power 5, one process each, NumPy 2.4 with OpenBLAS on
+    # x86-64 Linux
+    assert _check_peak_bytes(n_env, 5) >= rss_mib * 2**20
+
+
+def test_check_refuses_a_closure_beyond_physical_memory(tmp_path, capsys, monkeypatch):
+    # were the sl(n) certificate to refuse the bait system at n_env 20
+    # (n = 160), its closure could reach 2n^2 real dimensions: about 1 TiB
+    # by the closure's bound.  The single- and two-qubit closures, bounded
+    # by their tensor structure, still run; the bait closure never starts.
+    seeds = []
+
+    def spy(seed, *args, **kwargs):
+        seeds.append(seed.shape)
+        return close_real_span(seed, *args, **kwargs)
+
+    monkeypatch.setattr(qdecouple.observation, "_generates_su", lambda generators, tol: False)
+    monkeypatch.setattr(qdecouple.observation, "close_real_span", spy)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"params": {"n_env": 20}, "eval_states": 1}))
+    out = tmp_path / "out"
+    code = run_cli(["check", "--config", str(cfg), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "n_env=20" in err and "bait C~ closure" in err
+    assert seeds == [(1, 40 * 40), (1, 80 * 80)]           # single_qubit, two_qubit
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("n_env,rss_mib", [(4, 93.2), (5, 139.4)])

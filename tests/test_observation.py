@@ -8,7 +8,7 @@ import qdecouple as qd
 from qdecouple.algebra import SIGMA_X
 from qdecouple.observation import SL_CERTIFICATE, OperatorSpan, _generates_su
 from qdecouple.spans import RealSpan
-from oracles import control_algebra_verdict, operator_span, operators
+from oracles import control_algebra_verdict, materialized, operator_span, operators
 
 
 def _without_interaction(sys_):
@@ -111,9 +111,10 @@ def certified_bait_c_tilde(bait):
 @pytest.mark.parametrize("check", [qd.check_open_loop, qd.check_closed_loop_necessary])
 def test_checks_on_the_certified_bait_c_tilde_allocate_little(bait, certified_bait_c_tilde, check):
     # bait fails the open loop at element 0, and on sl(n, C) containment
-    # holds by the trace argument: neither check needs C~ decoded or bracketed
+    # holds by the trace argument: neither check needs C~ built or bracketed
     ct = certified_bait_c_tilde
-    limit = 0.2 * ct.span.q.nbytes
+    n = bait.space.total_dim
+    limit = 8 * n * n * 16                                # eight complex n x n matrices
     tracemalloc.start()
     try:
         check(bait, ct)
@@ -121,6 +122,23 @@ def test_checks_on_the_certified_bait_c_tilde_allocate_little(bait, certified_ba
     finally:
         tracemalloc.stop()
     assert peak < limit
+
+
+def test_certified_bait_c_tilde_and_both_checks_hold_no_c_tilde_sized_array(bait):
+    # the spectral su(n) test's 2k^2 + 3k = 230 matrices (k = 10 generators)
+    # are the peak; the certified C~ holds no rows: 0.21 U at n_env 3
+    n = bait.space.total_dim
+    tracemalloc.start()
+    try:
+        ct = qd.build_c_tilde(bait)
+        open_v = qd.check_open_loop(bait, ct)
+        closed_v = qd.check_closed_loop_necessary(bait, ct)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ct.details["method"] == SL_CERTIFICATE and ct.dim == 1150
+    assert not open_v.ok and open_v.witness["basis_index"] == 0 and closed_v.ok
+    assert peak < 300 * n * n * 16
 
 
 def test_su_n_certificate_closure_peaks_below_three_c_tilde_arrays(bait):
@@ -168,8 +186,9 @@ class TestBatchedWitnessParity:
     def _assert_parity(self, sys_, ct):
         got_open = qd.check_open_loop(sys_, ct)
         got_closed = qd.check_closed_loop_necessary(sys_, ct)
-        assert (got_open.ok, got_open.witness) == self._naive_open(sys_, ct)
-        assert (got_closed.ok, got_closed.witness) == self._naive_closed(sys_, ct)
+        # the per-element loops run on C~'s basis held as rows
+        assert (got_open.ok, got_open.witness) == self._naive_open(sys_, materialized(ct))
+        assert (got_closed.ok, got_closed.witness) == self._naive_closed(sys_, materialized(ct))
         return got_open, got_closed
 
     def test_single_qubit(self, single_qubit):

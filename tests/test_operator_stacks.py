@@ -8,6 +8,7 @@ from qdecouple.feedback import control_commutant_combos
 from qdecouple.observation import CLOSURE, SL_CERTIFICATE
 from qdecouple.spans import realify
 from qdecouple.tangent import omega_generator_basis
+from oracles import materialized
 
 
 def _c_tilde(name, n_env, method):
@@ -32,7 +33,7 @@ def test_operator_families_are_complex_stacks(family, commutant_toy):
         ct = (_c_tilde("bait", 2, SL_CERTIFICATE) if family == "c_tilde_certificate"
               else _c_tilde("two_qubit", 3, CLOSURE))
         n = ct.space.total_dim
-        stacks = [ct.matrices]
+        stacks = [np.array(list(ct.elements()))]
     else:
         stacks = FAMILIES[family](commutant_toy)
     assert stacks
@@ -43,4 +44,4 @@ def test_operator_families_are_complex_stacks(family, commutant_toy):
     if family.startswith("c_tilde"):
         mats = stacks[0]
         assert len(mats) == ct.dim
-        assert np.abs(realify(mats.reshape(len(mats), n * n)) - ct.span.q).max() <= 1e-15
+        assert np.abs(realify(mats.reshape(len(mats), n * n)) - materialized(ct).span.q).max() <= 1e-15
