@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
+from scipy.linalg.lapack import zheevd
 
 from .spans import close_real_span, skew_hermitian_coordinates
 
@@ -229,9 +230,23 @@ def number_operator(n_levels: int) -> Operator:
     return Operator(b.space, bd.matrix @ b.matrix)
 
 
+def _eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (ascending) and eigenvectors (columns) of a hermitian matrix.
+
+    LAPACK's zheevd on the lower triangle, as np.linalg.eigh runs it, called
+    without that wrapper's per-call checks.  v is copied to C order, the
+    layout np.linalg.eigh returns: products with a Fortran-ordered v round
+    differently.
+    """
+    w, v, info = zheevd(h, lower=1)
+    if info:
+        raise np.linalg.LinAlgError(f"zheevd failed (info={info})")
+    return w, np.ascontiguousarray(v)
+
+
 def unitary_stepper(a_mat: np.ndarray) -> Callable[[np.ndarray, float], np.ndarray]:
     """(xi, t) -> exp(t a) xi for a skew-hermitian matrix, from one eigh of i*a."""
-    w, v = np.linalg.eigh(1j * a_mat)
+    w, v = _eigh(1j * a_mat)
 
     def step(xi: np.ndarray, t: float) -> np.ndarray:
         return v @ (np.exp(-1j * w * t) * (v.conj().T @ xi))

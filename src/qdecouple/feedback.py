@@ -18,9 +18,14 @@ matrices (A_I, the drift, the controls and the control combinations
 commuting with A_I), the commutant basis, and the pairwise commutator
 norms over [A_I, *candidates].  Per state, build_frame evaluates every
 field with one matmul against the stack, takes the control-field rank and
-the K_I membership test through one RealSpan, and selects the frame
-greedily; synthesize then solves one small least-squares problem for d and
-one for the drift projection.  The frame's commutator diagnostics are a
+the K_I membership test through one RealSpan, whose pivoted QR leaves Q, an
+orthonormal basis of span G(xi), and selects the frame greedily by
+Gram-Schmidt, which leaves B, an orthonormal basis of the frame.  The
+frame carries Q and B, so synthesize factors nothing twice: with r
+controls it works in r x r coordinates, one LU solve for d, one SVD of d
+for its rank cut, cond(d) and S = d^-1, one LU solve for the drift split,
+and two projections for the residuals.  Its LAPACK calls go straight to
+their drivers with info checked.  The frame's commutator diagnostics are a
 lookup into the plan's table.
 
 J's zero last row makes the literal beta singular; the paper
@@ -37,6 +42,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg.lapack import dgesdd, dgesv
 
 from .algebra import DEFAULT_TOL, Operator, StateVector, commutator, is_hermitian
 from .models import ControlSystem
@@ -75,9 +81,13 @@ class CommutingFrame:
     vectors holds the frame's tangent vectors at base, (k, n) complex, and
     generating_ops the operators that generate them, a (k, n, n) stack.
     field_rows holds the realified drift and control fields at base
-    ([K_0, K_1..K_r]) and commutator_norms the pairwise commutator norms of
-    the generating operators, both as the plan produced them; a frame
-    assembled by hand leaves them None and they are computed on demand.
+    ([K_0, K_1..K_r]), commutator_norms the pairwise commutator norms of
+    the generating operators, control_basis Q, the orthonormal rows of the
+    control fields' realified span (the pivoted QR behind
+    control_field_rank), and frame_basis B, the orthonormal rows the greedy
+    Gram-Schmidt kept for the frame vectors, all as build_frame produced
+    them; a frame assembled by hand leaves them None and synthesize and
+    pairwise_commutator_norms compute them on demand.
     """
 
     base: StateVector
@@ -86,6 +96,8 @@ class CommutingFrame:
     details: dict = field(default_factory=dict)
     field_rows: np.ndarray | None = None
     commutator_norms: np.ndarray | None = None
+    control_basis: np.ndarray | None = None
+    frame_basis: np.ndarray | None = None
 
     def __post_init__(self):
         self.vectors = tangent_rows(self.base, self.vectors)
@@ -125,8 +137,7 @@ class FeedbackLaw:
     @property
     def beta_singular(self) -> bool:
         """beta's singular values cut at the tol synthesize ran with (details["tol"])."""
-        s = np.linalg.svd(self.beta, compute_uv=False)
-        return leading_rank(s, self.details["tol"]) < self.beta.shape[0]
+        return leading_rank(_svd(self.beta)[1], self.details["tol"]) < self.beta.shape[0]
 
 
 def commutant_basis(a_i: Operator, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -326,10 +337,27 @@ def build_frame(
         return FrameResult(False, None, report)
     norms = None if table_index is None else plan.commutator_norms.take(table_index, 0).take(table_index, 1)
     frame = CommutingFrame(
-        xi, vectors, np.array(ops), details=dict(report), field_rows=rows[1 : 2 + r], commutator_norms=norms
+        xi, vectors, np.array(ops), details=dict(report), field_rows=rows[1 : 2 + r], commutator_norms=norms,
+        control_basis=g_span.q, frame_basis=basis,
     )
     frame.details["max_pairwise_commutator"] = float(frame.pairwise_commutator_norms().max(initial=0.0))
     return FrameResult(True, frame, report)
+
+
+def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x with a x = b for a square a and (n, k) b, by one LU (LAPACK dgesv)."""
+    _, _, x, info = dgesv(a, b)
+    if info:
+        raise np.linalg.LinAlgError(f"dgesv failed (info={info})")
+    return x
+
+
+def _svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """u, s, vt with a = u diag(s) vt, s descending (LAPACK dgesdd)."""
+    u, s, vt, info = dgesdd(a)
+    if info:
+        raise np.linalg.LinAlgError(f"dgesdd failed (info={info})")
+    return u, s, vt
 
 
 def _upshift(r: int, mode: str) -> np.ndarray:
@@ -349,10 +377,21 @@ def synthesize(
 ) -> FeedbackLaw:
     """Compute (alpha, beta) from a successful commuting frame.
 
-    Solves v_j = sum_i d[j,i] K_i in the realified least-squares sense
-    (residual beyond tol means the controls do not express the frame),
-    forms beta = J d and cancels the drift's v_2..v_r components to get
-    alpha = alpha~ beta.
+    Expresses the frame over the controls, v_j = sum_i d[j,i] K_i, forms
+    beta = J d and cancels the drift's v_2..v_r components to get
+    alpha = alpha~ beta.  Everything is r x r algebra in the frame's bases
+    (rows, realified): with Q the orthonormal basis of span(K) and B that
+    of span(v),
+      - the frame's residual outside span(Q) beyond tol means the controls
+        do not express the frame;
+      - fewer than r rows of Q, or an SVD of d = (V Q^T)(K Q^T)^-1 cut
+        below r at tol, means d is singular; the SVD also gives cond(d)
+        and S = d^-1 (first column zeroed);
+      - the drift's coordinates c over v solve (V B^T)^T c = B K_0, and
+        its residual outside span(B) is drift_outside_frame.
+    These are the least-squares solutions of V = d K and V^T c = K_0.  A
+    frame built by hand gets Q from a RealSpan at tol and B from a QR of
+    its vectors.
     """
     xi = frame.base
     r = sys.n_controls
@@ -363,25 +402,39 @@ def synthesize(
         fields = realify(np.array([a.matrix @ xi.amplitudes for a in (sys.drift, *sys.controls)]))
     k0, k_rows = fields[0], fields[1:]                                             # (2n,), (r, 2n)
     v_rows = realify(frame.vectors)                                                # (r, 2n)
+    q = frame.control_basis
+    if q is None:
+        g_span = RealSpan(k_rows.shape[1], tol=tol)
+        g_span.add_batch(k_rows)
+        q = g_span.q
 
-    d = np.linalg.lstsq(k_rows.T, v_rows.T, rcond=None)[0].T                       # v ≈ d K
-    resid = row_norms(v_rows - d @ k_rows)
+    v_q = v_rows @ q.T
+    resid = row_norms(v_rows - v_q @ q)
     scale = row_norms(v_rows)
-    if np.any(resid > tol * np.maximum(scale, 1.0)):
+    if (resid > tol * np.maximum(scale, 1.0)).any():
         raise SynthesisError(f"controls do not express the frame (residual {resid.max():.3e})")
     # the frame has rank r, so dependent control fields also leave d singular
-    sing_d = np.linalg.svd(d, compute_uv=False)
+    singular = "d is singular at the synthesis tol: frame not invertible over the controls"
+    if q.shape[0] < r:
+        raise SynthesisError(singular)
+    d = _solve((k_rows @ q.T).T, v_q.T).T                                          # d (K Q^T) = V Q^T
+    u, sing_d, vt = _svd(d)
     if leading_rank(sing_d, tol) < r:
-        raise SynthesisError("d is singular at the synthesis tol: frame not invertible over the controls")
+        raise SynthesisError(singular)
     cond_d = float(sing_d[0] / sing_d[-1])
 
-    s_matrix = np.linalg.inv(d)
+    s_matrix = (vt.T / sing_d) @ u.T
     s_matrix[:, 0] = 0.0
     j_matrix = _upshift(r, mode)
     beta = j_matrix @ d
 
-    c_coeffs, *_ = np.linalg.lstsq(v_rows.T, k0, rcond=None)
-    drift_residual = float(np.linalg.norm(k0 - v_rows.T @ c_coeffs))
+    b = frame.frame_basis
+    if b is None:
+        b = np.linalg.qr(v_rows.T)[0].T
+    k0_b = b @ k0
+    c_coeffs = _solve((v_rows @ b.T).T, k0_b[:, None])[:, 0]                      # (V B^T)^T c = B K_0
+    drift_out = k0 - k0_b @ b
+    drift_residual = math.sqrt(np.dot(drift_out, drift_out))                      # np.linalg.norm's formula
     alpha_tilde = np.zeros(r)
     alpha_tilde[: r - 1] = -c_coeffs[1:]
     alpha = alpha_tilde @ beta

@@ -119,7 +119,7 @@ def propagate_closed_loop(
 
     Every segment of v_sched is cut into max(1, ceil(dur/dt)) equal steps of
     dur/n, so each step applies its own segment's v and the run ends at the
-    schedule's total duration.
+    schedule's total duration.  dt must be positive and finite (ValueError).
 
     mode:  'literal' / 'regularized' synthesize (alpha, beta) each step;
            'oracle_cancel' subtracts the interaction generator outright
@@ -137,6 +137,8 @@ def propagate_closed_loop(
     """
     if mode not in ("literal", "regularized", "oracle_cancel", "open_loop"):
         raise ValueError(f"unknown feedback mode {mode!r}")
+    if not (math.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt must be positive and finite, got {dt!r}")
     if policy not in ("abort", "freeze", "open_loop"):
         raise ValueError(f"unknown rank-deficiency policy {policy!r}")
     if xi0.space != sys.space:
@@ -145,10 +147,11 @@ def propagate_closed_loop(
     if feedback and plan is None:
         plan = FramePlan.build(sys)
     xi = xi0.amplitudes.copy()
+    nrm = np.linalg.norm(xi)                               # |xi| of the current state, once per step
     c_mat = sys.output_op.matrix
     times = [0.0]
     ys = [complex(np.vdot(xi, c_mat @ xi))]
-    drifts = [abs(np.linalg.norm(xi) - 1.0)]
+    drifts = [abs(nrm - 1.0)]
     audit: list[dict] = []
     last_law = None
     t = 0.0
@@ -163,7 +166,7 @@ def propagate_closed_loop(
         for _ in range(n_steps):
             row: dict = {"step": k, "t": t, "action": mode}
             if feedback:
-                state = StateVector(sys.space, xi / np.linalg.norm(xi))
+                state = StateVector(sys.space, xi / nrm)
                 result: FrameResult = build_frame(sys, state, plan=plan)
                 if result.ok:
                     law = synthesize(sys, result.frame, mode=mode, tol=plan.tol)
@@ -200,7 +203,8 @@ def propagate_closed_loop(
                 step = unitary_stepper(gen.matrix)
             xi = step(xi, h)
             t += h
-            drift = abs(np.linalg.norm(xi) - 1.0)
+            nrm = np.linalg.norm(xi)
+            drift = abs(nrm - 1.0)
             if drift > 1e-8:
                 raise NormDriftError(f"norm drift {drift:.3e} at t={t:.6f}")
             times.append(t)
@@ -213,7 +217,7 @@ def propagate_closed_loop(
         times=np.array(times),
         y_values=np.array(ys),
         norm_drift=float(max(drifts)),
-        final_state=StateVector(sys.space, xi / np.linalg.norm(xi)),
+        final_state=StateVector(sys.space, xi / nrm),
         norm_drifts=np.array(drifts),
         audit=audit,
     )

@@ -201,8 +201,8 @@ def leading_rank(magnitudes: np.ndarray, tol: float, floor: float = 0.0) -> int:
     magnitudes = np.asarray(magnitudes)
     if magnitudes.size == 0:
         return 0
-    small = np.flatnonzero(magnitudes <= tol * max(magnitudes[0], floor))
-    return int(small[0]) if small.size else magnitudes.size
+    small = magnitudes <= tol * max(magnitudes[0], floor)
+    return int(small.argmax()) if small.any() else magnitudes.size
 
 
 def _pivoted_qr_directions(a: np.ndarray, tol: float) -> np.ndarray:

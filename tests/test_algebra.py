@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import qdecouple as qd
-from qdecouple.algebra import IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z, is_hermitian, unitary_stepper
+from qdecouple.algebra import IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z, _eigh, is_hermitian, unitary_stepper
 from oracles import operator_span
 
 
@@ -208,6 +208,25 @@ class TestMatrixExpApply:
             xi = qd.random_state(sp, rng)
             out = unitary_stepper(-1j * h)(xi.amplitudes, rng.uniform(-3, 3))
             assert abs(np.linalg.norm(out) - 1.0) < 1e-10
+
+    @pytest.mark.parametrize("name", ["bait", "two_qubit"])
+    def test_eigenpairs_and_steps_are_numpy_eigh_bit_for_bit(self, name, request):
+        # the open-loop traces keep their bytes only if the stepper's eigh is
+        # np.linalg.eigh's, v in the same (C) order
+        sys_ = request.getfixturevalue(name)
+        rng = np.random.default_rng(21)
+        xi = qd.random_state(sys_.space, rng).amplitudes
+        n = sys_.space.total_dim
+        gens = [sys_.generator(rng.normal(size=sys_.n_controls)).matrix,
+                sys_.generator(None, include_interaction=False).matrix,
+                *sys_.control_stack.reshape(-1, n, n)]
+        for a in gens:
+            w, v = _eigh(1j * a)
+            w_ref, v_ref = np.linalg.eigh(1j * a)
+            assert np.array_equal(w, w_ref) and np.array_equal(v, v_ref)
+            assert v.flags.c_contiguous
+            want = v_ref @ (np.exp(-1j * w_ref * 0.37) * (v_ref.conj().T @ xi))
+            assert np.array_equal(unitary_stepper(a)(xi, 0.37), want)
 
 
 class TestRealifiedRank:

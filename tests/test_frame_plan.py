@@ -2,11 +2,16 @@
 
 The reference below recomputes everything at the state with the formulas
 the plan replaced: one RealSpan per candidate set, one Operator per
-candidate, the commutant built per call.  The plan must agree with it on
-the ranks and, to 1e-12, on d, alpha, beta, S and cond(d).
+candidate, the commutant built per call, and the law by two least-squares
+solves (d from V = d K, the drift split from V^T c = K_0), an explicit
+inverse and a separate cond(d).  The plan must agree with it on the ranks
+and, to 1e-12, on d, alpha, beta, S and cond(d): at seeded states, at every
+state of a closed loop, and for frames built by hand, whose bases
+synthesize computes on demand.
 """
 
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -61,6 +66,12 @@ def reference_frame_and_law(sys_, xi, tol=TOL):
     report["frame_rank"] = len(vectors)
     if len(vectors) < r:
         return report, None
+    return report, reference_law(sys_, xi, vectors)
+
+
+def reference_law(sys_, xi, vectors):
+    r = sys_.n_controls
+    k_rows = np.array([realify(a.matrix @ xi.amplitudes) for a in sys_.controls])
     v_rows = realify(np.array(vectors))
     d = np.linalg.lstsq(k_rows.T, v_rows.T, rcond=None)[0].T
     s_matrix = np.linalg.inv(d)
@@ -70,8 +81,7 @@ def reference_frame_and_law(sys_, xi, tol=TOL):
     c = np.linalg.lstsq(v_rows.T, k0, rcond=None)[0]
     alpha_tilde = np.zeros(r)
     alpha_tilde[: r - 1] = -c[1:]
-    law = {"d": d, "alpha": alpha_tilde @ beta, "beta": beta, "S": s_matrix, "cond_d": np.linalg.cond(d)}
-    return report, law
+    return {"d": d, "alpha": alpha_tilde @ beta, "beta": beta, "S": s_matrix, "cond_d": np.linalg.cond(d)}
 
 
 def mixed_toy():
@@ -99,12 +109,20 @@ def assert_matches_reference(sys_, plan, xi):
     assert res.ok == (ref_law is not None)
     if ref_law is None:
         return res
-    law = qd.synthesize(sys_, res.frame)
+    assert_law_matches(qd.synthesize(sys_, res.frame), ref_law)
+    return res
+
+
+def assert_law_matches(law, ref_law):
     got = {"d": law.d_matrix, "alpha": law.alpha, "beta": law.beta, "S": law.s_matrix,
            "cond_d": law.details["cond_d"]}
     for key, want in ref_law.items():
         np.testing.assert_allclose(got[key], want, rtol=1e-12, atol=1e-12, err_msg=key)
-    return res
+
+
+def toy_subsystem(toy, controls, labels):
+    return qd.ControlSystem(toy.space, toy.drift, controls, toy.interaction, toy.output_op,
+                            scenario="toy_sub", control_labels=labels)
 
 
 def test_toy_plan_matches_reference_at_seeded_states(commutant_toy):
@@ -124,6 +142,77 @@ def test_commutant_fallback_matches_reference():
         res = assert_matches_reference(sys_, plan, qd.random_state(sys_.space, rng))
         assert res.report["commutant_dim"] == len(plan.commutant)
         assert 2 < res.report["frame_rank"] < 6 and not res.ok
+
+
+def test_every_audit_row_of_a_closed_loop_matches_reference(commutant_toy, monkeypatch):
+    real_build_frame = simulate.build_frame
+    states = []
+
+    def recording_build_frame(sys_, xi, plan=None):
+        states.append(xi)
+        return real_build_frame(sys_, xi, plan=plan)
+
+    monkeypatch.setattr(simulate, "build_frame", recording_build_frame)
+    xi0 = qd.random_state(commutant_toy.space, np.random.default_rng(31))
+    sched = qd.PulseSchedule(
+        [(0.25, np.array([0.0, 1.0, 0.4, 0.0, 0.2])), (0.25, np.array([0.0, -0.5, 0.2, 0.3, 0.0]))]
+    )
+    trace_g, trace_0, _ = qd.decoupling_pair(commutant_toy, sched, xi0, dt=0.01, mode="literal",
+                                             collect_audit=True)
+    rows = trace_g.audit + trace_0.audit
+    assert len(rows) == len(states) == 100
+    for row, xi in zip(rows, states):
+        ref_report, ref_law = reference_frame_and_law(commutant_toy, xi)
+        assert row["action"] == "synthesized" and row["frame_rank"] == ref_report["frame_rank"]
+        law = SimpleNamespace(d_matrix=np.array(row["d"]), alpha=np.array(row["alpha"]),
+                              beta=np.array(row["beta"]), s_matrix=np.array(row["S"]),
+                              details={"cond_d": row["cond_d"]})
+        assert_law_matches(law, ref_law)
+
+
+def test_hand_built_frames_match_reference(commutant_toy):
+    # no field rows and no bases: synthesize computes them on demand
+    plan = FramePlan.build(commutant_toy)
+    rng = np.random.default_rng(41)
+    for _ in range(5):
+        xi = qd.random_state(commutant_toy.space, rng)
+        built = qd.build_frame(commutant_toy, xi, plan=plan).frame
+        by_hand = qd.CommutingFrame(xi, built.vectors, built.generating_ops)
+        assert by_hand.control_basis is None and by_hand.frame_basis is None
+        law = qd.synthesize(commutant_toy, by_hand)
+        assert_law_matches(law, reference_law(commutant_toy, xi, built.vectors))
+        carried = qd.synthesize(commutant_toy, built)
+        for key in ("drift_outside_frame", "c1"):
+            np.testing.assert_allclose(law.details[key], carried.details[key], rtol=1e-12, atol=1e-12)
+
+
+def test_hand_built_frame_of_a_two_control_subsystem_matches_reference(commutant_toy):
+    sub = toy_subsystem(commutant_toy, commutant_toy.controls[:2], ["B1", "B2"])
+    rng = np.random.default_rng(42)
+    for _ in range(3):
+        xi = qd.random_state(sub.space, rng)
+        k1, k2 = (qd.eval_field(a, xi) for a in sub.controls)
+        vectors = [k1 + 0.3 * k2, -0.5 * k1 + 1.2 * k2]
+        frame = qd.CommutingFrame(xi, vectors, [sub.controls[0].matrix, sub.controls[1].matrix])
+        law = qd.synthesize(sub, frame)
+        np.testing.assert_allclose(law.d_matrix, [[1.0, 0.3], [-0.5, 1.2]], atol=1e-12)
+        assert_law_matches(law, reference_law(sub, xi, vectors))
+
+
+def test_frame_residual_is_reported_before_a_singular_d(commutant_toy):
+    # dependent control fields (B1 twice) leave d singular for any frame; a
+    # frame outside their span fails on its residual first
+    b1 = commutant_toy.controls[0]
+    sub = toy_subsystem(commutant_toy, [b1, b1 * 2.0], ["B1", "2B1"])
+    xi = qd.random_state(sub.space, np.random.default_rng(43))
+    k1 = qd.eval_field(b1, xi)
+    outside = qd.CommutingFrame(xi, [k1, qd.eval_field(commutant_toy.controls[1], xi)],
+                                [b1.matrix, commutant_toy.controls[1].matrix])
+    with pytest.raises(qd.SynthesisError, match="do not express the frame"):
+        qd.synthesize(sub, outside)
+    inside = qd.CommutingFrame(xi, [k1, 3.0 * k1], [b1.matrix, 3.0 * b1.matrix])
+    with pytest.raises(qd.SynthesisError, match="d is singular"):
+        qd.synthesize(sub, inside)
 
 
 def test_table_lookup_equals_commutators(commutant_toy):

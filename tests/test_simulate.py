@@ -47,6 +47,24 @@ class TestPropagate:
         assert np.linalg.norm(direct.amplitudes - two_step.amplitudes) < 1e-10
 
 
+    @pytest.mark.parametrize("dt", [-0.1, 0.0, float("inf"), float("nan")])
+    def test_dt_must_be_positive_and_finite(self, commutant_toy, dt):
+        # a negative or infinite dt used to take one step per segment, 0 to
+        # divide by zero and nan to fail converting the step count
+        xi0 = qd.random_state(commutant_toy.space, np.random.default_rng(13))
+        sched = qd.PulseSchedule.constant(1.0, [0.0, 1.0, 0.0, 0.0, 0.0])
+        runs = [
+            lambda: qd.propagate(commutant_toy, sched, xi0, dt_max=dt),
+            *(lambda m=mode: qd.propagate_closed_loop(commutant_toy, sched, xi0, dt=dt, mode=m)
+              for mode in ("literal", "regularized", "oracle_cancel", "open_loop")),
+            lambda: qd.decoupling_pair(commutant_toy, sched, xi0, dt=dt, mode="literal"),
+            lambda: qd.decoupling_pair(commutant_toy, sched, xi0, dt=dt, mode="oracle_cancel"),
+        ]
+        for run in runs:
+            with pytest.raises(ValueError, match="dt must be positive and finite"):
+                run()
+
+
 class TestClosedLoop:
     def test_oracle_mode_pairs_exactly(self, commutant_toy):
         rng = np.random.default_rng(0)
