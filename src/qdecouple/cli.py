@@ -463,8 +463,10 @@ def cmd_rank(cfg: dict, out_dir: Path) -> int:
     tol = cfg["tol"]
     n = sys_.space.total_dim
     # the control algebra's (L, n, n) stack is used as is: a flat (L n, n)
-    # product is big enough for OpenBLAS to thread, which made it and the
-    # small QRs after it slower on 2 cores
+    # product is big enough for NumPy's OpenBLAS to thread, and its pool
+    # then slows SciPy's small QRs after it (this loop runs outside the
+    # closure's one-thread scope); flat, bait's rank took 0.94-1.5 s in
+    # process on 2 vCPUs, against 0.10-0.17 s stacked, with the same bytes
     algebra = lie_closure(sys_.control_stack.reshape(-1, n, n), tol=tol)
     field_ranks = []
     algebra_ranks = []

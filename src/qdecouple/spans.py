@@ -31,14 +31,34 @@ give, with rows half as long.  algebra.lie_closure, behind the `rank`
 command's control algebra, runs in them.  observation.build_c_tilde
 closes no Lie algebra: it certifies C~ = sl(n, C) from one spectrum, and
 where the certificate does not apply it runs the realified closure of C~.
+
+close_real_span runs its BLAS on one thread.  NumPy and SciPy each
+bundle their own OpenBLAS with its own thread pool; a closure alternates
+NumPy's products with SciPy's pivoted QR, and with two threads each the
+two pools hand work back and forth and spin against each other on the
+same cores.  On a 2-vCPU host, bait's control-algebra closure took
+0.20-0.25 s with two threads and 0.05-0.07 s with one (its dgeqp3 calls
+49-85 ms against 6-7 ms), and the kept basis, so the `rank` report,
+differed in its last bits with the thread count.  _serial_blas sets both
+libraries to one thread for the closure's whole body and sets back the
+counts it found; no process-wide count is set, and where no setter is
+found (another BLAS, an older OpenBLAS) the closure runs as it is.  The
+hand loops of hsb_generation_search and omega_closure_closed, and the
+closed loop's per-step add_batch, stay unscoped: no gain was measured
+there.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 import math
-from typing import Callable, Iterable, NamedTuple
+from pathlib import Path
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
+import scipy
 from scipy.linalg.lapack import dgeqp3, dorgqr
 
 # LAPACK block size behind the explicit workspaces of dgeqp3 and dorgqr
@@ -246,6 +266,44 @@ def unit_generators(generators: np.ndarray) -> np.ndarray:
     return np.array([(1.0 / nrm) * g for g in generators if (nrm := np.linalg.norm(g)) > 0]).reshape(-1, n, n)
 
 
+@functools.cache
+def _openblas_libraries() -> tuple[ctypes.CDLL, ...]:
+    """The OpenBLAS builds NumPy and SciPy bundle, each where it exports openblas_set_num_threads_local.
+
+    NumPy's wheel ships libscipy_openblas64_ in numpy.libs and SciPy's ships
+    libscipy_openblas in scipy.libs; both are loaded by the time spans is
+    imported.  Resolved on first use and kept: an empty tuple (another
+    BLAS vendor, an older OpenBLAS, a build without bundled libraries)
+    makes _serial_blas a no-op.
+    """
+    found = []
+    for package, pattern in ((np, "libscipy_openblas64_*"), (scipy, "libscipy_openblas-*")):
+        for path in sorted((Path(package.__file__).parent.parent / f"{package.__name__}.libs").glob(pattern)):
+            lib = ctypes.CDLL(str(path))
+            setter = getattr(lib, "openblas_set_num_threads_local", None)
+            if setter is not None:
+                setter.argtypes = [ctypes.c_int]
+                setter.restype = ctypes.c_int            # the count it replaced
+                found.append(lib)
+    return tuple(found)
+
+
+@contextlib.contextmanager
+def _serial_blas() -> Iterator[None]:
+    """Run the body with both bundled OpenBLAS libraries at one thread, then restore their counts.
+
+    The counts set back are the ones the setter returned on entry, also
+    when the body raises.
+    """
+    libraries = _openblas_libraries()
+    previous = [lib.openblas_set_num_threads_local(1) for lib in libraries]
+    try:
+        yield
+    finally:
+        for lib, count in zip(libraries, previous):
+            lib.openblas_set_num_threads_local(count)
+
+
 def close_real_span(
     seeds: np.ndarray,
     generators: np.ndarray,
@@ -271,19 +329,25 @@ def close_real_span(
     always present; later rounds only when they added something), which
     together are orthonormal in the real sense, so np.vstack(batches) is
     the basis; and the number of frontier rounds performed.
+
+    The whole closure runs with both bundled OpenBLAS libraries at one
+    thread (_serial_blas), restored on return or raise: on 2 vCPUs that
+    made bait's control algebra 3-4x faster, and the basis bytes stop
+    depending on the host's core count (module docstring).
     """
-    seeds = coords.encode(np.atleast_2d(np.asarray(seeds, dtype=complex)))
-    span = RealSpan(seeds.shape[1], tol=tol)
-    units = unit_generators(np.asarray(generators))
-    frontier = coords.decode(span.add_batch(seeds))
-    batches = [frontier]
-    rounds = 0
-    while frontier.shape[0] and len(units):
-        rounds += 1
-        candidates = ad_images(units, frontier.reshape(len(frontier), *units.shape[1:]))
-        frontier = coords.decode(span.add_batch(coords.encode(candidates.reshape(len(candidates), -1))))
-        if frontier.shape[0]:
-            batches.append(frontier)
+    with _serial_blas():
+        seeds = coords.encode(np.atleast_2d(np.asarray(seeds, dtype=complex)))
+        span = RealSpan(seeds.shape[1], tol=tol)
+        units = unit_generators(np.asarray(generators))
+        frontier = coords.decode(span.add_batch(seeds))
+        batches = [frontier]
+        rounds = 0
+        while frontier.shape[0] and len(units):
+            rounds += 1
+            candidates = ad_images(units, frontier.reshape(len(frontier), *units.shape[1:]))
+            frontier = coords.decode(span.add_batch(coords.encode(candidates.reshape(len(candidates), -1))))
+            if frontier.shape[0]:
+                batches.append(frontier)
     return span, batches, rounds
 
 

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -11,7 +12,7 @@ import qdecouple.models
 import qdecouple.observation
 from qdecouple.cli import _check_peak_bytes, _physical_memory_bytes, _plan_peak_bytes, main
 from qdecouple.feedback import commutant_basis
-from qdecouple.spans import close_real_span
+from qdecouple.spans import _openblas_libraries, close_real_span
 
 
 def run_cli(args):
@@ -446,6 +447,20 @@ def test_maneuver_chain_searches_at_the_configured_tol(tmp_path, monkeypatch):
     cfg.write_text(json.dumps({"tol": 1e-7}))
     assert run_cli(["maneuver", "--chain", "--config", str(cfg), "--out", str(tmp_path / "chain")]) == 0
     assert seen == [1e-7]
+
+
+def test_rank_report_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # the control-algebra closure runs at one BLAS thread whatever the host
+    # default, so report.json is the same bytes on a 1-core and a 4-core host
+    if not _openblas_libraries():
+        pytest.skip("no openblas_set_num_threads_local in the bundled BLAS")
+    for threads in ("1", "2"):
+        subprocess.run(
+            [sys.executable, "-m", "qdecouple.cli", "rank", "--scenario", "bait", "--seed", "0",
+             "--out", str(tmp_path / threads)],
+            env={**os.environ, "OPENBLAS_NUM_THREADS": threads}, capture_output=True, check=True,
+        )
+    assert (tmp_path / "1/report.json").read_bytes() == (tmp_path / "2/report.json").read_bytes()
 
 
 def test_console_script_entrypoint():

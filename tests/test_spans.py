@@ -8,12 +8,18 @@ the rank and on the subspace kept, for batches of known rank.
 realified_nullspace takes the thin SVD of tall stacks; it must return the
 rows a full SVD gives, on stacks of every shape.  The skew-hermitian
 coordinates must be an isometry of u(n) onto R^(n^2) with an exact inverse.
+close_real_span must run at one BLAS thread in both bundled OpenBLAS
+libraries and hand back the counts it found, also when it raises.
 """
+
+import ctypes
 
 import numpy as np
 import pytest
 
-from qdecouple.spans import RealSpan, leading_rank, realified_nullspace, realify, skew_hermitian_coordinates
+import qdecouple.spans
+from qdecouple.spans import (RealSpan, _openblas_libraries, close_real_span, leading_rank, realified_nullspace, realify,
+                             skew_hermitian_coordinates)
 
 TOL = 1e-9
 
@@ -232,3 +238,47 @@ def test_leading_rank_stops_at_the_first_small_magnitude():
     assert leading_rank(np.array([1.0, 0.5, 1e-12, 1.1e-12, 1e-3]), TOL) == 2
     assert leading_rank(np.array([1.0, 0.99, 1.01, 0.5]), TOL) == 4
     assert leading_rank(np.array([1.0, 1e-9]), TOL) == 1  # at the threshold is small
+
+
+def _blas_threads(lib) -> int:
+    """The thread count an OpenBLAS library reports, by whichever getter its build exports."""
+    for symbol in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
+                   "openblas_get_num_threads64_", "openblas_get_num_threads"):
+        getter = getattr(lib, symbol, None)
+        if getter is not None:
+            getter.restype = ctypes.c_int
+            return getter()
+    pytest.skip("no OpenBLAS thread-count getter")
+
+
+@pytest.mark.parametrize("raises", [False, True])
+def test_close_real_span_runs_serial_blas_and_restores_the_counts(monkeypatch, raises):
+    libraries = _openblas_libraries()
+    if not libraries:
+        pytest.skip("no openblas_set_num_threads_local in the bundled BLAS")
+    host = [lib.openblas_set_num_threads_local(2) for lib in libraries]   # a count the scope must change
+    try:
+        before = [_blas_threads(lib) for lib in libraries]
+        inside = []
+        ad_images = qdecouple.spans.ad_images
+
+        def spy(generators, rows):
+            inside.append([_blas_threads(lib) for lib in libraries])
+            if raises:
+                raise RuntimeError("bracket failed")
+            return ad_images(generators, rows)
+
+        monkeypatch.setattr(qdecouple.spans, "ad_images", spy)
+        sx = np.array([[0, 1], [1, 0]], dtype=complex)
+        sy = np.array([[0, -1j], [1j, 0]])
+        if raises:
+            with pytest.raises(RuntimeError, match="bracket failed"):
+                close_real_span(sx.ravel()[None, :], 1j * sy[None])
+        else:
+            _, batches, _ = close_real_span(sx.ravel()[None, :], 1j * sy[None])
+            assert sum(len(b) for b in batches) == 2          # sigma_x, sigma_z
+        assert inside and all(counts == [1] * len(libraries) for counts in inside)
+        assert [_blas_threads(lib) for lib in libraries] == before
+    finally:
+        for lib, count in zip(libraries, host):
+            lib.openblas_set_num_threads_local(count)
