@@ -34,18 +34,19 @@ where the certificate does not apply it runs the realified closure of C~.
 
 close_real_span runs its BLAS on one thread.  NumPy and SciPy each
 bundle their own OpenBLAS with its own thread pool; a closure alternates
-NumPy's products with SciPy's pivoted QR, and with two threads each the
-two pools hand work back and forth and spin against each other on the
-same cores.  On a 2-vCPU host, bait's control-algebra closure took
-0.20-0.25 s with two threads and 0.05-0.07 s with one (its dgeqp3 calls
-49-85 ms against 6-7 ms), and the kept basis, so the `rank` report,
-differed in its last bits with the thread count.  _serial_blas sets both
-libraries to one thread for the closure's whole body and sets back the
-counts it found; no process-wide count is set, and where no setter is
-found (another BLAS, an older OpenBLAS) the closure runs as it is.  The
-hand loops of hsb_generation_search and omega_closure_closed, and the
-closed loop's per-step add_batch, stay unscoped: no gain was measured
-there.
+NumPy's products with SciPy's pivoted QR, whose per-column BLAS-2 calls
+are too small to gain from threads, and with two threads each the two
+pools' waiting workers compete for the same cores.  On a 2-vCPU host,
+bait's control-algebra closure took 0.20-0.25 s with two threads and
+0.05-0.07 s with one (its dgeqp3 calls 49-85 ms against 6-7 ms), and the
+kept basis, so the `rank` report, differed in its last bits with the
+thread count.  _serial_blas sets both libraries to one thread for the
+closure's whole body and sets back the counts it found; nothing is set
+at import or outside a closure, and where no setter is found (another
+BLAS, an older OpenBLAS) the closure runs as it is.  The hand loops of
+hsb_generation_search and omega_closure_closed stay unscoped (at one
+thread they measured at most a tenth faster), and so does the closed
+loop's per-step add_batch, which ran no faster at one thread.
 """
 
 from __future__ import annotations
@@ -293,7 +294,8 @@ def _serial_blas() -> Iterator[None]:
     """Run the body with both bundled OpenBLAS libraries at one thread, then restore their counts.
 
     The counts set back are the ones the setter returned on entry, also
-    when the body raises.
+    when the body raises.  The counts are process-wide, so two Python
+    threads must not run scopes at the same time; the package runs none.
     """
     libraries = _openblas_libraries()
     previous = [lib.openblas_set_num_threads_local(1) for lib in libraries]

@@ -241,9 +241,8 @@ def test_leading_rank_stops_at_the_first_small_magnitude():
 
 
 def _blas_threads(lib) -> int:
-    """The thread count an OpenBLAS library reports, by whichever getter its build exports."""
-    for symbol in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
-                   "openblas_get_num_threads64_", "openblas_get_num_threads"):
+    """The thread count a bundled OpenBLAS reports (NumPy's 64-bit-integer build or SciPy's)."""
+    for symbol in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads"):
         getter = getattr(lib, symbol, None)
         if getter is not None:
             getter.restype = ctypes.c_int
