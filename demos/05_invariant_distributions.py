@@ -1,9 +1,12 @@
 """Invariant distributions two ways, and their duality.
 
 At a random state of each benchmark the maximal invariant distribution
-inside ker(dy) is computed twice: through the codistribution closure
-(Lie derivatives of the output differentials, realized and annihilated)
-and through the iterative removal route.  The two agree to machine
+inside ker(dy) is computed twice: through the codistribution Omega of the
+output differentials' Lie derivatives, realized and annihilated, and
+through the iterative removal route.  Omega is read off C~: the Lie
+derivatives close C and -iC under ad of the drift and the controls, which
+is C~ + iC~, so no second closure runs, and on bait the certified C~ =
+sl(n, C) holds no rows.  The two agree to machine
 precision and satisfy dim Delta* + rank Omega* = 2n.  Membership of the
 interaction field in Delta* is exactly the open-loop decouplability
 question: it fails for every benchmark, matching the table's NO column.
@@ -21,7 +24,7 @@ import qdecouple as qd
 rng = np.random.default_rng(0)
 params = qd.ScenarioParams()
 
-for name in ("single_qubit", "two_qubit", "restructured"):
+for name in ("single_qubit", "two_qubit", "restructured", "bait"):
     sys_ = qd.build_scenario(name, params)
     n = sys_.space.total_dim
     xi = qd.random_state(sys_.space, rng)

@@ -67,6 +67,9 @@ package; Operator is kept for single operators.  C~ is an OperatorSpan.
 A closed C~ is one RealSpan over realified 2n^2 coordinates, whose
 orthonormal rows are the batches close_real_span decoded and decode to
 the (k, n, n) stack; a certified C~ holds no array of C~'s size at all.
+
+C~ also gives the invariant-distribution route its codistribution:
+Omega, the closure of C and -iC, is C~ + iC~ (tangent.omega_closure_open).
 """
 
 from __future__ import annotations
@@ -152,6 +155,15 @@ class Verdict:
     details: dict = field(default_factory=dict)
 
 
+def unit_output(sys: ControlSystem) -> np.ndarray:
+    """The output operator raveled to unit norm, the seed of every closure of C; ValueError when C = 0."""
+    c = sys.output_op.matrix.ravel()
+    norm = np.linalg.norm(c)
+    if norm == 0.0:
+        raise ValueError("the output operator vanishes: there is no output to decouple")
+    return c / norm
+
+
 def close_c_tilde(sys: ControlSystem, tol: float = 1e-9) -> OperatorSpan:
     """Stable ad-closure of the output operator under controls and drift.
 
@@ -161,9 +173,7 @@ def close_c_tilde(sys: ControlSystem, tol: float = 1e-9) -> OperatorSpan:
     2n^2 dimensions in.  The kernel behind build_c_tilde's fallback, and
     the oracle for its certificate.
     """
-    seed = sys.output_op.matrix.ravel()
-    seed = seed / np.linalg.norm(seed)
-    span, _, rounds = close_real_span(seed[None, :], sys.generator_stack, tol=tol)
+    span, _, rounds = close_real_span(unit_output(sys)[None, :], sys.generator_stack, tol=tol)
     return OperatorSpan(sys.space, span, details={"method": CLOSURE, "rounds": rounds})
 
 

@@ -15,7 +15,7 @@ close_real_span is the one closure routine: it closes a seed set of
 n x n matrices under ad of a (k, n, n) generator stack until the span
 stabilizes and hands back the new directions round by round, so callers
 that need the growth history (derivative chains) and callers that need
-one basis (C~, the control Lie algebra, the Omega generators) share it.
+one basis (C~, the control Lie algebra) share it.
 ad_images is the one bracket kernel behind its rounds and every other
 stacked bracket of the package.
 

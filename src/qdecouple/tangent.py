@@ -10,15 +10,19 @@ and tangent vectors are compared in the realified sense ([Re | Im] in
 R^{2n}).  Linear fields x -> A x have field bracket [Ax, Bx] = (BA-AB)x;
 all downstream uses are span-membership tests, which are sign-invariant.
 
+The open-loop codistribution Omega closes C and -iC under the Lie step
+M -> M A + A† M = -[A, M] (A skew) of the drift and every control; ad_A
+is complex-linear, so Omega = C~ + iC~ and is read off build_c_tilde.
+
 Representation: a tangent vector at xi is its complex value, a length-n
 array (eval_field returns A xi itself).  A distribution at xi is a
 DistributionBasis: a (k, n) complex array of independent tangent vectors
 and one RealSpan of their realified rows, built once with one add_batch;
 that span's rank is the independence check and answers every residual.
 A family of operators -- the generating operators of a distribution, the
-quadratic generators of a codistribution, a round of the hermitian
-derivative chain -- is a (k, n, n) complex stack, so its fields at xi are
-one product (stack @ xi) and its covectors one covector_of call.
+quadratic generators of the closed-loop codistribution, a round of the
+hermitian derivative chain -- is a (k, n, n) complex stack, so its fields
+at xi are one product (stack @ xi) and its covectors one covector_of call.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ import numpy as np
 
 from .algebra import DEFAULT_TOL, Operator, StateVector, commutator, is_hermitian
 from .models import ControlSystem
-from .observation import Verdict
+from .observation import Verdict, build_c_tilde, unit_output
 from .spans import (RealSpan, ad_images, close_real_span, leading_rank, realified_nullspace, realify, row_norms,
                     unit_generators, unrealify)
 
@@ -82,10 +86,9 @@ class DistributionBasis:
 
 @dataclass
 class CodistributionBasis:
-    """Quadratic-form generators, (k, n, n), and their realized covectors at a state."""
+    """The realized covectors of a codistribution at a state, one realified row each."""
 
     base: StateVector
-    quadratic_generators: np.ndarray
     realized_covectors: np.ndarray
     details: dict = field(default_factory=dict)
     tol: float = 1e-9
@@ -144,38 +147,17 @@ def _system_generators(sys: ControlSystem) -> np.ndarray:
     return np.roll(sys.generator_stack, 1, axis=0)
 
 
-def omega_generator_basis(sys: ControlSystem, tol: float = 1e-9) -> tuple[np.ndarray, dict]:
-    """State-independent quadratic-generator closure for omega_closure_open, as a (k, n, n) stack.
+def omega_closure_open(sys: ControlSystem, xi: StateVector, tol: float = 1e-9) -> CodistributionBasis:
+    """Codistribution closure Omega <- Omega + sum_A L_{K_A} Omega, as C~ + iC~ (module docstring).
 
-    The Lie-derivative step on quadratic generators, M -> M A + A† M, is
-    -|A| ad_{A/|A|}(M) for skew A, so the closure is close_real_span's
-    ad-closure under the drift and the controls.
+    The realized covectors at xi are those of M and -iM, the pair
+    output_covectors takes for C, one element M of build_c_tilde(sys) at a
+    time, so a certified C~ stays rowless; details are C~'s.
     """
-    n = sys.space.total_dim
-    c = sys.output_op.matrix.ravel()
-    c = c / np.linalg.norm(c)
-    span, batches, rounds = close_real_span(np.array([c, -1j * c]), _system_generators(sys), tol=tol)
-    return np.vstack(batches).reshape(-1, n, n), {"rounds": rounds, "generator_rank": span.rank}
-
-
-def omega_closure_open(
-    sys: ControlSystem,
-    xi: StateVector,
-    tol: float = 1e-9,
-    generators: tuple[np.ndarray, dict] | None = None,
-) -> CodistributionBasis:
-    """Codistribution closure Omega <- Omega + sum_A L_{K_A} Omega.
-
-    Closes the real span of quadratic generators, seeded with C and -iC
-    (the two real output components), under M -> M A + A† M (as ad of A/|A|)
-    for the drift and every control; the realized covectors at xi then yield
-    Delta* = (Omega*)^perp.  Pass `generators` (from omega_generator_basis)
-    to amortize the closure across states.
-    """
-    if generators is None:
-        generators = omega_generator_basis(sys, tol=tol)
-    mats, details = generators
-    return CodistributionBasis(xi, mats, covector_of(mats, xi.amplitudes), details=dict(details), tol=tol)
+    c_tilde = build_c_tilde(sys, tol=tol)
+    x = xi.amplitudes
+    covs = np.concatenate([covector_of(np.array([m, -1j * m]), x) for m in c_tilde.elements()])
+    return CodistributionBasis(xi, covs, details=dict(c_tilde.details), tol=tol)
 
 
 def control_field_matrix(sys: ControlSystem, xi: StateVector) -> np.ndarray:
@@ -197,8 +179,7 @@ def omega_closure_closed(sys: ControlSystem, xi: StateVector, tol: float = 1e-9)
     """
     n = sys.space.total_dim
     units = unit_generators(_system_generators(sys))
-    c = sys.output_op.matrix.ravel()
-    c = c / np.linalg.norm(c)
+    c = unit_output(sys)
     gens = np.array([c, -1j * c])                            # (m, n^2), row-major matrices
     span = RealSpan(2 * n * n, tol=tol)
     for gvec in gens:
@@ -242,9 +223,7 @@ def omega_closure_closed(sys: ControlSystem, xi: StateVector, tol: float = 1e-9)
         gens = np.vstack([gens, unrealify(new)])
     mats = gens.reshape(-1, n, n)
     covs = np.vstack([covector_of(mats, xi.amplitudes), output_covectors(xi, sys.output_op)])
-    return CodistributionBasis(
-        xi, mats, covs, details={"rounds": rounds, "generator_rank": span.rank}, tol=tol
-    )
+    return CodistributionBasis(xi, covs, details={"rounds": rounds, "generator_rank": span.rank}, tol=tol)
 
 
 def hermitian_derivative_chain(sys: ControlSystem, tol: float = 1e-9) -> list[np.ndarray]:

@@ -6,7 +6,8 @@ import numpy as np
 
 import qdecouple as qd
 from qdecouple.observation import OperatorSpan, Verdict
-from qdecouple.spans import RealSpan, realify, unrealify
+from qdecouple.spans import RealSpan, close_real_span, realify, unrealify
+from qdecouple.tangent import CodistributionBasis, covector_of
 
 
 def operator_span(space: qd.HilbertSpace, family, tol: float = 1e-9) -> OperatorSpan:
@@ -68,6 +69,26 @@ def closure_generates_su(generators: np.ndarray, tol: float = 1e-9) -> bool:
     """dim lie_closure(traceless_generators) = n^2 - 1: the oracle for the spectral su(n) test."""
     n = generators.shape[-1]
     return len(qd.lie_closure(traceless_generators(generators, tol), tol=tol)) == n * n - 1
+
+
+def omega_generators(sys_: qd.ControlSystem, tol: float = 1e-9) -> tuple[np.ndarray, dict]:
+    """Omega's quadratic generators by a closure of their own, as a (k, n, n) stack and {"rounds", "generator_rank"}.
+
+    close_real_span of {C, -iC} (C scaled to unit norm) under the drift,
+    then the controls: the reference for omega_closure_open, which reads
+    Omega = C~ + iC~ off build_c_tilde instead.
+    """
+    n = sys_.space.total_dim
+    c = sys_.output_op.matrix.ravel()
+    c = c / np.linalg.norm(c)
+    drift_first = np.roll(sys_.generator_stack, 1, axis=0)
+    span, batches, rounds = close_real_span(np.array([c, -1j * c]), drift_first, tol=tol)
+    return np.vstack(batches).reshape(-1, n, n), {"rounds": rounds, "generator_rank": span.rank}
+
+
+def omega_at(xi: qd.StateVector, generators: np.ndarray, tol: float = 1e-9) -> CodistributionBasis:
+    """The codistribution of omega_generators' stack at xi: one covector per generator."""
+    return CodistributionBasis(xi, covector_of(generators, xi.amplitudes), tol=tol)
 
 
 def fd_field_bracket(

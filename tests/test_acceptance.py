@@ -191,12 +191,11 @@ def test_criterion_05_dfs_behavior(two_qubit):
 def test_criterion_06_duality_and_oracle_equivalence(name, params):
     sys_ = qd.build_scenario(name, params)
     n = sys_.space.total_dim
-    gens = qd.tangent.omega_generator_basis(sys_)
     chains = qd.hermitian_derivative_chain(sys_)
     rng = np.random.default_rng(600)
     for k in range(20):
         xi = qd.random_state(sys_.space, rng)
-        om = qd.omega_closure_open(sys_, xi, generators=gens)
+        om = qd.omega_closure_open(sys_, xi)
         ds = om.delta_star()
         bf = qd.bruteforce_invariant_distribution(sys_, xi, chains=chains)
         assert ds.dim + om.rank == 2 * n, (name, k)

@@ -15,8 +15,7 @@ from qdecouple.algebra import is_hermitian
 from qdecouple.observation import close_c_tilde
 from qdecouple.spans import ad_images, close_real_span, realify
 from qdecouple.report import decouplability_table
-from qdecouple.tangent import omega_generator_basis
-from oracles import control_algebra_verdict, operator_span
+from oracles import control_algebra_verdict, omega_generators, operator_span
 
 C_TILDE = {"single_qubit": (6, 3), "two_qubit": (18, 5), "restructured": (286, 8)}
 HERMITIAN_CHAIN_ROUNDS = {
@@ -85,7 +84,7 @@ def test_hermitian_chain_round_sizes(name, params):
 
 @pytest.mark.parametrize("name", sorted(OMEGA_RANK_ROUNDS))
 def test_omega_generator_rank_and_rounds(name, params):
-    ops, details = omega_generator_basis(qd.build_scenario(name, params))
+    ops, details = omega_generators(qd.build_scenario(name, params))
     assert (details["generator_rank"], details["rounds"]) == OMEGA_RANK_ROUNDS[name]
     assert len(ops) == details["generator_rank"]
 

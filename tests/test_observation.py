@@ -36,6 +36,16 @@ def test_c_tilde_trivial_without_dynamics(two_qubit):
     assert ct.residual(frozen.output_op) < ct.span.tol
 
 
+def test_a_zero_output_is_refused(two_qubit):
+    # C = 0 used to seed C~ with NaNs (0 / 0) and crash the closed-loop check
+    silent = dataclasses.replace(two_qubit, output_op=qd.Operator(two_qubit.space, np.zeros((12, 12))))
+    xi = qd.random_state(silent.space, np.random.default_rng(0))
+    for call in (lambda: qd.build_c_tilde(silent), lambda: qd.omega_closure_open(silent, xi),
+                 lambda: qd.omega_closure_closed(silent, xi)):
+        with pytest.raises(ValueError, match="the output operator vanishes"):
+            call()
+
+
 def test_single_qubit_c_tilde_interaction_noncommuting(single_qubit):
     ct = qd.build_c_tilde(single_qubit)
     bad = [op for op in operators(single_qubit.space, ct.matrices)
@@ -139,6 +149,22 @@ def test_certified_bait_c_tilde_and_both_checks_hold_no_c_tilde_sized_array(bait
     assert ct.details["method"] == SL_CERTIFICATE and ct.dim == 1150
     assert not open_v.ok and open_v.witness["basis_index"] == 0 and closed_v.ok
     assert peak < 300 * n * n * 16
+
+
+def test_bait_omega_reads_the_certified_c_tilde_without_a_c_tilde_sized_array(bait):
+    # Omega = C~ + iC~ takes its covectors from the rowless certified C~ one
+    # element at a time: 0.21 U at n_env 3, where closing Omega took 7.97 U
+    n = bait.space.total_dim
+    unit = 2 * (n * n - 1) * 2 * n * n * 8                # one C~-sized array
+    xi = qd.random_state(bait.space, np.random.default_rng(0))
+    tracemalloc.start()
+    try:
+        ds = qd.omega_closure_open(bait, xi).delta_star()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ds.dim == 1 and ds.residual(1j * xi.amplitudes) < 1e-12
+    assert peak < 0.5 * unit
 
 
 def test_su_n_certificate_closure_peaks_below_three_c_tilde_arrays(bait):

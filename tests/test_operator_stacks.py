@@ -7,7 +7,6 @@ import qdecouple as qd
 from qdecouple.feedback import control_commutant_combos
 from qdecouple.observation import CLOSURE, SL_CERTIFICATE
 from qdecouple.spans import realify
-from qdecouple.tangent import omega_generator_basis
 from oracles import materialized
 
 
@@ -21,7 +20,6 @@ FAMILIES = {
     "lie_closure": lambda s: [qd.lie_closure(s.generator_stack)],
     "commutant_basis": lambda s: [qd.commutant_basis(s.interaction)],
     "control_commutant_combos": lambda s: [control_commutant_combos(s)],
-    "omega_generator_basis": lambda s: [omega_generator_basis(s)[0]],
     "hermitian_derivative_chain": lambda s: qd.hermitian_derivative_chain(s),
 }
 

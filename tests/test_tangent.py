@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from qdecouple.spans import RealSpan, realify
 from qdecouple.models import build_commutant_toy
 from qdecouple.report import controlled_invariance_at_states
 from qdecouple.tangent import control_field_matrix
-from oracles import controlled_invariance_per_pair, fd_field_bracket
+from oracles import controlled_invariance_per_pair, fd_field_bracket, omega_at, omega_generators
 
 
 class TestEvalField:
@@ -116,7 +118,49 @@ class TestKernelDy:
             assert ker.residual(zsum.matrix @ xi.amplitudes) < 1e-9
 
 
+def _two_qubit_with_output(output_terms: dict) -> qd.ControlSystem:
+    base = qd.build_two_qubit(qd.ScenarioParams())
+    output = sum((qd.embed_product(base.space, {label: m}) for label, m in output_terms.items()),
+                 qd.Operator(base.space, np.zeros((12, 12))))
+    return dataclasses.replace(base, output_op=output, scenario="output")
+
+
+# (C~ dim, Omega dim) of the systems whose C~ is not closed under i: with a
+# hermitian output every -iM is skew and realizes a zero covector, with the
+# mixed output sigma_z(1) + i sigma_x(2) the covectors of -iM carry qubit 2
+OUTPUT_SYSTEMS = {
+    "hermitian_output": ({"qubit1": SIGMA_Z}, (3, 6)),
+    "mixed_output": ({"qubit1": SIGMA_Z, "qubit2": 1j * SIGMA_X}, (6, 12)),
+}
+
+
 class TestOmegaAndBruteForce:
+    @pytest.mark.parametrize("name,changes", [
+        ("single_qubit", {}), ("two_qubit", {}), ("restructured", {}), ("bait", {"n_env": 2}),
+        ("two_qubit", {"omega0": 0.0}), ("bait", {"n_env": 2, "g": 0.3 + 0.2j, "w": 0.1j}),
+        *((name, {}) for name in OUTPUT_SYSTEMS),
+    ], ids=["single_qubit", "two_qubit", "restructured", "bait-n_env2", "two_qubit-omega0_0",
+            "bait-n_env2-complex_g_w", *OUTPUT_SYSTEMS])
+    def test_omega_is_c_tilde_plus_i_c_tilde(self, name, changes):
+        # omega_closure_open reads Omega off C~; the oracle closes {C, -iC}
+        # itself, and both must give the same rank and Delta*
+        if name in OUTPUT_SYSTEMS:
+            terms, dims = OUTPUT_SYSTEMS[name]
+            sys_ = _two_qubit_with_output(terms)
+        else:
+            sys_ = qd.build_scenario(name, qd.ScenarioParams(**changes))
+        gens, details = omega_generators(sys_)
+        if name in OUTPUT_SYSTEMS:
+            assert (qd.build_c_tilde(sys_).dim, details["generator_rank"]) == dims
+        rng = np.random.default_rng(16)
+        for _ in range(3):
+            xi = qd.random_state(sys_.space, rng)
+            om, ref = qd.omega_closure_open(sys_, xi), omega_at(xi, gens)
+            ds, ds_ref = om.delta_star(), ref.delta_star()
+            assert (om.rank, ds.dim) == (ref.rank, ds_ref.dim)
+            assert max(ds_ref.residual(v) for v in ds.vectors) < 1e-10
+            assert max(ds.residual(v) for v in ds_ref.vectors) < 1e-10
+
     def test_trivial_closure_without_dynamics(self, two_qubit):
         zero = qd.Operator(two_qubit.space, np.zeros((12, 12)), "skew_hermitian")
         frozen = qd.ControlSystem(two_qubit.space, zero, [], two_qubit.interaction,
@@ -134,12 +178,11 @@ class TestOmegaAndBruteForce:
     def test_oracle_equivalence_and_duality(self, name, params):
         sys_ = qd.build_scenario(name, params)
         n = sys_.space.total_dim
-        gens = qd.tangent.omega_generator_basis(sys_)
         chains = qd.hermitian_derivative_chain(sys_)
         rng = np.random.default_rng(11)
         for _ in range(5):
             xi = qd.random_state(sys_.space, rng)
-            om = qd.omega_closure_open(sys_, xi, generators=gens)
+            om = qd.omega_closure_open(sys_, xi)
             ds = om.delta_star()
             bf = qd.bruteforce_invariant_distribution(sys_, xi, chains=chains)
             assert ds.dim + om.rank == 2 * n
@@ -182,7 +225,7 @@ class TestOmegaAndBruteForce:
 
     def test_monotone_termination_bound(self, two_qubit):
         n = two_qubit.space.total_dim
-        _, details = qd.tangent.omega_generator_basis(two_qubit)
+        _, details = omega_generators(two_qubit)
         assert details["rounds"] <= 2 * n * n
         chains = qd.hermitian_derivative_chain(two_qubit)
         assert len(chains) <= 2 * n * n
@@ -190,12 +233,13 @@ class TestOmegaAndBruteForce:
 
 class TestObservationCorrespondence:
     def test_covector_pairing_equals_commutator_form(self, two_qubit):
-        # <d(phi_M), A xi> = <xi|(A† M + M A)|xi> for the closure generators
+        # <d(phi_M), A xi> = <xi|(A† M + M A)|xi> for the elements of C~,
+        # whose covectors omega_closure_open realizes
         rng = np.random.default_rng(10)
         xi = qd.random_state(two_qubit.space, rng)
-        om = qd.omega_closure_open(two_qubit, xi)
+        ct = qd.build_c_tilde(two_qubit)
         gens = [two_qubit.drift, *two_qubit.controls]
-        for m_op in om.quadratic_generators[:6]:
+        for m_op in ct.matrices[:6]:
             for a in gens:
                 field = a.matrix @ xi.amplitudes
                 w = qd.tangent.covector_of(m_op, xi.amplitudes)
