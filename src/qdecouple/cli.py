@@ -34,7 +34,7 @@ from .algebra import (
     SIGMA_X, embed_product, field_quadrature, lie_closure, normalize, random_state
 )
 from .feedback import FramePlan, RankDeficiencyError, build_frame, synthesize
-from .models import SCENARIOS, ScenarioParams, build_scenario, dfs_state
+from .models import SCENARIOS, ScenarioParams, build_scenario, dfs_state, scenario_space
 from .observation import ClosureTooLarge, _physical_memory_bytes
 from .report import decouplability_table, format_table
 from .simulate import (
@@ -291,19 +291,16 @@ def schedule_from_config(sys, cfg) -> PulseSchedule:
 # NumPy, SciPy and OpenBLAS loaded
 _BASELINE_BYTES = 128 << 20
 
-# a scenario's dimension n over n_env: the qubits' dimension
-_QUBITS_DIM = {"single_qubit": 2, "two_qubit": 4, "bait": 8, "restructured": 4}
-
 
 def _spectral_peak_bytes(n: int, k: int) -> int:
     """Bytes the spectral su(n) test holds for k generators of dimension n.
 
-    The k traceless generators, their k unit multiples, the k^2 brackets,
-    and the stack of units and brackets: 2k^2 + 3k complex n x n matrices
-    (tracemalloc reads 230 for bait, k = 10, and 1325 for restructured,
-    k = 25, at n_env 3-6).
+    The k traceless generators, their k unit multiples, the k combinations
+    a bracket pairs with, and temporaries: 5k + 8 complex n x n matrices
+    (tracemalloc reads 21 to 24 at k = 3 and 5, and 4.0k to 4.5k at k = 10,
+    25 and 81).
     """
-    return (2 * k * k + 3 * k) * n * n * 16
+    return (5 * k + 8) * n * n * 16
 
 
 def _check_peak_bytes(n_env: int, max_power: int) -> int:
@@ -314,10 +311,11 @@ def _check_peak_bytes(n_env: int, max_power: int) -> int:
     starts.  The bait row holds the most: the bait system (n = 8 n_env,
     10 generators) and the restructured one (n = 4 n_env, k = 4(max_power
     + 1) + 1 generators, its controls listed and stacked), and the
-    spectral su(n) test of one of them.  ru_maxrss of `check` is 68.9,
-    72.5, 77.0, 101.8 and 214.2 MiB at n_env 4, 5, 6, 10 and 20.
+    spectral su(n) test of one of them.  ru_maxrss of `check` is 63.2,
+    63.8, 65.2, 71.0 and 95.5 MiB at n_env 4, 5, 6, 10 and 20, and 135.5 MiB
+    at n_env 20 with max_power 19.
     """
-    n_bait, n_restructured = 8 * n_env, 4 * n_env
+    n_bait, n_restructured = (scenario_space(name, n_env).total_dim for name in ("bait", "restructured"))
     k = 4 * (max_power + 1) + 1
     systems = _system_peak_bytes(n_bait) + _system_peak_bytes(n_restructured) + 2 * k * n_restructured**2 * 16
     spectral = max(_spectral_peak_bytes(n_bait, 10), _spectral_peak_bytes(n_restructured, k))
@@ -358,20 +356,20 @@ def _refuse_beyond_memory(need: int, key: str, value, what: str) -> None:
 
 
 def _refuse_oversized_restructured(cfg: dict, params: ScenarioParams) -> None:
-    """4(max_power + 1) complex n x n controls (n = 4 n_env), held twice: listed and in control_stack."""
-    n = 4 * params.n_env
+    """4(max_power + 1) complex n x n controls, held twice: listed and in control_stack."""
+    n = scenario_space("restructured", params.n_env).total_dim
     need = 2 * 4 * (cfg["max_power"] + 1) * n * n * 16
     _refuse_beyond_memory(need, "max_power", cfg["max_power"], "the restructured system's control matrices")
 
 
 def _refuse_oversized_plan(name: str, params: ScenarioParams) -> None:
-    n = _QUBITS_DIM[name] * params.n_env
+    n = scenario_space(name, params.n_env).total_dim
     _refuse_beyond_memory(_plan_peak_bytes(n), "n_env", params.n_env, "the feedback frame plan's commutant basis")
 
 
 def build_system(cfg: dict, name: str, params: ScenarioParams):
     """build_scenario, after refusing a system too big for memory."""
-    n = _QUBITS_DIM[name] * params.n_env
+    n = scenario_space(name, params.n_env).total_dim
     _refuse_beyond_memory(_system_peak_bytes(n), "n_env", params.n_env, f"the {name} system's matrices")
     if name == "restructured":
         _refuse_oversized_restructured(cfg, params)

@@ -4,9 +4,17 @@ Every system is a bilinear control problem
 
     d xi/dt = (A_0 + sum_i u_i(t) A_i + A_I) xi,
 
-stored entirely in skew-hermitian generator form (A = -iH).  The output
-operator C is kept as given (the coherence monitor |01><10| is not
-hermitian); the coherence functional is
+stored entirely in skew-hermitian generator form (A = -iH).  The four
+scenarios are assembled one way (the commutant toy keeps only its own
+drift and controls): the space is the qubit factors, then the
+bath mode "env" (scenario_space); the drift is (omega0/2) sigma_z on each
+qubit in factor order, then omega_env b†b; the interaction is sigma_z (x)
+(g b† + g* b) on each data qubit (not the bait); the drives are sigma_x,
+then sigma_y, on each qubit in factor order.  Each operator is summed
+left to right from embed_product terms, and each Hamiltonian H becomes
+its generator -iH in one place (_system).  The output operator C, the
+coherence monitor |01><10| (x) I (|0><1| (x) I on one qubit), is not
+hermitian and is kept as it is; the coherence functional is
 
     y(t) = <xi|C|xi> = vdot(xi, C @ xi),
 
@@ -16,6 +24,8 @@ one gets y = conj(c1) * c2.
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -119,82 +129,73 @@ class ControlSystem:
         return tol * max(self.interaction.norm(), 1.0)
 
 
-def _coherence_block(ket: int, bra: int, dim: int = 2) -> np.ndarray:
-    m = np.zeros((dim, dim), dtype=complex)
-    m[ket, bra] = 1.0
-    return m
+_QUBITS = {
+    "single_qubit": ("qubit",),
+    "two_qubit": ("qubit1", "qubit2"),
+    "bait": ("qubit1", "qubit2", "bait"),
+    "restructured": ("qubit1", "qubit2"),
+}
 
 
-def _two_qubit_coherence() -> np.ndarray:
-    # |01><10| on qubit1 (x) qubit2, basis index 2*q1 + q2
-    m = np.zeros((4, 4), dtype=complex)
-    m[1, 2] = 1.0
-    return m
+def scenario_space(name: str, n_env: int) -> HilbertSpace:
+    """A scenario's layout: its qubit factors (dimension 2), then "env" with n_env levels."""
+    if name not in _QUBITS:
+        raise ValueError(f"unknown scenario {name!r}")
+    return HilbertSpace(tuple((q, 2) for q in _QUBITS[name]) + (("env", n_env),))
 
 
-def build_single_qubit(p: ScenarioParams) -> ControlSystem:
-    """Spin-boson qubit: drift (omega0/2) sigma_z + omega_env b†b, controls
-    sigma_x, sigma_y, dephasing interaction sigma_z (x) (g b† + g* b),
-    output C = |0><1|."""
-    space = HilbertSpace((("qubit", 2), ("env", p.n_env)))
-    f_g = field_quadrature(p.g, p.n_env).matrix
-    nhat = number_operator(p.n_env).matrix
-    drift = embed_product(space, {"qubit": 0.5 * p.omega0 * SIGMA_Z}) + embed_product(
-        space, {"env": p.omega_env * nhat}
-    )
-    controls = [
-        embed_product(space, {"qubit": SIGMA_X}),
-        embed_product(space, {"qubit": SIGMA_Y}),
-    ]
-    interaction = embed_product(space, {"qubit": SIGMA_Z, "env": f_g})
-    output = embed_product(space, {"qubit": _coherence_block(0, 1)})
-    return ControlSystem(
-        space,
-        drift.skew(),
-        [c.skew() for c in controls],
-        interaction.skew(),
-        output,
-        scenario="single_qubit",
-        control_labels=["H_1", "H_2"],
-        params=p,
-    )
+def _data_qubits(space: HilbertSpace) -> list[str]:
+    return [q for q in space.labels if q not in ("bait", "env")]
+
+
+def _sum(space: HilbertSpace, *terms: dict[str, np.ndarray]) -> Operator:
+    """embed_product of each term, added left to right."""
+    return functools.reduce(operator.add, (embed_product(space, t) for t in terms))
 
 
 def _collective_dephasing(space: HilbertSpace, f_env: np.ndarray) -> Operator:
-    return embed_product(space, {"qubit1": SIGMA_Z, "env": f_env}) + embed_product(
-        space, {"qubit2": SIGMA_Z, "env": f_env}
-    )
+    return _sum(space, *({q: SIGMA_Z, "env": f_env} for q in _data_qubits(space)))
+
+
+def _coherence_output(space: HilbertSpace) -> Operator:
+    """|01><10| on the two data qubits (|0><1| on a single one), identity on the rest."""
+    d = 2 ** len(_data_qubits(space))
+    block = np.zeros((d, d), dtype=complex)
+    block[d // 2 - 1, d // 2] = 1.0
+    return Operator(space, np.kron(block, np.eye(space.total_dim // d, dtype=complex)))
+
+
+def _drives(name: str) -> list[dict[str, np.ndarray]]:
+    """sigma_x, then sigma_y, on each qubit of the scenario in factor order."""
+    return [{q: s} for q in _QUBITS[name] for s in (SIGMA_X, SIGMA_Y)]
+
+
+def _system(space, drift, controls, interaction, scenario, labels=None, params=None) -> ControlSystem:
+    """The ControlSystem of these Hamiltonians, each taken to its generator -iH here."""
+    controls = [c.skew() for c in controls]
+    output = _coherence_output(space)
+    return ControlSystem(space, drift.skew(), controls, interaction.skew(), output, scenario, labels or [], params)
+
+
+def _scenario(name: str, p: ScenarioParams, controls: list[dict[str, np.ndarray]], labels=None) -> ControlSystem:
+    """A scenario with these control Hamiltonians and the shared drift, interaction and output."""
+    space = scenario_space(name, p.n_env)
+    nhat = number_operator(p.n_env).matrix
+    drift = _sum(space, *({q: 0.5 * p.omega0 * SIGMA_Z} for q in _QUBITS[name]), {"env": p.omega_env * nhat})
+    interaction = _collective_dephasing(space, field_quadrature(p.g, p.n_env).matrix)
+    controls = [embed_product(space, c) for c in controls]
+    return _system(space, drift, controls, interaction, name, labels, p)
+
+
+def build_single_qubit(p: ScenarioParams) -> ControlSystem:
+    """Spin-boson qubit: controls sigma_x, sigma_y; interaction sigma_z (x) (g b† + g* b); C = |0><1|."""
+    return _scenario("single_qubit", p, _drives("single_qubit"))
 
 
 def build_two_qubit(p: ScenarioParams) -> ControlSystem:
     """Two qubits under collective dephasing; controls sigma_x/sigma_y on
     each qubit; C = |01><10| (x) I_env.  span{|01>, |10>} is a DFS."""
-    space = HilbertSpace((("qubit1", 2), ("qubit2", 2), ("env", p.n_env)))
-    f_g = field_quadrature(p.g, p.n_env).matrix
-    nhat = number_operator(p.n_env).matrix
-    drift = (
-        embed_product(space, {"qubit1": 0.5 * p.omega0 * SIGMA_Z})
-        + embed_product(space, {"qubit2": 0.5 * p.omega0 * SIGMA_Z})
-        + embed_product(space, {"env": p.omega_env * nhat})
-    )
-    controls = [
-        embed_product(space, {"qubit1": SIGMA_X}),
-        embed_product(space, {"qubit1": SIGMA_Y}),
-        embed_product(space, {"qubit2": SIGMA_X}),
-        embed_product(space, {"qubit2": SIGMA_Y}),
-    ]
-    interaction = _collective_dephasing(space, f_g)
-    output = Operator(space, np.kron(_two_qubit_coherence(), np.eye(p.n_env, dtype=complex)))
-    return ControlSystem(
-        space,
-        drift.skew(),
-        [c.skew() for c in controls],
-        interaction.skew(),
-        output,
-        scenario="two_qubit",
-        control_labels=["H_1", "H_2", "H_3", "H_4"],
-        params=p,
-    )
+    return _scenario("two_qubit", p, _drives("two_qubit"))
 
 
 def build_bait(p: ScenarioParams) -> ControlSystem:
@@ -204,41 +205,13 @@ def build_bait(p: ScenarioParams) -> ControlSystem:
     the two Ising couplings J1 sigma_z(1) sigma_z(b), J2 sigma_z(2) sigma_z(b),
     and the switchable bait-bath quadrature sigma_z(b) (x) (w b† + w* b).
     """
-    space = HilbertSpace((("qubit1", 2), ("qubit2", 2), ("bait", 2), ("env", p.n_env)))
-    f_g = field_quadrature(p.g, p.n_env).matrix
     f_w = field_quadrature(p.w, p.n_env).matrix
-    nhat = number_operator(p.n_env).matrix
-    drift = (
-        embed_product(space, {"qubit1": 0.5 * p.omega0 * SIGMA_Z})
-        + embed_product(space, {"qubit2": 0.5 * p.omega0 * SIGMA_Z})
-        + embed_product(space, {"bait": 0.5 * p.omega0 * SIGMA_Z})
-        + embed_product(space, {"env": p.omega_env * nhat})
-    )
-    controls = [
-        embed_product(space, {"qubit1": SIGMA_X}),
-        embed_product(space, {"qubit1": SIGMA_Y}),
-        embed_product(space, {"qubit2": SIGMA_X}),
-        embed_product(space, {"qubit2": SIGMA_Y}),
-        embed_product(space, {"bait": SIGMA_X}),
-        embed_product(space, {"bait": SIGMA_Y}),
-        embed_product(space, {"qubit1": p.j1 * SIGMA_Z, "bait": SIGMA_Z}),
-        embed_product(space, {"qubit2": p.j2 * SIGMA_Z, "bait": SIGMA_Z}),
-        embed_product(space, {"bait": SIGMA_Z, "env": f_w}),
+    couplings = [
+        {"qubit1": p.j1 * SIGMA_Z, "bait": SIGMA_Z},
+        {"qubit2": p.j2 * SIGMA_Z, "bait": SIGMA_Z},
+        {"bait": SIGMA_Z, "env": f_w},
     ]
-    interaction = embed_product(space, {"qubit1": SIGMA_Z, "env": f_g}) + embed_product(
-        space, {"qubit2": SIGMA_Z, "env": f_g}
-    )
-    output = Operator(space, np.kron(_two_qubit_coherence(), np.eye(2 * p.n_env, dtype=complex)))
-    return ControlSystem(
-        space,
-        drift.skew(),
-        [c.skew() for c in controls],
-        interaction.skew(),
-        output,
-        scenario="bait",
-        control_labels=[f"H_{i}" for i in range(1, 10)],
-        params=p,
-    )
+    return _scenario("bait", p, _drives("bait") + couplings)
 
 
 def build_restructured(p: ScenarioParams, max_power: int = 5) -> ControlSystem:
@@ -250,36 +223,11 @@ def build_restructured(p: ScenarioParams, max_power: int = 5) -> ControlSystem:
     """
     if max_power < 0:
         raise ValueError("max_power must be >= 0")
-    space = HilbertSpace((("qubit1", 2), ("qubit2", 2), ("env", p.n_env)))
     f_w = field_quadrature(p.w, p.n_env).matrix
-    f_g = field_quadrature(p.g, p.n_env).matrix
-    nhat = number_operator(p.n_env).matrix
-    drift = (
-        embed_product(space, {"qubit1": 0.5 * p.omega0 * SIGMA_Z})
-        + embed_product(space, {"qubit2": 0.5 * p.omega0 * SIGMA_Z})
-        + embed_product(space, {"env": p.omega_env * nhat})
-    )
-    controls = []
-    labels = []
-    for j, (qubit, sigma, sname) in enumerate(
-        [("qubit1", SIGMA_X, "x1"), ("qubit1", SIGMA_Y, "y1"), ("qubit2", SIGMA_X, "x2"), ("qubit2", SIGMA_Y, "y2")]
-    ):
-        for i in range(max_power + 1):
-            f_pow = np.linalg.matrix_power(f_w, i)
-            controls.append(embed_product(space, {qubit: sigma, "env": f_pow}))
-            labels.append(f"K_{sname}F{i}")
-    interaction = _collective_dephasing(space, f_g)
-    output = Operator(space, np.kron(_two_qubit_coherence(), np.eye(p.n_env, dtype=complex)))
-    return ControlSystem(
-        space,
-        drift.skew(),
-        [c.skew() for c in controls],
-        interaction.skew(),
-        output,
-        scenario="restructured",
-        control_labels=labels,
-        params=p,
-    )
+    powers = [np.linalg.matrix_power(f_w, i) for i in range(max_power + 1)]
+    drives = _drives("restructured")
+    labels = [f"K_{axis}{q}F{i}" for q in "12" for axis in "xy" for i in range(max_power + 1)]
+    return _scenario("restructured", p, [{**drive, "env": f} for drive in drives for f in powers], labels)
 
 
 def build_commutant_toy(g: complex = 0.15 + 0j, omega0: float = 1.0, n_env: int = 3) -> ControlSystem:
@@ -293,30 +241,15 @@ def build_commutant_toy(g: complex = 0.15 + 0j, omega0: float = 1.0, n_env: int 
     closed loop decouples y from the coupling exactly.  Backs demo 06 and
     the feedback tests; not a CLI scenario.
     """
-    space = HilbertSpace((("qubit1", 2), ("qubit2", 2), ("env", n_env)))
+    space = scenario_space("two_qubit", n_env)
     fg = field_quadrature(g, n_env).matrix
-    h_sb = embed_product(space, {"qubit1": SIGMA_Z, "env": fg}) + embed_product(
-        space, {"qubit2": SIGMA_Z, "env": fg}
-    )
-    swap = 0.5 * (
-        embed_product(space, {"qubit1": SIGMA_X, "qubit2": SIGMA_X})
-        + embed_product(space, {"qubit1": SIGMA_Y, "qubit2": SIGMA_Y})
-    )
+    h_sb = _collective_dephasing(space, fg)
+    swap = 0.5 * _sum(space, {"qubit1": SIGMA_X, "qubit2": SIGMA_X}, {"qubit1": SIGMA_Y, "qubit2": SIGMA_Y})
     zdiff = embed_product(space, {"qubit1": SIGMA_Z}) - embed_product(space, {"qubit2": SIGMA_Z})
     envf = embed_product(space, {"env": fg})
-    swapf = Operator(space, swap.matrix @ envf.matrix)
-    controls = [h_sb, swap, zdiff, envf, swapf]
+    controls = [h_sb, swap, zdiff, envf, swap @ envf]
     drift = 0.4 * omega0 * swap + 0.25 * omega0 * zdiff
-    output = Operator(space, np.kron(_two_qubit_coherence(), np.eye(n_env, dtype=complex)))
-    return ControlSystem(
-        space,
-        drift.skew(),
-        [h.skew() for h in controls],
-        h_sb.skew(),
-        output,
-        scenario="toy_commutant",
-        control_labels=["B1", "B2", "B3", "B4", "B5"],
-    )
+    return _system(space, drift, controls, h_sb, "toy_commutant", ["B1", "B2", "B3", "B4", "B5"])
 
 
 SCENARIOS = ("single_qubit", "two_qubit", "bait", "restructured")

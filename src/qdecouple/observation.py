@@ -238,7 +238,8 @@ def _spectral_pair(generators: np.ndarray, tol: float) -> np.ndarray:
 
     Real combinations, with default_rng(0) coefficients, of the traceless
     parts of the generators, each scaled to unit norm, and of their first
-    brackets.
+    brackets: sum_i c_i U_i + sum_ij c_ij [U_i, U_j].  By bilinearity the
+    bracket part is sum_i [U_i, sum_j c_ij U_j], k brackets instead of k^2.
     """
     n = generators.shape[-1]
     traceless = generators - (np.trace(generators, axis1=1, axis2=2) / n)[:, None, None] * np.eye(n)
@@ -246,9 +247,13 @@ def _spectral_pair(generators: np.ndarray, tol: float) -> np.ndarray:
     # a generator that is a multiple of the identity leaves only roundoff
     keep = norms > tol * np.linalg.norm(generators, axis=(1, 2))
     units = traceless[keep] / norms[keep, None, None]
-    stack = np.concatenate([units, ad_images(units, units)])
-    coefficients = np.random.default_rng(0).normal(size=(2, len(stack)))
-    return np.tensordot(coefficients, stack, axes=1)
+    k = len(units)
+    coefficients = np.random.default_rng(0).normal(size=(2, k + k * k))
+    pair = np.tensordot(coefficients[:, :k], units, axes=1)
+    for x, c in zip(pair, coefficients[:, k:].reshape(2, k, k)):
+        for u, w in zip(units, np.tensordot(c, units, axes=1)):
+            x += u @ w - w @ u
+    return pair
 
 
 def _spectral_margins(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float, float]:

@@ -375,52 +375,25 @@ def verify_commutator_chain(sys: ControlSystem) -> dict:
     f_w = field_quadrature(p.w, p.n_env).matrix
     a = {k + 1: sys.controls[k] for k in range(9)}
 
-    def skew_dir(blocks):
-        return embed_product(sys.space, blocks).skew()
-
-    report = {}
+    # c1q1 is c1 with qubit 1's Ising coupling H_7 for qubit 2's H_8
     c1 = commutator(commutator(a[8], a[5]), commutator(a[6], a[9]))
-    t1 = skew_dir({"qubit2": SIGMA_Z, "bait": SIGMA_Z, "env": f_w})
-    c_, r_ = _fit_direction(c1.matrix, t1.matrix)
-    report["comm1"] = {"c": c_, "residual": r_, "target": "sz2 szb F"}
-
-    c2 = commutator(a[4], a[8])
-    t2 = skew_dir({"qubit2": SIGMA_X, "bait": SIGMA_Z})
-    c_, r_ = _fit_direction(c2.matrix, t2.matrix)
-    report["comm2"] = {"c": c_, "residual": r_, "target": "sx2 szb"}
-
-    c3 = commutator(c2, c1)
-    t3 = skew_dir({"qubit2": SIGMA_Y, "env": f_w})
-    c_, r_ = _fit_direction(c3.matrix, t3.matrix)
-    report["comm3"] = {
-        "c": c_, "residual": r_, "target": "sy2 Ib F",
-        "bait_identity_deviation": bait_identity_deviation(sys, c3),
-    }
-
-    c4 = commutator(commutator(a[3], a[8]), c1)
-    t4 = skew_dir({"qubit2": SIGMA_X, "env": f_w})
-    c_, r_ = _fit_direction(c4.matrix, t4.matrix)
-    report["comm4"] = {
-        "c": c_, "residual": r_, "target": "sx2 Ib F",
-        "bait_identity_deviation": bait_identity_deviation(sys, c4),
-    }
-
     c1q1 = commutator(commutator(a[7], a[5]), commutator(a[6], a[9]))
-    c5 = commutator(commutator(a[2], a[7]), c1q1)
-    t5 = skew_dir({"qubit1": SIGMA_Y, "env": f_w})
-    c_, r_ = _fit_direction(c5.matrix, t5.matrix)
-    report["comm5"] = {
-        "c": c_, "residual": r_, "target": "sy1 Ib F",
-        "bait_identity_deviation": bait_identity_deviation(sys, c5),
-    }
-
-    c6 = commutator(commutator(a[1], a[7]), c1q1)
-    t6 = skew_dir({"qubit1": SIGMA_X, "env": f_w})
-    c_, r_ = _fit_direction(c6.matrix, t6.matrix)
-    report["comm6"] = {
-        "c": c_, "residual": r_, "target": "sx1 Ib F",
-        "bait_identity_deviation": bait_identity_deviation(sys, c6),
-    }
+    c2 = commutator(a[4], a[8])
+    # (key, bracket, target blocks, target label, report the bait-identity deviation)
+    chain = [
+        ("comm1", c1, {"qubit2": SIGMA_Z, "bait": SIGMA_Z, "env": f_w}, "sz2 szb F", False),
+        ("comm2", c2, {"qubit2": SIGMA_X, "bait": SIGMA_Z}, "sx2 szb", False),
+        ("comm3", commutator(c2, c1), {"qubit2": SIGMA_Y, "env": f_w}, "sy2 Ib F", True),
+        ("comm4", commutator(commutator(a[3], a[8]), c1), {"qubit2": SIGMA_X, "env": f_w}, "sx2 Ib F", True),
+        ("comm5", commutator(commutator(a[2], a[7]), c1q1), {"qubit1": SIGMA_Y, "env": f_w}, "sy1 Ib F", True),
+        ("comm6", commutator(commutator(a[1], a[7]), c1q1), {"qubit1": SIGMA_X, "env": f_w}, "sx1 Ib F", True),
+    ]
+    report = {}
+    for key, bracket, blocks, label, on_bait in chain:
+        c_, r_ = _fit_direction(bracket.matrix, embed_product(sys.space, blocks).skew().matrix)
+        report[key] = {"c": c_, "residual": r_, "target": label}
+        if on_bait:
+            report[key]["bait_identity_deviation"] = bait_identity_deviation(sys, bracket)
     return report
 
 

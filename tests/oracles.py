@@ -197,3 +197,91 @@ def controlled_invariance_per_pair(
                     witness={"kind": "bracket_outside_span", "generator": label, "delta_index": d_idx, "residual": res},
                 )
     return Verdict("controlled_invariance", True, details={"max_residual": worst})
+
+
+_PAULI = {
+    "x": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
+    "y": np.array([[0.0, 1.0j], [-1.0j, 0.0]], dtype=complex),
+    "z": np.array([[-1.0, 0.0], [0.0, 1.0]], dtype=complex),
+}
+
+
+def _kron(blocks: list) -> np.ndarray:
+    """blocks[0] (x) blocks[1] (x) ..., by nested np.kron."""
+    out = blocks[0]
+    for blk in blocks[1:]:
+        out = np.kron(out, blk)
+    return out
+
+
+def _bath(w: complex, n_env: int) -> tuple[np.ndarray, np.ndarray]:
+    """(w b† + w* b, b†b) on n_env levels, from b|n> = sqrt(n)|n-1>."""
+    b = np.diag(np.sqrt(np.arange(1, n_env, dtype=float)), 1).astype(complex)
+    bd = b.conj().T
+    return w * bd + np.conj(w) * b, bd @ b
+
+
+def scenario_matrices(name: str, p: qd.ScenarioParams | None = None, max_power: int = 5) -> dict:
+    """A scenario's (or, for name "toy_commutant", the commutant toy's) matrices by nested np.kron.
+
+    The reference for models: every operator is spelled out factor by
+    factor (the qubits in order, then env) and summed left to right, so it
+    runs the products and sums models runs.  For the toy, p carries g,
+    omega0 and n_env; its other fields are unused.  Returns {"factors",
+    "drift", "controls" (k, n, n), "interaction", "output", "labels",
+    "scenario"}, the generators as -iH.
+    """
+    p = p or qd.ScenarioParams()
+    qubits = {"single_qubit": ["qubit"], "bait": ["qubit1", "qubit2", "bait"]}.get(name, ["qubit1", "qubit2"])
+    factors = tuple((q, 2) for q in qubits) + (("env", p.n_env),)
+    eye = [np.eye(d, dtype=complex) for _, d in factors]
+
+    def on(**blocks):
+        return _kron([blocks.get(label, eye[i]) for i, (label, _) in enumerate(factors)])
+
+    f_g, nhat = _bath(p.g, p.n_env)
+    f_w, _ = _bath(p.w, p.n_env)
+    sx, sy, sz = _PAULI["x"], _PAULI["y"], _PAULI["z"]
+    data = qubits[:2]
+    coherence = np.zeros((2 ** len(data),) * 2, dtype=complex)
+    coherence[len(coherence) // 2 - 1, len(coherence) // 2] = 1.0        # |0><1|, or |01><10|
+    output = np.kron(coherence, np.eye(len(on()) // len(coherence), dtype=complex))
+    interaction = on(**{data[0]: sz, "env": f_g})
+    if len(data) == 2:
+        interaction = interaction + on(**{data[1]: sz, "env": f_g})
+    drift = on(**{qubits[0]: 0.5 * p.omega0 * sz})
+    for q in qubits[1:]:
+        drift = drift + on(**{q: 0.5 * p.omega0 * sz})
+    drift = drift + on(env=p.omega_env * nhat)
+    labels = []
+    if name == "single_qubit":
+        controls = [on(qubit=sx), on(qubit=sy)]
+    elif name == "two_qubit":
+        controls = [on(qubit1=sx), on(qubit1=sy), on(qubit2=sx), on(qubit2=sy)]
+    elif name == "bait":
+        controls = [on(qubit1=sx), on(qubit1=sy), on(qubit2=sx), on(qubit2=sy), on(bait=sx), on(bait=sy),
+                    on(qubit1=p.j1 * sz, bait=sz), on(qubit2=p.j2 * sz, bait=sz), on(bait=sz, env=f_w)]
+    elif name == "restructured":
+        controls = []
+        for q, axis in (("qubit1", "x"), ("qubit1", "y"), ("qubit2", "x"), ("qubit2", "y")):
+            for i in range(max_power + 1):
+                controls.append(on(**{q: _PAULI[axis], "env": np.linalg.matrix_power(f_w, i)}))
+                labels.append(f"K_{axis}{q[-1]}F{i}")
+    elif name == "toy_commutant":
+        swap = 0.5 * (on(qubit1=sx, qubit2=sx) + on(qubit1=sy, qubit2=sy))
+        zdiff = on(qubit1=sz) - on(qubit2=sz)
+        envf = on(env=f_g)
+        controls = [interaction, swap, zdiff, envf, swap @ envf]
+        drift = 0.4 * p.omega0 * swap + 0.25 * p.omega0 * zdiff
+        labels = ["B1", "B2", "B3", "B4", "B5"]
+    else:
+        raise ValueError(f"unknown scenario {name!r}")
+    return {
+        "factors": factors,
+        "drift": -1j * drift,
+        "controls": np.array([-1j * c for c in controls]),
+        "interaction": -1j * interaction,
+        "output": output,
+        "labels": labels or [f"H_{i + 1}" for i in range(len(controls))],
+        "scenario": name,
+    }

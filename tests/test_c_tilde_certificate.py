@@ -17,6 +17,7 @@ import pytest
 
 import qdecouple as qd
 from qdecouple import algebra, observation
+from qdecouple.cli import _spectral_peak_bytes
 from qdecouple.observation import (
     CLOSURE, SL_CERTIFICATE, OperatorSpan, _c_tilde_dim_bound, _closure_peak_bytes, _generates_su,
     _spectral_margins, _spectral_pair, close_c_tilde
@@ -275,6 +276,21 @@ def test_spectral_test_certifies_where_the_closure_over_counts():
     rng = np.random.default_rng(0)
     pair = np.array([np.tensordot(rng.normal(size=len(traceless)), traceless, axes=1) for _ in range(2)])
     assert _generates_su(pair, 1e-9)
+
+
+def test_spectral_pair_holds_k_brackets_not_k_squared():
+    # restructured at n_env 20 with max_power 19: k = 81 generators of n = 80
+    gens = qd.build_restructured(qd.ScenarioParams(n_env=20), max_power=19).generator_stack
+    k, n = gens.shape[0], gens.shape[-1]
+    tracemalloc.start()
+    try:
+        _generates_su(gens, 1e-9)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert k == 81
+    assert peak <= 10 * k * n * n * 16                     # k^2 brackets alone would be 81k
+    assert peak <= _spectral_peak_bytes(n, k)
 
 
 @pytest.mark.parametrize("name,n_env", [("bait", 2), ("restructured", 3)])

@@ -3,6 +3,9 @@ import pytest
 
 import qdecouple as qd
 from qdecouple.algebra import SIGMA_X, SIGMA_Y, SIGMA_Z, is_hermitian
+from qdecouple.models import build_commutant_toy
+
+from oracles import scenario_matrices
 
 
 def _y(xi, c_op):
@@ -29,6 +32,36 @@ def test_every_scenario_passes_system_invariants(params):
         assert all(a.space == sys_.space for a in sys_.controls)
         # the coherence monitor is non-hermitian by construction
         assert not np.allclose(sys_.output_op.matrix, sys_.output_op.matrix.conj().T)
+
+
+def _assert_matches(sys_, want):
+    assert sys_.space.factors == want["factors"]
+    assert sys_.scenario == want["scenario"]
+    assert sys_.control_labels == want["labels"]
+    assert np.array_equal(sys_.drift.matrix, want["drift"])
+    assert np.array_equal(np.array([a.matrix for a in sys_.controls]), want["controls"])
+    assert np.array_equal(sys_.interaction.matrix, want["interaction"])
+    assert np.array_equal(sys_.output_op.matrix, want["output"])
+
+
+# defaults, then a complex (g, w) with every other parameter moved off its default
+_SETTINGS = [{}, {"g": 0.2 + 0.1j, "w": -0.3 + 0.05j, "omega0": 0.7, "omega_env": 1.3, "j1": 0.6, "j2": -1.1}]
+
+
+@pytest.mark.parametrize("setting", range(len(_SETTINGS)))
+@pytest.mark.parametrize("n_env", [2, 3, 5])
+@pytest.mark.parametrize("name,max_power", [("single_qubit", 5), ("two_qubit", 5), ("bait", 5),
+                                            ("restructured", 0), ("restructured", 4)])
+def test_scenarios_equal_their_kron_assembly_bit_for_bit(name, max_power, n_env, setting):
+    p = qd.ScenarioParams(n_env=n_env, **_SETTINGS[setting])
+    _assert_matches(qd.build_scenario(name, p, max_power), scenario_matrices(name, p, max_power))
+
+
+@pytest.mark.parametrize("n_env", [2, 3, 5])
+@pytest.mark.parametrize("g,omega0", [(0.15 + 0j, 1.0), (0.2 + 0.1j, 0.7)])
+def test_commutant_toy_equals_its_kron_assembly_bit_for_bit(g, omega0, n_env):
+    p = qd.ScenarioParams(g=g, omega0=omega0, n_env=n_env)
+    _assert_matches(build_commutant_toy(g, omega0, n_env), scenario_matrices("toy_commutant", p))
 
 
 def test_control_system_refuses_a_hermitian_control(single_qubit):
