@@ -33,11 +33,13 @@ from . import __version__
 from .algebra import (
     SIGMA_X, embed_product, field_quadrature, lie_closure, normalize, random_state
 )
-from .feedback import FramePlan, RankDeficiencyError, build_frame, synthesize
+from .feedback import SYNTHESIS_MODES, FramePlan, RankDeficiencyError, build_frame, synthesize
 from .models import SCENARIOS, ScenarioParams, build_scenario, dfs_state, scenario_space
 from .observation import ClosureTooLarge, _physical_memory_bytes
 from .report import decouplability_table, format_table
 from .simulate import (
+    FEEDBACK_MODES,
+    RANK_POLICIES,
     NormDriftError,
     PulseSchedule,
     cbh_order_check,
@@ -144,9 +146,9 @@ def load_config(path: str | None, overrides: dict) -> dict:
                 f"horizon {cfg['horizon']!r} differs from the schedule's total duration {total!r}; "
                 "leave horizon out or set it to that total"
             )
-    if cfg["feedback_mode"] not in ("literal", "regularized", "oracle_cancel", "open_loop"):
+    if cfg["feedback_mode"] not in FEEDBACK_MODES:
         raise ConfigError(f"unknown feedback_mode {cfg['feedback_mode']!r}")
-    if cfg["rank_policy"] not in ("abort", "freeze", "open_loop"):
+    if cfg["rank_policy"] not in RANK_POLICIES:
         raise ConfigError(f"unknown rank_policy {cfg['rank_policy']!r}")
     if cfg["dt"] <= 0:
         raise ConfigError("dt must be positive")
@@ -310,9 +312,9 @@ def _check_peak_bytes(n_env: int, max_power: int) -> int:
     build_c_tilde refuses a fallback closure that cannot fit before it
     starts.  The bait row holds the most: the bait system (n = 8 n_env,
     10 generators) and the restructured one (n = 4 n_env, k = 4(max_power
-    + 1) + 1 generators, its controls listed and stacked), and the
-    spectral su(n) test of one of them.  ru_maxrss of `check` is 63.2,
-    63.8, 65.2, 71.0 and 95.5 MiB at n_env 4, 5, 6, 10 and 20, and 135.5 MiB
+    + 1) + 1 generators, its controls twice while it is built), and the
+    spectral su(n) test of one of them.  ru_maxrss of `check` is 63.8,
+    64.4, 65.4, 70.1 and 89.5 MiB at n_env 4, 5, 6, 10 and 20, and 117.5 MiB
     at n_env 20 with max_power 19.
     """
     n_bait, n_restructured = (scenario_space(name, n_env).total_dim for name in ("bait", "restructured"))
@@ -325,9 +327,10 @@ def _check_peak_bytes(n_env: int, max_power: int) -> int:
 def _system_peak_bytes(n: int) -> int:
     """Bytes a scenario system of dimension n peaks at while it is built.
 
-    tracemalloc shows 17 to 36 complex n x n matrices at n_env 2-5, the bait
-    system the most: it holds 21 (the drift, the interaction, the output and
-    its nine controls twice, listed and in control_stack), and
+    tracemalloc shows 13 to 25 complex n x n matrices at n_env 3-5, the bait
+    system the most: built, it holds 12 (the drift and its nine controls
+    once, in generator_stack, the interaction and the output); while it is
+    built, the list of control generators the stack is copied from and
     embed_product's products and sums add the rest.  The restructured
     system's controls beyond the first four are the max_power estimate's.
     """
@@ -356,7 +359,7 @@ def _refuse_beyond_memory(need: int, key: str, value, what: str) -> None:
 
 
 def _refuse_oversized_restructured(cfg: dict, params: ScenarioParams) -> None:
-    """4(max_power + 1) complex n x n controls, held twice: listed and in control_stack."""
+    """4(max_power + 1) = k complex n x n controls, twice while built (2k + 8 matrices at n_env 20, k = 80)."""
     n = scenario_space("restructured", params.n_env).total_dim
     need = 2 * 4 * (cfg["max_power"] + 1) * n * n * 16
     _refuse_beyond_memory(need, "max_power", cfg["max_power"], "the restructured system's control matrices")
@@ -412,12 +415,12 @@ def cmd_check(cfg: dict, out_dir: Path) -> int:
 def cmd_simulate(cfg: dict, out_dir: Path, audit: bool) -> int:
     params = scenario_params(cfg)
     mode = cfg["feedback_mode"]
-    if mode in ("literal", "regularized"):
+    if mode in SYNTHESIS_MODES:
         _refuse_oversized_plan(cfg["scenario"], params)
     sys_ = build_system(cfg, cfg["scenario"], params)
     xi0 = initial_state(sys_, cfg)
     sched = schedule_from_config(sys_, cfg)
-    if mode in ("literal", "regularized"):
+    if mode in SYNTHESIS_MODES:
         k_i = sys_.interaction.matrix @ xi0.amplitudes
         if np.linalg.norm(k_i) <= sys_.interaction_floor(cfg["tol"]):
             raise ConfigError(
@@ -465,7 +468,7 @@ def cmd_rank(cfg: dict, out_dir: Path) -> int:
     # then slows SciPy's small QRs after it (this loop runs outside the
     # closure's one-thread scope); flat, bait's rank took 0.94-1.5 s in
     # process on 2 vCPUs, against 0.10-0.17 s stacked, with the same bytes
-    algebra = lie_closure(sys_.control_stack.reshape(-1, n, n), tol=tol)
+    algebra = lie_closure(sys_.control_stack, tol=tol)
     field_ranks = []
     algebra_ranks = []
     res_fields = []
@@ -575,19 +578,9 @@ def cmd_synthesize_audit(cfg: dict, out_dir: Path) -> int:
             continue
         row = {"state": k, "ok": res.ok, **res.report}
         if res.ok:
-            mode = cfg["feedback_mode"] if cfg["feedback_mode"] in ("literal", "regularized") else "literal"
+            mode = cfg["feedback_mode"] if cfg["feedback_mode"] in SYNTHESIS_MODES else "literal"
             law = synthesize(sys_, res.frame, mode=mode, tol=plan.tol)
-            row.update(
-                {
-                    "cond_d": law.details["cond_d"],
-                    "beta_singular": law.beta_singular,
-                    "alpha": law.alpha.tolist(),
-                    "beta": law.beta.tolist(),
-                    "d": law.d_matrix.tolist(),
-                    "S": law.s_matrix.tolist(),
-                    "J": law.j_matrix.tolist(),
-                }
-            )
+            row.update(cond_d=law.details["cond_d"], **law.audit_fields())
         rows.append(row)
     payload = {"command": "synthesize-audit", "config": cfg, "version": __version__, "states": rows}
     write_report(out_dir, payload)
@@ -617,7 +610,7 @@ def build_parser() -> argparse.ArgumentParser:
         if name in ("simulate", "synthesize-audit"):
             sp.add_argument(
                 "--feedback-mode",
-                choices=("literal", "regularized", "oracle_cancel", "open_loop"),
+                choices=FEEDBACK_MODES,
                 default=None,
             )
         if name != "check":

@@ -44,10 +44,14 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg.lapack import dgesdd, dgesv
 
-from .algebra import DEFAULT_TOL, Operator, StateVector, commutator, is_hermitian
+from .algebra import DEFAULT_TOL, Operator, StateVector, _eigh, commutator, is_hermitian
 from .models import ControlSystem
-from .spans import RealSpan, leading_rank, realified_nullspace, realify, row_norms
+from .spans import RealSpan, _serial_blas, ad_images, leading_rank, realified_nullspace, realify, row_norms
 from .tangent import tangent_rows
+
+
+# the modes synthesize forms beta in: J with its zero last row, or with e_1 there
+SYNTHESIS_MODES = ("literal", "regularized")
 
 
 class SynthesisError(RuntimeError):
@@ -68,10 +72,7 @@ class RankDeficiencyError(RuntimeError):
 def commutator_norm_table(mats) -> np.ndarray:
     """Frobenius norms ||[M_i, M_j]|| over a stack of matrices (zero diagonal)."""
     mats = np.asarray(mats, dtype=complex)
-    if mats.shape[0] == 0:
-        return np.zeros((0, 0))
-    prods = mats[:, None] @ mats[None, :]                  # M_i M_j
-    return np.linalg.norm(prods - prods.transpose(1, 0, 2, 3), axis=(2, 3))
+    return np.linalg.norm(ad_images(mats, mats), axis=(1, 2)).reshape(len(mats), len(mats))
 
 
 @dataclass
@@ -139,6 +140,11 @@ class FeedbackLaw:
         """beta's singular values cut at the tol synthesize ran with (details["tol"])."""
         return leading_rank(_svd(self.beta)[1], self.details["tol"]) < self.beta.shape[0]
 
+    def audit_fields(self) -> dict:
+        """What an audit row records of the law: beta_singular, and alpha, beta, d, S and J as lists."""
+        return {"beta_singular": self.beta_singular, "alpha": self.alpha.tolist(), "beta": self.beta.tolist(),
+                "d": self.d_matrix.tolist(), "S": self.s_matrix.tolist(), "J": self.j_matrix.tolist()}
+
 
 def commutant_basis(a_i: Operator, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Real basis of the skew-hermitian solutions of [X, A_I] = 0, as a (k, n, n) stack.
@@ -158,7 +164,8 @@ def commutant_basis(a_i: Operator, tol: float = DEFAULT_TOL) -> np.ndarray:
     if not is_hermitian(a_i.matrix, tol, skew=True):
         raise ValueError("commutant is taken against a skew-hermitian generator")
     n = a_i.dim
-    w, v = np.linalg.eigh(1j * a_i.matrix)
+    with _serial_blas():                                   # at one thread: spans module docstring
+        w, v = _eigh(1j * a_i.matrix)
     k, l = np.triu_indices(n, 1)
     gaps = np.abs(w[k] - w[l])
     order = np.argsort(gaps)[::-1]
@@ -183,12 +190,9 @@ def control_commutant_combos(sys: ControlSystem, tol: float = DEFAULT_TOL) -> np
     n, r = sys.space.total_dim, sys.n_controls
     if r == 0:
         return np.zeros((0, n, n), dtype=complex)
-    rows = np.array(
-        [realify(commutator(a, sys.interaction).matrix.ravel()) for a in sys.controls]
-    )
+    rows = np.array([realify(commutator(a, sys.interaction).matrix.ravel()) for a in sys.controls])
     null = realified_nullspace(rows.T, r, tol=tol)
-    mats = sys.control_stack.reshape(r, n, n)
-    combos = [np.tensordot(coeffs, mats, axes=1) for coeffs in null]
+    combos = [np.tensordot(coeffs, sys.control_stack, axes=1) for coeffs in null]
     return np.array([m / nrm for m in combos if (nrm := np.linalg.norm(m)) > tol]).reshape(-1, n, n)
 
 
@@ -218,7 +222,7 @@ class FramePlan:
         n = sys.space.total_dim
         candidates = control_commutant_combos(sys, tol=tol)
         a_i = sys.interaction.matrix[None]
-        fields = [a_i, sys.drift.matrix[None], sys.control_stack.reshape(-1, n, n), candidates]
+        fields = [a_i, sys.drift.matrix[None], sys.control_stack, candidates]
         return cls(
             sys=sys,
             tol=tol,
@@ -361,11 +365,11 @@ def _svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _upshift(r: int, mode: str) -> np.ndarray:
+    if mode not in SYNTHESIS_MODES:
+        raise ValueError(f"unknown synthesis mode {mode!r}")
     j = np.eye(r, k=1)
     if mode == "regularized":
         j[r - 1, 0] = 1.0
-    elif mode != "literal":
-        raise ValueError(f"unknown synthesis mode {mode!r}")
     return j
 
 
@@ -399,7 +403,7 @@ def synthesize(
         raise SynthesisError(f"frame rank {frame.rank} != number of controls {r}")
     fields = frame.field_rows
     if fields is None:
-        fields = realify(np.array([a.matrix @ xi.amplitudes for a in (sys.drift, *sys.controls)]))
+        fields = realify(np.roll(sys.generator_stack @ xi.amplitudes, 1, axis=0))          # drift first
     k0, k_rows = fields[0], fields[1:]                                             # (2n,), (r, 2n)
     v_rows = realify(frame.vectors)                                                # (r, 2n)
     q = frame.control_basis

@@ -12,9 +12,12 @@ qubit in factor order, then omega_env b†b; the interaction is sigma_z (x)
 (g b† + g* b) on each data qubit (not the bait); the drives are sigma_x,
 then sigma_y, on each qubit in factor order.  Each operator is summed
 left to right from embed_product terms, and each Hamiltonian H becomes
-its generator -iH in one place (_system).  The output operator C, the
-coherence monitor |01><10| (x) I (|0><1| (x) I on one qubit), is not
-hermitian and is kept as it is; the coherence functional is
+its generator -iH in one place (_system), each control as it is built.
+A system holds each generator matrix once, in a read-only (r + 1, n, n)
+generator_stack (the controls, then the drift) whose rows drift, controls
+and control_stack view.  The output operator C, the coherence monitor
+|01><10| (x) I (|0><1| (x) I on one qubit), is not hermitian and is kept
+as it is; the coherence functional is
 
     y(t) = <xi|C|xi> = vdot(xi, C @ xi),
 
@@ -65,11 +68,11 @@ class ScenarioParams:
     def __post_init__(self):
         if self.n_env < 2:
             raise ValueError("environment needs at least 2 levels")
-        for name in ("omega0", "omega_env", "j1", "j2"):
-            if not np.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
         if self.w is None:
             self.w = complex(self.g)
+        for name in ("omega0", "omega_env", "j1", "j2", "g", "w"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
 
 
 @dataclass
@@ -84,33 +87,29 @@ class ControlSystem:
     scenario: str
     control_labels: list[str] = field(default_factory=list)
     params: ScenarioParams | None = None
-    # the control matrices flattened to rows, (r, n^2): sum_i u_i A_i is one product
+    # (r + 1, n, n), read-only: the control generators A_1..A_r, then the drift A_0
+    generator_stack: np.ndarray = field(init=False, repr=False, compare=False)
+    # (r, n, n): generator_stack[:-1]
     control_stack: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        ops = [self.drift, *self.controls, self.interaction, self.output_op]
-        for op in ops:
-            if op.space != self.space:
-                raise ValueError("all system operators must share the space")
-        for op in [self.drift, *self.controls, self.interaction]:
-            if not is_hermitian(op.matrix, skew=True):
-                raise ValueError("dynamics generators must be skew-hermitian")
+        if any(op.space != self.space for op in [self.drift, *self.controls, self.interaction, self.output_op]):
+            raise ValueError("all system operators must share the space")
+        if not all(is_hermitian(op.matrix, skew=True) for op in [self.drift, *self.controls, self.interaction]):
+            raise ValueError("dynamics generators must be skew-hermitian")
         if not self.control_labels:
             self.control_labels = [f"H_{i+1}" for i in range(len(self.controls))]
         if len(self.control_labels) != len(self.controls):
             raise ValueError("one label per control")
-        n = self.space.total_dim
-        self.control_stack = np.array([a.matrix for a in self.controls], dtype=complex).reshape(-1, n * n)
+        self.generator_stack = np.array([*(a.matrix for a in self.controls), self.drift.matrix], dtype=complex)
+        self.generator_stack.flags.writeable = False
+        self.control_stack = self.generator_stack[:-1]
+        self.controls = [Operator(self.space, m) for m in self.control_stack]
+        self.drift = Operator(self.space, self.generator_stack[-1])
 
     @property
     def n_controls(self) -> int:
         return len(self.controls)
-
-    @property
-    def generator_stack(self) -> np.ndarray:
-        """(r + 1, n, n): the control generators A_1..A_r, then the drift A_0."""
-        n = self.space.total_dim
-        return np.concatenate([self.control_stack.reshape(-1, n, n), self.drift.matrix[None]])
 
     def generator(self, u: np.ndarray | None = None, include_interaction: bool = True) -> Operator:
         """Total skew generator A_0 + sum u_i A_i (+ A_I)."""
@@ -119,7 +118,8 @@ class ControlSystem:
             u = np.asarray(u, dtype=float)
             if u.shape != (self.n_controls,):
                 raise ValueError(f"need {self.n_controls} control values")
-            mat += (u @ self.control_stack).reshape(mat.shape)
+            flat = self.generator_stack.reshape(len(self.generator_stack), -1)      # (r + 1, n^2), a view
+            mat += (u @ flat[:-1]).reshape(mat.shape)
         if include_interaction:
             mat = mat + self.interaction.matrix
         return Operator(self.space, mat)
@@ -171,7 +171,7 @@ def _drives(name: str) -> list[dict[str, np.ndarray]]:
 
 
 def _system(space, drift, controls, interaction, scenario, labels=None, params=None) -> ControlSystem:
-    """The ControlSystem of these Hamiltonians, each taken to its generator -iH here."""
+    """The ControlSystem of these Hamiltonians, each taken to -iH here; an iterator of controls holds one H at once."""
     controls = [c.skew() for c in controls]
     output = _coherence_output(space)
     return ControlSystem(space, drift.skew(), controls, interaction.skew(), output, scenario, labels or [], params)
@@ -183,8 +183,7 @@ def _scenario(name: str, p: ScenarioParams, controls: list[dict[str, np.ndarray]
     nhat = number_operator(p.n_env).matrix
     drift = _sum(space, *({q: 0.5 * p.omega0 * SIGMA_Z} for q in _QUBITS[name]), {"env": p.omega_env * nhat})
     interaction = _collective_dephasing(space, field_quadrature(p.g, p.n_env).matrix)
-    controls = [embed_product(space, c) for c in controls]
-    return _system(space, drift, controls, interaction, name, labels, p)
+    return _system(space, drift, (embed_product(space, c) for c in controls), interaction, name, labels, p)
 
 
 def build_single_qubit(p: ScenarioParams) -> ControlSystem:

@@ -81,9 +81,9 @@ from typing import Iterator
 
 import numpy as np
 
-from .algebra import HilbertSpace, Operator, commutator
+from .algebra import HilbertSpace, Operator, _eigh, commutator
 from .models import ControlSystem
-from .spans import RealSpan, ad_images, close_real_span, realified_rank, realify, row_norms, unrealify
+from .spans import RealSpan, _serial_blas, ad_images, close_real_span, realified_rank, realify, row_norms, unrealify
 
 # how build_c_tilde found C~, reported per row as c_tilde_method
 SL_CERTIFICATE = "sl(n) certificate"
@@ -267,7 +267,8 @@ def _spectral_margins(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float
     the Davis-Kahan bound, infinite when the levels are not resolved.
     """
     h = 1j * x
-    levels, v = np.linalg.eigh(h)
+    with _serial_blas():                                   # at one thread: spans module docstring
+        levels, v = _eigh(h)
     n = len(levels)
     r = float(np.linalg.norm(h @ v - v * levels, axis=0).max()
               + np.linalg.norm(v.conj().T @ v - np.eye(n), 2) * np.abs(levels).max())

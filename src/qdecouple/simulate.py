@@ -33,6 +33,7 @@ from .algebra import (
     unitary_stepper,
 )
 from .feedback import (
+    SYNTHESIS_MODES,
     FramePlan,
     FrameResult,
     RankDeficiencyError,
@@ -46,6 +47,9 @@ from .tangent import bracket_linear_fields
 
 # hsb_generation_search grows bracket words up to this length
 _MAX_DEPTH = 8
+# propagate_closed_loop's modes, and its policies on a rank-deficient frame
+FEEDBACK_MODES = (*SYNTHESIS_MODES, "oracle_cancel", "open_loop")
+RANK_POLICIES = ("abort", "freeze", "open_loop")
 
 
 class NormDriftError(RuntimeError):
@@ -135,15 +139,15 @@ def propagate_closed_loop(
     plan:  the system's FramePlan, built here when not given; frames and
            laws are decided at the plan's tol.
     """
-    if mode not in ("literal", "regularized", "oracle_cancel", "open_loop"):
+    if mode not in FEEDBACK_MODES:
         raise ValueError(f"unknown feedback mode {mode!r}")
     if not (math.isfinite(dt) and dt > 0):
         raise ValueError(f"dt must be positive and finite, got {dt!r}")
-    if policy not in ("abort", "freeze", "open_loop"):
+    if policy not in RANK_POLICIES:
         raise ValueError(f"unknown rank-deficiency policy {policy!r}")
     if xi0.space != sys.space:
         raise ValueError("initial state lives on a different space")
-    feedback = mode in ("literal", "regularized")
+    feedback = mode in SYNTHESIS_MODES
     if feedback and plan is None:
         plan = FramePlan.build(sys)
     xi = xi0.amplitudes.copy()
@@ -180,12 +184,7 @@ def propagate_closed_loop(
                     )
                     gen = closed_loop_generator(sys, law, v, include_interaction)
                     if collect_audit:
-                        row["beta_singular"] = law.beta_singular
-                        row["alpha"] = law.alpha.tolist()
-                        row["beta"] = law.beta.tolist()
-                        row["d"] = law.d_matrix.tolist()
-                        row["S"] = law.s_matrix.tolist()
-                        row["J"] = law.j_matrix.tolist()
+                        row.update(law.audit_fields())
                 else:
                     row.update({"rank_report": result.report, "action": f"deficient:{policy}"})
                     if policy == "abort":
@@ -241,7 +240,7 @@ def decoupling_pair(
     drops the interaction from both runs, so the pair is one run returned
     twice and the deviation is 0 by construction.
     """
-    plan = FramePlan.build(sys, tol=tol) if mode in ("literal", "regularized") else None
+    plan = FramePlan.build(sys, tol=tol) if mode in SYNTHESIS_MODES else None
     trace_g = propagate_closed_loop(
         sys, v_sched, xi0, dt, mode=mode, policy=policy, include_interaction=True,
         collect_audit=collect_audit, plan=plan,
@@ -409,7 +408,7 @@ def hsb_generation_search(sys: ControlSystem, tol: float = 1e-9) -> dict:
     there is no direction to search for.
     """
     n = sys.space.total_dim
-    controls = sys.control_stack.reshape(-1, n, n)
+    controls = sys.control_stack
     labels = sys.control_labels
     k = len(controls)
     target = sys.interaction.matrix

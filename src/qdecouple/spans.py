@@ -42,11 +42,14 @@ bait's control-algebra closure took 0.20-0.25 s with two threads and
 kept basis, so the `rank` report, differed in its last bits with the
 thread count.  _serial_blas sets both libraries to one thread for the
 closure's whole body and sets back the counts it found; nothing is set
-at import or outside a closure, and where no setter is found (another
-BLAS, an older OpenBLAS) the closure runs as it is.  The hand loops of
-hsb_generation_search and omega_closure_closed stay unscoped (at one
-thread they measured at most a tenth faster), and so does the closed
-loop's per-step add_batch, which ran no faster at one thread.
+at import, and where no setter is found (another BLAS, an older
+OpenBLAS) the scope does nothing.  It also scopes the one eigh of
+commutant_basis and of the spectral su(n) test: SciPy's zheevd at two
+threads wakes its pool, which then slowed NumPy's products after it
+(`check` at n_env 20, max_power 19: 0.71 s against 0.38-0.56 s).  The
+hand loops of hsb_generation_search and omega_closure_closed stay
+unscoped (at one thread they measured at most a tenth faster), and so
+do the closed loop's per-step add_batch and eigh (7.6 us per scope).
 """
 
 from __future__ import annotations

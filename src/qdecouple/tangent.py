@@ -162,7 +162,7 @@ def omega_closure_open(sys: ControlSystem, xi: StateVector, tol: float = 1e-9) -
 
 def control_field_matrix(sys: ControlSystem, xi: StateVector) -> np.ndarray:
     """Realified control-field values at xi, one row per control."""
-    return np.array([realify(a.matrix @ xi.amplitudes) for a in sys.controls])
+    return realify(sys.control_stack @ xi.amplitudes)
 
 
 def omega_closure_closed(sys: ControlSystem, xi: StateVector, tol: float = 1e-9) -> CodistributionBasis:

@@ -3,6 +3,8 @@ import pytest
 
 import qdecouple as qd
 from qdecouple.algebra import IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z, _eigh, is_hermitian, unitary_stepper
+from qdecouple.spans import realify
+from qdecouple.tangent import control_field_matrix
 from oracles import operator_span
 
 
@@ -209,16 +211,21 @@ class TestMatrixExpApply:
             out = unitary_stepper(-1j * h)(xi.amplitudes, rng.uniform(-3, 3))
             assert abs(np.linalg.norm(out) - 1.0) < 1e-10
 
-    @pytest.mark.parametrize("name", ["bait", "two_qubit"])
+    @pytest.mark.parametrize("name", ["bait", "two_qubit", "single_qubit", "restructured", "commutant_toy"])
     def test_eigenpairs_and_steps_are_numpy_eigh_bit_for_bit(self, name, request):
         # the open-loop traces keep their bytes only if the stepper's eigh is
-        # np.linalg.eigh's, v in the same (C) order
+        # np.linalg.eigh's, v in the same (C) order; the commutant basis takes
+        # A_I's eigenpairs from the same _eigh, and the stacked control fields
+        # are the per-Operator products
         sys_ = request.getfixturevalue(name)
         rng = np.random.default_rng(21)
         xi = qd.random_state(sys_.space, rng).amplitudes
         n = sys_.space.total_dim
+        want = np.array([realify(a.matrix @ xi) for a in sys_.controls])
+        assert control_field_matrix(sys_, qd.StateVector(sys_.space, xi)).tobytes() == want.tobytes()
         gens = [sys_.generator(rng.normal(size=sys_.n_controls)).matrix,
                 sys_.generator(None, include_interaction=False).matrix,
+                sys_.interaction.matrix,
                 *sys_.control_stack.reshape(-1, n, n)]
         for a in gens:
             w, v = _eigh(1j * a)

@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import qdecouple as qd
+from qdecouple import cli
 from qdecouple.algebra import SIGMA_X, SIGMA_Y, SIGMA_Z, is_hermitian
 from qdecouple.models import build_commutant_toy
 
@@ -21,6 +24,52 @@ def test_params_defaults_and_validation():
         qd.ScenarioParams(n_env=1)
     with pytest.raises(ValueError):
         qd.ScenarioParams(omega0=np.inf)
+
+
+@pytest.mark.parametrize("name", ["g", "w"])
+@pytest.mark.parametrize("value", [complex(np.nan, 0.0), complex(0.0, np.nan), complex(np.inf, 0.0),
+                                   complex(0.0, -np.inf)], ids=["nan_re", "nan_im", "inf_re", "inf_im"])
+def test_params_refuse_a_non_finite_coupling(name, value):
+    # refused where it is given, not later as a generator that is not skew-hermitian
+    with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+        qd.build_bait(qd.ScenarioParams(**{name: value}))
+
+
+@pytest.mark.parametrize("name", [*qd.SCENARIOS, "toy"])
+def test_generators_are_rows_of_one_read_only_stack(name, params):
+    sys_ = build_commutant_toy() if name == "toy" else qd.build_scenario(name, params)
+    stack = sys_.generator_stack
+    n, r = sys_.space.total_dim, sys_.n_controls
+    assert stack.shape == (r + 1, n, n)
+    assert not stack.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        stack[0, 0, 0] = 0.0
+    for i, a in enumerate(sys_.controls):
+        assert np.shares_memory(a.matrix, stack[i])
+    assert np.shares_memory(sys_.drift.matrix, stack[r])
+    assert np.shares_memory(sys_.control_stack, stack[:r]) and sys_.control_stack.shape == (r, n, n)
+
+
+def test_a_built_system_holds_each_generator_once(monkeypatch):
+    # restructured at n_env 20 with max_power 19: k = 80 controls of n = 80,
+    # each held once in generator_stack; the controls' skew list and the stack
+    # are alive together only while the system is built
+    refused = []
+    params = qd.ScenarioParams(n_env=20)
+    monkeypatch.setattr(cli, "_refuse_beyond_memory", lambda need, *args: refused.append(need))
+    cli._refuse_oversized_restructured({"max_power": 19}, params)
+    unit = 80 * 80 * 16
+    k = 80
+    assert refused == [2 * k * unit]
+    tracemalloc.start()
+    try:
+        sys_ = qd.build_restructured(params, max_power=19)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sys_.n_controls == k
+    assert held <= (k + 8) * unit
+    assert peak <= refused[0] + 16 * unit
 
 
 def test_every_scenario_passes_system_invariants(params):
