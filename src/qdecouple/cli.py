@@ -50,7 +50,7 @@ from .simulate import (
     propagate,
     verify_commutator_chain,
 )
-from .spans import RealSpan, realify
+from .spans import RealSpan, _serial_blas, realify
 from .tangent import control_field_matrix
 
 DEFAULT_CONFIG = {
@@ -349,6 +349,27 @@ def _plan_peak_bytes(n: int) -> int:
     return _BASELINE_BYTES + 2 * 16 * n**4
 
 
+def _chain_peak_bytes(n: int) -> int:
+    """Bytes `maneuver --chain` holds at its peak for the bait system of dimension n.
+
+    The bait system, and hsb_generation_search's two phases: phase 1's
+    k^2(k - 1) triple brackets (648 complex n x n matrices for the k = 9
+    controls), and phase 2's candidates, the largest frontier of kept
+    words times k.  Each candidate is held as a matrix and its unit
+    multiple, and as half-size real rows (its code, its residual, its new
+    direction): 3.5 matrices, counted as 4 to cover the kept words' codes
+    and basis (at most 8n half-size rows each).  Every kept word lies in
+    the control algebra, which is block-diagonal in the eigenbasis of F_w
+    (n_env blocks of u(8)), so a frontier holds at most 64 n_env = 8n
+    words.  tracemalloc reads the
+    search's peak at 992, 1286, 1560 and 1676 matrices (3.9, 11.3, 24.4 and
+    40.9 MiB) at n_env 2-5, where the largest frontier is 25, 37, 49 and 56
+    words.
+    """
+    k = 9
+    return _BASELINE_BYTES + _system_peak_bytes(n) + (k * k * (k - 1) + 4 * k * 8 * n) * n * n * 16
+
+
 def _refuse_beyond_memory(need: int, key: str, value, what: str) -> None:
     have = _physical_memory_bytes()
     if have is not None and need > have:
@@ -463,27 +484,28 @@ def cmd_rank(cfg: dict, out_dir: Path) -> int:
     rng = np.random.default_rng(cfg["seed"])
     tol = cfg["tol"]
     n = sys_.space.total_dim
-    # the control algebra's (L, n, n) stack is used as is: a flat (L n, n)
-    # product is big enough for NumPy's OpenBLAS to thread, and its pool
-    # then slows SciPy's small QRs after it (this loop runs outside the
-    # closure's one-thread scope); flat, bait's rank took 0.94-1.5 s in
-    # process on 2 vCPUs, against 0.10-0.17 s stacked, with the same bytes
     algebra = lie_closure(sys_.control_stack, tol=tol)
     field_ranks = []
     algebra_ranks = []
     res_fields = []
     res_algebra = []
-    for _ in range(cfg["rank_states"]):
-        xi = random_state(sys_.space, rng)
-        span = RealSpan(2 * n, tol=tol)
-        span.add_batch(control_field_matrix(sys_, xi))
-        field_ranks.append(span.rank)
-        k_i = realify(sys_.interaction.matrix @ xi.amplitudes)
-        res_fields.append(span.residual(k_i))
-        span_a = RealSpan(2 * n, tol=tol)
-        span_a.add_batch(realify(algebra @ xi.amplitudes))
-        algebra_ranks.append(span_a.rank)
-        res_algebra.append(span_a.residual(k_i))
+    # at one BLAS thread, like the closure: at two, NumPy's and SciPy's
+    # thread pools compete for the cores after it, and a flat (L n, n)
+    # product of the algebra threads and slows SciPy's small QRs (spans
+    # module docstring); in the scope the stacked and the flat product give
+    # the same bytes and time
+    with _serial_blas():
+        for _ in range(cfg["rank_states"]):
+            xi = random_state(sys_.space, rng)
+            span = RealSpan(2 * n, tol=tol)
+            span.add_batch(control_field_matrix(sys_, xi))
+            field_ranks.append(span.rank)
+            k_i = realify(sys_.interaction.matrix @ xi.amplitudes)
+            res_fields.append(span.residual(k_i))
+            span_a = RealSpan(2 * n, tol=tol)
+            span_a.add_batch(realify(algebra @ xi.amplitudes))
+            algebra_ranks.append(span_a.rank)
+            res_algebra.append(span_a.residual(k_i))
     def hist(values):
         out = {}
         for v in values:
@@ -517,10 +539,15 @@ def cmd_rank(cfg: dict, out_dir: Path) -> int:
 def cmd_maneuver(cfg: dict, out_dir: Path, i: int | None, j: int | None, chain: bool) -> int:
     params = scenario_params(cfg)
     name = cfg["scenario"] if cfg["scenario"] in ("bait", "restructured") else "bait"
+    if chain:
+        if name != "bait":
+            raise ConfigError(f"maneuver --chain needs the bait system; scenario {name!r} has no bait")
+        _refuse_zero_interaction(params)
+        n = scenario_space(name, params.n_env).total_dim
+        _refuse_beyond_memory(_chain_peak_bytes(n), "n_env", params.n_env, "the chain search's bracket words")
     sys_ = build_system(cfg, name, params)
     payload = {"command": "maneuver", "config": cfg, "version": __version__, "scenario": name}
     if chain:
-        _refuse_zero_interaction(params)
         payload["chain"] = verify_commutator_chain(sys_)
         payload["hsb_generation"] = hsb_generation_search(sys_, tol=cfg["tol"])
         write_report(out_dir, payload)

@@ -42,7 +42,7 @@ from .feedback import (
     synthesize,
 )
 from .models import ControlSystem
-from .spans import RealSpan, ad_images, realify
+from .spans import Coordinates, RealSpan, _serial_blas, ad_images, skew_hermitian_coordinates
 from .tangent import bracket_linear_fields
 
 # hsb_generation_search grows bracket words up to this length
@@ -396,14 +396,68 @@ def verify_commutator_chain(sys: ControlSystem) -> dict:
     return report
 
 
+def _keep_new_words(
+    span: RealSpan, coords: Coordinates, mats: np.ndarray, names: list[str], tol: float
+) -> tuple[np.ndarray, list[str], np.ndarray]:
+    """The words of a (B, n, n) stack, in order, that add a direction to span; one add_in_order call.
+
+    A word of norm below tol is skipped; the others are scaled to unit norm
+    first.  Returns the kept unit words, their labels and their codes.
+    """
+    norms = np.linalg.norm(mats, axis=(1, 2))
+    live = np.flatnonzero(norms >= tol)
+    units = mats[live] * (1.0 / norms[live])[:, None, None]
+    codes = coords.encode(units.reshape(len(units), -1))
+    kept = span.add_in_order(codes)
+    return units[kept], [names[live[i]] for i in kept], codes[kept]
+
+
+def _bracket_words(
+    controls: np.ndarray, labels: list[str], target_code: np.ndarray, tol: float
+) -> tuple[list[str], np.ndarray, int | None]:
+    """hsb_generation_search's phase 2: the kept bracket words, their codes and the membership depth.
+
+    Words of one length are selected together: the left-normed brackets
+    [W, H_c] of the previous length's kept words W with every control,
+    word-major, go to one RealSpan.add_in_order call in
+    skew_hermitian_coordinates (n^2 reals per word), which keeps the words
+    one add at a time would keep, in that order (the order fixes which
+    words are kept).  target_code is the unit target in those coordinates.
+    Returns the labels of every kept word, their (W, n^2) codes and the
+    length at which the target entered their span (None when a length
+    added no word or the words reached _MAX_DEPTH first).
+    """
+    n = controls.shape[-1]
+    coords = skew_hermitian_coordinates(n)
+    span = RealSpan(n * n, tol=tol)
+    frontier, names, codes = _keep_new_words(span, coords, controls, labels, tol)
+    kept_names, kept_codes = list(names), [codes]
+    for depth in range(2, _MAX_DEPTH + 1):
+        candidates = ad_images(frontier, controls)          # [W, H_c] word-major, the words as generators
+        frontier, names, codes = _keep_new_words(
+            span, coords, candidates, [f"[{w},{c}]" for w in names for c in labels], tol
+        )
+        kept_names += names
+        kept_codes.append(codes)
+        if span.residual(target_code) < tol:
+            return kept_names, np.vstack(kept_codes), depth
+        if not names:
+            break
+    return kept_names, np.vstack(kept_codes), None
+
+
+@_serial_blas()
 def hsb_generation_search(sys: ControlSystem, tol: float = 1e-9) -> dict:
     """Search bracket words of the bait controls for the interaction generator.
 
     Phase 1 tries every triple [[H_a, H_b], H_c] for direct proportionality
     to A_SB (the literal claim).  Phase 2 grows left-normed bracket words
-    [[...[H_a, H_b], ...], H_c] with provenance until A_SB enters their
-    real span, a word length adds no direction or the words reach length
-    _MAX_DEPTH, and records the witness words with their coefficients.
+    [[...[H_a, H_b], ...], H_c] with provenance, one word length at a time
+    (_bracket_words), until A_SB enters their real span, a word length adds
+    no direction or the words reach length _MAX_DEPTH, and records the
+    witness words with their coefficients, a least-squares fit of A_SB by
+    the kept words in skew_hermitian_coordinates.  The whole search runs at
+    one BLAS thread (spans module docstring).
     Raises ValueError when the interaction generator vanishes (g = 0):
     there is no direction to search for.
     """
@@ -415,9 +469,8 @@ def hsb_generation_search(sys: ControlSystem, tol: float = 1e-9) -> dict:
     tnorm = float(np.linalg.norm(target))
     if tnorm <= sys.interaction_floor(tol):
         raise ValueError("the interaction generator vanishes: there is nothing to search for")
-    tvec = realify(target.ravel() / tnorm)
 
-    pairs = ad_images(controls, controls)                  # [H_a, H_b] at a k + b
+    pairs = ad_images(controls, controls)              # [H_a, H_b] at a k + b
     inner = [(ia, ib) for ia in range(k) for ib in range(k)
              if ib != ia and np.linalg.norm(pairs[ia * k + ib]) >= tol]
     triples = ad_images(pairs[[ia * k + ib for ia, ib in inner]], controls)
@@ -437,48 +490,18 @@ def hsb_generation_search(sys: ControlSystem, tol: float = 1e-9) -> dict:
             if resid < tol:
                 proportional.append(triple)
 
-    span = RealSpan(2 * n * n, tol=tol)
-    words: list[tuple[str, np.ndarray]] = []               # words[start:] is the frontier
-    for lbl, op in zip(labels, controls):
-        nrm = float(np.linalg.norm(op))
-        if nrm < tol:
-            continue                                       # switched off by its parameter
-        unit = (1.0 / nrm) * op
-        if span.add(realify(unit.ravel())):
-            words.append((lbl, unit))
-    found_depth = None
-    start = 0
-    for depth in range(2, _MAX_DEPTH + 1):
-        frontier, start = words[start:], len(words)
-        images = ad_images(np.array([w for _, w in frontier]).reshape(-1, n, n), controls)
-        # [W, H_c] word-major, with the words as ad_images' generators; one add
-        # at a time, in that order, since the order fixes which words are kept
-        for lbl, cand in zip([f"[{wl},{gl}]" for wl, _ in frontier for gl in labels], images):
-            nrm = float(np.linalg.norm(cand))
-            if nrm < tol:
-                continue
-            cand = (1.0 / nrm) * cand
-            if span.add(realify(cand.ravel())):
-                words.append((lbl, cand))
-        if span.residual(tvec) < tol:
-            found_depth = depth
-            break
-        if len(words) == start:
-            break
-
+    target_code = skew_hermitian_coordinates(n).encode(target.ravel() / tnorm)[0]
+    names, codes, found_depth = _bracket_words(controls, labels, target_code, tol)
     result = {
         "triple_proportional_matches": proportional,
         "best_triple": best,
-        "closure_contains_interaction": bool(span.residual(tvec) < tol),
+        "closure_contains_interaction": found_depth is not None,
         "membership_depth": found_depth,
-        "closure_dim": span.rank,
+        "closure_dim": len(names),
     }
-    if result["closure_contains_interaction"]:
-        mat = np.array([realify(w.ravel()) for _, w in words])
-        coeffs, *_ = np.linalg.lstsq(mat.T, tvec, rcond=None)
-        top = sorted(
-            ((abs(c), lbl, float(c)) for c, (lbl, _) in zip(coeffs, words)), reverse=True
-        )
+    if found_depth is not None:
+        coeffs, *_ = np.linalg.lstsq(codes.T, target_code, rcond=None)
+        top = sorted(((abs(c), lbl, float(c)) for c, lbl in zip(coeffs, names)), reverse=True)
         result["witness_words"] = [
             {"word": lbl, "coefficient": c} for mag, lbl, c in top[:8] if mag > 1e-6
         ]

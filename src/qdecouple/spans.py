@@ -46,10 +46,22 @@ at import, and where no setter is found (another BLAS, an older
 OpenBLAS) the scope does nothing.  It also scopes the one eigh of
 commutant_basis and of the spectral su(n) test: SciPy's zheevd at two
 threads wakes its pool, which then slowed NumPy's products after it
-(`check` at n_env 20, max_power 19: 0.71 s against 0.38-0.56 s).  The
-hand loops of hsb_generation_search and omega_closure_closed stay
-unscoped (at one thread they measured at most a tenth faster), and so
-do the closed loop's per-step add_batch and eigh (7.6 us per scope).
+(`check` at n_env 20, max_power 19: 0.71 s against 0.38-0.56 s).
+hsb_generation_search runs at one thread as a whole, and so does the
+per-state loop of the `rank` command after its closure: with both
+unscoped, the benchmark's algebra_reports op (`rank`, `maneuver --chain`
+and `synthesize-audit` on bait, 2 vCPUs) read 6.0-6.2 yardsticks, and
+4.5-4.9 with both scoped, where its CPU time fell from 5.5-5.9 to 2.9-3.3.
+The hand loop of omega_closure_closed stays unscoped (at one thread it
+measured at most a tenth faster), and so do the closed loop's per-step
+add_batch and eigh (7.6 us per scope).
+
+RealSpan.add_in_order is the kernel for a batch whose order decides
+what is kept: it keeps the rows a loop of add would keep, with one GEMM
+projection of the batch and one vstack.  hsb_generation_search selects
+each word length's bracket words by one call, in skew_hermitian_coordinates:
+the search on bait takes 0.05-0.07 s in process, against 0.12-0.17 s
+with one add per word over realified rows.
 """
 
 from __future__ import annotations
@@ -212,6 +224,52 @@ class RealSpan:
         if new.shape[0]:
             self.q = np.vstack([self.q, new])
         return new
+
+    def add_in_order(self, rows: np.ndarray) -> np.ndarray:
+        """Add the rows one at a time, in order; returns the indices of the rows kept.
+
+        Keeps what a loop of add over the rows keeps: a row is kept when it
+        lies above the floor (tol) and its relative residual stays above tol
+        after each of two Gram-Schmidt passes against the span so far, the
+        rows kept before it included; a lone survivor is its own direction,
+        so no QR is needed.  The whole batch is projected against the basis
+        held on entry by two GEMM passes, and a row that fails there is
+        dropped, since in exact arithmetic a larger span only shrinks a
+        residual.  Each survivor is then tested, in order, against the
+        directions this call has kept so far.  A survivor whose residual
+        shrinks to r of its length against those carries about eps / r of
+        the entry basis, so the kept directions are projected off it once
+        more, as a block (their inner products move by that squared); the
+        basis then grows by one vstack.
+        """
+        rows = np.atleast_2d(np.asarray(rows, dtype=float))
+        norms = row_norms(rows)
+        index = np.flatnonzero(norms > self.tol)
+        res = rows[index]
+        norms = norms[index]
+        if self.rank:
+            for _ in range(2):
+                res -= (res @ self.q.T) @ self.q
+                keep = row_norms(res) > self.tol * norms
+                index, res, norms = index[keep], res[keep], norms[keep]
+        new = np.empty_like(res)
+        kept = []
+        for i, r, nrm in zip(index, res, norms):
+            basis = new[:len(kept)]
+            for _ in range(2):
+                r = r - (basis @ r) @ basis
+                size = math.sqrt(np.dot(r, r))
+                if size <= self.tol * nrm:
+                    break
+            else:
+                new[len(kept)] = r / size
+                kept.append(i)
+        if kept:
+            new = new[:len(kept)]
+            if self.rank:
+                new -= (new @ self.q.T) @ self.q
+            self.q = np.vstack([self.q, new])
+        return np.array(kept, dtype=int)
 
 
 def leading_rank(magnitudes: np.ndarray, tol: float, floor: float = 0.0) -> int:

@@ -6,7 +6,8 @@ import numpy as np
 
 import qdecouple as qd
 from qdecouple.observation import OperatorSpan, Verdict
-from qdecouple.spans import RealSpan, close_real_span, realify, unrealify
+from qdecouple.simulate import _MAX_DEPTH
+from qdecouple.spans import RealSpan, ad_images, close_real_span, realify, unrealify
 from qdecouple.tangent import CodistributionBasis, covector_of
 
 
@@ -284,4 +285,61 @@ def scenario_matrices(name: str, p: qd.ScenarioParams | None = None, max_power: 
         "output": output,
         "labels": labels or [f"H_{i + 1}" for i in range(len(controls))],
         "scenario": name,
+    }
+
+
+def bracket_words_one_add_at_a_time(sys_: qd.ControlSystem, tol: float = 1e-9) -> dict:
+    """hsb_generation_search's phase 2, one RealSpan.add per word over realified rows.
+
+    The reference for simulate._bracket_words: the left-normed words
+    [[...[H_a, H_b], ...], H_c] of each length, word-major, each scaled to
+    unit norm and kept when add raises the rank, until the unit interaction
+    enters their span, a length adds no word or the words reach length
+    simulate._MAX_DEPTH.  Returns {"words" (labels of every kept word),
+    "closure_dim", "membership_depth", "witness" ({label: coefficient} of
+    the top eight words, by a least-squares fit over the 2n^2 realified
+    rows)}.
+    """
+    n = sys_.space.total_dim
+    controls = sys_.control_stack
+    labels = sys_.control_labels
+    target = sys_.interaction.matrix
+    tvec = realify(target.ravel() / np.linalg.norm(target))
+    span = RealSpan(2 * n * n, tol=tol)
+    words: list[tuple[str, np.ndarray]] = []               # words[start:] is the frontier
+    for lbl, op in zip(labels, controls):
+        nrm = float(np.linalg.norm(op))
+        if nrm < tol:
+            continue
+        unit = (1.0 / nrm) * op
+        if span.add(realify(unit.ravel())):
+            words.append((lbl, unit))
+    found_depth = None
+    start = 0
+    for depth in range(2, _MAX_DEPTH + 1):
+        frontier, start = words[start:], len(words)
+        images = ad_images(np.array([w for _, w in frontier]).reshape(-1, n, n), controls)
+        for lbl, cand in zip([f"[{wl},{gl}]" for wl, _ in frontier for gl in labels], images):
+            nrm = float(np.linalg.norm(cand))
+            if nrm < tol:
+                continue
+            cand = (1.0 / nrm) * cand
+            if span.add(realify(cand.ravel())):
+                words.append((lbl, cand))
+        if span.residual(tvec) < tol:
+            found_depth = depth
+            break
+        if len(words) == start:
+            break
+    witness = {}
+    if found_depth is not None:
+        mat = np.array([realify(w.ravel()) for _, w in words])
+        coeffs, *_ = np.linalg.lstsq(mat.T, tvec, rcond=None)
+        top = sorted(((abs(c), lbl, float(c)) for c, (lbl, _) in zip(coeffs, words)), reverse=True)
+        witness = {lbl: c for mag, lbl, c in top[:8] if mag > 1e-6}
+    return {
+        "words": [lbl for lbl, _ in words],
+        "closure_dim": span.rank,
+        "membership_depth": found_depth,
+        "witness": witness,
     }

@@ -7,10 +7,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import qdecouple.cli
 import qdecouple.feedback
 import qdecouple.models
 import qdecouple.observation
-from qdecouple.cli import _check_peak_bytes, _physical_memory_bytes, _plan_peak_bytes, main
+from qdecouple.cli import _chain_peak_bytes, _check_peak_bytes, _physical_memory_bytes, _plan_peak_bytes, main
 from qdecouple.feedback import commutant_basis
 from qdecouple.spans import _openblas_libraries, close_real_span
 
@@ -249,6 +250,39 @@ def test_n_env_beyond_physical_memory_is_refused(tmp_path, capsys, monkeypatch, 
     assert refused in capsys.readouterr().err
     assert peak < 1 << 20                          # refused before the system was built
     assert not wrote
+
+
+def test_chain_beyond_physical_memory_is_refused(tmp_path, capsys, monkeypatch):
+    # a host with one byte less than the search's estimate at the default
+    # n_env 3 (n = 24) holds the bait system but not the bracket words
+    monkeypatch.setattr(qdecouple.cli, "_physical_memory_bytes", lambda: _chain_peak_bytes(24) - 1)
+    code, wrote, _ = _run_refused(tmp_path, monkeypatch, ["maneuver", "--chain"], {})
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "n_env=3" in err and "bracket words" in err
+    assert not wrote
+
+
+@pytest.mark.parametrize("n_env", [2, 3])
+def test_chain_memory_estimate_covers_the_measured_peak(n_env):
+    # tracemalloc peak of building the bait system and searching its bracket
+    # words; _BASELINE_BYTES covers the interpreter and its libraries
+    tracemalloc.start()
+    try:
+        sys_ = qdecouple.build_scenario("bait", qdecouple.ScenarioParams(n_env=n_env))
+        qdecouple.hsb_generation_search(sys_)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert _chain_peak_bytes(8 * n_env) - qdecouple.cli._BASELINE_BYTES >= peak
+
+
+def test_chain_refuses_a_scenario_without_bait(tmp_path, capsys):
+    # used to die with a ValueError traceback and exit 1
+    out = tmp_path / "out"
+    assert run_cli(["maneuver", "--chain", "--scenario", "restructured", "--out", str(out)]) == 2
+    assert "has no bait" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("params", [{"j1": 0}, {"w": 0}])

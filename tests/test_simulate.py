@@ -3,7 +3,10 @@ import pytest
 
 import qdecouple as qd
 from qdecouple.algebra import SIGMA_X
-from qdecouple.simulate import maneuver_schedule
+from qdecouple.simulate import _bracket_words, maneuver_schedule
+from qdecouple.spans import skew_hermitian_coordinates
+
+from oracles import bracket_words_one_add_at_a_time
 
 
 class TestPulseSchedule:
@@ -278,6 +281,31 @@ class TestHsbGenerationSearch:
         assert not rep["closure_contains_interaction"]
         assert rep["membership_depth"] is None
         assert rep["closure_dim"] == 184
+
+    @pytest.mark.parametrize("name,kwargs,dim,depth", [
+        ("bait", {}, 169, 7),
+        ("bait", {"n_env": 2}, 121, 7),
+        ("bait", {"n_env": 4}, 201, 7),
+        ("bait", {"w": 0.1j}, 184, None),
+        ("restructured", {}, 18, 2),
+        ("two_qubit", {}, 6, None),
+    ], ids=["bait", "bait-n_env-2", "bait-n_env-4", "bait-w-0.1i", "restructured", "two_qubit"])
+    def test_per_length_selection_keeps_the_words_of_one_add_at_a_time(self, name, kwargs, dim, depth):
+        sys_ = qd.build_scenario(name, qd.ScenarioParams(**kwargs))
+        oracle = bracket_words_one_add_at_a_time(sys_)
+        assert (oracle["closure_dim"], oracle["membership_depth"]) == (dim, depth)
+        n = sys_.space.total_dim
+        target = sys_.interaction.matrix
+        target_code = skew_hermitian_coordinates(n).encode(target.ravel() / np.linalg.norm(target))[0]
+        names, codes, found = _bracket_words(sys_.control_stack, sys_.control_labels, target_code, 1e-9)
+        assert names == oracle["words"]
+        assert (codes.shape, found) == ((dim, n * n), depth)
+        rep = qd.hsb_generation_search(sys_)
+        assert (rep["closure_dim"], rep["membership_depth"]) == (dim, depth)
+        witness = {w["word"]: w["coefficient"] for w in rep.get("witness_words", [])}
+        assert witness.keys() == oracle["witness"].keys()
+        for word, c in oracle["witness"].items():
+            assert witness[word] == pytest.approx(c, abs=1e-12)
 
     def test_zero_interaction_is_refused(self):
         # without the guard the target direction is 0/0 and all 84 triples

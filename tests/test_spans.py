@@ -8,15 +8,22 @@ the rank and on the subspace kept, for batches of known rank.
 realified_nullspace takes the thin SVD of tall stacks; it must return the
 rows a full SVD gives, on stacks of every shape.  The skew-hermitian
 coordinates must be an isometry of u(n) onto R^(n^2) with an exact inverse.
-close_real_span must run at one BLAS thread in both bundled OpenBLAS
-libraries and hand back the counts it found, also when it raises.
+add_in_order must keep the rows a loop of add keeps, in order.
+close_real_span, hsb_generation_search and the per-state loop of the rank
+command must run at one BLAS thread in both bundled OpenBLAS libraries and
+hand back the counts they found, also when they raise.
 """
 
+import contextlib
 import ctypes
+import io
+import json
 
 import numpy as np
 import pytest
 
+import qdecouple.cli
+import qdecouple.simulate
 import qdecouple.spans
 from qdecouple.spans import (RealSpan, _openblas_libraries, close_real_span, leading_rank, realified_nullspace, realify,
                              skew_hermitian_coordinates)
@@ -137,6 +144,65 @@ def test_rows_below_floor_are_zero():
     _check_batch(span, small, 0, floor=1.0)             # an explicit floor
     mixed = np.vstack([tiny, _batch(rng, span, 3, 2)])
     _check_batch(span, mixed, 2)
+
+
+def _ordered_batch(rng, span: RealSpan, n_fresh: int) -> np.ndarray:
+    """Rows whose order decides what is kept, shuffled.
+
+    Fresh directions mixed with span components, exact and scaled
+    duplicates of them, combinations of two of them with relative noise
+    1e-13 (dependent at tol) and 1e-5 (new at tol), a row inside the span,
+    a zero row and a row below the floor.
+    """
+    fresh = _batch(rng, span, n_fresh, n_fresh)
+    a, b = fresh[0], fresh[1]
+    noise = _directions(rng, 2, span.dim)
+    pair = a + 0.5 * b
+    extra = [
+        fresh[2], -3.0 * fresh[3],
+        pair + 1e-13 * np.linalg.norm(pair) * noise[0] / np.linalg.norm(noise[0]),
+        pair + 1e-5 * np.linalg.norm(pair) * noise[1] / np.linalg.norm(noise[1]),
+        np.zeros(span.dim), 1e-11 * fresh[0],
+    ]
+    if span.rank:
+        extra.append(rng.normal(size=span.rank) @ span.q)
+    rows = np.vstack([fresh, *extra])
+    return rows[rng.permutation(len(rows))]
+
+
+@pytest.mark.parametrize("dim, span_rank, n_fresh", [
+    (24, 0, 8),            # from an empty span
+    (24, 6, 8),
+    (24, 6, 30),           # more fresh rows than the span has room for
+    (16, 15, 6),           # one direction left
+    (16, 16, 4),           # a full span keeps nothing
+])
+def test_add_in_order_keeps_what_add_keeps_row_by_row(dim, span_rank, n_fresh):
+    rng = np.random.default_rng(100 * dim + 10 * span_rank + n_fresh)
+    span = _span_with(rng, dim, span_rank)
+    rows = _ordered_batch(rng, span, n_fresh)
+    one_by_one = RealSpan(dim, tol=TOL)
+    one_by_one.q = span.q.copy()
+    want = [i for i, row in enumerate(rows) if one_by_one.add(row)]
+    old = span.q.copy()
+    kept = span.add_in_order(rows)
+    assert kept.tolist() == want
+    assert span.rank == one_by_one.rank
+    assert np.array_equal(span.q[:len(old)], old)
+    new = span.q[len(old):]
+    assert np.abs(new @ new.T - np.eye(len(new))).max(initial=0.0) < 1e-13
+    assert np.abs(new @ old.T).max(initial=0.0) < 1e-13
+    # the row with relative noise s = 1e-5 fixes its direction only to about
+    # eps / s in either kernel
+    assert _subspace_distance(span.q, one_by_one.q) < 1e-10
+
+
+def test_add_in_order_of_an_empty_or_vanishing_batch_keeps_nothing():
+    span = _span_with(np.random.default_rng(12), 8, 3)
+    old = span.q.copy()
+    for rows in (np.zeros((0, 8)), np.zeros((3, 8)), 1e-11 * np.eye(8)[:2]):
+        assert span.add_in_order(rows).tolist() == []
+        assert np.array_equal(span.q, old)
 
 
 def test_empty_span_and_empty_batch():
@@ -276,6 +342,54 @@ def test_close_real_span_runs_serial_blas_and_restores_the_counts(monkeypatch, r
         else:
             _, batches, _ = close_real_span(sx.ravel()[None, :], 1j * sy[None])
             assert sum(len(b) for b in batches) == 2          # sigma_x, sigma_z
+        assert inside and all(counts == [1] * len(libraries) for counts in inside)
+        assert [_blas_threads(lib) for lib in libraries] == before
+    finally:
+        for lib, count in zip(libraries, host):
+            lib.openblas_set_num_threads_local(count)
+
+
+def _search_bait(tmp_path):
+    return qdecouple.simulate.hsb_generation_search(qdecouple.build_scenario("bait", qdecouple.ScenarioParams(n_env=2)))
+
+
+def _rank_bait(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"params": {"n_env": 2}, "rank_states": 2}))
+    with contextlib.redirect_stdout(io.StringIO()):
+        return qdecouple.cli.main(["rank", "--scenario", "bait", "--config", str(cfg), "--out", str(tmp_path / "rank")])
+
+
+@pytest.mark.parametrize("raises", [False, True])
+@pytest.mark.parametrize("module, name, run", [
+    ("simulate", "ad_images", _search_bait),                # every bracket of hsb_generation_search
+    ("cli", "control_field_matrix", _rank_bait),            # once per state of rank's loop
+], ids=["hsb_generation_search", "rank_loop"])
+def test_bracket_search_and_rank_loop_run_serial_blas_and_restore_the_counts(
+    tmp_path, monkeypatch, module, name, run, raises
+):
+    libraries = _openblas_libraries()
+    if not libraries:
+        pytest.skip("no openblas_set_num_threads_local in the bundled BLAS")
+    host = [lib.openblas_set_num_threads_local(2) for lib in libraries]   # a count the scope must change
+    try:
+        before = [_blas_threads(lib) for lib in libraries]
+        inside = []
+        target = getattr(qdecouple, module)
+        wrapped = getattr(target, name)
+
+        def spy(*args):
+            inside.append([_blas_threads(lib) for lib in libraries])
+            if raises:
+                raise RuntimeError("body failed")
+            return wrapped(*args)
+
+        monkeypatch.setattr(target, name, spy)
+        if raises:
+            with pytest.raises(RuntimeError, match="body failed"):
+                run(tmp_path)
+        else:
+            run(tmp_path)
         assert inside and all(counts == [1] * len(libraries) for counts in inside)
         assert [_blas_threads(lib) for lib in libraries] == before
     finally:
