@@ -13,14 +13,16 @@ The recipe, at a state xi with r controls K_1..K_r:
      alpha = alpha~ beta.
 
 The work splits into a plan and a per-step solve.  A FramePlan is built
-once per system (once per closed-loop run): the stacked generator
-matrices (A_I, the drift, the controls and the control combinations
+once per system (once per closed-loop run) and holds only what it adds
+to the system: the frame operators (A_I, then the control combinations
 commuting with A_I), the commutant basis, and the pairwise commutator
-norms over [A_I, *candidates].  Per state, build_frame evaluates every
-field with one matmul against the stack, takes the control-field rank and
-the K_I membership test through one RealSpan, whose pivoted QR leaves Q, an
-orthonormal basis of span G(xi), and selects the frame greedily by
-Gram-Schmidt, which leaves B, an orthonormal basis of the frame.  The
+norms over the frame operators.  The drift and controls stay in the
+system's generator stack.  Per state, build_frame evaluates the control
+and drift fields with one matmul over that stack and the frame operators'
+fields with one more, takes the control-field rank and the K_I membership
+test through one RealSpan, whose pivoted QR leaves Q, an orthonormal basis
+of span G(xi), and selects the frame greedily by spans.new_direction, the
+one-row test, which leaves B, an orthonormal basis of the frame.  The
 frame carries Q and B, so synthesize factors nothing twice: with r
 controls it works in r x r coordinates, one LU solve for d, one SVD of d
 for its rank cut, cond(d) and S = d^-1, one LU solve for the drift split,
@@ -46,7 +48,8 @@ from scipy.linalg.lapack import dgesdd, dgesv
 
 from .algebra import DEFAULT_TOL, Operator, StateVector, _eigh, commutator, is_hermitian
 from .models import ControlSystem
-from .spans import RealSpan, _serial_blas, ad_images, leading_rank, realified_nullspace, realify, row_norms
+from .spans import (RealSpan, _serial_blas, ad_images, leading_rank, new_direction, realified_nullspace, realify,
+                    row_norms)
 from .tangent import tangent_rows
 
 
@@ -81,14 +84,15 @@ class CommutingFrame:
 
     vectors holds the frame's tangent vectors at base, (k, n) complex, and
     generating_ops the operators that generate them, a (k, n, n) stack.
-    field_rows holds the realified drift and control fields at base
-    ([K_0, K_1..K_r]), commutator_norms the pairwise commutator norms of
-    the generating operators, control_basis Q, the orthonormal rows of the
-    control fields' realified span (the pivoted QR behind
-    control_field_rank), and frame_basis B, the orthonormal rows the greedy
-    Gram-Schmidt kept for the frame vectors, all as build_frame produced
-    them; a frame assembled by hand leaves them None and synthesize and
-    pairwise_commutator_norms compute them on demand.
+    field_rows holds the realified control and drift fields at base in
+    the order of sys.generator_stack ([K_1..K_r, K_0]), commutator_norms
+    the pairwise commutator norms of the generating operators,
+    control_basis Q, the orthonormal rows of the control fields' realified
+    span (the pivoted QR behind control_field_rank), and frame_basis B,
+    the orthonormal rows the greedy Gram-Schmidt kept for the frame
+    vectors, all as build_frame produced them; a frame assembled by hand
+    leaves them None and synthesize and pairwise_commutator_norms compute
+    them on demand.
     """
 
     base: StateVector
@@ -200,58 +204,33 @@ def control_commutant_combos(sys: ControlSystem, tol: float = DEFAULT_TOL) -> np
 class FramePlan:
     """The state-independent half of frame construction for one system.
 
-    Operator families are (k, n, n) complex stacks: candidates are the
-    control-commutant combinations, commutant the commutant basis of A_I.
-    stack holds the generator matrices evaluated at every state, one n-row
-    block each, in the order A_I, A_0, A_1..A_r (from sys.control_stack),
-    then the candidates; the commutant's fields are evaluated only when the
-    candidates fall short of rank r.  commutator_norms is the pairwise
-    table over [A_I, *candidates].
+    It holds no copy of the system's generators, only what it adds:
+    frame_ops, a (1 + c, n, n) stack of A_I and then the c
+    control-commutant combinations, the preferred frame candidates;
+    commutant, the commutant basis of A_I, whose fields are evaluated only
+    when the candidates fall short of rank r; and commutator_norms, the
+    pairwise table over frame_ops, so a frame operator's index into
+    frame_ops is its row there.
     """
 
     sys: ControlSystem
     tol: float
-    candidates: np.ndarray
+    frame_ops: np.ndarray
     commutant: np.ndarray
-    stack: np.ndarray
     commutator_norms: np.ndarray
     interaction_floor: float
 
     @classmethod
     def build(cls, sys: ControlSystem, tol: float = DEFAULT_TOL) -> "FramePlan":
-        n = sys.space.total_dim
-        candidates = control_commutant_combos(sys, tol=tol)
-        a_i = sys.interaction.matrix[None]
-        fields = [a_i, sys.drift.matrix[None], sys.control_stack, candidates]
+        frame_ops = np.concatenate([sys.interaction.matrix[None], control_commutant_combos(sys, tol=tol)])
         return cls(
             sys=sys,
             tol=tol,
-            candidates=candidates,
+            frame_ops=frame_ops,
             commutant=commutant_basis(sys.interaction, tol=tol),
-            stack=np.concatenate(fields).reshape(-1, n),
-            commutator_norms=commutator_norm_table(np.concatenate([a_i, candidates])),
+            commutator_norms=commutator_norm_table(frame_ops),
             interaction_floor=sys.interaction_floor(tol),
         )
-
-
-def _new_direction(q: np.ndarray, row: np.ndarray, tol: float) -> np.ndarray | None:
-    """Unit direction that row adds to the orthonormal rows q, or None.
-
-    RealSpan.add's tests for one row: the absolute floor tol and the
-    relative residual tol * |row| after two Gram-Schmidt passes.  Its QR
-    rank cut always keeps a lone surviving row, whose direction is simply
-    the normalized residual.
-    """
-    nrm = math.sqrt(np.dot(row, row))                      # np.linalg.norm's formula, minus its overhead
-    if nrm <= tol:
-        return None
-    res = row - np.dot(np.dot(q, row), q)
-    res -= np.dot(np.dot(q, res), q)
-    res_nrm = math.sqrt(np.dot(res, res))
-    if res_nrm <= tol * nrm:
-        return None
-    res /= res_nrm
-    return res
 
 
 def build_frame(
@@ -277,19 +256,20 @@ def build_frame(
     tol = plan.tol
     n = sys.space.total_dim
     r = sys.n_controls
-    vals = (plan.stack @ xi.amplitudes).reshape(-1, n)    # A_I, A_0, controls, candidates at xi
+    fields = realify((sys.generator_stack.reshape(-1, n) @ xi.amplitudes).reshape(-1, n))  # controls, drift
+    vals = (plan.frame_ops.reshape(-1, n) @ xi.amplitudes).reshape(-1, n)                  # K_I, candidates
     rows = realify(vals)
     k_i_norm = math.sqrt(np.dot(rows[0], rows[0]))
     if k_i_norm <= plan.interaction_floor:
         raise ValueError("interaction field vanishes at this state")
     g_span = RealSpan(2 * n, tol=tol)
-    g_span.add_batch(rows[2 : 2 + r])
+    g_span.add_batch(fields[:r])
 
     report = {
         "required_rank": r,
         "control_field_rank": g_span.rank,
         "interaction_in_control_span": bool(g_span.residual(rows[0]) < tol),
-        "control_commutant_dim": len(plan.candidates),
+        "control_commutant_dim": len(plan.frame_ops) - 1,
     }
     basis = np.zeros((r, 2 * n))
     vectors: list[np.ndarray] = []
@@ -297,7 +277,7 @@ def build_frame(
     table_index: list[int] | None = []                     # rows of plan.commutator_norms
 
     def try_add(val: np.ndarray, row: np.ndarray) -> bool:
-        direction = _new_direction(basis[: len(vectors)], row, tol)
+        direction = new_direction(basis[: len(vectors)], row, tol)
         if direction is None:
             return False
         basis[len(vectors)] = direction
@@ -308,14 +288,14 @@ def build_frame(
         # K_I always enters: it cleared the interaction floor above
         basis[0] = rows[0] / k_i_norm
         vectors.append(vals[0])
-        ops.append(sys.interaction.matrix)
+        ops.append(plan.frame_ops[0])
         table_index.append(0)
-        for j, cand in enumerate(plan.candidates):
+        for j in range(1, len(plan.frame_ops)):
             if len(vectors) == r:
                 break
-            if try_add(vals[2 + r + j], rows[2 + r + j]):
-                ops.append(cand)
-                table_index.append(1 + j)
+            if try_add(vals[j], rows[j]):
+                ops.append(plan.frame_ops[j])
+                table_index.append(j)
         if len(vectors) < r:
             # general commutant combinations whose evaluations lie in
             # span(G(xi)); the projector onto the valid combination
@@ -341,7 +321,7 @@ def build_frame(
         return FrameResult(False, None, report)
     norms = None if table_index is None else plan.commutator_norms.take(table_index, 0).take(table_index, 1)
     frame = CommutingFrame(
-        xi, vectors, np.array(ops), details=dict(report), field_rows=rows[1 : 2 + r], commutator_norms=norms,
+        xi, vectors, np.array(ops), details=dict(report), field_rows=fields, commutator_norms=norms,
         control_basis=g_span.q, frame_basis=basis,
     )
     frame.details["max_pairwise_commutator"] = float(frame.pairwise_commutator_norms().max(initial=0.0))
@@ -403,8 +383,8 @@ def synthesize(
         raise SynthesisError(f"frame rank {frame.rank} != number of controls {r}")
     fields = frame.field_rows
     if fields is None:
-        fields = realify(np.roll(sys.generator_stack @ xi.amplitudes, 1, axis=0))          # drift first
-    k0, k_rows = fields[0], fields[1:]                                             # (2n,), (r, 2n)
+        fields = realify(sys.generator_stack @ xi.amplitudes)
+    k_rows, k0 = fields[:-1], fields[-1]                                           # (r, 2n), (2n,)
     v_rows = realify(frame.vectors)                                                # (r, 2n)
     q = frame.control_basis
     if q is None:

@@ -456,8 +456,10 @@ def hsb_generation_search(sys: ControlSystem, tol: float = 1e-9) -> dict:
     (_bracket_words), until A_SB enters their real span, a word length adds
     no direction or the words reach length _MAX_DEPTH, and records the
     witness words with their coefficients, a least-squares fit of A_SB by
-    the kept words in skew_hermitian_coordinates.  The whole search runs at
-    one BLAS thread (spans module docstring).
+    the kept words in skew_hermitian_coordinates: the at most 8 largest
+    above 1e-6 in magnitude, listed in the order the words were kept, so
+    coefficients equal up to roundoff do not reorder them.  The whole
+    search runs at one BLAS thread (spans module docstring).
     Raises ValueError when the interaction generator vanishes (g = 0):
     there is no direction to search for.
     """
@@ -482,8 +484,9 @@ def hsb_generation_search(sys: ControlSystem, tol: float = 1e-9) -> dict:
             nrm = float(np.linalg.norm(word))
             if nrm < tol:
                 continue
-            _, resid = _fit_direction(target, word)
-            overlap = abs(np.trace(word.conj().T @ target)) / (nrm * tnorm)
+            inner_product = np.vdot(word, target)          # <W, A_SB>, once for the overlap and the fit
+            overlap = abs(inner_product) / (nrm * tnorm)
+            resid = float(np.linalg.norm(target - (inner_product.real / nrm**2) * word)) / tnorm
             triple = f"[[{labels[ia]},{labels[ib]}],{labels[ic]}]"
             if overlap > best["overlap"]:
                 best = {"overlap": float(overlap), "triple": triple, "residual": float(resid)}
@@ -501,8 +504,8 @@ def hsb_generation_search(sys: ControlSystem, tol: float = 1e-9) -> dict:
     }
     if found_depth is not None:
         coeffs, *_ = np.linalg.lstsq(codes.T, target_code, rcond=None)
-        top = sorted(((abs(c), lbl, float(c)) for c, lbl in zip(coeffs, names)), reverse=True)
+        top = np.sort(np.argsort(-np.abs(coeffs), kind="stable")[:8])     # the largest 8, in kept order
         result["witness_words"] = [
-            {"word": lbl, "coefficient": c} for mag, lbl, c in top[:8] if mag > 1e-6
+            {"word": names[i], "coefficient": float(coeffs[i])} for i in top if abs(coeffs[i]) > 1e-6
         ]
     return result

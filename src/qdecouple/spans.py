@@ -56,12 +56,13 @@ The hand loop of omega_closure_closed stays unscoped (at one thread it
 measured at most a tenth faster), and so do the closed loop's per-step
 add_batch and eigh (7.6 us per scope).
 
-RealSpan.add_in_order is the kernel for a batch whose order decides
-what is kept: it keeps the rows a loop of add would keep, with one GEMM
-projection of the batch and one vstack.  hsb_generation_search selects
-each word length's bracket words by one call, in skew_hermitian_coordinates:
-the search on bait takes 0.05-0.07 s in process, against 0.12-0.17 s
-with one add per word over realified rows.
+new_direction is the one single-row test.  RealSpan.add_in_order runs
+it on each row of a batch whose order decides what is kept, after one
+GEMM projection of the batch, and feedback.build_frame on each frame
+candidate.  hsb_generation_search selects each word length's bracket
+words by one add_in_order call, in skew_hermitian_coordinates: the
+search on bait takes 0.05-0.07 s in process, against 0.12-0.17 s with
+one add per word over realified rows.
 """
 
 from __future__ import annotations
@@ -228,11 +229,9 @@ class RealSpan:
     def add_in_order(self, rows: np.ndarray) -> np.ndarray:
         """Add the rows one at a time, in order; returns the indices of the rows kept.
 
-        Keeps what a loop of add over the rows keeps: a row is kept when it
-        lies above the floor (tol) and its relative residual stays above tol
-        after each of two Gram-Schmidt passes against the span so far, the
-        rows kept before it included; a lone survivor is its own direction,
-        so no QR is needed.  The whole batch is projected against the basis
+        Keeps what a loop of add over the rows keeps: a row is kept when
+        new_direction finds it outside the span so far, the rows kept
+        before it included.  The whole batch is projected against the basis
         held on entry by two GEMM passes, and a row that fails there is
         dropped, since in exact arithmetic a larger span only shrinks a
         residual.  Each survivor is then tested, in order, against the
@@ -255,14 +254,9 @@ class RealSpan:
         new = np.empty_like(res)
         kept = []
         for i, r, nrm in zip(index, res, norms):
-            basis = new[:len(kept)]
-            for _ in range(2):
-                r = r - (basis @ r) @ basis
-                size = math.sqrt(np.dot(r, r))
-                if size <= self.tol * nrm:
-                    break
-            else:
-                new[len(kept)] = r / size
+            direction = new_direction(new[:len(kept)], r, self.tol, nrm)
+            if direction is not None:
+                new[len(kept)] = direction
                 kept.append(i)
         if kept:
             new = new[:len(kept)]
@@ -270,6 +264,26 @@ class RealSpan:
                 new -= (new @ self.q.T) @ self.q
             self.q = np.vstack([self.q, new])
         return np.array(kept, dtype=int)
+
+
+def new_direction(basis: np.ndarray, row: np.ndarray, tol: float, norm: float | None = None) -> np.ndarray | None:
+    """Unit residual of one row against the orthonormal rows basis, or None if it adds no direction.
+
+    None when norm (default |row|; pass the norm from before an earlier
+    projection) is at or below the floor tol, or the residual is at or
+    below tol * norm after either of two Gram-Schmidt passes.  A lone row
+    is its own direction, so no QR is needed.
+    """
+    if norm is None:
+        norm = math.sqrt(np.dot(row, row))                 # np.linalg.norm's formula, minus its overhead
+    if norm <= tol:
+        return None
+    for _ in range(2):
+        row = row - np.dot(np.dot(basis, row), basis)      # np.dot: less call overhead than @ on one row
+        size = math.sqrt(np.dot(row, row))
+        if size <= tol * norm:
+            return None
+    return row / size
 
 
 def leading_rank(magnitudes: np.ndarray, tol: float, floor: float = 0.0) -> int:

@@ -142,11 +142,6 @@ def kernel_dy(xi: StateVector, c_op: Operator, tol: float = 1e-9) -> Distributio
     return DistributionBasis(xi, unrealify(null), details={"codim": 2 * n - null.shape[0]})
 
 
-def _system_generators(sys: ControlSystem) -> np.ndarray:
-    """(r + 1, n, n): the drift, then the control generators."""
-    return np.roll(sys.generator_stack, 1, axis=0)
-
-
 def omega_closure_open(sys: ControlSystem, xi: StateVector, tol: float = 1e-9) -> CodistributionBasis:
     """Codistribution closure Omega <- Omega + sum_A L_{K_A} Omega, as C~ + iC~ (module docstring).
 
@@ -178,7 +173,7 @@ def omega_closure_closed(sys: ControlSystem, xi: StateVector, tol: float = 1e-9)
     rounds.
     """
     n = sys.space.total_dim
-    units = unit_generators(_system_generators(sys))
+    units = unit_generators(sys.generator_stack)
     c = unit_output(sys)
     gens = np.array([c, -1j * c])                            # (m, n^2), row-major matrices
     span = RealSpan(2 * n * n, tol=tol)
@@ -240,7 +235,7 @@ def hermitian_derivative_chain(sys: ControlSystem, tol: float = 1e-9) -> list[np
     n = sys.space.total_dim
     c_mat = sys.output_op.matrix
     seeds = np.array([(c_mat + c_mat.conj().T).ravel(), (-1j * (c_mat - c_mat.conj().T)).ravel()])
-    _, batches, _ = close_real_span(seeds, _system_generators(sys), tol=tol)
+    _, batches, _ = close_real_span(seeds, sys.generator_stack, tol=tol)
     return [batch.reshape(-1, n, n) for batch in batches]
 
 

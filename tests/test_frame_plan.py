@@ -133,10 +133,39 @@ def test_toy_plan_matches_reference_at_seeded_states(commutant_toy):
         assert res.ok and "commutant_dim" not in res.report
 
 
+@pytest.mark.parametrize("build", [qd.build_commutant_toy, mixed_toy, lambda: qd.build_bait(qd.ScenarioParams())],
+                         ids=["toy", "mixed_toy", "bait"])
+def test_plan_holds_no_copy_of_the_generators(build):
+    # A_I, the c control-commutant combinations and the m commutant matrices,
+    # plus the (1 + c)^2 commutator table: the drift and controls stay in the system
+    sys_ = build()
+    plan = FramePlan.build(sys_)
+    n = sys_.space.total_dim
+    c = len(control_commutant_combos(sys_))
+    m = len(qd.commutant_basis(sys_.interaction))
+    arrays = [v for v in vars(plan).values() if isinstance(v, np.ndarray)]
+    assert sum(a.size for a in arrays) == (1 + c + m) * n * n + (1 + c) ** 2
+    assert plan.frame_ops.shape == (1 + c, n, n) and plan.commutator_norms.shape == (1 + c, 1 + c)
+    assert plan.frame_ops[0].tobytes() == sys_.interaction.matrix.tobytes()
+
+
+def test_field_rows_are_the_generator_stack_at_the_state(commutant_toy):
+    # controls, then the drift, as sys.generator_stack holds them, bit for bit
+    sub = toy_subsystem(commutant_toy, commutant_toy.controls[:2], ["B1", "B2"])
+    rng = np.random.default_rng(44)
+    for sys_ in (commutant_toy, sub):
+        plan = FramePlan.build(sys_)
+        for _ in range(3):
+            xi = qd.random_state(sys_.space, rng)
+            res = qd.build_frame(sys_, xi, plan=plan)
+            assert res.ok
+            assert res.frame.field_rows.tobytes() == realify(sys_.generator_stack @ xi.amplitudes).tobytes()
+
+
 def test_commutant_fallback_matches_reference():
     sys_ = mixed_toy()
     plan = FramePlan.build(sys_)
-    assert len(plan.candidates) == 2
+    assert len(plan.frame_ops) == 1 + 2
     rng = np.random.default_rng(77)
     for _ in range(3):
         res = assert_matches_reference(sys_, plan, qd.random_state(sys_.space, rng))

@@ -304,6 +304,10 @@ class TestHsbGenerationSearch:
         assert (rep["closure_dim"], rep["membership_depth"]) == (dim, depth)
         witness = {w["word"]: w["coefficient"] for w in rep.get("witness_words", [])}
         assert witness.keys() == oracle["witness"].keys()
+        # listed in kept order: bait's two coefficients are equal up to their
+        # last bits, so an order by magnitude would be one chosen by roundoff
+        kept_index = [names.index(word) for word in witness]
+        assert kept_index == sorted(kept_index)
         for word, c in oracle["witness"].items():
             assert witness[word] == pytest.approx(c, abs=1e-12)
 
