@@ -147,9 +147,6 @@ class StateVector:
         if abs(nrm - 1.0) > 1e-6:
             raise ValueError(f"state norm {nrm} is not 1 (normalize first)")
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
 
 def normalize(space: HilbertSpace, amplitudes: np.ndarray) -> StateVector:
     amplitudes = np.asarray(amplitudes, dtype=complex).ravel()

@@ -25,6 +25,7 @@ import copy
 import json
 import math
 import sys as _sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -217,33 +218,25 @@ def _sanitize(obj):
     return obj
 
 
-def write_report(out_dir: Path, payload: dict, name: str = "report.json") -> Path:
+def _write(out_dir: Path, name: str, text: str) -> Path:
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / name
-    with open(path, "w") as fh:
-        json.dump(_sanitize(payload), fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    path.write_text(text)
     return path
+
+
+def write_report(out_dir: Path, payload: dict, name: str = "report.json") -> Path:
+    return _write(out_dir, name, json.dumps(_sanitize(payload), sort_keys=True, indent=2) + "\n")
 
 
 def write_trace_csv(out_dir: Path, trace, name: str) -> Path:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / name
-    with open(path, "w") as fh:
-        fh.write("t,re_y,im_y,abs_y,norm_drift\n")
-        for t, y, d in zip(trace.times, trace.y_values, trace.norm_drifts):
-            fh.write(f"{t:.17g},{y.real:.17g},{y.imag:.17g},{abs(y):.17g},{d:.17g}\n")
-    return path
+    lines = (f"{t:.17g},{y.real:.17g},{y.imag:.17g},{abs(y):.17g},{d:.17g}\n"
+             for t, y, d in zip(trace.times, trace.y_values, trace.norm_drifts))
+    return _write(out_dir, name, "t,re_y,im_y,abs_y,norm_drift\n" + "".join(lines))
 
 
 def write_audit_jsonl(out_dir: Path, rows: list, name: str) -> Path:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / name
-    with open(path, "w") as fh:
-        for row in rows:
-            fh.write(json.dumps(_sanitize(row), sort_keys=True))
-            fh.write("\n")
-    return path
+    return _write(out_dir, name, "".join(json.dumps(_sanitize(row), sort_keys=True) + "\n" for row in rows))
 
 
 def initial_state(sys, cfg):
@@ -370,6 +363,26 @@ def _chain_peak_bytes(n: int) -> int:
     return _BASELINE_BYTES + _system_peak_bytes(n) + (k * k * (k - 1) + 4 * k * 8 * n) * n * n * 16
 
 
+def _rank_peak_bytes(name: str, n_env: int, max_power: int) -> int:
+    """Bytes `rank` holds at its peak: its system, and k n x n matrices per dimension of its control algebra.
+
+    Each control is a qubit operator times a function of the bath
+    quadrature, so the k controls' algebra has n_env blocks of u(q), q =
+    n / n_env: at most q n dimensions (q^2 for single_qubit, whose controls
+    leave the bath alone).  tracemalloc reads the command's peak at 0.46 to
+    0.64 of k q n matrices for bait (k = 9) at n_env 2-6, and 0.35 to 0.72
+    for restructured (k = 24) at n_env 3-12.  A 7.8 GiB host refuses bait
+    from n_env 24 on.
+    """
+    n = scenario_space(name, n_env).total_dim
+    q = n // n_env
+    if name == "single_qubit":
+        k, dim = 2, q * q
+    else:
+        k, dim = (9 if name == "bait" else 4 * (max_power + 1)), q * n
+    return _BASELINE_BYTES + _system_peak_bytes(n) + k * dim * n * n * 16
+
+
 def _refuse_beyond_memory(need: int, key: str, value, what: str) -> None:
     have = _physical_memory_bytes()
     if have is not None and need > have:
@@ -480,20 +493,18 @@ def cmd_rank(cfg: dict, out_dir: Path) -> int:
     params = scenario_params(cfg)
     _refuse_zero_interaction(params)
     name = cfg["scenario"] if cfg["scenario"] != "two_qubit" else "restructured"
+    if name == "restructured":
+        _refuse_oversized_restructured(cfg, params)
+    _refuse_beyond_memory(_rank_peak_bytes(name, params.n_env, cfg["max_power"]), "n_env", params.n_env,
+                          "the control algebra's closure")
     sys_ = build_system(cfg, name, params)
     rng = np.random.default_rng(cfg["seed"])
     tol = cfg["tol"]
     n = sys_.space.total_dim
     algebra = lie_closure(sys_.control_stack, tol=tol)
-    field_ranks = []
-    algebra_ranks = []
-    res_fields = []
-    res_algebra = []
+    field_ranks, algebra_ranks, res_fields, res_algebra = [], [], [], []
     # at one BLAS thread, like the closure: at two, NumPy's and SciPy's
-    # thread pools compete for the cores after it, and a flat (L n, n)
-    # product of the algebra threads and slows SciPy's small QRs (spans
-    # module docstring); in the scope the stacked and the flat product give
-    # the same bytes and time
+    # thread pools compete for the cores after it (spans module docstring)
     with _serial_blas():
         for _ in range(cfg["rank_states"]):
             xi = random_state(sys_.space, rng)
@@ -506,24 +517,19 @@ def cmd_rank(cfg: dict, out_dir: Path) -> int:
             span_a.add_batch(realify(algebra @ xi.amplitudes))
             algebra_ranks.append(span_a.rank)
             res_algebra.append(span_a.residual(k_i))
-    def hist(values):
-        out = {}
-        for v in values:
-            out[str(v)] = out.get(str(v), 0) + 1
-        return out
     payload = {
         "command": "rank",
         "config": cfg,
         "version": __version__,
         "scenario": name,
         "n_controls": sys_.n_controls,
-        "control_field_rank_histogram": hist(field_ranks),
+        "control_field_rank_histogram": dict(Counter(map(str, field_ranks))),
         "interaction_membership_in_fields": {
             "below_tol_fraction": float(np.mean([r < tol for r in res_fields])),
             "median_residual": float(np.median(res_fields)),
         },
         "control_algebra_dim": len(algebra),
-        "control_algebra_rank_histogram": hist(algebra_ranks),
+        "control_algebra_rank_histogram": dict(Counter(map(str, algebra_ranks))),
         "interaction_membership_in_algebra": {
             "below_tol_fraction": float(np.mean([r < tol for r in res_algebra])),
             "median_residual": float(np.median(res_algebra)),

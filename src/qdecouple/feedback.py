@@ -26,9 +26,9 @@ one-row test, which leaves B, an orthonormal basis of the frame.  The
 frame carries Q and B, so synthesize factors nothing twice: with r
 controls it works in r x r coordinates, one LU solve for d, one SVD of d
 for its rank cut, cond(d) and S = d^-1, one LU solve for the drift split,
-and two projections for the residuals.  Its LAPACK calls go straight to
-their drivers with info checked.  The frame's commutator diagnostics are a
-lookup into the plan's table.
+and two projections for the residuals.  Its LU solves go straight to
+dgesv and its SVD to spans._svd, each with info checked.  The frame's
+commutator diagnostics are a lookup into the plan's table.
 
 J's zero last row makes the literal beta singular; the paper
 simultaneously needs beta invertible, so a regularized mode replaces the
@@ -44,12 +44,12 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import dgesdd, dgesv
+from scipy.linalg.lapack import dgesv
 
 from .algebra import DEFAULT_TOL, Operator, StateVector, _eigh, commutator, is_hermitian
 from .models import ControlSystem
-from .spans import (RealSpan, _serial_blas, ad_images, leading_rank, new_direction, realified_nullspace, realify,
-                    row_norms)
+from .spans import (RealSpan, _serial_blas, _svd, ad_images, leading_rank, new_direction, realified_nullspace,
+                    realify, row_norms, row_rank)
 from .tangent import tangent_rows
 
 
@@ -142,7 +142,7 @@ class FeedbackLaw:
     @property
     def beta_singular(self) -> bool:
         """beta's singular values cut at the tol synthesize ran with (details["tol"])."""
-        return leading_rank(_svd(self.beta)[1], self.details["tol"]) < self.beta.shape[0]
+        return row_rank(self.beta, self.details["tol"]) < self.beta.shape[0]
 
     def audit_fields(self) -> dict:
         """What an audit row records of the law: beta_singular, and alpha, beta, d, S and J as lists."""
@@ -237,7 +237,6 @@ def build_frame(
     sys: ControlSystem,
     xi: StateVector,
     plan: FramePlan | None = None,
-    tol: float = DEFAULT_TOL,
 ) -> FrameResult:
     """Construct the commuting frame at xi; success and rank are data.
 
@@ -246,11 +245,11 @@ def build_frame(
     span(G(xi)) so that the d matrix exists.  Candidates are drawn first
     from control combinations commuting with A_I (state-independent, hence
     reproducible along a trajectory), then from general commutant
-    combinations projected into span(G(xi)).  Without a plan one is built
-    here with tol; a given plan carries its own tol.
+    combinations projected into span(G(xi)).  The tol is the plan's;
+    without a plan one is built here at the default tol.
     """
     if plan is None:
-        plan = FramePlan.build(sys, tol=tol)
+        plan = FramePlan.build(sys)
     elif plan.sys is not sys:
         raise ValueError("the frame plan was built for a different system")
     tol = plan.tol
@@ -334,14 +333,6 @@ def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if info:
         raise np.linalg.LinAlgError(f"dgesv failed (info={info})")
     return x
-
-
-def _svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """u, s, vt with a = u diag(s) vt, s descending (LAPACK dgesdd)."""
-    u, s, vt, info = dgesdd(a)
-    if info:
-        raise np.linalg.LinAlgError(f"dgesdd failed (info={info})")
-    return u, s, vt
 
 
 def _upshift(r: int, mode: str) -> np.ndarray:

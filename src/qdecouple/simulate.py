@@ -451,7 +451,9 @@ def hsb_generation_search(sys: ControlSystem, tol: float = 1e-9) -> dict:
     """Search bracket words of the bait controls for the interaction generator.
 
     Phase 1 tries every triple [[H_a, H_b], H_c] for direct proportionality
-    to A_SB (the literal claim).  Phase 2 grows left-normed bracket words
+    to A_SB (the literal claim); best_triple is the triple of largest
+    overlap with A_SB, named only when that overlap exceeds tol (else
+    triple None, overlap 0.0).  Phase 2 grows left-normed bracket words
     [[...[H_a, H_b], ...], H_c] with provenance, one word length at a time
     (_bracket_words), until A_SB enters their real span, a word length adds
     no direction or the words reach length _MAX_DEPTH, and records the
@@ -488,7 +490,7 @@ def hsb_generation_search(sys: ControlSystem, tol: float = 1e-9) -> dict:
             overlap = abs(inner_product) / (nrm * tnorm)
             resid = float(np.linalg.norm(target - (inner_product.real / nrm**2) * word)) / tnorm
             triple = f"[[{labels[ia]},{labels[ib]}],{labels[ic]}]"
-            if overlap > best["overlap"]:
+            if overlap > max(best["overlap"], tol):          # a roundoff overlap names no triple
                 best = {"overlap": float(overlap), "triple": triple, "residual": float(resid)}
             if resid < tol:
                 proportional.append(triple)

@@ -10,6 +10,11 @@ a second pass runs on the survivors only, and a column-pivoted QR of
 those keeps the columns before the first |R_jj| <= tol * |R_00|.  That
 cut, leading_rank, is the package's one rank decision: every QR or SVD
 that decides a rank hands it its diagonal, with its own tol and floor.
+The floor and the two passes are one entry projection,
+RealSpan._project_entries, shared by add_batch and add_in_order.  _svd
+(dgesdd) is the package's one SVD: realified_nullspace, row_rank (the
+rank of real rows, behind realified_rank, CodistributionBasis.rank and
+FeedbackLaw.beta_singular) and feedback.synthesize call it.
 
 close_real_span is the one closure routine: it closes a seed set of
 n x n matrices under ad of a (k, n, n) generator stack until the span
@@ -32,37 +37,26 @@ command's control algebra, runs in them.  observation.build_c_tilde
 closes no Lie algebra: it certifies C~ = sl(n, C) from one spectrum, and
 where the certificate does not apply it runs the realified closure of C~.
 
-close_real_span runs its BLAS on one thread.  NumPy and SciPy each
-bundle their own OpenBLAS with its own thread pool; a closure alternates
-NumPy's products with SciPy's pivoted QR, whose per-column BLAS-2 calls
-are too small to gain from threads, and with two threads each the two
-pools' waiting workers compete for the same cores.  On a 2-vCPU host,
-bait's control-algebra closure took 0.20-0.25 s with two threads and
-0.05-0.07 s with one (its dgeqp3 calls 49-85 ms against 6-7 ms), and the
-kept basis, so the `rank` report, differed in its last bits with the
-thread count.  _serial_blas sets both libraries to one thread for the
-closure's whole body and sets back the counts it found; nothing is set
-at import, and where no setter is found (another BLAS, an older
-OpenBLAS) the scope does nothing.  It also scopes the one eigh of
-commutant_basis and of the spectral su(n) test: SciPy's zheevd at two
-threads wakes its pool, which then slowed NumPy's products after it
-(`check` at n_env 20, max_power 19: 0.71 s against 0.38-0.56 s).
-hsb_generation_search runs at one thread as a whole, and so does the
-per-state loop of the `rank` command after its closure: with both
-unscoped, the benchmark's algebra_reports op (`rank`, `maneuver --chain`
-and `synthesize-audit` on bait, 2 vCPUs) read 6.0-6.2 yardsticks, and
-4.5-4.9 with both scoped, where its CPU time fell from 5.5-5.9 to 2.9-3.3.
-The hand loop of omega_closure_closed stays unscoped (at one thread it
-measured at most a tenth faster), and so do the closed loop's per-step
-add_batch and eigh (7.6 us per scope).
+close_real_span runs its BLAS on one thread (_serial_blas).  NumPy and
+SciPy each bundle an OpenBLAS with its own thread pool; a closure
+alternates NumPy's products with SciPy's pivoted QR, whose BLAS-2 calls
+gain nothing from threads, and the two pools' waiting workers compete for
+the cores: bait's control algebra took 0.20-0.25 s at two threads and
+0.05-0.07 s at one on 2 vCPUs, and its kept basis differed in the last
+bits with the thread count.  The scope sets both libraries to one thread
+and back; nothing is set at import, and where no setter is found it does
+nothing.  It also covers the eigh of commutant_basis and of the spectral
+su(n) test (SciPy's zheevd at two threads slowed NumPy's products after
+it), hsb_generation_search and the `rank` command's per-state loop.  The
+hand loop of omega_closure_closed (at most a tenth faster at one thread)
+and the closed loop's per-step add_batch and eigh (7.6 us per scope) stay
+unscoped.
 
-new_direction is the one single-row test.  RealSpan.add_in_order runs
-it on each row of a batch whose order decides what is kept, after one
-GEMM projection of the batch, and feedback.build_frame on each frame
-candidate.  hsb_generation_search selects each word length's bracket
-words by one add_in_order call, in skew_hermitian_coordinates: the
-search on bait takes 0.05-0.07 s in process, against 0.12-0.17 s with
-one add per word over realified rows.
+new_direction is the one single-row test: RealSpan.add_in_order runs it
+on each survivor of a batch whose order decides what is kept, and
+feedback.build_frame on each frame candidate.  hsb_generation_search
+selects each word length's bracket words by one add_in_order call, in
+skew_hermitian_coordinates.
 """
 
 from __future__ import annotations
@@ -76,7 +70,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 import scipy
-from scipy.linalg.lapack import dgeqp3, dorgqr
+from scipy.linalg.lapack import dgeqp3, dgesdd, dgesdd_lwork, dorgqr
 
 # LAPACK block size behind the explicit workspaces of dgeqp3 and dorgqr
 _QR_BLOCK = 64
@@ -192,35 +186,13 @@ class RealSpan:
     def add_batch(self, rows: np.ndarray, floor: float | None = None) -> np.ndarray:
         """Add a batch of rows; returns the orthonormal new directions kept.
 
-        Rows below the absolute `floor` (default tol) are treated as zero
-        -- a numerically vanishing bracket must not inject noise
-        directions.  One Gram-Schmidt pass against the current span
-        rejects every row whose relative residual is at most tol; the
-        second pass runs on the survivors only (it can only shrink a
-        residual), and the survivors are tested again.  A column-pivoted
-        QR of what is left keeps the columns leading_rank keeps (relative,
-        no floor); their Q columns are the new directions.
+        The rows _project_entries keeps (floor default tol) go to a
+        column-pivoted QR, which keeps the columns leading_rank keeps
+        (relative, no floor); their Q columns are the new directions.
         """
-        if floor is None:
-            floor = self.tol
-        rows = np.atleast_2d(np.asarray(rows, dtype=float))
-        if rows.size == 0:
+        _, res, _ = self._project_entries(rows, self.tol if floor is None else floor)
+        if not res.shape[0]:
             return np.zeros((0, self.dim))
-        norms = row_norms(rows)
-        live = norms > floor
-        if not live.any():
-            return np.zeros((0, self.dim))
-        res = rows[live]
-        norms = norms[live]
-        if self.rank:
-            for _ in range(2):
-                res -= (res @ self.q.T) @ self.q
-                keep = row_norms(res) > self.tol * norms
-                if not keep.all():
-                    res = res[keep]
-                    norms = norms[keep]
-            if not res.shape[0]:
-                return np.zeros((0, self.dim))
         new = _pivoted_qr_directions(res.T, self.tol)
         if new.shape[0]:
             self.q = np.vstack([self.q, new])
@@ -231,26 +203,14 @@ class RealSpan:
 
         Keeps what a loop of add over the rows keeps: a row is kept when
         new_direction finds it outside the span so far, the rows kept
-        before it included.  The whole batch is projected against the basis
-        held on entry by two GEMM passes, and a row that fails there is
-        dropped, since in exact arithmetic a larger span only shrinks a
-        residual.  Each survivor is then tested, in order, against the
-        directions this call has kept so far.  A survivor whose residual
-        shrinks to r of its length against those carries about eps / r of
-        the entry basis, so the kept directions are projected off it once
-        more, as a block (their inner products move by that squared); the
-        basis then grows by one vstack.
+        before it included.  Only the survivors of _project_entries are
+        tested (a larger span only shrinks a residual), in order, against
+        the directions this call has kept.  A survivor kept at a residual of
+        r of its length carries about eps / r of the entry basis, so the
+        kept directions are projected off it once more, as a block (their
+        inner products move by that squared), before one vstack.
         """
-        rows = np.atleast_2d(np.asarray(rows, dtype=float))
-        norms = row_norms(rows)
-        index = np.flatnonzero(norms > self.tol)
-        res = rows[index]
-        norms = norms[index]
-        if self.rank:
-            for _ in range(2):
-                res -= (res @ self.q.T) @ self.q
-                keep = row_norms(res) > self.tol * norms
-                index, res, norms = index[keep], res[keep], norms[keep]
+        index, res, norms = self._project_entries(rows, self.tol)
         new = np.empty_like(res)
         kept = []
         for i, r, nrm in zip(index, res, norms):
@@ -264,6 +224,27 @@ class RealSpan:
                 new -= (new @ self.q.T) @ self.q
             self.q = np.vstack([self.q, new])
         return np.array(kept, dtype=int)
+
+    def _project_entries(self, rows: np.ndarray, floor: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Indices, residuals and (unprojected) norms of the rows that survive the entry projection.
+
+        Rows at or below the absolute floor are zero: a numerically
+        vanishing bracket must not inject noise directions.  Each of two
+        Gram-Schmidt passes against the span held on entry drops the rows
+        whose relative residual is at most tol; the second runs on the
+        survivors only.
+        """
+        rows = np.atleast_2d(np.asarray(rows, dtype=float))
+        norms = row_norms(rows)
+        index = np.flatnonzero(norms > floor)
+        res, norms = rows[index], norms[index]
+        if self.rank:
+            for _ in range(2):
+                res -= (res @ self.q.T) @ self.q
+                keep = row_norms(res) > self.tol * norms
+                if not keep.all():
+                    index, res, norms = index[keep], res[keep], norms[keep]
+        return index, res, norms
 
 
 def new_direction(basis: np.ndarray, row: np.ndarray, tol: float, norm: float | None = None) -> np.ndarray | None:
@@ -428,6 +409,31 @@ def close_real_span(
     return span, batches, rounds
 
 
+@functools.cache
+def _svd_lwork(m: int, n: int, compute_uv: bool, full_matrices: bool) -> int:
+    """LAPACK's optimal dgesdd workspace for an m x n matrix and this job, asked once."""
+    return int(dgesdd_lwork(m, n, compute_uv=compute_uv, full_matrices=full_matrices)[0])
+
+
+def _svd(a: np.ndarray, compute_uv: bool = True, full_matrices: bool = False) -> tuple[np.ndarray, ...]:
+    """u, s, vt with a = u diag(s) vt for a real matrix, s descending, by LAPACK dgesdd with info checked.
+
+    compute_uv=False computes s alone (u and vt are placeholders).  The
+    optimal workspace (SciPy's default is the minimal one) and C-ordered
+    u and vt give np.linalg.svd's bytes, and the same bytes downstream.
+    """
+    lwork = _svd_lwork(*a.shape, compute_uv, full_matrices)
+    u, s, vt, info = dgesdd(a, compute_uv=compute_uv, full_matrices=full_matrices, lwork=lwork)
+    if info:
+        raise np.linalg.LinAlgError(f"dgesdd failed (info={info})")
+    return np.ascontiguousarray(u), s, np.ascontiguousarray(vt)
+
+
+def row_rank(rows: np.ndarray, tol: float, floor: float = 0.0) -> int:
+    """Rank of a 2-d stack of real rows: leading_rank of its singular values at tol and floor."""
+    return leading_rank(_svd(rows, compute_uv=False)[1], tol, floor) if rows.size else 0
+
+
 def realified_nullspace(rows: np.ndarray, dim: int, tol: float = 1e-9) -> np.ndarray:
     """Orthonormal basis (rows) of the real null space of a constraint stack.
 
@@ -441,7 +447,7 @@ def realified_nullspace(rows: np.ndarray, dim: int, tol: float = 1e-9) -> np.nda
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
     if rows.size == 0 or not np.linalg.norm(rows, axis=1).any():
         return np.eye(dim)
-    _, s, vt = np.linalg.svd(rows, full_matrices=rows.shape[0] < rows.shape[1])
+    _, s, vt = _svd(rows, full_matrices=rows.shape[0] < rows.shape[1])
     return vt[leading_rank(s, tol, floor=1.0):]
 
 
@@ -452,4 +458,4 @@ def realified_rank(vectors: Iterable[np.ndarray], tol: float = 1e-9) -> int:
         return 0
     if len({r.shape[0] for r in rows}) != 1:
         raise ValueError("vectors have mixed dimensions")
-    return leading_rank(np.linalg.svd(realify(np.array(rows)), compute_uv=False), tol)
+    return row_rank(realify(np.array(rows)), tol)

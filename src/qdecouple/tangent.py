@@ -34,7 +34,7 @@ import numpy as np
 from .algebra import DEFAULT_TOL, Operator, StateVector, commutator, is_hermitian
 from .models import ControlSystem
 from .observation import Verdict, build_c_tilde, unit_output
-from .spans import (RealSpan, ad_images, close_real_span, leading_rank, realified_nullspace, realify, row_norms,
+from .spans import (RealSpan, ad_images, close_real_span, realified_nullspace, realify, row_norms, row_rank,
                     unit_generators, unrealify)
 
 # omega_closure_closed compares Omega ∩ G^perp at xi with that at this many
@@ -98,10 +98,7 @@ class CodistributionBasis:
 
     @property
     def rank(self) -> int:
-        w = self.realized_covectors
-        if w.size == 0:
-            return 0
-        return leading_rank(np.linalg.svd(w, compute_uv=False), self.tol, floor=1.0)
+        return row_rank(self.realized_covectors, self.tol, floor=1.0)
 
     def delta_star(self) -> DistributionBasis:
         """Orthocomplement of the realized covectors (already inside ker dy)."""

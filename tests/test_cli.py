@@ -11,7 +11,8 @@ import qdecouple.cli
 import qdecouple.feedback
 import qdecouple.models
 import qdecouple.observation
-from qdecouple.cli import _chain_peak_bytes, _check_peak_bytes, _physical_memory_bytes, _plan_peak_bytes, main
+from qdecouple.cli import (_chain_peak_bytes, _check_peak_bytes, _physical_memory_bytes, _plan_peak_bytes,
+                           _rank_peak_bytes, main)
 from qdecouple.feedback import commutant_basis
 from qdecouple.spans import _openblas_libraries, close_real_span
 
@@ -275,6 +276,34 @@ def test_chain_memory_estimate_covers_the_measured_peak(n_env):
     finally:
         tracemalloc.stop()
     assert _chain_peak_bytes(8 * n_env) - qdecouple.cli._BASELINE_BYTES >= peak
+
+
+def test_rank_beyond_physical_memory_is_refused(tmp_path, capsys, monkeypatch):
+    # a host with one byte less than the estimate at the default n_env 3
+    # (n = 24) holds the bait system but not its control algebra's closure
+    monkeypatch.setattr(qdecouple.cli, "_physical_memory_bytes", lambda: _rank_peak_bytes("bait", 3, 5) - 1)
+    code, wrote, _ = _run_refused(tmp_path, monkeypatch, ["rank", "--scenario", "bait"], {})
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "n_env=3" in err and "control algebra's closure" in err
+    assert not wrote
+
+
+@pytest.mark.parametrize("n_env", [2, 3, 4])
+def test_rank_memory_estimate_covers_the_measured_peak(tmp_path, n_env):
+    # tracemalloc peak of the whole `rank` command on bait (its system, the
+    # control algebra's closure and five sampled states); _BASELINE_BYTES
+    # covers the interpreter and its libraries
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"params": {"n_env": n_env}, "rank_states": 5}))
+    tracemalloc.start()
+    try:
+        code = run_cli(["rank", "--scenario", "bait", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert _rank_peak_bytes("bait", n_env, 5) - qdecouple.cli._BASELINE_BYTES >= peak
 
 
 def test_chain_refuses_a_scenario_without_bait(tmp_path, capsys):

@@ -8,7 +8,8 @@ member of its class included), or a demo, calls it as x.m(...); a public
 property counts when such a statement reads it as x.p.  A bare name (a
 local variable) or an attribute of the same name that is only assigned
 does not count.  The __init__.py re-exports do not count; cli.main is the
-console-script entry point.
+console-script entry point.  A last test checks one design rule the same
+way: every SVD goes through spans._svd.
 """
 
 import ast
@@ -78,3 +79,33 @@ def test_every_public_method_has_a_caller_outside_the_tests():
                     for stmt, (calls, reads) in refs if stmt is not node)
     ]
     assert unused == []
+
+
+_SVD_CALLS = {"np.linalg.svd", "numpy.linalg.svd", "scipy.linalg.svd"}
+
+
+def _dotted(node: ast.AST) -> str:
+    """'a.b.c' for an attribute chain on a name, else ''."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    return ".".join([node.id, *reversed(parts)]) if isinstance(node, ast.Name) else ""
+
+
+def test_every_svd_goes_through_the_spans_driver():
+    # one SVD driver, spans._svd (LAPACK dgesdd with info checked): no module
+    # calls NumPy's or SciPy's svd or imports it by name, and only the driver
+    # and its workspace query name dgesdd
+    found = []
+    for module, tree in _modules().items():
+        driver = {id(n) for fn in tree.body if module == "spans" and isinstance(fn, ast.FunctionDef)
+                  and fn.name in ("_svd", "_svd_lwork") for n in ast.walk(fn)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and _dotted(node.func) in _SVD_CALLS:
+                found.append(f"{module}: {_dotted(node.func)}")
+            if isinstance(node, ast.ImportFrom) and node.module in ("numpy.linalg", "scipy.linalg"):
+                found += [f"{module}: from {node.module} import svd" for a in node.names if a.name == "svd"]
+            if isinstance(node, ast.Name) and node.id == "dgesdd" and id(node) not in driver:
+                found.append(f"{module}: dgesdd outside the driver")
+    assert found == []

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import qdecouple as qd
-from qdecouple.algebra import SIGMA_X
+from qdecouple.algebra import SIGMA_X, SIGMA_Y
 from qdecouple.simulate import _bracket_words, maneuver_schedule
 from qdecouple.spans import skew_hermitian_coordinates
 
@@ -263,8 +263,28 @@ class TestHsbGenerationSearch:
         words = [w["word"] for w in rep["witness_words"]]
         assert words, "witness bracket words must be recorded"
 
+    @pytest.mark.parametrize("n_env", [2, 3, 4, 5])
+    def test_a_roundoff_overlap_names_no_best_triple(self, n_env):
+        # no triple of the bait controls overlaps A_SB: the largest overlaps
+        # are roundoff (1.0e-17 at n_env 3, 1.2e-17 at n_env 5), and they
+        # must not pick a triple by their last bits
+        rep = qd.hsb_generation_search(qd.build_bait(qd.ScenarioParams(n_env=n_env)))
+        assert rep["best_triple"] == {"overlap": 0.0, "triple": None, "residual": 1.0}
+
+    def test_a_proportional_triple_is_named(self):
+        # one qubit with controls -i sigma_x, -i sigma_y and interaction
+        # -i sigma_y: [[H_1, H_2], H_1] = 4 A_I, so phase 1 finds it
+        space = qd.HilbertSpace((("qubit", 2),))
+        skew = [qd.Operator(space, -1j * s) for s in (SIGMA_X, SIGMA_Y)]
+        sys_ = qd.ControlSystem(space, qd.Operator(space, np.zeros((2, 2))), skew, skew[1],
+                                qd.Operator(space, SIGMA_X), scenario="two_level")
+        rep = qd.hsb_generation_search(sys_)
+        assert rep["best_triple"]["triple"] == "[[H_1,H_2],H_1]"
+        assert rep["best_triple"]["overlap"] == pytest.approx(1.0, abs=1e-12)
+        assert rep["best_triple"]["residual"] < 1e-12
+        assert "[[H_1,H_2],H_1]" in rep["triple_proportional_matches"]
+
     def test_default_bait_closure_depth_and_witness_words(self, bait):
-        # best_triple is not pinned: its overlap is roundoff (about 1e-17)
         rep = qd.hsb_generation_search(bait)
         assert (rep["closure_dim"], rep["membership_depth"]) == (169, 7)
         assert [w["word"] for w in rep["witness_words"]] == [
