@@ -331,7 +331,7 @@ def _system_peak_bytes(n: int) -> int:
 
 
 def _plan_peak_bytes(n: int) -> int:
-    """Bytes FramePlan.build holds at its peak for a system of dimension n.
+    """Bytes a command holds at its peak with the system of dimension n and its FramePlan.
 
     commutant_basis dominates.  Its worst case is A_I = 0 (g = 0), where the
     commutant is all of u(n): it then holds two n^2 x n^2 complex arrays,
@@ -339,7 +339,7 @@ def _plan_peak_bytes(n: int) -> int:
     `synthesize-audit --scenario bait` at g = 0 is 60 MiB + 2.0 x 16 n^4
     bytes (93.2 and 139.4 MiB at n_env 4 and 5).
     """
-    return _BASELINE_BYTES + 2 * 16 * n**4
+    return _BASELINE_BYTES + _system_peak_bytes(n) + 2 * 16 * n**4
 
 
 def _chain_peak_bytes(n: int) -> int:
@@ -399,17 +399,17 @@ def _refuse_oversized_restructured(cfg: dict, params: ScenarioParams) -> None:
     _refuse_beyond_memory(need, "max_power", cfg["max_power"], "the restructured system's control matrices")
 
 
-def _refuse_oversized_plan(name: str, params: ScenarioParams) -> None:
-    n = scenario_space(name, params.n_env).total_dim
-    _refuse_beyond_memory(_plan_peak_bytes(n), "n_env", params.n_env, "the feedback frame plan's commutant basis")
+def build_system(cfg: dict, name: str, params: ScenarioParams, peak=_system_peak_bytes, what: str | None = None):
+    """build_scenario, after the only refusals a command makes before it builds.
 
-
-def build_system(cfg: dict, name: str, params: ScenarioParams):
-    """build_scenario, after refusing a system too big for memory."""
-    n = scenario_space(name, params.n_env).total_dim
-    _refuse_beyond_memory(_system_peak_bytes(n), "n_env", params.n_env, f"the {name} system's matrices")
+    First the restructured controls, on max_power; then, on n_env, peak(n),
+    the bytes the command holds at its peak with the system of dimension n
+    (by default the system alone), named in the message by what.
+    """
     if name == "restructured":
         _refuse_oversized_restructured(cfg, params)
+    n = scenario_space(name, params.n_env).total_dim
+    _refuse_beyond_memory(peak(n), "n_env", params.n_env, what or f"the {name} system's matrices")
     return build_scenario(name, params, cfg["max_power"])
 
 
@@ -450,8 +450,9 @@ def cmd_simulate(cfg: dict, out_dir: Path, audit: bool) -> int:
     params = scenario_params(cfg)
     mode = cfg["feedback_mode"]
     if mode in SYNTHESIS_MODES:
-        _refuse_oversized_plan(cfg["scenario"], params)
-    sys_ = build_system(cfg, cfg["scenario"], params)
+        sys_ = build_system(cfg, cfg["scenario"], params, _plan_peak_bytes, "the feedback frame plan's commutant basis")
+    else:
+        sys_ = build_system(cfg, cfg["scenario"], params)
     xi0 = initial_state(sys_, cfg)
     sched = schedule_from_config(sys_, cfg)
     if mode in SYNTHESIS_MODES:
@@ -493,11 +494,8 @@ def cmd_rank(cfg: dict, out_dir: Path) -> int:
     params = scenario_params(cfg)
     _refuse_zero_interaction(params)
     name = cfg["scenario"] if cfg["scenario"] != "two_qubit" else "restructured"
-    if name == "restructured":
-        _refuse_oversized_restructured(cfg, params)
-    _refuse_beyond_memory(_rank_peak_bytes(name, params.n_env, cfg["max_power"]), "n_env", params.n_env,
-                          "the control algebra's closure")
-    sys_ = build_system(cfg, name, params)
+    sys_ = build_system(cfg, name, params, lambda n: _rank_peak_bytes(name, params.n_env, cfg["max_power"]),
+                        "the control algebra's closure")
     rng = np.random.default_rng(cfg["seed"])
     tol = cfg["tol"]
     n = sys_.space.total_dim
@@ -549,9 +547,9 @@ def cmd_maneuver(cfg: dict, out_dir: Path, i: int | None, j: int | None, chain: 
         if name != "bait":
             raise ConfigError(f"maneuver --chain needs the bait system; scenario {name!r} has no bait")
         _refuse_zero_interaction(params)
-        n = scenario_space(name, params.n_env).total_dim
-        _refuse_beyond_memory(_chain_peak_bytes(n), "n_env", params.n_env, "the chain search's bracket words")
-    sys_ = build_system(cfg, name, params)
+        sys_ = build_system(cfg, name, params, _chain_peak_bytes, "the chain search's bracket words")
+    else:
+        sys_ = build_system(cfg, name, params)
     payload = {"command": "maneuver", "config": cfg, "version": __version__, "scenario": name}
     if chain:
         payload["chain"] = verify_commutator_chain(sys_)
@@ -597,8 +595,7 @@ def cmd_maneuver(cfg: dict, out_dir: Path, i: int | None, j: int | None, chain: 
 
 def cmd_synthesize_audit(cfg: dict, out_dir: Path) -> int:
     params = scenario_params(cfg)
-    _refuse_oversized_plan(cfg["scenario"], params)
-    sys_ = build_system(cfg, cfg["scenario"], params)
+    sys_ = build_system(cfg, cfg["scenario"], params, _plan_peak_bytes, "the feedback frame plan's commutant basis")
     rng = np.random.default_rng(cfg["seed"])
     plan = FramePlan.build(sys_, tol=cfg["tol"])
     rows = []

@@ -189,7 +189,8 @@ def control_commutant_combos(sys: ControlSystem, tol: float = DEFAULT_TOL) -> np
 
     These are the preferred commuting-frame candidates: being exact combos
     of the controls, their d-matrix rows are state-independent constants,
-    so the synthesized feedback inherits no pointwise rank noise.
+    so the synthesized feedback inherits no pointwise rank noise.  K_I enters
+    every frame first, so combinations along A_I (residual <= tol) are left out.
     """
     n, r = sys.space.total_dim, sys.n_controls
     if r == 0:
@@ -197,7 +198,10 @@ def control_commutant_combos(sys: ControlSystem, tol: float = DEFAULT_TOL) -> np
     rows = np.array([realify(commutator(a, sys.interaction).matrix.ravel()) for a in sys.controls])
     null = realified_nullspace(rows.T, r, tol=tol)
     combos = [np.tensordot(coeffs, sys.control_stack, axes=1) for coeffs in null]
-    return np.array([m / nrm for m in combos if (nrm := np.linalg.norm(m)) > tol]).reshape(-1, n, n)
+    units = np.array([m / nrm for m in combos if (nrm := np.linalg.norm(m)) > tol]).reshape(-1, n, n)
+    interaction = RealSpan(2 * n * n, tol=tol)
+    interaction.add(realify(sys.interaction.matrix.ravel()))
+    return units[interaction.residuals(realify(units.reshape(len(units), n * n))) > tol]
 
 
 @dataclass

@@ -196,9 +196,11 @@ def _c_tilde_dim_bound(sys: ControlSystem, tol: float) -> int:
     when the output and every generator are local sums M_r (x) I + I (x)
     M_f (within tol * ||M||).  Brackets of local sums are local sums, so
     C~ then lies in gl(r) (x) I + I (x) gl(f): 2(r^2 + f^2 - 1) real
-    dimensions.  The single- and two-qubit systems split their
-    environment off; the bait and restructured systems couple it.
-    Otherwise the bound is the 2n^2 real dimensions of gl(n, C).
+    dimensions; where the output's M_f vanishes (C = C_r (x) I), every
+    bracket is [C_r, M_r] (x) I, so C~ lies in gl(r) (x) I: 2r^2, whatever
+    f is.  The single- and two-qubit systems split their environment off
+    with such an output (8 and 32); the bait and restructured systems
+    couple it.  Otherwise the bound is the 2n^2 real dimensions of gl(n, C).
     """
     n = sys.space.total_dim
     f = sys.space.factors[-1][1]
@@ -213,7 +215,7 @@ def _c_tilde_dim_bound(sys: ControlSystem, tol: float) -> int:
     local = np.einsum("kab,ij->kaibj", rest, np.eye(f)) + np.einsum("ab,kij->kaibj", np.eye(r), last)
     gaps = np.linalg.norm((blocks - local).reshape(len(stack), -1), axis=1)
     if np.all(gaps <= tol * np.linalg.norm(stack, axis=(1, 2))):
-        return 2 * (r * r + f * f - 1)
+        return 2 * r * r if np.linalg.norm(last[0]) <= tol * np.linalg.norm(stack[0]) else 2 * (r * r + f * f - 1)
     return 2 * n * n
 
 

@@ -347,7 +347,7 @@ def bait_identity_deviation(sys: ControlSystem, op: Operator) -> float:
 def _fit_direction(result: np.ndarray, target: np.ndarray) -> tuple[float, float | None]:
     """Real least-squares scale c and relative residual of result vs c*target, two n x n matrices.
 
-    A zero target (a coupling parameter set to 0) has no residual: None.
+    A zero target (a coupling parameter set to 0) or result (a vanished bracket) has no residual: None.
     """
     tnorm2 = float(np.linalg.norm(target)) ** 2
     if tnorm2 == 0:
@@ -355,7 +355,7 @@ def _fit_direction(result: np.ndarray, target: np.ndarray) -> tuple[float, float
     c = float(np.real(np.trace(target.conj().T @ result)) / tnorm2)
     rnorm = float(np.linalg.norm(result))
     if rnorm == 0:
-        return 0.0, 0.0
+        return 0.0, None
     resid = np.linalg.norm(result - c * target) / rnorm
     return c, float(resid)
 

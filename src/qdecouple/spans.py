@@ -12,9 +12,9 @@ cut, leading_rank, is the package's one rank decision: every QR or SVD
 that decides a rank hands it its diagonal, with its own tol and floor.
 The floor and the two passes are one entry projection,
 RealSpan._project_entries, shared by add_batch and add_in_order.  _svd
-(dgesdd) is the package's one SVD: realified_nullspace, row_rank (the
-rank of real rows, behind realified_rank, CodistributionBasis.rank and
-FeedbackLaw.beta_singular) and feedback.synthesize call it.
+(dgesdd) is the package's one SVD: realified_nullspace (behind
+CodistributionBasis's rank and Delta*), row_rank (the rank of real rows,
+behind realified_rank and FeedbackLaw.beta_singular) and synthesize.
 
 close_real_span is the one closure routine: it closes a seed set of
 n x n matrices under ad of a (k, n, n) generator stack until the span
@@ -429,9 +429,9 @@ def _svd(a: np.ndarray, compute_uv: bool = True, full_matrices: bool = False) ->
     return np.ascontiguousarray(u), s, np.ascontiguousarray(vt)
 
 
-def row_rank(rows: np.ndarray, tol: float, floor: float = 0.0) -> int:
-    """Rank of a 2-d stack of real rows: leading_rank of its singular values at tol and floor."""
-    return leading_rank(_svd(rows, compute_uv=False)[1], tol, floor) if rows.size else 0
+def row_rank(rows: np.ndarray, tol: float) -> int:
+    """Rank of a 2-d stack of real rows: leading_rank of its singular values at tol (no floor)."""
+    return leading_rank(_svd(rows, compute_uv=False)[1], tol) if rows.size else 0
 
 
 def realified_nullspace(rows: np.ndarray, dim: int, tol: float = 1e-9) -> np.ndarray:

@@ -34,8 +34,8 @@ import numpy as np
 from .algebra import DEFAULT_TOL, Operator, StateVector, commutator, is_hermitian
 from .models import ControlSystem
 from .observation import Verdict, build_c_tilde, unit_output
-from .spans import (RealSpan, ad_images, close_real_span, realified_nullspace, realify, row_norms, row_rank,
-                    unit_generators, unrealify)
+from .spans import (RealSpan, ad_images, close_real_span, realified_nullspace, realify, row_norms, unit_generators,
+                    unrealify)
 
 # omega_closure_closed compares Omega ∩ G^perp at xi with that at this many
 # seeded states within this distance of xi
@@ -86,25 +86,25 @@ class DistributionBasis:
 
 @dataclass
 class CodistributionBasis:
-    """The realized covectors of a codistribution at a state, one realified row each."""
+    """Realized covectors of a codistribution at a state, one realified row each, and Delta*, factored once."""
 
     base: StateVector
     realized_covectors: np.ndarray
     details: dict = field(default_factory=dict)
     tol: float = 1e-9
+    null: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.realized_covectors = np.atleast_2d(np.asarray(self.realized_covectors, dtype=float))
+        self.null = realified_nullspace(self.realized_covectors, 2 * self.base.space.total_dim, tol=self.tol)
 
     @property
     def rank(self) -> int:
-        return row_rank(self.realized_covectors, self.tol, floor=1.0)
+        return 2 * self.base.space.total_dim - len(self.null)
 
     def delta_star(self) -> DistributionBasis:
         """Orthocomplement of the realized covectors (already inside ker dy)."""
-        n = self.base.space.total_dim
-        rows = realified_nullspace(self.realized_covectors, 2 * n, tol=self.tol)
-        return DistributionBasis(self.base, unrealify(rows), details={"from": "codistribution"})
+        return DistributionBasis(self.base, unrealify(self.null), details={"from": "codistribution"})
 
 
 def eval_field(a: Operator, xi: StateVector) -> np.ndarray:
@@ -143,12 +143,14 @@ def omega_closure_open(sys: ControlSystem, xi: StateVector, tol: float = 1e-9) -
     """Codistribution closure Omega <- Omega + sum_A L_{K_A} Omega, as C~ + iC~ (module docstring).
 
     The realized covectors at xi are those of M and -iM, the pair
-    output_covectors takes for C, one element M of build_c_tilde(sys) at a
-    time, so a certified C~ stays rowless; details are C~'s.
+    output_covectors takes for C, one element M of a closed C~ at a time;
+    details are C~'s.  On C~ = sl(n, C), realify(H xi) over the traceless
+    hermitian H fills (n >= 2) the real hyperplane orthogonal to realify(i xi).
     """
     c_tilde = build_c_tilde(sys, tol=tol)
     x = xi.amplitudes
-    covs = np.concatenate([covector_of(np.array([m, -1j * m]), x) for m in c_tilde.elements()])
+    covs = (realified_nullspace(realify(1j * x)[None], 2 * len(x), tol=tol) if c_tilde.span is None
+            else np.concatenate([covector_of(np.array([m, -1j * m]), x) for m in c_tilde.elements()]))
     return CodistributionBasis(xi, covs, details=dict(c_tilde.details), tol=tol)
 
 

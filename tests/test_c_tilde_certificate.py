@@ -118,15 +118,19 @@ def test_certificate_residual_is_the_trace_share(bait2):
 
 @pytest.mark.parametrize(
     "name,n_env,split",
-    [("single_qubit", 3, True), ("two_qubit", 3, True), ("bait", 2, False), ("restructured", 2, False)],
+    [("single_qubit", 3, True), ("two_qubit", 3, True), ("two_qubit", 30, True), ("bait", 2, False),
+     ("restructured", 2, False)],
 )
 def test_closure_peak_bound_covers_the_closure(name, n_env, split):
-    # the single- and two-qubit systems split their environment off, which
-    # bounds C~ far below gl(n, C); bait and restructured couple it
+    # the single- and two-qubit systems split their environment off, and
+    # their output C_r (x) I brackets only into gl(r) (x) I: 2r^2 real
+    # dimensions whatever n_env is; bait and restructured couple it
     sys_ = qd.build_scenario(name, qd.ScenarioParams(n_env=n_env))
     n = sys_.space.total_dim
     bound = _c_tilde_dim_bound(sys_, 1e-9)
     assert (bound < 2 * n * n) == split
+    if split:
+        assert bound == {"single_qubit": 8, "two_qubit": 32}[name]
     tracemalloc.start()
     try:
         ct = close_c_tilde(sys_)
@@ -135,6 +139,15 @@ def test_closure_peak_bound_covers_the_closure(name, n_env, split):
         tracemalloc.stop()
     assert ct.dim <= bound
     assert peak <= _closure_peak_bytes(sys_, 1e-9)
+
+
+def test_two_qubit_closure_fits_beyond_n_env_27(monkeypatch):
+    # bounded by gl(r) (x) I + I (x) gl(f), 2(r^2 + f^2 - 1) = 1598 real
+    # dimensions at n_env 28, the closure would be estimated at 8.4 GiB and
+    # refused on a 7.8 GiB host; C~ has 18
+    monkeypatch.setattr(observation, "_physical_memory_bytes", lambda: int(7.8 * 2**30))
+    ct = qd.build_c_tilde(qd.build_scenario("two_qubit", qd.ScenarioParams(n_env=28)))
+    assert (ct.details["method"], ct.dim) == (CLOSURE, 18)
 
 
 @pytest.mark.parametrize(

@@ -306,6 +306,32 @@ def test_rank_memory_estimate_covers_the_measured_peak(tmp_path, n_env):
     assert _rank_peak_bytes("bait", n_env, 5) - qdecouple.cli._BASELINE_BYTES >= peak
 
 
+@pytest.mark.parametrize("scenario", ["bait", "restructured"])
+def test_each_command_evaluates_one_refusal_per_key(tmp_path, monkeypatch, scenario):
+    # build_system refuses max_power, then the command's whole peak on n_env;
+    # a hand refusal besides would evaluate a key twice
+    keys = []
+    refuse = qdecouple.cli._refuse_beyond_memory
+
+    def spy(need, key, *args):
+        keys.append(key)
+        refuse(need, key, *args)
+
+    monkeypatch.setattr(qdecouple.cli, "_refuse_beyond_memory", spy)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"scenario": scenario, "params": {"n_env": 2}, "max_power": 1, "eval_states": 1,
+                               "rank_states": 1, "horizon": 0.1, "initial_state": "random"}))
+    commands = [["check"], ["simulate"], ["simulate", "--feedback-mode", "literal"], ["rank"],
+                ["maneuver", "--i", "1", "--j", "2"], ["synthesize-audit"]]
+    if scenario == "bait":
+        commands.append(["maneuver", "--chain"])
+    for command in commands:
+        keys.clear()
+        assert run_cli([*command, "--config", str(cfg), "--out", str(tmp_path / "out")]) in (0, 4), command
+        expected = {"n_env"} if scenario == "bait" and command != ["check"] else {"max_power", "n_env"}
+        assert sorted(keys) == sorted(expected), (command, keys)
+
+
 def test_chain_refuses_a_scenario_without_bait(tmp_path, capsys):
     # used to die with a ValueError traceback and exit 1
     out = tmp_path / "out"
@@ -330,7 +356,8 @@ def test_zero_control_runs_rank_and_chain(tmp_path, params):
     if "w" in params:
         assert None in residuals                   # a zero target has no direction to fit
     else:
-        assert None not in residuals
+        # the brackets through H_7 vanish, and a vanished bracket is no fit
+        assert [key for key, row in report["chain"].items() if row["residual"] is None] == ["comm5", "comm6"]
 
 
 def test_config_error_exit_code_2(tmp_path):

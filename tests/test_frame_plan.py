@@ -162,10 +162,37 @@ def test_field_rows_are_the_generator_stack_at_the_state(commutant_toy):
             assert res.frame.field_rows.tobytes() == realify(sys_.generator_stack @ xi.amplitudes).tobytes()
 
 
+def test_a_combination_along_the_interaction_is_no_candidate(commutant_toy):
+    # K_I enters every frame first, so a control combination along A_I would
+    # be tested and rejected at every state; the plan leaves it out, and the
+    # literal closed loop keeps its bytes when it is put back
+    sys_ = commutant_toy
+    a_i = sys_.interaction.matrix
+    rows = np.array([realify((a @ a_i - a_i @ a).ravel()) for a in sys_.control_stack])
+    combos = np.tensordot(realified_nullspace(rows.T, sys_.n_controls, tol=TOL), sys_.control_stack, axes=1)
+    combos /= np.linalg.norm(combos, axis=(1, 2))[:, None, None]
+    along = RealSpan(2 * a_i.size, tol=TOL)
+    along.add(realify(a_i.ravel()))
+    kept = along.residuals(realify(combos.reshape(len(combos), -1))) > TOL
+    assert kept.tolist() == [False, True, True, True, True]
+    plan = FramePlan.build(sys_)
+    assert len(plan.frame_ops) == 1 + 4
+    assert plan.frame_ops[1:].tobytes() == combos[kept].tobytes()
+    ops = np.concatenate([a_i[None], combos])
+    put_back = FramePlan(sys_, plan.tol, ops, plan.commutant, commutator_norm_table(ops), plan.interaction_floor)
+    xi0 = qd.random_state(sys_.space, np.random.default_rng(11))
+    sched = qd.PulseSchedule([(0.5, np.array([0.0, 1.0, 0.4, 0.0, 0.2])),
+                              (0.5, np.array([0.0, -0.5, 0.2, 0.3, 0.0]))])
+    for include in (True, False):
+        y = [simulate.propagate_closed_loop(sys_, sched, xi0, dt=0.01, mode="literal", include_interaction=include,
+                                            plan=p).y_values.tobytes() for p in (plan, put_back)]
+        assert y[0] == y[1]
+
+
 def test_commutant_fallback_matches_reference():
     sys_ = mixed_toy()
     plan = FramePlan.build(sys_)
-    assert len(plan.frame_ops) == 1 + 2
+    assert len(plan.frame_ops) == 1 + 1                  # B1 is A_I, so it is not a candidate
     rng = np.random.default_rng(77)
     for _ in range(3):
         res = assert_matches_reference(sys_, plan, qd.random_state(sys_.space, rng))

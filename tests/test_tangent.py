@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import qdecouple as qd
+from qdecouple import observation, spans
 from qdecouple.algebra import SIGMA_X, SIGMA_Y, SIGMA_Z
 from qdecouple.spans import RealSpan, realify
 from qdecouple.models import build_commutant_toy
@@ -190,6 +191,36 @@ class TestOmegaAndBruteForce:
             if ds.dim:
                 assert max(bf.residual(v) for v in ds.vectors) < 1e-9
                 assert max(ds.residual(v) for v in bf.vectors) < 1e-9
+
+    def test_rank_and_delta_star_share_one_factorization(self, two_qubit, monkeypatch):
+        # the covectors' null space is factored once, when the basis is made
+        xi = qd.random_state(two_qubit.space, np.random.default_rng(8))
+        covs = qd.omega_closure_open(two_qubit, xi).realized_covectors
+        shapes = []
+        svd = spans._svd
+
+        def spy(a, *args, **kwargs):
+            shapes.append(a.shape)
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(spans, "_svd", spy)
+        om = qd.CodistributionBasis(xi, covs)
+        rank, ds = om.rank, om.delta_star()
+        assert shapes == [covs.shape]
+        assert rank + ds.dim == 2 * two_qubit.space.total_dim and ds.dim > 0
+
+    def test_certified_omega_builds_no_element(self, bait, monkeypatch):
+        # on C~ = sl(n, C), Omega at xi is the real hyperplane orthogonal to i xi
+        def tripwire(n, k):
+            raise AssertionError("an sl(n) element was built")
+
+        monkeypatch.setattr(observation, "_sl_element", tripwire)
+        xi = qd.random_state(bait.space, np.random.default_rng(9))
+        om = qd.omega_closure_open(bait, xi)
+        ds = om.delta_star()
+        assert om.details["method"] == observation.SL_CERTIFICATE
+        assert (om.rank, ds.dim) == (2 * bait.space.total_dim - 1, 1)
+        assert ds.residual(1j * xi.amplitudes) < 1e-12
 
     def test_single_qubit_interaction_not_in_delta_star(self, single_qubit):
         rng = np.random.default_rng(6)
