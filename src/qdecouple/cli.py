@@ -35,7 +35,7 @@ from .algebra import (
     SIGMA_X, embed_product, field_quadrature, lie_closure, normalize, random_state
 )
 from .feedback import SYNTHESIS_MODES, FramePlan, RankDeficiencyError, build_frame, synthesize
-from .models import SCENARIOS, ScenarioParams, build_scenario, dfs_state, scenario_space
+from .models import SCENARIOS, ScenarioParams, bath_blocks, build_scenario, dfs_state, scenario_space
 from .observation import ClosureTooLarge, _physical_memory_bytes
 from .report import decouplability_table, format_table
 from .simulate import (
@@ -369,10 +369,12 @@ def _rank_peak_bytes(name: str, n_env: int, max_power: int) -> int:
     Each control is a qubit operator times a function of the bath
     quadrature, so the k controls' algebra has n_env blocks of u(q), q =
     n / n_env: at most q n dimensions (q^2 for single_qubit, whose controls
-    leave the bath alone).  tracemalloc reads the command's peak at 0.46 to
-    0.64 of k q n matrices for bait (k = 9) at n_env 2-6, and 0.35 to 0.72
-    for restructured (k = 24) at n_env 3-12.  A 7.8 GiB host refuses bait
-    from n_env 24 on.
+    leave the bath alone).  The closure holds the peak: tracemalloc reads
+    the command's peak at 0.51 to 0.65 of k q n matrices for bait (k = 9)
+    at n_env 2-6, with the per-state data read off the bath blocks or by
+    the span loop alike, and 0.36 to 0.75 for restructured (k = 24) at
+    n_env 3-12, at the default 100 rank states.  A 7.8 GiB host refuses
+    bait from n_env 24 on.
     """
     n = scenario_space(name, n_env).total_dim
     q = n // n_env
@@ -490,7 +492,52 @@ def cmd_simulate(cfg: dict, out_dir: Path, audit: bool) -> int:
     return 0
 
 
+def _algebra_membership(sys_, algebra: np.ndarray, states: np.ndarray, k_is: np.ndarray,
+                        tol: float) -> tuple[str, list[int], list[float]]:
+    """The method, and per state the real rank of algebra @ xi and K_I xi's relative residual in it.
+
+    states and k_is hold one xi and one K_I xi per row.  "bath blocks":
+    bath_blocks finds the controls block-diagonal with traceless q x q
+    blocks in I_q (x) V, so their algebra L lies in the direct sum of n_env
+    copies of su(q), and L's dimension n_env (q^2 - 1) makes L that whole
+    sum.  For x_b != 0, su(q) x_b is the real hyperplane Re<x_b, .> = 0 of
+    C^q.  So with x = xi and w = K_I xi in V's basis, the rank is 2q - 1 per
+    block with |x_b| > tol, and the residual is the square root of the sum
+    of Re<x_b, w_b>^2 / |x_b|^2 over those blocks and of |w_b|^2 over the
+    others, over |w|.  "closure": any other system runs one RealSpan of L's
+    images per state.
+    """
+    bath = bath_blocks(sys_, tol)
+    if bath is None or len(algebra) != bath[1].shape[1] * (bath[1].shape[2] ** 2 - 1):
+        ranks, residuals = [], []
+        for xi, k_i in zip(states, k_is):
+            span = RealSpan(2 * len(xi), tol=tol)
+            span.add_batch(realify(algebra @ xi))
+            ranks.append(span.rank)
+            residuals.append(span.residual(realify(k_i)))
+        return "closure", ranks, residuals
+    v, blocks = bath
+    _, n_env, q, _ = blocks.shape
+    x = states.reshape(-1, q, n_env) @ v.conj()            # (states, q, n_env): column b is x_b
+    w = k_is.reshape(-1, q, n_env) @ v.conj()
+    x2 = (x.conj() * x).real.sum(axis=1)
+    live = np.sqrt(x2) > tol
+    along2 = (x.conj() * w).real.sum(axis=1) ** 2 / np.where(live, x2, 1.0)
+    out2 = np.where(live, along2, (w.conj() * w).real.sum(axis=1)).sum(axis=1)
+    w_norm = np.linalg.norm(k_is, axis=1)
+    residuals = np.divide(np.sqrt(out2), w_norm, out=np.zeros_like(w_norm), where=w_norm > 0.0)
+    return "bath blocks", ((2 * q - 1) * live.sum(axis=1)).tolist(), residuals.tolist()
+
+
 def cmd_rank(cfg: dict, out_dir: Path) -> int:
+    """Control-field and control-algebra ranks, and K_I's membership in each, at rank_states random states.
+
+    The control algebra's lie_closure runs on every system.  Its dimension
+    is the certificate that lets _algebra_membership read the per-state
+    data off the bath blocks, and it is control_algebra_dim.  Dropping it
+    for bait needs a certificate from the blocks alone: a spectral su(q)
+    test per block, and a test that no two blocks are equivalent.
+    """
     params = scenario_params(cfg)
     _refuse_zero_interaction(params)
     name = cfg["scenario"] if cfg["scenario"] != "two_qubit" else "restructured"
@@ -500,21 +547,21 @@ def cmd_rank(cfg: dict, out_dir: Path) -> int:
     tol = cfg["tol"]
     n = sys_.space.total_dim
     algebra = lie_closure(sys_.control_stack, tol=tol)
-    field_ranks, algebra_ranks, res_fields, res_algebra = [], [], [], []
-    # at one BLAS thread, like the closure: at two, NumPy's and SciPy's
-    # thread pools compete for the cores after it (spans module docstring)
+    field_ranks, res_fields, states, k_is = [], [], [], []
+    # at one BLAS thread, like the closure, also for bath_blocks' products:
+    # at two, NumPy's and SciPy's thread pools compete for the cores after
+    # it (spans module docstring)
     with _serial_blas():
         for _ in range(cfg["rank_states"]):
             xi = random_state(sys_.space, rng)
             span = RealSpan(2 * n, tol=tol)
             span.add_batch(control_field_matrix(sys_, xi))
             field_ranks.append(span.rank)
-            k_i = realify(sys_.interaction.matrix @ xi.amplitudes)
-            res_fields.append(span.residual(k_i))
-            span_a = RealSpan(2 * n, tol=tol)
-            span_a.add_batch(realify(algebra @ xi.amplitudes))
-            algebra_ranks.append(span_a.rank)
-            res_algebra.append(span_a.residual(k_i))
+            k_i = sys_.interaction.matrix @ xi.amplitudes
+            res_fields.append(span.residual(realify(k_i)))
+            states.append(xi.amplitudes)
+            k_is.append(k_i)
+        method, algebra_ranks, res_algebra = _algebra_membership(sys_, algebra, np.array(states), np.array(k_is), tol)
     payload = {
         "command": "rank",
         "config": cfg,
@@ -527,6 +574,7 @@ def cmd_rank(cfg: dict, out_dir: Path) -> int:
             "median_residual": float(np.median(res_fields)),
         },
         "control_algebra_dim": len(algebra),
+        "control_algebra_method": method,
         "control_algebra_rank_histogram": dict(Counter(map(str, algebra_ranks))),
         "interaction_membership_in_algebra": {
             "below_tol_fraction": float(np.mean([r < tol for r in res_algebra])),

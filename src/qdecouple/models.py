@@ -23,6 +23,10 @@ as it is; the coherence functional is
 
 i.e. conjugation on the bra side, so for xi = (c1|01> + c2|10>) (x) |e>
 one gets y = conj(c1) * c2.
+
+bath_blocks splits a system's controls into blocks over the eigenbasis of
+the bath quadrature F_w; in bait they are block-diagonal there, and the
+`rank` command reads its per-state data off the blocks.
 """
 
 from __future__ import annotations
@@ -41,6 +45,7 @@ from .algebra import (
     HilbertSpace,
     Operator,
     StateVector,
+    _eigh,
     embed_product,
     field_quadrature,
     is_hermitian,
@@ -249,6 +254,43 @@ def build_commutant_toy(g: complex = 0.15 + 0j, omega0: float = 1.0, n_env: int 
     controls = [h_sb, swap, zdiff, envf, swap @ envf]
     drift = 0.4 * omega0 * swap + 0.25 * omega0 * zdiff
     return _system(space, drift, controls, h_sb, "toy_commutant", ["B1", "B2", "B3", "B4", "B5"])
+
+
+def bath_blocks(sys: ControlSystem, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray] | None:
+    """F_w's eigenbasis V and the control stack's diagonal blocks in I_q (x) V, or None.
+
+    V holds the eigenvectors (columns) of the bath quadrature F_w =
+    field_quadrature(w, n_env).  With the env factor last, I_q (x) V
+    carries each control G_k to n_env x n_env blocks of size q = n / n_env;
+    the blocks come back as a (k, n_env, q, q) array, block j the qubit
+    operator at F_w's eigenvalue j.  Bait's controls are qubit operators
+    times I or F_w, so they are block-diagonal there with traceless blocks.
+    None when the system has no params, or when some G_k has an off-block
+    part, or a block trace, above tol * ||G_k||.  The off-block part is
+    the norm of the transformed G_k with its diagonal blocks zeroed, not
+    sqrt(||G_k||^2 - ||blocks||^2): that difference cancels to about 1e-8
+    and would refuse bait at n_env 4 and 6.
+    """
+    if sys.params is None:
+        return None
+    n_env = sys.params.n_env
+    _, v = _eigh(field_quadrature(sys.params.w, n_env).matrix)
+    stack = sys.control_stack
+    k, n = stack.shape[:2]
+    q = n // n_env
+    # (I_q (x) V)† G (I_q (x) V): V† on the row env index, V on the column one
+    h = (v.conj().T @ stack.reshape(k, q, n_env, n)).reshape(k, q, n_env, q, n_env) @ v
+    h = h.transpose(0, 2, 4, 1, 3)                          # (k, row block, column block, q, q)
+    diag = np.arange(n_env)
+    blocks = h[:, diag, diag]
+    off = h.copy()
+    off[:, diag, diag] = 0.0
+    bound = tol * np.linalg.norm(stack.reshape(k, -1), axis=1)
+    if np.any(np.linalg.norm(off.reshape(k, -1), axis=1) > bound):
+        return None
+    if np.any(np.abs(np.trace(blocks, axis1=2, axis2=3)) > bound[:, None]):
+        return None
+    return v, blocks
 
 
 SCENARIOS = ("single_qubit", "two_qubit", "bait", "restructured")

@@ -47,7 +47,7 @@ bits with the thread count.  The scope sets both libraries to one thread
 and back; nothing is set at import, and where no setter is found it does
 nothing.  It also covers the eigh of commutant_basis and of the spectral
 su(n) test (SciPy's zheevd at two threads slowed NumPy's products after
-it), hsb_generation_search and the `rank` command's per-state loop.  The
+it), hsb_generation_search and the `rank` command's per-state data.  The
 hand loop of omega_closure_closed (at most a tenth faster at one thread)
 and the closed loop's per-step add_batch and eigh (7.6 us per scope) stay
 unscoped.

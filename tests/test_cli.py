@@ -11,8 +11,10 @@ import qdecouple.cli
 import qdecouple.feedback
 import qdecouple.models
 import qdecouple.observation
-from qdecouple.cli import (_chain_peak_bytes, _check_peak_bytes, _physical_memory_bytes, _plan_peak_bytes,
-                           _rank_peak_bytes, main)
+from qdecouple.algebra import lie_closure, random_state
+from qdecouple.cli import (_algebra_membership, _chain_peak_bytes, _check_peak_bytes, _physical_memory_bytes,
+                           _plan_peak_bytes, _rank_peak_bytes, main)
+from qdecouple.models import ScenarioParams, build_bait
 from qdecouple.feedback import commutant_basis
 from qdecouple.spans import _openblas_libraries, close_real_span
 
@@ -543,6 +545,63 @@ def test_maneuver_chain_searches_at_the_configured_tol(tmp_path, monkeypatch):
     cfg.write_text(json.dumps({"tol": 1e-7}))
     assert run_cli(["maneuver", "--chain", "--config", str(cfg), "--out", str(tmp_path / "chain")]) == 0
     assert seen == [1e-7]
+
+
+@pytest.mark.parametrize("params", [{"n_env": 2}, {"n_env": 3}, {"n_env": 4}, {"w": 0.05 + 0.07j}],
+                         ids=["n_env2", "n_env3", "n_env4", "complex_w"])
+def test_bath_block_membership_matches_the_span_loop(monkeypatch, params):
+    # the RealSpan loop over the algebra's images is the oracle; at the
+    # complex w, K_I = sigma_z (x) F_g lies outside the algebra (median 0.161)
+    bait = build_bait(ScenarioParams(**params))
+    algebra = lie_closure(bait.control_stack)
+    assert len(algebra) == 63 * bait.params.n_env
+    for seed in (0, 1):
+        rng = np.random.default_rng(seed)
+        states = np.array([random_state(bait.space, rng).amplitudes for _ in range(20)])
+        k_is = states @ bait.interaction.matrix.T
+        method, ranks, residuals = _algebra_membership(bait, algebra, states, k_is, 1e-9)
+        with monkeypatch.context() as m:
+            m.setattr(qdecouple.cli, "bath_blocks", lambda *args: None)
+            loop_method, loop_ranks, loop_residuals = _algebra_membership(bait, algebra, states, k_is, 1e-9)
+        assert (method, loop_method) == ("bath blocks", "closure")
+        assert ranks == loop_ranks == [15 * bait.params.n_env] * 20
+        assert [r < 1e-9 for r in residuals] == [r < 1e-9 for r in loop_residuals]
+        assert np.allclose(residuals, loop_residuals, rtol=0.0, atol=1e-12)
+        if "w" in params:
+            assert 0.1 < np.median(residuals) < 0.2
+
+
+def _rank_report(tmp_path, monkeypatch, argv, cfg, out, loop=False):
+    path = tmp_path / f"{out}.json"
+    path.write_text(json.dumps(cfg))
+    with monkeypatch.context() as m:
+        if loop:
+            m.setattr(qdecouple.cli, "bath_blocks", lambda *args: None)
+        assert run_cli(["rank", *argv, "--config", str(path), "--out", str(tmp_path / out)]) == 0
+    return json.loads((tmp_path / out / "report.json").read_text())
+
+
+def test_rank_on_bait_differs_from_the_span_loop_only_in_the_median_residual(tmp_path, monkeypatch):
+    cfg = {"params": {"n_env": 2}, "rank_states": 20}
+    report = _rank_report(tmp_path, monkeypatch, ["--scenario", "bait"], cfg, "blocks")
+    loop = _rank_report(tmp_path, monkeypatch, ["--scenario", "bait"], cfg, "loop", loop=True)
+    assert (report.pop("control_algebra_method"), loop.pop("control_algebra_method")) == ("bath blocks", "closure")
+    assert report["interaction_membership_in_algebra"].pop("median_residual") < 1e-15
+    assert loop["interaction_membership_in_algebra"].pop("median_residual") < 1e-15
+    assert report == loop
+
+
+@pytest.mark.parametrize("scenario, params, dim", [
+    ("bait", {"j1": 0}, 48), ("bait", {"w": 0}, 63), ("restructured", {}, 18), ("single_qubit", {}, 3),
+])
+def test_rank_falls_back_to_the_span_loop(tmp_path, monkeypatch, scenario, params, dim):
+    # no bath-block certificate: j1 = 0 and w = 0 zero a control (dimension
+    # below 63 n_env), restructured's and single_qubit's blocks are not su(q)
+    cfg = {"params": params, "rank_states": 5}
+    report = _rank_report(tmp_path, monkeypatch, ["--scenario", scenario], cfg, "rank")
+    assert (report["control_algebra_method"], report["control_algebra_dim"]) == ("closure", dim)
+    _rank_report(tmp_path, monkeypatch, ["--scenario", scenario], cfg, "loop", loop=True)
+    assert (tmp_path / "rank/report.json").read_bytes() == (tmp_path / "loop/report.json").read_bytes()
 
 
 def test_rank_report_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):

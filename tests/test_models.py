@@ -6,7 +6,7 @@ import pytest
 import qdecouple as qd
 from qdecouple import cli
 from qdecouple.algebra import SIGMA_X, SIGMA_Y, SIGMA_Z, is_hermitian
-from qdecouple.models import build_commutant_toy
+from qdecouple.models import bath_blocks, build_commutant_toy
 
 from oracles import scenario_matrices
 
@@ -230,6 +230,38 @@ class TestRestructured:
         f_swapped = qd.field_quadrature(np.conj(w), 4).matrix
         assert np.allclose(f_swapped, f.conj())
         assert np.linalg.norm(f_swapped) == pytest.approx(np.linalg.norm(f))
+
+
+@pytest.mark.parametrize("n_env", [4, 6])
+def test_bath_blocks_rebuild_the_bait_controls(n_env):
+    # at n_env 4 and 6, sqrt(||G||^2 - ||blocks||^2) cancels to about 1e-8,
+    # above tol ||G||: the off-block part must be taken directly
+    bait = qd.build_bait(qd.ScenarioParams(n_env=n_env))
+    v, blocks = bath_blocks(bait, 1e-9)
+    assert blocks.shape == (9, n_env, 8, 8)
+    u = np.kron(np.eye(8), v)
+    for g, g_blocks in zip(bait.control_stack, blocks):
+        block_diagonal = np.zeros((8, n_env, 8, n_env), dtype=complex)
+        for j, block in enumerate(g_blocks):
+            block_diagonal[:, j, :, j] = block
+        assert np.allclose(u @ block_diagonal.reshape(8 * n_env, -1) @ u.conj().T, g, atol=1e-13)
+
+
+def test_bath_blocks_refuse_controls_not_block_diagonal_in_the_bath_eigenbasis():
+    # the same controls in a seeded random basis of the env factor are
+    # block-diagonal there, not in F_w's eigenbasis
+    bait = qd.build_bait(qd.ScenarioParams())
+    rng = np.random.default_rng(5)
+    w, _ = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+    u = np.kron(np.eye(8), w)
+
+    def rotate(op):
+        return qd.Operator(bait.space, u @ op.matrix @ u.conj().T)
+
+    rotated = qd.ControlSystem(bait.space, rotate(bait.drift), [rotate(a) for a in bait.controls],
+                               rotate(bait.interaction), rotate(bait.output_op), "bait", params=bait.params)
+    assert bath_blocks(rotated, 1e-9) is None
+    assert bath_blocks(build_commutant_toy(), 1e-9) is None       # no params, no F_w
 
 
 class TestCoherence:
