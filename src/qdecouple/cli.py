@@ -200,24 +200,6 @@ def scenario_params(cfg: dict) -> ScenarioParams:
         raise ConfigError(f"bad params: {exc}") from exc
 
 
-def _sanitize(obj):
-    if isinstance(obj, dict):
-        return {k: _sanitize(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_sanitize(v) for v in obj]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, complex):
-        return [obj.real, obj.imag]
-    if isinstance(obj, np.ndarray):
-        return _sanitize(obj.tolist())
-    return obj
-
-
 def _write(out_dir: Path, name: str, text: str) -> Path:
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / name
@@ -226,7 +208,7 @@ def _write(out_dir: Path, name: str, text: str) -> Path:
 
 
 def write_report(out_dir: Path, payload: dict, name: str = "report.json") -> Path:
-    return _write(out_dir, name, json.dumps(_sanitize(payload), sort_keys=True, indent=2) + "\n")
+    return _write(out_dir, name, json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
 def write_trace_csv(out_dir: Path, trace, name: str) -> Path:
@@ -236,7 +218,7 @@ def write_trace_csv(out_dir: Path, trace, name: str) -> Path:
 
 
 def write_audit_jsonl(out_dir: Path, rows: list, name: str) -> Path:
-    return _write(out_dir, name, "".join(json.dumps(_sanitize(row), sort_keys=True) + "\n" for row in rows))
+    return _write(out_dir, name, "".join(json.dumps(row, sort_keys=True) + "\n" for row in rows))
 
 
 def initial_state(sys, cfg):

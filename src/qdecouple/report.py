@@ -77,25 +77,26 @@ def controlled_invariance_at_states(sys: ControlSystem, n_states: int, seed: int
 
 
 def closed_loop_verdict(sys: ControlSystem, invariance: dict, c_tilde: OperatorSpan, tol: float = 1e-9) -> dict:
-    """Case II necessary conditions plus pointwise controlled invariance.
+    """Case II necessary conditions plus pointwise controlled invariance: ok, witness, stable.
 
     invariance is the "closed_loop" part of controlled_invariance_at_states,
     c_tilde is build_c_tilde(sys).
     """
     necessary = check_closed_loop_necessary(sys, c_tilde, tol=tol)
-    out = {"necessary_ok": necessary.ok, "witness": necessary.witness}
     if not necessary.ok:
-        out.update({"ok": False, "stable": True})
-        return out
-    out.update(
-        {
-            "ok": invariance["ok"],
-            "stable": invariance["stable"],
-            "witness": invariance["witness"],
-            "invariance_per_state": invariance["per_state"],
-        }
-    )
-    return out
+        return {"ok": False, "witness": necessary.witness, "stable": True}
+    return {key: invariance[key] for key in ("ok", "witness", "stable")}
+
+
+def _closed_loop_column(
+    sys: ControlSystem, tol: float, eval_states: int, seed: int, starred: bool = False
+) -> tuple[OperatorSpan, dict, dict]:
+    """C~ of sys, its closed-loop column (verdict, witness, stable) and the drift diagnostic."""
+    c_tilde = build_c_tilde(sys, tol=tol)
+    invariance = controlled_invariance_at_states(sys, eval_states, seed, tol=tol)
+    closed = closed_loop_verdict(sys, invariance["closed_loop"], c_tilde, tol=tol)
+    verdict = _verdict_str(closed["ok"], starred)
+    return c_tilde, {"verdict": verdict, "witness": closed["witness"], "stable": closed["stable"]}, invariance["drift"]
 
 
 def scenario_report(
@@ -108,40 +109,31 @@ def scenario_report(
 ) -> dict:
     """One table row: open/closed/restructured verdicts with witnesses."""
     sys = build_scenario(name, params, max_power)
-    row: dict = {"scenario": name, "dim": sys.space.total_dim}
-    invariance = controlled_invariance_at_states(sys, eval_states, seed, tol=tol)
-    c_tilde = build_c_tilde(sys, tol=tol)
-    row["c_tilde_dim"] = c_tilde.dim
-    row["c_tilde_method"] = c_tilde.details["method"]
+    c_tilde, closed, drift = _closed_loop_column(sys, tol, eval_states, seed)
     open_v = check_open_loop(sys, c_tilde, tol=tol)
-    row["open_loop"] = {"verdict": _verdict_str(open_v.ok), "witness": open_v.witness}
-    closed = closed_loop_verdict(sys, invariance["closed_loop"], c_tilde, tol=tol)
-    row["closed_loop"] = {
-        "verdict": _verdict_str(closed["ok"]),
-        "witness": closed["witness"],
-        "stable": closed["stable"],
+    row: dict = {
+        "scenario": name,
+        "dim": sys.space.total_dim,
+        "c_tilde_dim": c_tilde.dim,
+        "c_tilde_method": c_tilde.details["method"],
+        "open_loop": {"verdict": _verdict_str(open_v.ok), "witness": open_v.witness},
+        "closed_loop": closed,
+        "drift_bracket_invariance": {"ok": drift["ok"], "witness": drift["witness"]},
     }
-
-    row["drift_bracket_invariance"] = {"ok": invariance["drift"]["ok"], "witness": invariance["drift"]["witness"]}
-
     if name == "bait":
         restructured = build_restructured(params, max_power)
-        ct_r = build_c_tilde(restructured, tol=tol)
-        invariance_r = controlled_invariance_at_states(restructured, eval_states, seed, tol=tol)
-        closed_r = closed_loop_verdict(restructured, invariance_r["closed_loop"], ct_r, tol=tol)
+        ct_r, closed_r, _ = _closed_loop_column(restructured, tol, eval_states, seed, starred=True)
         row["closed_loop_restructured"] = {
-            "verdict": _verdict_str(closed_r["ok"], starred=True),
-            "witness": closed_r["witness"],
-            "stable": closed_r["stable"],
-            "footnote": FOOTNOTE if closed_r["ok"] else None,
+            **closed_r,
+            "footnote": FOOTNOTE if closed_r["verdict"] != "NO" else None,
             "c_tilde_dim": ct_r.dim,
             "c_tilde_method": ct_r.details["method"],
             "n_controls": restructured.n_controls,
         }
     else:
         row["closed_loop_restructured"] = {
-            "verdict": row["closed_loop"]["verdict"],
-            "witness": row["closed_loop"].get("witness"),
+            "verdict": closed["verdict"],
+            "witness": closed["witness"],
             "note": "no bait to restructure; column equals closed_loop",
         }
     return row

@@ -49,7 +49,7 @@ from .tangent import bracket_linear_fields
 _MAX_DEPTH = 8
 # propagate_closed_loop's modes, and its policies on a rank-deficient frame
 FEEDBACK_MODES = (*SYNTHESIS_MODES, "oracle_cancel", "open_loop")
-RANK_POLICIES = ("abort", "freeze", "open_loop")
+RANK_POLICIES = ("abort", "open_loop")
 
 
 class NormDriftError(RuntimeError):
@@ -134,8 +134,8 @@ def propagate_closed_loop(
            hold the generator constant over a segment and take one
            exponential per segment.
     policy on frame rank-deficiency: 'abort' raises RankDeficiencyError,
-           'freeze' reuses the last successful law, 'open_loop' falls back
-           to u = v for that step; every decision is recorded in the audit.
+           'open_loop' falls back to u = v for that step; every decision
+           is recorded in the audit.
     plan:  the system's FramePlan, built here when not given; frames and
            laws are decided at the plan's tol.
     """
@@ -157,7 +157,6 @@ def propagate_closed_loop(
     ys = [complex(np.vdot(xi, c_mat @ xi))]
     drifts = [abs(nrm - 1.0)]
     audit: list[dict] = []
-    last_law = None
     t = 0.0
     k = 0
     for dur, v in v_sched.segments:
@@ -174,7 +173,6 @@ def propagate_closed_loop(
                 result: FrameResult = build_frame(sys, state, plan=plan)
                 if result.ok:
                     law = synthesize(sys, result.frame, mode=mode, tol=plan.tol)
-                    last_law = law
                     row.update(
                         {
                             "frame_rank": result.report["frame_rank"],
@@ -188,17 +186,8 @@ def propagate_closed_loop(
                 else:
                     row.update({"rank_report": result.report, "action": f"deficient:{policy}"})
                     if policy == "abort":
-                        report = dict(result.report)
-                        report.update({"step": k, "t": t, "scenario": sys.scenario})
-                        raise RankDeficiencyError(report)
-                    if policy == "freeze" and last_law is not None:
-                        gen = closed_loop_generator(sys, last_law, v, include_interaction)
-                    elif policy == "freeze":
-                        report = dict(result.report)
-                        report.update({"step": k, "t": t, "note": "no prior law to freeze"})
-                        raise RankDeficiencyError(report)
-                    else:
-                        gen = sys.generator(v, include_interaction=include_interaction)
+                        raise RankDeficiencyError({**result.report, "step": k, "t": t, "scenario": sys.scenario})
+                    gen = sys.generator(v, include_interaction=include_interaction)
                 step = unitary_stepper(gen.matrix)
             xi = step(xi, h)
             t += h
@@ -236,9 +225,11 @@ def decoupling_pair(
 
     Both runs use the same feedback function (synthesized from the nominal
     interaction structure, with frames and laws decided at tol); only the
-    plant's interaction term differs.  In 'oracle_cancel' mode the loop
-    drops the interaction from both runs, so the pair is one run returned
-    twice and the deviation is 0 by construction.
+    plant's interaction term differs.  Both runs meet a rank-deficient
+    frame under the same policy, 'abort' or 'open_loop' (see
+    propagate_closed_loop).  In 'oracle_cancel' mode the loop drops the
+    interaction from both runs, so the pair is one run returned twice and
+    the deviation is 0 by construction.
     """
     plan = FramePlan.build(sys, tol=tol) if mode in SYNTHESIS_MODES else None
     trace_g = propagate_closed_loop(

@@ -378,6 +378,7 @@ def test_config_error_exit_code_2(tmp_path):
         ("check", {"max_power": -1}),
         ("simulate", {"dt": 0}),
         ("simulate", {"rank_policy": "bogus", "feedback_mode": "literal"}),
+        ("simulate", {"rank_policy": "freeze", "feedback_mode": "literal"}),
         ("check", {"tol": "x"}),
         ("check", {"horizon": None}),
         ("simulate", {"dt": True}),

@@ -336,15 +336,6 @@ def test_restructured_literal_abort_exit_4_report(tmp_path):
     }
 
 
-def test_restructured_freeze_without_prior_law_raises(restructured):
-    xi0 = qd.random_state(restructured.space, np.random.default_rng(3))
-    sched = qd.PulseSchedule.constant(0.1, np.zeros(24))
-    with pytest.raises(qd.RankDeficiencyError) as err:
-        qd.propagate_closed_loop(restructured, sched, xi0, dt=0.05, mode="literal", policy="freeze")
-    assert err.value.report["note"] == "no prior law to freeze"
-    assert err.value.report["frame_rank"] == 0
-
-
 def test_restructured_open_loop_policy_audit(restructured):
     xi0 = qd.random_state(restructured.space, np.random.default_rng(4))
     sched = qd.PulseSchedule.constant(0.1, np.zeros(24))
@@ -352,25 +343,3 @@ def test_restructured_open_loop_policy_audit(restructured):
                                   policy="open_loop", collect_audit=True)
     assert [row["action"] for row in tr.audit] == ["deficient:open_loop"] * 2
     assert all(row["rank_report"]["frame_rank"] == 0 for row in tr.audit)
-
-
-def test_freeze_policy_reuses_last_law(commutant_toy, monkeypatch):
-    # every other step reports a deficient frame; freeze keeps the previous law
-    real_build_frame = simulate.build_frame
-    calls = []
-
-    def flaky_build_frame(sys_, xi, plan=None):
-        result = real_build_frame(sys_, xi, plan=plan)
-        calls.append(result)
-        if len(calls) % 2 == 0:
-            return qd.FrameResult(False, None, dict(result.report, frame_rank=0))
-        return result
-
-    monkeypatch.setattr(simulate, "build_frame", flaky_build_frame)
-    xi0 = qd.random_state(commutant_toy.space, np.random.default_rng(8))
-    sched = qd.PulseSchedule.constant(0.04, [0.0, 1.0, 0.0, 0.0, 0.0])
-    tr = qd.propagate_closed_loop(commutant_toy, sched, xi0, dt=0.01, mode="literal",
-                                  policy="freeze", collect_audit=True)
-    assert [row["action"] for row in tr.audit] == ["synthesized", "deficient:freeze"] * 2
-    assert tr.audit[0]["beta_singular"]
-    assert tr.norm_drift < 1e-8
