@@ -251,6 +251,14 @@ def unitary_stepper(a_mat: np.ndarray) -> Callable[[np.ndarray, float], np.ndarr
     return step
 
 
+def unitary_exponential(a_mat: np.ndarray) -> Callable[[float], np.ndarray]:
+    """t -> exp(t a) for a skew-hermitian matrix (else ValueError), from one eigh of i*a; exp(-t a) is its adjoint."""
+    if not is_hermitian(a_mat, skew=True):
+        raise ValueError("unitary_exponential expects a skew-hermitian matrix")
+    w, v = _eigh(1j * a_mat)
+    return lambda t: (v * np.exp(-1j * w * t)) @ v.conj().T
+
+
 def lie_closure(generators: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Real basis of the smallest commutator-closed real span of a (k, n, n) generator stack.
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import functools
 import json
 import math
 import sys as _sys
@@ -157,10 +158,11 @@ def load_config(path: str | None, overrides: dict) -> dict:
     for key, low in (("eval_states", 1), ("rank_states", 1), ("max_power", 0)):
         if isinstance(cfg[key], bool) or not isinstance(cfg[key], int) or cfg[key] < low:
             raise ConfigError(f"{key} must be an integer >= {low}")
-    # the CBH slope fit needs four points; a duration of 0 or less has no logarithm
+    # the CBH slope fit needs four points, not all at one duration; a duration of 0 or less has no logarithm
     t_list = cfg["maneuver_t_list"]
-    if not isinstance(t_list, list) or len(t_list) < 4 or not all(_finite_number(t) and t > 0 for t in t_list):
-        raise ConfigError(f"maneuver_t_list must hold at least 4 positive finite numbers, got {t_list!r}")
+    if (not isinstance(t_list, list) or len(t_list) < 4 or not all(_finite_number(t) and t > 0 for t in t_list)
+            or len(set(t_list)) < 2):
+        raise ConfigError(f"maneuver_t_list needs at least 4 positive finite numbers, not all equal; got {t_list!r}")
     if not (_finite_number(cfg["maneuver_overlap_t"]) and cfg["maneuver_overlap_t"] > 0):
         raise ConfigError(f"maneuver_overlap_t must be a positive finite number, got {cfg['maneuver_overlap_t']!r}")
     return cfg
@@ -650,6 +652,7 @@ def cmd_synthesize_audit(cfg: dict, out_dir: Path) -> int:
     return 0
 
 
+@functools.cache                   # built once per process: parse_args leaves the parser unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qdecouple",
@@ -683,8 +686,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         overrides = {
             "seed": args.seed,

@@ -9,7 +9,8 @@ eigendecomposition of the hermitian i*A (no ODE truncation error); dt only
 controls sampling density and, in closed loop, the feedback refresh
 cadence.  Paired decoupling runs share the schedule, the initial state and
 the control operators and differ only in whether the interaction generator
-is present.
+is present.  The CBH maneuvers take their exponentials from the same exact
+eigendecomposition, one per generator.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .algebra import (
     commutator,
     embed_product,
     field_quadrature,
+    unitary_exponential,
     unitary_stepper,
 )
 from .feedback import (
@@ -42,7 +44,7 @@ from .feedback import (
     synthesize,
 )
 from .models import ControlSystem
-from .spans import Coordinates, RealSpan, _serial_blas, ad_images, skew_hermitian_coordinates
+from .spans import Coordinates, RealSpan, _serial_blas, _svd, ad_images, skew_hermitian_coordinates
 from .tangent import bracket_linear_fields
 
 # hsb_generation_search grows bracket words up to this length
@@ -270,68 +272,51 @@ class CbhReport:
     exact: bool
 
 
-def _maneuver_unitary(a: Operator, b: Operator, t: float) -> np.ndarray:
-    ua = scipy.linalg.expm(t * a.matrix)
-    ub = scipy.linalg.expm(t * b.matrix)
-    ua_inv = scipy.linalg.expm(-t * a.matrix)
-    ub_inv = scipy.linalg.expm(-t * b.matrix)
+def _maneuver_unitaries(a: Operator, b: Operator, t_list: list[float]) -> list[np.ndarray]:
+    """U(4t) at each t, from one eigh per generator: an inverse leg is its forward leg's adjoint."""
+    exp_a, exp_b = unitary_exponential(a.matrix), unitary_exponential(b.matrix)
+    legs = [(exp_a(t), exp_b(t)) for t in t_list]
     # schedule (+a, +b, -a, -b); first segment acts first (rightmost factor)
-    return ub_inv @ ua_inv @ ub @ ua
+    return [ub.conj().T @ ua.conj().T @ ub @ ua for ua, ub in legs]
 
 
 def cbh_order_check(a: Operator, b: Operator, t_list: list[float]) -> CbhReport:
     """Fit the remainder order of the commutator maneuver against exp([.,.] t^2).
 
     The four-segment maneuver satisfies U(4t) = exp((BA - AB) t^2 + O(t^3)),
-    so || U(4t) - exp(bracket t^2) || should scale like t^3: a fitted
+    so || U(4t) - exp(bracket t^2) || should scale like t^3: a least-squares
     log-log slope >= 2.7 certifies the cubic remainder.  Commuting pairs
     give residuals at machine precision and are reported exact.
     """
-    if len(t_list) < 4:
-        raise ValueError("need at least 4 segment durations for a slope fit")
-    if any(t <= 0 for t in t_list):
-        raise ValueError("durations must be positive")
-    k = bracket_linear_fields(a, b)
-    residuals = []
-    for t in t_list:
-        u = _maneuver_unitary(a, b, t)
-        target = scipy.linalg.expm(k.matrix * t * t)
-        residuals.append(float(np.linalg.norm(u - target)))
+    if len(t_list) < 4 or any(t <= 0 for t in t_list) or len(set(t_list)) < 2:
+        raise ValueError("a slope fit needs at least 4 positive segment durations, not all equal")
+    exp_k = unitary_exponential(bracket_linear_fields(a, b).matrix)
+    residuals = [float(np.linalg.norm(u - exp_k(t * t))) for t, u in zip(t_list, _maneuver_unitaries(a, b, t_list))]
     if max(residuals) < 1e-12:
         return CbhReport(list(t_list), residuals, None, exact=True)
-    logs_t = np.log(np.asarray(t_list, dtype=float))
-    logs_r = np.log(np.maximum(residuals, 1e-300))
-    slope = float(np.polyfit(logs_t, logs_r, 1)[0])
+    x = np.log(np.asarray(t_list, dtype=float))
+    y = np.log(np.maximum(residuals, 1e-300))
+    x -= x.mean()
+    slope = float(x @ (y - y.mean()) / (x @ x))
     return CbhReport(list(t_list), residuals, slope, exact=False)
 
 
 def effective_direction_overlap(a: Operator, b: Operator, target: Operator, t: float) -> float:
     """|<logm(U(4t))/t^2, target>| / norms: alignment of the maneuver direction."""
-    u = _maneuver_unitary(a, b, t)
+    (u,) = _maneuver_unitaries(a, b, [t])
     gen = scipy.linalg.logm(u) / (t * t)
-    num = abs(np.trace(gen.conj().T @ target.matrix))
+    num = abs(np.vdot(gen, target.matrix))
     den = np.linalg.norm(gen) * target.norm()
     return float(num / den) if den > 0 else 0.0
 
 
 def bait_identity_deviation(sys: ControlSystem, op: Operator) -> float:
-    """Frobenius distance of op from (its bait-partial-trace) (x) I_bait."""
+    """Frobenius distance of op from (its bait-partial-trace) (x) I_bait; ValueError without a bait factor."""
+    bpos = sys.space.labels.index("bait")
     dims = [d for _, d in sys.space.factors]
-    labels = list(sys.space.labels)
-    if "bait" not in labels:
-        raise ValueError("system has no bait factor")
-    bpos = labels.index("bait")
-    db = dims[bpos]
-    tensor = op.matrix.reshape(*dims, *dims)
-    nfac = len(dims)
-    traced = np.trace(tensor, axis1=bpos, axis2=nfac + bpos) / db
-    eye = np.eye(db, dtype=complex)
-    rebuilt = np.tensordot(traced, eye, axes=0)  # appends bait_out, bait_in axes
-    order_row = list(range(nfac - 1))
-    order_row.insert(bpos, 2 * (nfac - 1))
-    order_col = list(range(nfac - 1, 2 * (nfac - 1)))
-    order_col.insert(bpos, 2 * (nfac - 1) + 1)
-    rebuilt = rebuilt.transpose(order_row + order_col).reshape(op.matrix.shape)
+    left, db, right = math.prod(dims[:bpos]), dims[bpos], math.prod(dims[bpos + 1:])
+    traced = np.einsum("ibjkbl->ijkl", op.matrix.reshape(left, db, right, left, db, right)) / db
+    rebuilt = np.einsum("ijkl,bc->ibjkcl", traced, np.eye(db)).reshape(op.matrix.shape)
     return float(np.linalg.norm(op.matrix - rebuilt))
 
 
@@ -343,7 +328,7 @@ def _fit_direction(result: np.ndarray, target: np.ndarray) -> tuple[float, float
     tnorm2 = float(np.linalg.norm(target)) ** 2
     if tnorm2 == 0:
         return 0.0, None
-    c = float(np.real(np.trace(target.conj().T @ result)) / tnorm2)
+    c = float(np.vdot(target, result).real / tnorm2)
     rnorm = float(np.linalg.norm(result))
     if rnorm == 0:
         return 0.0, None
@@ -496,7 +481,9 @@ def hsb_generation_search(sys: ControlSystem, tol: float = 1e-9) -> dict:
         "closure_dim": len(names),
     }
     if found_depth is not None:
-        coeffs, *_ = np.linalg.lstsq(codes.T, target_code, rcond=None)
+        # the kept words are independent, so no singular value is zero: lstsq's solution
+        u, s, vt = _svd(codes.T)
+        coeffs = vt.T @ ((u.T @ target_code) / s)
         top = np.sort(np.argsort(-np.abs(coeffs), kind="stable")[:8])     # the largest 8, in kept order
         result["witness_words"] = [
             {"word": names[i], "coefficient": float(coeffs[i])} for i in top if abs(coeffs[i]) > 1e-6

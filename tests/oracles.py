@@ -215,6 +215,19 @@ def _kron(blocks: list) -> np.ndarray:
     return out
 
 
+def bait_identity_deviation(space: qd.HilbertSpace, op: np.ndarray) -> float:
+    """||op - Tr_bait(op) / d (x) I_bait|| by the isometries E_k = I_left (x) |k> (x) I_right, built by np.kron.
+
+    Tr_bait(op) = sum_k E_k^T op E_k, and X (x) I_bait = sum_k E_k X E_k^T.
+    """
+    dims = [d for _, d in space.factors]
+    pos = space.labels.index("bait")
+    eye_left, eye_right = np.eye(int(np.prod(dims[:pos]))), np.eye(int(np.prod(dims[pos + 1:])))
+    legs = [_kron([eye_left, col[:, None], eye_right]) for col in np.eye(dims[pos])]
+    traced = sum(e.T @ op @ e for e in legs) / dims[pos]
+    return float(np.linalg.norm(op - sum(e @ traced @ e.T for e in legs)))
+
+
 def _bath(w: complex, n_env: int) -> tuple[np.ndarray, np.ndarray]:
     """(w b† + w* b, b†b) on n_env levels, from b|n> = sqrt(n)|n-1>."""
     b = np.diag(np.sqrt(np.arange(1, n_env, dtype=float)), 1).astype(complex)

@@ -390,6 +390,7 @@ def test_config_error_exit_code_2(tmp_path):
         ("check", {"maneuver_t_list": [0.1, 0.05, 0.025]}),
         ("check", {"maneuver_t_list": [0.1, 0.05, 0.025, 0.0]}),
         ("check", {"maneuver_t_list": [0.1, 0.05, 0.025, -0.0125]}),
+        ("maneuver", {"maneuver_t_list": [0.1, 0.1, 0.1, 0.1]}),
         ("check", {"maneuver_overlap_t": 0.0}),
         ("simulate", {"schedule": [{"duration": -1.0, "values": [0, 0, 0, 0]}]}),
         ("simulate", {"schedule": [{"duration": float("inf"), "values": [0, 0, 0, 0]}]}),

@@ -8,8 +8,9 @@ member of its class included), or a demo, calls it as x.m(...); a public
 property counts when such a statement reads it as x.p.  A bare name (a
 local variable) or an attribute of the same name that is only assigned
 does not count.  The __init__.py re-exports do not count; cli.main is the
-console-script entry point.  A last test checks one design rule the same
-way: every SVD goes through spans._svd.
+console-script entry point.  The last tests check two design rules the
+same way: every SVD goes through spans._svd, and no library routine stands
+in for the package's own kernels.
 """
 
 import ast
@@ -108,4 +109,32 @@ def test_every_svd_goes_through_the_spans_driver():
                 found += [f"{module}: from {node.module} import svd" for a in node.names if a.name == "svd"]
             if isinstance(node, ast.Name) and node.id == "dgesdd" and id(node) not in driver:
                 found.append(f"{module}: dgesdd outside the driver")
+    assert found == []
+
+
+# exponentials come from algebra._eigh (unitary_stepper, unitary_exponential),
+# least squares and ranks from spans._svd, fits in closed form
+_BYPASSES = {"lstsq", "pinv", "matrix_rank", "polyfit", "expm"}
+
+
+def test_no_library_routine_bypasses_the_package_kernels():
+    """src/ names none of lstsq, pinv, matrix_rank, polyfit or expm, called or imported.
+
+    The library factorizations that stay, each for a job no kernel of the
+    package does: np.linalg.norm(., 2) in observation._spectral_margins
+    (the spectral norm of a complex matrix, which the real-only spans._svd
+    does not take, and a Frobenius bound would loosen the certificate),
+    scipy.linalg.logm in simulate.effective_direction_overlap (the
+    maneuver's generator), and np.linalg.qr in feedback.synthesize's
+    hand-frame fallback (orthonormalizing a hand-built frame; only tests
+    reach it).
+    """
+    found = []
+    for module, tree in _modules().items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr in _BYPASSES:
+                found.append(f"{module}:{node.lineno}: {_dotted(node)}")
+            if isinstance(node, ast.ImportFrom):
+                found += [f"{module}:{node.lineno}: from {node.module} import {a.name}"
+                          for a in node.names if a.name in _BYPASSES]
     assert found == []

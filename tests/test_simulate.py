@@ -1,11 +1,16 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+import scipy.linalg
 
 import qdecouple as qd
 from qdecouple.algebra import SIGMA_X, SIGMA_Y
-from qdecouple.simulate import _bracket_words, maneuver_schedule
+from qdecouple.cli import DEFAULT_CONFIG
+from qdecouple.simulate import _bracket_words, _maneuver_unitaries, bait_identity_deviation, maneuver_schedule
 from qdecouple.spans import skew_hermitian_coordinates
 
+import oracles
 from oracles import bracket_words_one_add_at_a_time
 
 
@@ -208,6 +213,15 @@ class TestManeuver:
              @ scipy.linalg.expm(t * b) @ scipy.linalg.expm(t * a))
         assert np.linalg.norm(tr.final_state.amplitudes - u @ xi0.amplitudes) < 1e-10
 
+    def test_unitaries_match_the_four_expm_product(self, bait):
+        # one eigh per generator, inverse legs as adjoints, against scipy's expm of each leg
+        a, b = bait.controls[5].matrix, bait.controls[8].matrix
+        t_list = DEFAULT_CONFIG["maneuver_t_list"]
+        for t, u in zip(t_list, _maneuver_unitaries(bait.controls[5], bait.controls[8], t_list)):
+            oracle = (scipy.linalg.expm(-t * b) @ scipy.linalg.expm(-t * a)
+                      @ scipy.linalg.expm(t * b) @ scipy.linalg.expm(t * a))
+            assert np.linalg.norm(u - oracle) < 1e-12, t
+
 
 class TestCbh:
     def test_pauli_slope_near_three(self):
@@ -230,6 +244,25 @@ class TestCbh:
         ax = qd.Operator(sp, -1j * SIGMA_X, "skew_hermitian")
         with pytest.raises(ValueError):
             qd.cbh_order_check(ax, ax, [0.1, 0.05])
+        with pytest.raises(ValueError):
+            qd.cbh_order_check(ax, ax, [0.1] * 4)
+
+    def test_slope_is_the_least_squares_line(self, bait):
+        sp = qd.HilbertSpace((("qubit", 2),))
+        pauli = (qd.Operator(sp, -1j * SIGMA_X), qd.Operator(sp, -1j * SIGMA_Y))
+        for a, b in (pauli, (bait.controls[5], bait.controls[8])):
+            rep = qd.cbh_order_check(a, b, DEFAULT_CONFIG["maneuver_t_list"])
+            fit = np.polyfit(np.log(rep.t_list), np.log(rep.residuals), 1)[0]
+            assert abs(rep.slope - fit) < 1e-12
+
+    def test_generators_must_be_skew_hermitian(self):
+        # the exponentials read one triangle of i*A, so a hermitian H would give a wrong U silently
+        sp = qd.HilbertSpace((("qubit", 2),))
+        hx, ay = qd.Operator(sp, SIGMA_X), qd.Operator(sp, -1j * SIGMA_Y)
+        with pytest.raises(ValueError, match="skew-hermitian"):
+            qd.cbh_order_check(hx, ay, [1e-1, 5e-2, 2.5e-2, 1.25e-2])
+        with pytest.raises(ValueError, match="skew-hermitian"):
+            qd.effective_direction_overlap(ay, hx, ay, 1e-3)
 
 
 class TestCommutatorChain:
@@ -251,6 +284,30 @@ class TestCommutatorChain:
     def test_requires_bait(self, two_qubit):
         with pytest.raises(ValueError):
             qd.verify_commutator_chain(two_qubit)
+
+
+class TestBaitIdentityDeviation:
+    def test_a_bait_traceless_factor_deviates_by_its_whole_norm(self, bait, params):
+        f_w = qd.field_quadrature(params.w, params.n_env).matrix
+        off = qd.embed_product(bait.space, {"qubit2": SIGMA_Y, "bait": SIGMA_X, "env": f_w})
+        on = qd.embed_product(bait.space, {"qubit2": SIGMA_Y, "env": f_w})
+        assert bait_identity_deviation(bait, off) == pytest.approx(off.norm(), rel=1e-15)
+        assert bait_identity_deviation(bait, on) == 0.0
+
+    @pytest.mark.parametrize("factors", [
+        None,                                              # the bait system's own layout
+        (("bait", 2), ("env", 3)),
+        (("qubit", 2), ("env", 3), ("bait", 2)),
+        (("qubit", 2), ("bait", 3), ("env", 2)),
+    ])
+    def test_matches_the_kron_oracle(self, bait, factors):
+        space = bait.space if factors is None else qd.HilbertSpace(factors)
+        n = space.total_dim
+        rng = np.random.default_rng(29)
+        op = qd.Operator(space, rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+        got = bait_identity_deviation(SimpleNamespace(space=space), op)
+        assert abs(got - oracles.bait_identity_deviation(space, op.matrix)) < 1e-12
+        assert got > 1.0
 
 
 class TestHsbGenerationSearch:
