@@ -22,6 +22,7 @@ and its i-multiple count as two independent real directions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -68,9 +69,11 @@ def is_hermitian(matrix: np.ndarray, tol: float = DEFAULT_TOL, skew: bool = Fals
     """max|M - M†| (max|M + M†| with skew) <= tol * max(1, max|M|).
 
     The package's one hermiticity decision; the zero matrix passes both tests.
+    A (b, q, q) stack is the block-diagonal matrix of its blocks: each block
+    is tested, against the largest entry of them all.
     """
     matrix = np.asarray(matrix)
-    adjoint = matrix.conj().T
+    adjoint = matrix.conj().swapaxes(-1, -2)
     gap = matrix + adjoint if skew else matrix - adjoint
     return bool(np.abs(gap).max() <= tol * max(1.0, np.abs(matrix).max()))
 
@@ -260,24 +263,31 @@ def unitary_exponential(a_mat: np.ndarray) -> Callable[[float], np.ndarray]:
 
 
 def lie_closure(generators: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Real basis of the smallest commutator-closed real span of a (k, n, n) generator stack.
+    """Real basis of the smallest commutator-closed real span of a generator stack.
 
-    Returns the basis as a complex (L, n, n) stack, exactly skew-hermitian
-    and orthonormal in the Frobenius inner product; (0, n, n) when every
-    generator is zero.  Closes the span under ad of the generator stack
-    (left-normed bracket words span the generated Lie algebra, so this
-    reaches the full closure).  The generators are skew-hermitian, so the
-    closure stays in u(n) = i*Herm and runs in the n^2 hermitian
-    coordinates of spans.skew_hermitian_coordinates: an isometry, so the
-    ranks and the closure order are the realified ones, with rows half as
-    long.  It stops at its fixpoint, L <= n^2; on a truncated environment
-    the growth of L with the truncation is the finite-truncation signal.
+    generators is a (k, n, n) stack, or a block-diagonal (k, b, q, q) stack
+    held as its diagonal blocks; the basis comes back in the same form, as
+    a complex (L, n, n) or (L, b, q, q) stack, exactly skew-hermitian and
+    orthonormal in the Frobenius inner product; empty when every generator
+    is zero.  Closes the span under ad of the generator stack (left-normed
+    bracket words span the generated Lie algebra, so this reaches the full
+    closure).  The generators are skew-hermitian (each block is checked),
+    so the closure stays in u(n) = i*Herm, or in u(q)^b, and runs in the
+    n^2 (b q^2) hermitian coordinates of spans.skew_hermitian_coordinates:
+    an isometry, so the ranks and the closure order are the realified ones,
+    with rows half as long.  A unitary change of basis that makes every
+    generator block-diagonal preserves brackets and Frobenius products, so
+    the blocks' closure has the dense closure's dimension in b q^2 reals in
+    place of n^2 = b^2 q^2.  It stops at its fixpoint, L <= n^2; on a
+    truncated environment the growth of L with the truncation is the
+    finite-truncation signal.
     """
-    n = generators.shape[-1]
+    shape = generators.shape[1:]
     if not all(is_hermitian(g, tol, skew=True) for g in generators):
         raise ValueError("lie_closure expects skew-hermitian generators")
     seeds = np.array([g.ravel() / nrm for g in generators if (nrm := np.linalg.norm(g)) > 0])
     if seeds.size == 0:
-        return np.zeros((0, n, n), dtype=complex)
-    _, batches, _ = close_real_span(seeds, generators, tol=tol, coords=skew_hermitian_coordinates(n))
-    return np.vstack(batches).reshape(-1, n, n)
+        return np.zeros((0, *shape), dtype=complex)
+    coords = skew_hermitian_coordinates(shape[-1], math.prod(shape[:-2]))
+    _, batches, _ = close_real_span(seeds, generators, tol=tol, coords=coords)
+    return np.vstack(batches).reshape(-1, *shape)

@@ -341,7 +341,10 @@ def _chain_peak_bytes(n: int) -> int:
     words.  tracemalloc reads the
     search's peak at 992, 1286, 1560 and 1676 matrices (3.9, 11.3, 24.4 and
     40.9 MiB) at n_env 2-5, where the largest frontier is 25, 37, 49 and 56
-    words.
+    words.  Bait's search runs on the bath blocks, n_env times smaller, but
+    the estimate stays sized for the dense search (w out of phase with g):
+    build_system refuses before the system exists, so before the blocks
+    can be found.
     """
     k = 9
     return _BASELINE_BYTES + _system_peak_bytes(n) + (k * k * (k - 1) + 4 * k * 8 * n) * n * n * 16
@@ -358,7 +361,10 @@ def _rank_peak_bytes(name: str, n_env: int, max_power: int) -> int:
     at n_env 2-6, with the per-state data read off the bath blocks or by
     the span loop alike, and 0.36 to 0.75 for restructured (k = 24) at
     n_env 3-12, at the default 100 rank states.  A 7.8 GiB host refuses
-    bait from n_env 24 on.
+    bait from n_env 24 on.  Those are the dense closure's figures: bait's
+    certified closure runs on its bath blocks, n_env times smaller, but the
+    estimate stays sized for the dense fallback, because build_system
+    refuses before the system exists, so before its blocks can certify.
     """
     n = scenario_space(name, n_env).total_dim
     q = n // n_env
@@ -476,23 +482,23 @@ def cmd_simulate(cfg: dict, out_dir: Path, audit: bool) -> int:
     return 0
 
 
-def _algebra_membership(sys_, algebra: np.ndarray, states: np.ndarray, k_is: np.ndarray,
-                        tol: float) -> tuple[str, list[int], list[float]]:
+def _algebra_membership(bath: tuple[np.ndarray, np.ndarray] | None, algebra: np.ndarray, states: np.ndarray,
+                        k_is: np.ndarray, tol: float) -> tuple[str, list[int], list[float]]:
     """The method, and per state the real rank of algebra @ xi and K_I xi's relative residual in it.
 
     states and k_is hold one xi and one K_I xi per row.  "bath blocks":
-    bath_blocks finds the controls block-diagonal with traceless q x q
-    blocks in I_q (x) V, so their algebra L lies in the direct sum of n_env
-    copies of su(q), and L's dimension n_env (q^2 - 1) makes L that whole
-    sum.  For x_b != 0, su(q) x_b is the real hyperplane Re<x_b, .> = 0 of
-    C^q.  So with x = xi and w = K_I xi in V's basis, the rank is 2q - 1 per
-    block with |x_b| > tol, and the residual is the square root of the sum
-    of Re<x_b, w_b>^2 / |x_b|^2 over those blocks and of |w_b|^2 over the
-    others, over |w|.  "closure": any other system runs one RealSpan of L's
-    images per state.
+    bath is bath_blocks' (V, blocks), certified by the caller: the controls
+    are block-diagonal with traceless q x q blocks in I_q (x) V, so their
+    algebra L lies in the direct sum of n_env copies of su(q), and L's
+    dimension n_env (q^2 - 1) makes L that whole sum.  For x_b != 0,
+    su(q) x_b is the real hyperplane Re<x_b, .> = 0 of C^q.  So with x = xi
+    and w = K_I xi in V's basis, the rank is 2q - 1 per block with
+    |x_b| > tol, and the residual is the square root of the sum of
+    Re<x_b, w_b>^2 / |x_b|^2 over those blocks and of |w_b|^2 over the
+    others, over |w|.  "closure": with bath None, one RealSpan of the
+    images of the dense (L, n, n) algebra per state.
     """
-    bath = bath_blocks(sys_, tol)
-    if bath is None or len(algebra) != bath[1].shape[1] * (bath[1].shape[2] ** 2 - 1):
+    if bath is None:
         ranks, residuals = [], []
         for xi, k_i in zip(states, k_is):
             span = RealSpan(2 * len(xi), tol=tol)
@@ -516,11 +522,18 @@ def _algebra_membership(sys_, algebra: np.ndarray, states: np.ndarray, k_is: np.
 def cmd_rank(cfg: dict, out_dir: Path) -> int:
     """Control-field and control-algebra ranks, and K_I's membership in each, at rank_states random states.
 
-    The control algebra's lie_closure runs on every system.  Its dimension
-    is the certificate that lets _algebra_membership read the per-state
-    data off the bath blocks, and it is control_algebra_dim.  Dropping it
-    for bait needs a certificate from the blocks alone: a spectral su(q)
-    test per block, and a test that no two blocks are equivalent.
+    The control algebra's one lie_closure runs on the controls' bath
+    blocks, the (k, n_env, q, q) stack bath_blocks finds in I_q (x) V, when
+    they exist: I_q (x) V is unitary, so it keeps brackets and Frobenius
+    products, and the blocks' closure has the dense closure's dimension in
+    n_env q^2 reals in place of n^2.  That dimension is the certificate:
+    when it is n_env (q^2 - 1), _algebra_membership reads the per-state
+    data off the blocks, and it is control_algebra_dim.  A system without
+    blocks, or whose blocks fail the certificate (j1 = 0, w = 0,
+    restructured, single_qubit), closes the dense (k, n, n) stack, whose
+    images the per-state span loop needs.  Dropping the closure for bait
+    needs a certificate from the blocks alone: a spectral su(q) test per
+    block, and a test that no two blocks are equivalent.
     """
     params = scenario_params(cfg)
     _refuse_zero_interaction(params)
@@ -530,12 +543,19 @@ def cmd_rank(cfg: dict, out_dir: Path) -> int:
     rng = np.random.default_rng(cfg["seed"])
     tol = cfg["tol"]
     n = sys_.space.total_dim
-    algebra = lie_closure(sys_.control_stack, tol=tol)
     field_ranks, res_fields, states, k_is = [], [], [], []
     # at one BLAS thread, like the closure, also for bath_blocks' products:
     # at two, NumPy's and SciPy's thread pools compete for the cores after
     # it (spans module docstring)
     with _serial_blas():
+        bath = bath_blocks(sys_, tol)
+        if bath is not None:
+            algebra = lie_closure(bath[1], tol=tol)
+            _, n_env, q, _ = bath[1].shape
+            if len(algebra) != n_env * (q * q - 1):
+                bath = None
+        if bath is None:
+            algebra = lie_closure(sys_.control_stack, tol=tol)
         for _ in range(cfg["rank_states"]):
             xi = random_state(sys_.space, rng)
             span = RealSpan(2 * n, tol=tol)
@@ -545,7 +565,7 @@ def cmd_rank(cfg: dict, out_dir: Path) -> int:
             res_fields.append(span.residual(realify(k_i)))
             states.append(xi.amplitudes)
             k_is.append(k_i)
-        method, algebra_ranks, res_algebra = _algebra_membership(sys_, algebra, np.array(states), np.array(k_is), tol)
+        method, algebra_ranks, res_algebra = _algebra_membership(bath, algebra, np.array(states), np.array(k_is), tol)
     payload = {
         "command": "rank",
         "config": cfg,

@@ -73,8 +73,10 @@ class RankDeficiencyError(RuntimeError):
 
 
 def commutator_norm_table(mats) -> np.ndarray:
-    """Frobenius norms ||[M_i, M_j]|| over a stack of matrices (zero diagonal)."""
+    """Frobenius norms ||[M_i, M_j]|| over a stack of matrices (zero diagonal); (0, 0) for no matrices."""
     mats = np.asarray(mats, dtype=complex)
+    if not len(mats):
+        return np.zeros((0, 0))
     return np.linalg.norm(ad_images(mats, mats), axis=(1, 2)).reshape(len(mats), len(mats))
 
 

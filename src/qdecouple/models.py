@@ -24,9 +24,12 @@ as it is; the coherence functional is
 i.e. conjugation on the bra side, so for xi = (c1|01> + c2|10>) (x) |e>
 one gets y = conj(c1) * c2.
 
-bath_blocks splits a system's controls into blocks over the eigenbasis of
-the bath quadrature F_w; in bait they are block-diagonal there, and the
-`rank` command reads its per-state data off the blocks.
+bath_basis_blocks carries a stack of operators to the eigenbasis of the
+bath quadrature F_w and keeps its diagonal blocks; bath_blocks takes a
+system's controls there.  In bait they are block-diagonal there, and the
+`rank` command closes its control algebra on the blocks and reads its
+per-state data off them; hsb_generation_search runs on the blocks of the
+controls and A_SB.
 """
 
 from __future__ import annotations
@@ -256,41 +259,57 @@ def build_commutant_toy(g: complex = 0.15 + 0j, omega0: float = 1.0, n_env: int 
     return _system(space, drift, controls, h_sb, "toy_commutant", ["B1", "B2", "B3", "B4", "B5"])
 
 
-def bath_blocks(sys: ControlSystem, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray] | None:
-    """F_w's eigenbasis V and the control stack's diagonal blocks in I_q (x) V, or None.
+def bath_basis_blocks(
+    stack: np.ndarray, p: ScenarioParams, tol: float = DEFAULT_TOL
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """F_w's eigenbasis V and the diagonal blocks of a (k, n, n) stack in I_q (x) V, or None.
 
     V holds the eigenvectors (columns) of the bath quadrature F_w =
-    field_quadrature(w, n_env).  With the env factor last, I_q (x) V
-    carries each control G_k to n_env x n_env blocks of size q = n / n_env;
-    the blocks come back as a (k, n_env, q, q) array, block j the qubit
-    operator at F_w's eigenvalue j.  Bait's controls are qubit operators
-    times I or F_w, so they are block-diagonal there with traceless blocks.
-    None when the system has no params, or when some G_k has an off-block
-    part, or a block trace, above tol * ||G_k||.  The off-block part is
-    the norm of the transformed G_k with its diagonal blocks zeroed, not
+    field_quadrature(p.w, p.n_env).  With the env factor last, I_q (x) V
+    carries each G_k to n_env x n_env blocks of size q = n / n_env; the
+    diagonal blocks come back as a C-ordered (k, n_env, q, q) array, block j
+    the qubit operator at F_w's eigenvalue j.  None when some G_k has an
+    off-block part above tol * ||G_k||.  The off-block part is the norm of
+    the transformed G_k with its diagonal blocks zeroed, not
     sqrt(||G_k||^2 - ||blocks||^2): that difference cancels to about 1e-8
-    and would refuse bait at n_env 4 and 6.
+    and would refuse bait at n_env 4 and 6.  The one change to the bath
+    basis: bath_blocks takes `rank`'s controls through it, and
+    hsb_generation_search its controls and A_SB.
     """
-    if sys.params is None:
-        return None
-    n_env = sys.params.n_env
-    _, v = _eigh(field_quadrature(sys.params.w, n_env).matrix)
-    stack = sys.control_stack
+    n_env = p.n_env
+    _, v = _eigh(field_quadrature(p.w, n_env).matrix)
     k, n = stack.shape[:2]
     q = n // n_env
     # (I_q (x) V)† G (I_q (x) V): V† on the row env index, V on the column one
     h = (v.conj().T @ stack.reshape(k, q, n_env, n)).reshape(k, q, n_env, q, n_env) @ v
     h = h.transpose(0, 2, 4, 1, 3)                          # (k, row block, column block, q, q)
     diag = np.arange(n_env)
-    blocks = h[:, diag, diag]
+    blocks = np.ascontiguousarray(h[:, diag, diag])
     off = h.copy()
     off[:, diag, diag] = 0.0
-    bound = tol * np.linalg.norm(stack.reshape(k, -1), axis=1)
-    if np.any(np.linalg.norm(off.reshape(k, -1), axis=1) > bound):
-        return None
-    if np.any(np.abs(np.trace(blocks, axis1=2, axis2=3)) > bound[:, None]):
+    if np.any(np.linalg.norm(off.reshape(k, -1), axis=1) > tol * np.linalg.norm(stack.reshape(k, -1), axis=1)):
         return None
     return v, blocks
+
+
+def bath_blocks(sys: ControlSystem, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray] | None:
+    """F_w's eigenbasis V and the control stack's (k, n_env, q, q) diagonal blocks in I_q (x) V, or None.
+
+    bath_basis_blocks of the control stack.  Bait's controls are qubit
+    operators times I or F_w, so they are block-diagonal there with
+    traceless blocks.  None when the system has no params, or when some G_k
+    has an off-block part, or a block trace, above tol * ||G_k||.
+    """
+    if sys.params is None:
+        return None
+    rotated = bath_basis_blocks(sys.control_stack, sys.params, tol)
+    if rotated is None:
+        return None
+    k = len(sys.control_stack)
+    bound = tol * np.linalg.norm(sys.control_stack.reshape(k, -1), axis=1)
+    if np.any(np.abs(np.trace(rotated[1], axis1=2, axis2=3)) > bound[:, None]):
+        return None
+    return rotated
 
 
 SCENARIOS = ("single_qubit", "two_qubit", "bait", "restructured")

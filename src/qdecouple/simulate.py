@@ -43,8 +43,8 @@ from .feedback import (
     closed_loop_generator,
     synthesize,
 )
-from .models import ControlSystem
-from .spans import Coordinates, RealSpan, _serial_blas, _svd, ad_images, skew_hermitian_coordinates
+from .models import ControlSystem, bath_basis_blocks
+from .spans import Coordinates, RealSpan, _serial_blas, _svd, ad_images, row_norms, skew_hermitian_coordinates
 from .tangent import bracket_linear_fields
 
 # hsb_generation_search grows bracket words up to this length
@@ -375,14 +375,15 @@ def verify_commutator_chain(sys: ControlSystem) -> dict:
 def _keep_new_words(
     span: RealSpan, coords: Coordinates, mats: np.ndarray, names: list[str], tol: float
 ) -> tuple[np.ndarray, list[str], np.ndarray]:
-    """The words of a (B, n, n) stack, in order, that add a direction to span; one add_in_order call.
+    """The words of a (B, n, n) or (B, b, q, q) stack, in order, that add a direction to span; one add_in_order call.
 
     A word of norm below tol is skipped; the others are scaled to unit norm
-    first.  Returns the kept unit words, their labels and their codes.
+    first.  The norms are row_norms of the words' real view.  Returns the
+    kept unit words, their labels and their codes.
     """
-    norms = np.linalg.norm(mats, axis=(1, 2))
+    norms = row_norms(mats.reshape(len(mats), -1).view(float))
     live = np.flatnonzero(norms >= tol)
-    units = mats[live] * (1.0 / norms[live])[:, None, None]
+    units = mats[live] * (1.0 / norms[live]).reshape(-1, *[1] * (mats.ndim - 1))
     codes = coords.encode(units.reshape(len(units), -1))
     kept = span.add_in_order(codes)
     return units[kept], [names[live[i]] for i in kept], codes[kept]
@@ -393,19 +394,21 @@ def _bracket_words(
 ) -> tuple[list[str], np.ndarray, int | None]:
     """hsb_generation_search's phase 2: the kept bracket words, their codes and the membership depth.
 
-    Words of one length are selected together: the left-normed brackets
-    [W, H_c] of the previous length's kept words W with every control,
-    word-major, go to one RealSpan.add_in_order call in
-    skew_hermitian_coordinates (n^2 reals per word), which keeps the words
-    one add at a time would keep, in that order (the order fixes which
-    words are kept).  target_code is the unit target in those coordinates.
-    Returns the labels of every kept word, their (W, n^2) codes and the
+    controls is a (k, n, n) stack, or a block-diagonal (k, b, q, q) stack
+    held as its diagonal blocks.  Words of one length are selected
+    together: the left-normed brackets [W, H_c] of the previous length's
+    kept words W with every control, word-major, go to one
+    RealSpan.add_in_order call in skew_hermitian_coordinates (n^2, or
+    b q^2, reals per word), which keeps the words one add at a time would
+    keep, in that order (the order fixes which words are kept).
+    target_code is the unit target in those coordinates.  Returns the
+    labels of every kept word, their (W, n^2) or (W, b q^2) codes and the
     length at which the target entered their span (None when a length
     added no word or the words reached _MAX_DEPTH first).
     """
-    n = controls.shape[-1]
-    coords = skew_hermitian_coordinates(n)
-    span = RealSpan(n * n, tol=tol)
+    shape = controls.shape[1:]
+    coords = skew_hermitian_coordinates(shape[-1], math.prod(shape[:-2]))
+    span = RealSpan(math.prod(shape), tol=tol)
     frontier, names, codes = _keep_new_words(span, coords, controls, labels, tol)
     kept_names, kept_codes = list(names), [codes]
     for depth in range(2, _MAX_DEPTH + 1):
@@ -436,19 +439,30 @@ def hsb_generation_search(sys: ControlSystem, tol: float = 1e-9) -> dict:
     witness words with their coefficients, a least-squares fit of A_SB by
     the kept words in skew_hermitian_coordinates: the at most 8 largest
     above 1e-6 in magnitude, listed in the order the words were kept, so
-    coefficients equal up to roundoff do not reorder them.  The whole
-    search runs at one BLAS thread (spans module docstring).
-    Raises ValueError when the interaction generator vanishes (g = 0):
-    there is no direction to search for.
+    coefficients equal up to roundoff do not reorder them.
+
+    When the controls and A_SB are all block-diagonal in the bath basis
+    I_q (x) V (models.bath_basis_blocks: every scenario when w is a real
+    multiple of g), both phases and the fit run on their (n_env, q, q)
+    diagonal blocks: the change of basis is unitary, so it keeps every
+    bracket, norm and inner product, and a word costs n_env q^2 reals, not
+    n^2.  Otherwise (no params, or a w out of phase with g) they run on the
+    dense n x n matrices.  The whole search runs at one BLAS thread (spans module
+    docstring).  Raises ValueError when the interaction generator vanishes
+    (g = 0): there is no direction to search for.
     """
-    n = sys.space.total_dim
     controls = sys.control_stack
     labels = sys.control_labels
     k = len(controls)
     target = sys.interaction.matrix
-    tnorm = float(np.linalg.norm(target))
-    if tnorm <= sys.interaction_floor(tol):
+    if np.linalg.norm(target) <= sys.interaction_floor(tol):
         raise ValueError("the interaction generator vanishes: there is nothing to search for")
+    rotated = None
+    if sys.params is not None:
+        rotated = bath_basis_blocks(np.concatenate([controls, target[None]]), sys.params, tol)
+    if rotated is not None:
+        controls, target = rotated[1][:-1], rotated[1][-1]
+    tnorm = float(np.linalg.norm(target))
 
     pairs = ad_images(controls, controls)              # [H_a, H_b] at a k + b
     inner = [(ia, ib) for ia in range(k) for ib in range(k)
@@ -471,7 +485,8 @@ def hsb_generation_search(sys: ControlSystem, tol: float = 1e-9) -> dict:
             if resid < tol:
                 proportional.append(triple)
 
-    target_code = skew_hermitian_coordinates(n).encode(target.ravel() / tnorm)[0]
+    coords = skew_hermitian_coordinates(target.shape[-1], math.prod(target.shape[:-2]))
+    target_code = coords.encode(target.ravel() / tnorm)[0]
     names, codes, found_depth = _bracket_words(controls, labels, target_code, tol)
     result = {
         "triple_proportional_matches": proportional,

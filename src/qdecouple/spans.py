@@ -17,12 +17,14 @@ CodistributionBasis's rank and Delta*), row_rank (the rank of real rows,
 behind realified_rank and FeedbackLaw.beta_singular) and synthesize.
 
 close_real_span is the one closure routine: it closes a seed set of
-n x n matrices under ad of a (k, n, n) generator stack until the span
-stabilizes and hands back the new directions round by round, so callers
-that need the growth history (derivative chains) and callers that need
-one basis (C~, the control Lie algebra) share it.
-ad_images is the one bracket kernel behind its rounds and every other
-stacked bracket of the package.
+matrices under ad of a (k, n, n) generator stack, or of a block-diagonal
+one held as its diagonal blocks, (k, b, q, q), until the span stabilizes
+and hands back the new directions round by round, so callers that need
+the growth history (derivative chains) and callers that need one basis
+(C~, the control Lie algebra) share it.  ad_images is the one bracket
+kernel behind its rounds and every other stacked bracket of the package;
+a dense stack is the one-block case, with the bytes of one matmul pair
+per generator.
 
 The caller picks the real coordinates the span is kept in.  The default
 realifies a complex vector to [Re | Im] (2m reals for m complex entries),
@@ -30,12 +32,15 @@ which suits any complex span, C~ among them.  A closure that stays inside
 u(n) = i*Herm, the Lie closure of skew-hermitian generators, can use
 skew_hermitian_coordinates instead: n^2 reals per n x n matrix (the
 diagonal of H = -iA, then sqrt(2)*Re and sqrt(2)*Im of its upper
-triangle).  That map is an isometry onto R^(n^2), so every residual,
-every rank and the closure order are the ones the realified coordinates
-give, with rows half as long.  algebra.lie_closure, behind the `rank`
-command's control algebra, runs in them.  observation.build_c_tilde
-closes no Lie algebra: it certifies C~ = sl(n, C) from one spectrum, and
-where the certificate does not apply it runs the realified closure of C~.
+triangle), or b q^2 reals for a stack of b q x q blocks, block after
+block.  That map is an isometry onto R^(n^2), so every residual, every
+rank and the closure order are the ones the realified coordinates give,
+with rows half as long.  algebra.lie_closure, behind the `rank` command's
+control algebra, runs in them, on bait's n_env bath blocks of size 8
+(b q^2 = 64 n_env reals in place of n^2 = 64 n_env^2).
+observation.build_c_tilde closes no Lie algebra: it certifies
+C~ = sl(n, C) from one spectrum, and where the certificate does not apply
+it runs the realified closure of C~.
 
 close_real_span runs its BLAS on one thread (_serial_blas).  NumPy and
 SciPy each bundle an OpenBLAS with its own thread pool; a closure
@@ -56,7 +61,8 @@ new_direction is the one single-row test: RealSpan.add_in_order runs it
 on each survivor of a batch whose order decides what is kept, and
 feedback.build_frame on each frame candidate.  hsb_generation_search
 selects each word length's bracket words by one add_in_order call, in
-skew_hermitian_coordinates.
+skew_hermitian_coordinates, on the bath blocks where the controls and
+A_SB have them.
 """
 
 from __future__ import annotations
@@ -104,35 +110,39 @@ class Coordinates(NamedTuple):
 REALIFIED = Coordinates(realify, unrealify)
 
 
-def skew_hermitian_coordinates(n: int) -> Coordinates:
-    """Coordinates of row-major vectorized n x n skew-hermitian matrices.
+def skew_hermitian_coordinates(q: int, b: int = 1) -> Coordinates:
+    """Coordinates of row-major vectorized stacks of b skew-hermitian q x q blocks.
 
-    A = iH is encoded as the diagonal of H, then sqrt(2)*Re and sqrt(2)*Im
-    of the strict upper triangle of H (row-major), n^2 reals in all.  The
-    Euclidean norm of the code equals the Frobenius norm of A, so the map
-    is an isometry of u(n) onto R^(n^2); decoding returns exactly
-    skew-hermitian matrices.  Only the diagonal and upper triangle are
-    read, so the input must be skew-hermitian.
+    Each block A = iH is encoded as the diagonal of H, then sqrt(2)*Re and
+    sqrt(2)*Im of the strict upper triangle of H (row-major), q^2 reals,
+    and the b codes follow each other: b q^2 reals in all.  The Euclidean
+    norm of the code equals the Frobenius norm of the stack, so the map is
+    an isometry of u(q)^b onto R^(b q^2); decoding returns exactly
+    skew-hermitian blocks.  b = 1 is one dense n x n matrix (q = n).  Only
+    the diagonal and upper triangle are read, so the input must be
+    skew-hermitian.
     """
-    upper, lower = np.triu_indices(n, 1)
-    diag = np.arange(n) * (n + 1)
-    up = upper * n + lower
-    low = lower * n + upper
+    upper, lower = np.triu_indices(q, 1)
+    diag = np.arange(q) * (q + 1)
+    up = upper * q + lower
+    low = lower * q + upper
     root2 = math.sqrt(2.0)
 
     def encode(rows: np.ndarray) -> np.ndarray:
-        rows = np.atleast_2d(rows)                          # H = -iA = Im A - i Re A, read off A
-        z = rows[:, up]
-        return np.concatenate([rows[:, diag].imag, root2 * z.imag, -root2 * z.real], axis=1)
+        rows = np.atleast_2d(rows)
+        blocks = rows.reshape(len(rows), b, q * q)           # H = -iA = Im A - i Re A, read off A
+        z = blocks[:, :, up]
+        codes = np.concatenate([blocks[:, :, diag].imag, root2 * z.imag, -root2 * z.real], axis=2)
+        return codes.reshape(len(rows), b * q * q)
 
     def decode(codes: np.ndarray) -> np.ndarray:
-        codes = np.atleast_2d(codes)
-        h = np.zeros((codes.shape[0], n * n), dtype=complex)
-        h[:, diag] = codes[:, :n]
-        z = (codes[:, n:n + up.size] + 1j * codes[:, n + up.size:]) / root2
-        h[:, up] = z
-        h[:, low] = z.conj()
-        return 1j * h
+        codes = np.atleast_2d(codes).reshape(-1, b, q * q)
+        h = np.zeros(codes.shape, dtype=complex)
+        h[:, :, diag] = codes[:, :, :q]
+        z = (codes[:, :, q:q + up.size] + 1j * codes[:, :, q + up.size:]) / root2
+        h[:, :, up] = z
+        h[:, :, low] = z.conj()
+        return 1j * h.reshape(len(h), b * q * q)
 
     return Coordinates(encode, decode)
 
@@ -303,24 +313,29 @@ def _pivoted_qr_directions(a: np.ndarray, tol: float) -> np.ndarray:
 
 
 def ad_images(generators: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """[A, X] for every A of a (k, n, n) stack and every X of an (F, n, n) stack, as one (k F, n, n) stack.
+    """[A, X] for every A of a generator stack and every X of a row stack, as one (k F, ...) stack.
 
-    Generator-major: block i holds [A_i, X] for the X in order.  [X, A] is
-    the negated image up to the sign of a zero entry, which can steer a
-    later Householder reflection: for [X, A]'s bytes pass X as a generator.
+    generators is (k, n, n) and rows (F, n, n), or both block-diagonal
+    stacks held as their diagonal blocks, (k, b, q, q) and (F, b, q, q):
+    the bracket of two block-diagonal matrices is block-diagonal, block by
+    block.  Generator-major: block i holds [A_i, X] for the X in order.
+    [X, A] is the negated image up to the sign of a zero entry, which can
+    steer a later Householder reflection: for [X, A]'s bytes pass X as a
+    generator.
     """
-    f, n = rows.shape[0], rows.shape[-1]
-    out = np.empty((len(generators) * f, n, n), dtype=np.result_type(generators, rows))
-    for a, block in zip(generators, out.reshape(len(generators), f, n, n)):
+    k, f, shape = len(generators), rows.shape[0], rows.shape[1:]
+    out = np.empty((k * f, *shape), dtype=np.result_type(generators, rows))
+    for a, block in zip(generators, out.reshape(k, f, *shape)):
         np.matmul(a, rows, out=block)
         block -= rows @ a
     return out
 
 
 def unit_generators(generators: np.ndarray) -> np.ndarray:
-    """The nonzero matrices of a (k, n, n) stack, each scaled by 1/|A| (Frobenius)."""
-    n = generators.shape[-1]
-    return np.array([(1.0 / nrm) * g for g in generators if (nrm := np.linalg.norm(g)) > 0]).reshape(-1, n, n)
+    """The nonzero matrices of a (k, n, n) or (k, b, q, q) stack, each scaled by 1/|A| (Frobenius)."""
+    return np.array([(1.0 / nrm) * g for g in generators if (nrm := np.linalg.norm(g)) > 0]).reshape(
+        -1, *generators.shape[1:]
+    )
 
 
 @functools.cache
@@ -368,10 +383,12 @@ def close_real_span(
     tol: float = 1e-9,
     coords: Coordinates = REALIFIED,
 ) -> tuple[RealSpan, list[np.ndarray], int]:
-    """Close the real span of vectorized n x n seed matrices under ad of a generator stack.
+    """Close the real span of vectorized seed matrices under ad of a generator stack.
 
-    seeds is a (k, n^2) complex array of row-major matrices, generators an
-    (r, n, n) stack.  Each round brackets the newly found directions X with
+    seeds is a (k, n^2) complex array of row-major n x n matrices and
+    generators an (r, n, n) stack, or seeds is (k, b q^2) and generators a
+    block-diagonal (r, b, q, q) stack held as its diagonal blocks, each seed
+    the b row-major q x q blocks of one block-diagonal matrix.  Each round brackets the newly found directions X with
     every nonzero generator A, [A/|A|, X] by one ad_images call, and keeps
     what is new, until nothing new appears (frontier strategy, so every
     basis direction meets every generator exactly once).  The span keeps
@@ -383,7 +400,7 @@ def close_real_span(
     direction.
 
     Returns the RealSpan over the encoded vectors; batches, the (R_k, n^2)
-    complex directions accepted in each round (batches[0] from the seeds,
+    (or (R_k, b q^2)) complex directions accepted in each round (batches[0] from the seeds,
     always present; later rounds only when they added something), which
     together are orthonormal in the real sense, so np.vstack(batches) is
     the basis; and the number of frontier rounds performed.

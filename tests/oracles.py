@@ -59,6 +59,23 @@ def operators(space: qd.HilbertSpace, mats) -> list[qd.Operator]:
     return [qd.Operator(space, m) for m in mats]
 
 
+def ad_images_loop(generators: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """spans.ad_images as it was for (k, n, n) stacks only: one matmul pair per generator, generator-major."""
+    f, n = rows.shape[0], rows.shape[-1]
+    out = np.empty((len(generators) * f, n, n), dtype=np.result_type(generators, rows))
+    for a, block in zip(generators, out.reshape(len(generators), f, n, n)):
+        np.matmul(a, rows, out=block)
+        block -= rows @ a
+    return out
+
+
+def dense_skew_hermitian_codes(rows: np.ndarray, n: int) -> np.ndarray:
+    """spans.skew_hermitian_coordinates(n).encode as it was for one n x n matrix per row."""
+    upper, lower = np.triu_indices(n, 1)
+    z = rows[:, upper * n + lower]
+    return np.concatenate([rows[:, np.arange(n) * (n + 1)].imag, np.sqrt(2.0) * z.imag, -np.sqrt(2.0) * z.real], axis=1)
+
+
 def traceless_generators(generators: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     """The traceless parts of a (k, n, n) stack, less those of the multiples of the identity."""
     n = generators.shape[-1]

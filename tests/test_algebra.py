@@ -292,6 +292,28 @@ class TestLieClosure:
         basis = qd.lie_closure(self._stack(self._skew(SIGMA_Z)))
         assert len(basis) == 1
 
+    def test_each_block_of_a_block_stack_is_tested_skew(self):
+        # is_hermitian tests a (b, q, q) stack block by block, as the
+        # block-diagonal matrix; a whole-array .T would pair entries of
+        # different blocks (b = q = 2 here) and refuse this skew stack
+        skew = np.array([[-1j * SIGMA_X, -1j * SIGMA_Z], [-1j * SIGMA_Y, 2j * SIGMA_Z]])
+        assert is_hermitian(skew[0], skew=True)
+        assert len(qd.lie_closure(skew)) == 4              # su(2) on the first block, i sigma_z on the second
+        one_bad = skew.copy()
+        one_bad[1, 1] = SIGMA_Z                                         # hermitian, not skew
+        assert not is_hermitian(one_bad[1], skew=True)
+        with pytest.raises(ValueError, match="skew-hermitian"):
+            qd.lie_closure(one_bad)
+
+    def test_block_closure_comes_back_as_blocks(self):
+        blocks = np.array([[-1j * SIGMA_X, -1j * SIGMA_Y], [-1j * SIGMA_Y, -1j * SIGMA_X]])
+        basis = qd.lie_closure(blocks)
+        assert basis.shape[1:] == (2, 2, 2)
+        gram = np.einsum("ibjk,lbjk->il", basis.conj(), basis).real
+        assert np.allclose(gram, np.eye(len(basis)), rtol=0, atol=1e-12)
+        assert np.array_equal(basis, -basis.conj().swapaxes(-1, -2))
+        assert qd.lie_closure(np.zeros((2, 3, 2, 2), dtype=complex)).shape == (0, 3, 2, 2)
+
     def test_environment_power_growth(self):
         # sigma_{x,y} (x) F closures grow with the quadrature powers
         def closure_dim(n_env):

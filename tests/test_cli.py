@@ -14,7 +14,7 @@ import qdecouple.observation
 from qdecouple.algebra import lie_closure, random_state
 from qdecouple.cli import (_algebra_membership, _chain_peak_bytes, _check_peak_bytes, _physical_memory_bytes,
                            _plan_peak_bytes, _rank_peak_bytes, main)
-from qdecouple.models import ScenarioParams, build_bait
+from qdecouple.models import ScenarioParams, bath_blocks, build_bait
 from qdecouple.feedback import commutant_basis
 from qdecouple.spans import _openblas_libraries, close_real_span
 
@@ -551,20 +551,19 @@ def test_maneuver_chain_searches_at_the_configured_tol(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("params", [{"n_env": 2}, {"n_env": 3}, {"n_env": 4}, {"w": 0.05 + 0.07j}],
                          ids=["n_env2", "n_env3", "n_env4", "complex_w"])
-def test_bath_block_membership_matches_the_span_loop(monkeypatch, params):
+def test_bath_block_membership_matches_the_span_loop(params):
     # the RealSpan loop over the algebra's images is the oracle; at the
     # complex w, K_I = sigma_z (x) F_g lies outside the algebra (median 0.161)
     bait = build_bait(ScenarioParams(**params))
     algebra = lie_closure(bait.control_stack)
     assert len(algebra) == 63 * bait.params.n_env
+    bath = bath_blocks(bait, 1e-9)
     for seed in (0, 1):
         rng = np.random.default_rng(seed)
         states = np.array([random_state(bait.space, rng).amplitudes for _ in range(20)])
         k_is = states @ bait.interaction.matrix.T
-        method, ranks, residuals = _algebra_membership(bait, algebra, states, k_is, 1e-9)
-        with monkeypatch.context() as m:
-            m.setattr(qdecouple.cli, "bath_blocks", lambda *args: None)
-            loop_method, loop_ranks, loop_residuals = _algebra_membership(bait, algebra, states, k_is, 1e-9)
+        method, ranks, residuals = _algebra_membership(bath, algebra, states, k_is, 1e-9)
+        loop_method, loop_ranks, loop_residuals = _algebra_membership(None, algebra, states, k_is, 1e-9)
         assert (method, loop_method) == ("bath blocks", "closure")
         assert ranks == loop_ranks == [15 * bait.params.n_env] * 20
         assert [r < 1e-9 for r in residuals] == [r < 1e-9 for r in loop_residuals]
@@ -614,6 +613,20 @@ def test_rank_report_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
     for threads in ("1", "2"):
         subprocess.run(
             [sys.executable, "-m", "qdecouple.cli", "rank", "--scenario", "bait", "--seed", "0",
+             "--out", str(tmp_path / threads)],
+            env={**os.environ, "OPENBLAS_NUM_THREADS": threads}, capture_output=True, check=True,
+        )
+    assert (tmp_path / "1/report.json").read_bytes() == (tmp_path / "2/report.json").read_bytes()
+
+
+def test_chain_report_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # hsb_generation_search runs at one BLAS thread whatever the host
+    # default, so the chain's report.json is the same bytes at 1 and 2
+    if not _openblas_libraries():
+        pytest.skip("no openblas_set_num_threads_local in the bundled BLAS")
+    for threads in ("1", "2"):
+        subprocess.run(
+            [sys.executable, "-m", "qdecouple.cli", "maneuver", "--chain", "--seed", "0",
              "--out", str(tmp_path / threads)],
             env={**os.environ, "OPENBLAS_NUM_THREADS": threads}, capture_output=True, check=True,
         )

@@ -12,6 +12,7 @@ import pytest
 
 import qdecouple as qd
 from qdecouple.algebra import is_hermitian
+from qdecouple.models import bath_blocks
 from qdecouple.observation import close_c_tilde
 from qdecouple.spans import ad_images, close_real_span, realify
 from qdecouple.report import decouplability_table
@@ -142,6 +143,24 @@ def test_lie_closure_of_traced_generic_generators_is_all_of_u_n():
 def test_bait_control_lie_algebra_dim(bait):
     n = bait.space.total_dim
     assert len(qd.lie_closure(bait.control_stack.reshape(-1, n, n))) == 189
+
+
+@pytest.mark.parametrize("w", [0.1, 0.05 + 0.07j], ids=["w-real", "w-complex"])
+@pytest.mark.parametrize("n_env", [2, 3, 4])
+def test_bait_block_closure_has_the_dense_closure_dimension(n_env, w):
+    # I_q (x) V is unitary, so the closure of bait's (9, n_env, 8, 8) bath
+    # blocks has the dimension of the closure of its dense controls
+    bait = qd.build_bait(qd.ScenarioParams(n_env=n_env, w=w))
+    _, blocks = bath_blocks(bait)
+    basis = qd.lie_closure(blocks)
+    assert basis.shape[1:] == (n_env, 8, 8)
+    assert len(basis) == len(qd.lie_closure(bait.control_stack)) == 63 * n_env
+
+
+@pytest.mark.parametrize("n_env", range(2, 9))
+def test_bait_block_closure_is_n_env_copies_of_su8(n_env):
+    _, blocks = bath_blocks(qd.build_bait(qd.ScenarioParams(n_env=n_env)))
+    assert len(qd.lie_closure(blocks)) == 63 * n_env
 
 
 def test_control_algebra_sizes():

@@ -8,6 +8,7 @@ import qdecouple as qd
 from qdecouple.algebra import SIGMA_X, SIGMA_Y
 from qdecouple.cli import DEFAULT_CONFIG
 from qdecouple.simulate import _bracket_words, _maneuver_unitaries, bait_identity_deviation, maneuver_schedule
+from qdecouple.models import bath_basis_blocks
 from qdecouple.spans import skew_hermitian_coordinates
 
 import oracles
@@ -387,6 +388,35 @@ class TestHsbGenerationSearch:
         assert kept_index == sorted(kept_index)
         for word, c in oracle["witness"].items():
             assert witness[word] == pytest.approx(c, abs=1e-12)
+
+    @pytest.mark.parametrize("n_env", [2, 3, 4])
+    def test_block_search_keeps_the_words_of_one_add_at_a_time(self, n_env):
+        # bait's controls and A_SB are block-diagonal in the bath basis, so
+        # both phases and the witness fit run on their (n_env, 8, 8) blocks
+        bait = qd.build_bait(qd.ScenarioParams(n_env=n_env))
+        target = bait.interaction.matrix
+        _, blocks = bath_basis_blocks(np.concatenate([bait.control_stack, target[None]]), bait.params)
+        assert blocks.shape == (10, n_env, 8, 8)
+        coords = skew_hermitian_coordinates(8, n_env)
+        target_code = coords.encode(blocks[-1].ravel() / np.linalg.norm(blocks[-1]))[0]
+        names, codes, found = _bracket_words(blocks[:-1], bait.control_labels, target_code, 1e-9)
+        oracle = bracket_words_one_add_at_a_time(bait)
+        assert names == oracle["words"]
+        assert (codes.shape, found) == ((oracle["closure_dim"], 64 * n_env), oracle["membership_depth"])
+        rep = qd.hsb_generation_search(bait)
+        assert (rep["closure_dim"], rep["membership_depth"]) == (oracle["closure_dim"], oracle["membership_depth"])
+        witness = {w["word"]: w["coefficient"] for w in rep["witness_words"]}
+        assert witness.keys() == oracle["witness"].keys()
+        for word, c in oracle["witness"].items():
+            assert witness[word] == pytest.approx(c, abs=1e-12)
+
+    def test_a_target_out_of_phase_with_the_bath_basis_keeps_the_dense_search(self):
+        # at w = 0.1i the controls are block-diagonal in F_w's eigenbasis but
+        # A_SB = sigma_z (x) F_g is not, so the search runs on n x n matrices
+        bait = qd.build_scenario("bait", qd.ScenarioParams(w=0.1j))
+        assert bath_basis_blocks(bait.control_stack, bait.params) is not None
+        stack = np.concatenate([bait.control_stack, bait.interaction.matrix[None]])
+        assert bath_basis_blocks(stack, bait.params) is None
 
     def test_zero_interaction_is_refused(self):
         # without the guard the target direction is 0/0 and all 84 triples

@@ -7,7 +7,10 @@ of the survivors, singular values cut at tol * s_max): both must agree on
 the rank and on the subspace kept, for batches of known rank.
 realified_nullspace takes the thin SVD of tall stacks; it must return the
 rows a full SVD gives, on stacks of every shape.  The skew-hermitian
-coordinates must be an isometry of u(n) onto R^(n^2) with an exact inverse.
+coordinates must be an isometry of u(n) onto R^(n^2) with an exact inverse,
+and of u(q)^b onto R^(b q^2) on block stacks.  ad_images must give the loop's
+bytes on (k, n, n) stacks and the diagonal blocks of the dense brackets on
+block-diagonal (k, b, q, q) stacks.
 add_in_order must keep the rows a loop of add keeps, in order.
 close_real_span, hsb_generation_search and the per-state loop of the rank
 command must run at one BLAS thread in both bundled OpenBLAS libraries and
@@ -21,12 +24,15 @@ import json
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import qdecouple.cli
 import qdecouple.simulate
 import qdecouple.spans
-from qdecouple.spans import (RealSpan, _openblas_libraries, close_real_span, leading_rank, realified_nullspace, realify,
-                             skew_hermitian_coordinates)
+from qdecouple.spans import (RealSpan, _openblas_libraries, ad_images, close_real_span, leading_rank,
+                             realified_nullspace, realify, skew_hermitian_coordinates, unit_generators)
+
+from oracles import ad_images_loop, dense_skew_hermitian_codes
 
 TOL = 1e-9
 
@@ -283,6 +289,73 @@ def test_skew_hermitian_coordinates_are_an_isometry_with_exact_inverse(n):
     assert np.allclose(back, rows, rtol=0, atol=1e-14)
     mats = back.reshape(7, n, n)
     assert np.array_equal(mats, -mats.conj().transpose(0, 2, 1))
+
+
+def _skew_blocks(rng, k, b, q):
+    z = rng.normal(size=(k, b, q, q)) + 1j * rng.normal(size=(k, b, q, q))
+    return z - z.conj().swapaxes(-1, -2)
+
+
+@pytest.mark.parametrize("b, q", [(1, 1), (1, 4), (3, 1), (3, 4), (4, 2)])
+def test_skew_hermitian_coordinates_of_blocks_are_the_one_block_codes_in_order(b, q):
+    rng = np.random.default_rng(60 + 10 * b + q)
+    blocks = _skew_blocks(rng, 6, b, q)
+    rows = blocks.reshape(6, b * q * q)
+    codes = skew_hermitian_coordinates(q, b).encode(rows)
+    assert codes.shape == (6, b * q * q) and codes.dtype == float
+    one_block = skew_hermitian_coordinates(q).encode
+    want = np.concatenate([one_block(blocks[:, j].reshape(6, q * q)) for j in range(b)], axis=1)
+    assert codes.tobytes() == want.tobytes()
+    # an isometry of u(q)^b: the realified Gram matrix of the stacks is kept
+    assert np.allclose(codes @ codes.T, realify(rows) @ realify(rows).T, rtol=0, atol=1e-12)
+    back = skew_hermitian_coordinates(q, b).decode(codes).reshape(6, b, q, q)
+    assert np.allclose(back, blocks, rtol=0, atol=1e-14)
+    assert np.array_equal(back, -back.conj().swapaxes(-1, -2))
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 24])
+def test_skew_hermitian_coordinates_of_one_block_keep_the_dense_bytes(n):
+    rng = np.random.default_rng(70 + n)
+    rows = _skew_blocks(rng, 5, 1, n).reshape(5, n * n)
+    assert skew_hermitian_coordinates(n).encode(rows).tobytes() == dense_skew_hermitian_codes(rows, n).tobytes()
+
+
+def test_ad_images_on_dense_stacks_are_the_bytes_of_the_loop(bait):
+    rng = np.random.default_rng(80)
+    gens = rng.normal(size=(3, 6, 6)) + 1j * rng.normal(size=(3, 6, 6))
+    rows = rng.normal(size=(5, 6, 6)) + 1j * rng.normal(size=(5, 6, 6))
+    assert ad_images(gens, rows).tobytes() == ad_images_loop(gens, rows).tobytes()
+    controls = bait.control_stack
+    assert ad_images(controls, controls).tobytes() == ad_images_loop(controls, controls).tobytes()
+
+
+@pytest.mark.parametrize("b, q", [(1, 5), (3, 4), (5, 2)])
+def test_ad_images_on_blocks_are_the_diagonal_blocks_of_the_lifted_brackets(b, q):
+    # lift each block stack to its block-diagonal matrix, rotated by a
+    # random unitary U; U† [A, X] U must hold ad_images' blocks on its diagonal
+    rng = np.random.default_rng(90 + b)
+    gens, rows = _skew_blocks(rng, 3, b, q), rng.normal(size=(4, b, q, q)) + 1j * rng.normal(size=(4, b, q, q))
+    u, _ = np.linalg.qr(rng.normal(size=(b * q, b * q)) + 1j * rng.normal(size=(b * q, b * q)))
+
+    def lift(stack):
+        return np.array([u @ scipy.linalg.block_diag(*m) @ u.conj().T for m in stack])
+
+    got = ad_images(gens, rows)
+    assert got.shape == (12, b, q, q)
+    dense = u.conj().T @ ad_images(lift(gens), lift(rows)) @ u
+    want = np.array([scipy.linalg.block_diag(*m) for m in got])
+    assert np.abs(dense - want).max() <= 1e-13
+
+
+def test_unit_generators_scale_each_block_stack_and_drop_the_zero_one():
+    rng = np.random.default_rng(95)
+    gens = _skew_blocks(rng, 3, 2, 3)
+    gens[1] = 0.0
+    units = unit_generators(gens)
+    assert units.shape == (2, 2, 3, 3)
+    assert np.allclose(np.linalg.norm(units.reshape(2, -1), axis=1), 1.0, rtol=0, atol=1e-15)
+    assert np.allclose(units[1] * np.linalg.norm(gens[2]), gens[2], rtol=0, atol=1e-14)
+    assert unit_generators(np.zeros((2, 3, 2, 2))).shape == (0, 3, 2, 2)
 
 
 def test_leading_rank_empty_and_all_zero():
