@@ -3,8 +3,8 @@
 The recipe, at a state xi with r controls K_1..K_r:
 
   1. v_1 = K_I(xi); v_2.. are drawn from operators commuting with the
-     interaction generator (the commutant), evaluated at xi and greedily
-     selected for realified independence inside span(G(xi)).
+     interaction generator (the commutant), evaluated at xi and selected
+     in order for realified independence inside span(G(xi)).
   2. d expresses the frame over the control fields, v_j = sum_i d[j,i] K_i.
   3. S = d^{-1} with its first column zeroed; J is the upshift matrix
      (ones on the superdiagonal, zero last row); beta = J d, so the new
@@ -21,12 +21,13 @@ system's generator stack.  Per state, build_frame evaluates the control
 and drift fields with one matmul over that stack and the frame operators'
 fields with one more, takes the control-field rank and the K_I membership
 test through one RealSpan, whose pivoted QR leaves Q, an orthonormal basis
-of span G(xi), and selects the frame greedily by spans.new_direction, the
-one-row test, which leaves B, an orthonormal basis of the frame.  The
-frame carries Q and B, so synthesize factors nothing twice: with r
-controls it works in r x r coordinates, one LU solve for d, one SVD of d
-for its rank cut, cond(d) and S = d^-1, one LU solve for the drift split,
-and two projections for the residuals.  Its LU solves go straight to
+of span G(xi), and selects the frame by spans.kept_in_order, one in-order
+Householder QR of K_I and the candidates, which keeps the rows the
+one-at-a-time greedy test would and forms no basis of the frame.  The
+frame carries Q, so synthesize factors nothing twice: with r controls it
+works in r x r coordinates of Q, one LU solve for d, one SVD of d for its
+rank cut, cond(d) and S = d^-1, one LU solve for the drift split, and two
+projections onto span(Q) for the residuals.  Its LU solves go straight to
 dgesv and its SVD to spans._svd, each with info checked.  The frame's
 commutator diagnostics are a lookup into the plan's table.
 
@@ -40,6 +41,7 @@ outcome is returned as data (a rank report), never papered over.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -48,7 +50,7 @@ from scipy.linalg.lapack import dgesv
 
 from .algebra import DEFAULT_TOL, Operator, StateVector, _eigh, commutator, is_hermitian
 from .models import ControlSystem
-from .spans import (RealSpan, _serial_blas, _svd, ad_images, leading_rank, new_direction, realified_nullspace,
+from .spans import (RealSpan, _serial_blas, _svd, ad_images, kept_in_order, leading_rank, realified_nullspace,
                     realify, row_norms, row_rank)
 from .tangent import tangent_rows
 
@@ -90,11 +92,9 @@ class CommutingFrame:
     the order of sys.generator_stack ([K_1..K_r, K_0]), commutator_norms
     the pairwise commutator norms of the generating operators,
     control_basis Q, the orthonormal rows of the control fields' realified
-    span (the pivoted QR behind control_field_rank), and frame_basis B,
-    the orthonormal rows the greedy Gram-Schmidt kept for the frame
-    vectors, all as build_frame produced them; a frame assembled by hand
-    leaves them None and synthesize and pairwise_commutator_norms compute
-    them on demand.
+    span (the pivoted QR behind control_field_rank), all as build_frame
+    produced them; a frame assembled by hand leaves them None and
+    synthesize and pairwise_commutator_norms compute them on demand.
     """
 
     base: StateVector
@@ -104,7 +104,6 @@ class CommutingFrame:
     field_rows: np.ndarray | None = None
     commutator_norms: np.ndarray | None = None
     control_basis: np.ndarray | None = None
-    frame_basis: np.ndarray | None = None
 
     def __post_init__(self):
         self.vectors = tangent_rows(self.base, self.vectors)
@@ -276,58 +275,33 @@ def build_frame(
         "interaction_in_control_span": bool(g_span.residual(rows[0]) < tol),
         "control_commutant_dim": len(plan.frame_ops) - 1,
     }
-    basis = np.zeros((r, 2 * n))
-    vectors: list[np.ndarray] = []
-    ops: list[np.ndarray] = []                             # generating matrices
-    table_index: list[int] | None = []                     # rows of plan.commutator_norms
-
-    def try_add(val: np.ndarray, row: np.ndarray) -> bool:
-        direction = new_direction(basis[: len(vectors)], row, tol)
-        if direction is None:
-            return False
-        basis[len(vectors)] = direction
-        vectors.append(val)
-        return True
-
-    if report["interaction_in_control_span"]:
-        # K_I always enters: it cleared the interaction floor above
-        basis[0] = rows[0] / k_i_norm
-        vectors.append(vals[0])
-        ops.append(plan.frame_ops[0])
-        table_index.append(0)
-        for j in range(1, len(plan.frame_ops)):
-            if len(vectors) == r:
-                break
-            if try_add(vals[j], rows[j]):
-                ops.append(plan.frame_ops[j])
-                table_index.append(j)
-        if len(vectors) < r:
-            # general commutant combinations whose evaluations lie in
-            # span(G(xi)); the projector onto the valid combination
-            # subspace is basis-independent, keeping the candidate order
-            # as reproducible as the pointwise ranks allow
-            report["commutant_dim"] = len(plan.commutant)
-            w_vals = plan.commutant @ xi.amplitudes
-            res_w = g_span.project_out(realify(w_vals))
-            combo_basis = realified_nullspace(res_w.T, len(plan.commutant), tol=tol)
-            combos = combo_basis.T @ combo_basis               # projected e_1..e_m
-            for coeffs in combos:
-                if len(vectors) == r:
-                    break
-                if np.linalg.norm(coeffs) <= tol:
-                    continue
-                val = coeffs @ w_vals
-                if try_add(val, realify(val)):
-                    ops.append(np.tensordot(coeffs, plan.commutant, axes=1))
-                    table_index = None
+    # K_I enters first and always stays: its norm cleared the interaction floor, which is at least tol
+    kept = kept_in_order(rows, r, tol) if report["interaction_in_control_span"] else np.zeros(0, dtype=int)
+    vectors, ops = vals.take(kept, 0), plan.frame_ops.take(kept, 0)
+    norms = plan.commutator_norms.take(kept, 0).take(kept, 1)
+    if report["interaction_in_control_span"] and len(kept) < r:
+        # general commutant combinations whose evaluations lie in
+        # span(G(xi)), tested after the kept rows; the projector onto the
+        # valid combination subspace is basis-independent, keeping the
+        # candidate order as reproducible as the pointwise ranks allow
+        report["commutant_dim"] = len(plan.commutant)
+        w_vals = plan.commutant @ xi.amplitudes
+        res_w = g_span.project_out(realify(w_vals))
+        combo_basis = realified_nullspace(res_w.T, len(plan.commutant), tol=tol)
+        combos = combo_basis.T @ combo_basis                   # projected e_1..e_m
+        combos = combos[row_norms(combos) > tol]
+        combo_vals = combos @ w_vals
+        chosen = kept_in_order(np.concatenate([rows[kept], realify(combo_vals)]), r, tol)
+        prior, added = chosen[chosen < len(kept)], chosen[chosen >= len(kept)] - len(kept)
+        vectors = np.concatenate([vectors[prior], combo_vals[added]])
+        ops = np.concatenate([ops[prior], np.tensordot(combos[added], plan.commutant, axes=1)])
+        norms = None                                           # a full frame here holds a combination
     report["frame_rank"] = len(vectors)
     report["missing_codim"] = r - len(vectors)
     if len(vectors) < r:
         return FrameResult(False, None, report)
-    norms = None if table_index is None else plan.commutator_norms.take(table_index, 0).take(table_index, 1)
     frame = CommutingFrame(
-        xi, vectors, np.array(ops), details=dict(report), field_rows=fields, commutator_norms=norms,
-        control_basis=g_span.q, frame_basis=basis,
+        xi, vectors, ops, details=dict(report), field_rows=fields, commutator_norms=norms, control_basis=g_span.q,
     )
     frame.details["max_pairwise_commutator"] = float(frame.pairwise_commutator_norms().max(initial=0.0))
     return FrameResult(True, frame, report)
@@ -341,12 +315,15 @@ def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
+@functools.cache
 def _upshift(r: int, mode: str) -> np.ndarray:
+    """J for r controls in a synthesis mode, built once and read-only: every law of that shape shares it."""
     if mode not in SYNTHESIS_MODES:
         raise ValueError(f"unknown synthesis mode {mode!r}")
     j = np.eye(r, k=1)
     if mode == "regularized":
         j[r - 1, 0] = 1.0
+    j.flags.writeable = False
     return j
 
 
@@ -360,19 +337,19 @@ def synthesize(
 
     Expresses the frame over the controls, v_j = sum_i d[j,i] K_i, forms
     beta = J d and cancels the drift's v_2..v_r components to get
-    alpha = alpha~ beta.  Everything is r x r algebra in the frame's bases
-    (rows, realified): with Q the orthonormal basis of span(K) and B that
-    of span(v),
+    alpha = alpha~ beta.  Everything is r x r algebra in the coordinates of
+    Q, the orthonormal basis of span(K) (rows, realified), through
+    v_q = V Q^T:
       - the frame's residual outside span(Q) beyond tol means the controls
         do not express the frame;
-      - fewer than r rows of Q, or an SVD of d = (V Q^T)(K Q^T)^-1 cut
-        below r at tol, means d is singular; the SVD also gives cond(d)
-        and S = d^-1 (first column zeroed);
-      - the drift's coordinates c over v solve (V B^T)^T c = B K_0, and
-        its residual outside span(B) is drift_outside_frame.
+      - fewer than r rows of Q, or an SVD of d = v_q (K Q^T)^-1 cut below
+        r at tol, means d is singular; the SVD also gives cond(d) and
+        S = d^-1 (first column zeroed);
+      - past those checks v_q is invertible, so span(V) = span(Q): the
+        drift's coordinates c over v solve v_q^T c = Q K_0, and its
+        residual outside span(Q) is drift_outside_frame.
     These are the least-squares solutions of V = d K and V^T c = K_0.  A
-    frame built by hand gets Q from a RealSpan at tol and B from a QR of
-    its vectors.
+    frame built by hand gets Q from a RealSpan at tol.
     """
     xi = frame.base
     r = sys.n_controls
@@ -409,16 +386,11 @@ def synthesize(
     j_matrix = _upshift(r, mode)
     beta = j_matrix @ d
 
-    b = frame.frame_basis
-    if b is None:
-        b = np.linalg.qr(v_rows.T)[0].T
-    k0_b = b @ k0
-    c_coeffs = _solve((v_rows @ b.T).T, k0_b[:, None])[:, 0]                      # (V B^T)^T c = B K_0
-    drift_out = k0 - k0_b @ b
+    k0_q = q @ k0
+    c_coeffs = _solve(v_q.T, k0_q[:, None])[:, 0]                                 # (V Q^T)^T c = Q K_0
+    drift_out = k0 - k0_q @ q
     drift_residual = math.sqrt(np.dot(drift_out, drift_out))                      # np.linalg.norm's formula
-    alpha_tilde = np.zeros(r)
-    alpha_tilde[: r - 1] = -c_coeffs[1:]
-    alpha = alpha_tilde @ beta
+    alpha = -c_coeffs[1:] @ beta[:-1]                                             # alpha~ = (-c_2..-c_r, 0)
 
     return FeedbackLaw(
         base=xi,

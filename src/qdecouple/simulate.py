@@ -169,26 +169,22 @@ def propagate_closed_loop(
             gen = sys.generator(v, include_interaction=include_interaction and mode == "open_loop")
             step = unitary_stepper(gen.matrix)
         for _ in range(n_steps):
-            row: dict = {"step": k, "t": t, "action": mode}
+            if collect_audit:
+                audit.append({"step": k, "t": t, "action": mode})
             if feedback:
                 state = StateVector(sys.space, xi / nrm)
                 result: FrameResult = build_frame(sys, state, plan=plan)
                 if result.ok:
                     law = synthesize(sys, result.frame, mode=mode, tol=plan.tol)
-                    row.update(
-                        {
-                            "frame_rank": result.report["frame_rank"],
-                            "cond_d": law.details["cond_d"],
-                            "action": "synthesized",
-                        }
-                    )
                     gen = closed_loop_generator(sys, law, v, include_interaction)
                     if collect_audit:
-                        row.update(law.audit_fields())
+                        audit[-1].update(action="synthesized", frame_rank=result.report["frame_rank"],
+                                         cond_d=law.details["cond_d"], **law.audit_fields())
                 else:
-                    row.update({"rank_report": result.report, "action": f"deficient:{policy}"})
                     if policy == "abort":
                         raise RankDeficiencyError({**result.report, "step": k, "t": t, "scenario": sys.scenario})
+                    if collect_audit:
+                        audit[-1].update(action=f"deficient:{policy}", rank_report=result.report)
                     gen = sys.generator(v, include_interaction=include_interaction)
                 step = unitary_stepper(gen.matrix)
             xi = step(xi, h)
@@ -200,8 +196,6 @@ def propagate_closed_loop(
             times.append(t)
             ys.append(complex(np.vdot(xi, c_mat @ xi)))
             drifts.append(drift)
-            if collect_audit:
-                audit.append(row)
             k += 1
     return Trace(
         times=np.array(times),

@@ -58,11 +58,14 @@ and the closed loop's per-step add_batch and eigh (7.6 us per scope) stay
 unscoped.
 
 new_direction is the one single-row test: RealSpan.add_in_order runs it
-on each survivor of a batch whose order decides what is kept, and
-feedback.build_frame on each frame candidate.  hsb_generation_search
-selects each word length's bracket words by one add_in_order call, in
-skew_hermitian_coordinates, on the bath blocks where the controls and
-A_SB have them.
+on each survivor of a batch whose order decides what is kept.
+hsb_generation_search selects each word length's bracket words by one
+add_in_order call, in skew_hermitian_coordinates, on the bath blocks where
+the controls and A_SB have them; those batches reject most of their rows.
+feedback.build_frame keeps the same rows of K_I and its few frame
+candidates, which it rarely rejects, by kept_in_order: one in-order
+Householder QR (dgeqrf), factored again only after a rejection, which
+forms no basis.
 """
 
 from __future__ import annotations
@@ -76,7 +79,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 import scipy
-from scipy.linalg.lapack import dgeqp3, dgesdd, dgesdd_lwork, dorgqr
+from scipy.linalg.lapack import dgeqp3, dgeqrf, dgesdd, dgesdd_lwork, dorgqr
 
 # LAPACK block size behind the explicit workspaces of dgeqp3 and dorgqr
 _QR_BLOCK = 64
@@ -246,8 +249,8 @@ class RealSpan:
         """
         rows = np.atleast_2d(np.asarray(rows, dtype=float))
         norms = row_norms(rows)
-        index = np.flatnonzero(norms > floor)
-        res, norms = rows[index], norms[index]
+        index = (norms > floor).nonzero()[0]
+        res, norms = rows.take(index, 0), norms.take(index)
         if self.rank:
             for _ in range(2):
                 res -= (res @ self.q.T) @ self.q
@@ -277,6 +280,29 @@ def new_direction(basis: np.ndarray, row: np.ndarray, tol: float, norm: float | 
     return row / size
 
 
+def kept_in_order(rows: np.ndarray, limit: int, tol: float) -> np.ndarray:
+    """Indices of the first (at most limit) rows that new_direction, one row at a time, would keep.
+
+    A row is rejected when its norm is at or below tol, or when |R_jj| of
+    an in-order Householder QR (LAPACK dgeqrf) of the rows is at or below
+    tol times its norm.  The first row rejected among the first limit is
+    dropped and the rest are factored again, so every kept row was tested
+    against kept rows only.  Only the indices are formed, no basis.
+    """
+    norms = row_norms(rows)
+    index = (norms > tol).nonzero()[0]
+    while index.size:
+        qr, _, _, info = dgeqrf(rows.take(index, 0).T, overwrite_a=True)
+        if info:
+            raise np.linalg.LinAlgError(f"dgeqrf failed (info={info})")
+        head = index[:min(limit, *qr.shape)]
+        small = np.abs(qr.diagonal()[:head.size]) <= tol * norms.take(head)
+        if not small.any():
+            return head
+        index = np.delete(index, small.argmax())
+    return index
+
+
 def leading_rank(magnitudes: np.ndarray, tol: float, floor: float = 0.0) -> int:
     """Index of the first magnitude <= tol * max(first, floor), else their count.
 
@@ -289,7 +315,8 @@ def leading_rank(magnitudes: np.ndarray, tol: float, floor: float = 0.0) -> int:
     if magnitudes.size == 0:
         return 0
     small = magnitudes <= tol * max(magnitudes[0], floor)
-    return int(small.argmax()) if small.any() else magnitudes.size
+    first = int(small.argmax())                            # 0 when none is small
+    return first if small[first] else magnitudes.size
 
 
 def _pivoted_qr_directions(a: np.ndarray, tol: float) -> np.ndarray:

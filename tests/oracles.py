@@ -7,7 +7,7 @@ import numpy as np
 import qdecouple as qd
 from qdecouple.observation import OperatorSpan, Verdict
 from qdecouple.simulate import _MAX_DEPTH
-from qdecouple.spans import RealSpan, ad_images, close_real_span, realify, unrealify
+from qdecouple.spans import RealSpan, ad_images, close_real_span, new_direction, realified_nullspace, realify, unrealify
 from qdecouple.tangent import CodistributionBasis, covector_of
 
 
@@ -373,3 +373,45 @@ def bracket_words_one_add_at_a_time(sys_: qd.ControlSystem, tol: float = 1e-9) -
         "membership_depth": found_depth,
         "witness": witness,
     }
+
+
+def frame_one_row_at_a_time(sys_: qd.ControlSystem, xi: qd.StateVector, plan) -> dict:
+    """The commuting frame's selection by one new_direction test per candidate, against the directions kept so far.
+
+    The reference for build_frame's in-order QR: when K_I lies in
+    span(G(xi)) it enters first, then the plan's control-commutant
+    candidates are tested in order until r are kept, then the general
+    commutant combinations projected into span(G(xi)) (those of norm above
+    tol).  Returns {"ops" (the kept operators, a (k, n, n) stack),
+    "frame_rank", "missing_codim"}.
+    """
+    n, r, tol = sys_.space.total_dim, sys_.n_controls, plan.tol
+    amps = xi.amplitudes
+    g_span = RealSpan(2 * n, tol=tol)
+    g_span.add_batch(realify(sys_.control_stack @ amps))
+    k_i = realify(plan.frame_ops[0] @ amps)
+    basis, ops = [], []
+
+    def try_add(op, val):
+        direction = new_direction(np.array(basis).reshape(-1, 2 * n), realify(val), tol)
+        if direction is not None:
+            basis.append(direction)
+            ops.append(op)
+
+    if g_span.residual(k_i) < tol:
+        basis.append(k_i / np.linalg.norm(k_i))
+        ops.append(plan.frame_ops[0])
+        for op in plan.frame_ops[1:]:
+            if len(ops) == r:
+                break
+            try_add(op, op @ amps)
+        if len(ops) < r:
+            w = plan.commutant @ amps
+            combo_basis = realified_nullspace(g_span.project_out(realify(w)).T, len(plan.commutant), tol=tol)
+            for coeffs in combo_basis.T @ combo_basis:
+                if len(ops) == r:
+                    break
+                if np.linalg.norm(coeffs) > tol:
+                    try_add(np.tensordot(coeffs, plan.commutant, axes=1), coeffs @ w)
+    return {"ops": np.array(ops, dtype=complex).reshape(-1, n, n), "frame_rank": len(ops),
+            "missing_codim": r - len(ops)}

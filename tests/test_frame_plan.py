@@ -6,8 +6,10 @@ candidate, the commutant built per call, and the law by two least-squares
 solves (d from V = d K, the drift split from V^T c = K_0), an explicit
 inverse and a separate cond(d).  The plan must agree with it on the ranks
 and, to 1e-12, on d, alpha, beta, S and cond(d): at seeded states, at every
-state of a closed loop, and for frames built by hand, whose bases
-synthesize computes on demand.
+state of a closed loop, and for frames built by hand, whose control basis
+synthesize computes on demand.  The frame's selection must keep the
+operators that oracles.frame_one_row_at_a_time, one new_direction test per
+candidate, keeps.
 """
 
 import json
@@ -22,7 +24,7 @@ from qdecouple.algebra import SIGMA_X, SIGMA_Y, embed_product
 from qdecouple.cli import main as cli_main
 from qdecouple.feedback import FramePlan, commutator_norm_table, control_commutant_combos
 from qdecouple.spans import RealSpan, realified_nullspace, realify
-from oracles import operators
+from oracles import frame_one_row_at_a_time, operators
 
 TOL = 1e-9
 
@@ -81,7 +83,8 @@ def reference_law(sys_, xi, vectors):
     c = np.linalg.lstsq(v_rows.T, k0, rcond=None)[0]
     alpha_tilde = np.zeros(r)
     alpha_tilde[: r - 1] = -c[1:]
-    return {"d": d, "alpha": alpha_tilde @ beta, "beta": beta, "S": s_matrix, "cond_d": np.linalg.cond(d)}
+    return {"d": d, "alpha": alpha_tilde @ beta, "beta": beta, "S": s_matrix, "cond_d": np.linalg.cond(d),
+            "c1": c[0], "drift_outside_frame": np.linalg.norm(k0 - v_rows.T @ c)}
 
 
 def mixed_toy():
@@ -113,11 +116,50 @@ def assert_matches_reference(sys_, plan, xi):
     return res
 
 
-def assert_law_matches(law, ref_law):
-    got = {"d": law.d_matrix, "alpha": law.alpha, "beta": law.beta, "S": law.s_matrix,
-           "cond_d": law.details["cond_d"]}
-    for key, want in ref_law.items():
-        np.testing.assert_allclose(got[key], want, rtol=1e-12, atol=1e-12, err_msg=key)
+LAW_KEYS = ("d", "alpha", "beta", "S", "cond_d")
+
+
+def assert_law_matches(law, ref_law, keys=LAW_KEYS):
+    got = {"d": law.d_matrix, "alpha": law.alpha, "beta": law.beta, "S": law.s_matrix, **law.details}
+    for key in keys:
+        np.testing.assert_allclose(got[key], ref_law[key], rtol=1e-12, atol=1e-12, err_msg=key)
+
+
+def assert_frame_matches_one_row_loop(sys_, plan, xi):
+    # the kept operators (bit for bit where they are plan rows), frame_rank and missing_codim
+    res = qd.build_frame(sys_, xi, plan=plan)
+    want = frame_one_row_at_a_time(sys_, xi, plan)
+    assert (res.report["frame_rank"], res.report["missing_codim"]) == (want["frame_rank"], want["missing_codim"])
+    assert res.ok == (want["frame_rank"] == sys_.n_controls)
+    if res.ok and "commutant_dim" in res.report:
+        np.testing.assert_allclose(res.frame.generating_ops, want["ops"], rtol=0, atol=1e-12)
+    elif res.ok:
+        assert res.frame.generating_ops.tobytes() == want["ops"].tobytes()
+    return res
+
+
+@pytest.fixture(scope="module")
+def toy_trajectory(commutant_toy):
+    """The plan, the 2 x 100 states build_frame meets and the audit rows of a literal decoupling_pair run of the toy."""
+    real_build_frame = simulate.build_frame
+    plans, states = [], []
+
+    def recording_build_frame(sys_, xi, plan=None):
+        plans.append(plan)
+        states.append(xi)
+        return real_build_frame(sys_, xi, plan=plan)
+
+    xi0 = qd.random_state(commutant_toy.space, np.random.default_rng(11))
+    sched = qd.PulseSchedule(
+        [(0.5, np.array([0.0, 1.0, 0.4, 0.0, 0.2])), (0.5, np.array([0.0, -0.5, 0.2, 0.3, 0.0]))]
+    )
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulate, "build_frame", recording_build_frame)
+        trace_g, trace_0, _ = qd.decoupling_pair(commutant_toy, sched, xi0, dt=0.01, mode="literal",
+                                                 collect_audit=True)
+    rows = trace_g.audit + trace_0.audit
+    assert len(rows) == len(states) == 200 and all(p is plans[0] for p in plans)
+    return plans[0], states, rows
 
 
 def toy_subsystem(toy, controls, labels):
@@ -200,23 +242,8 @@ def test_commutant_fallback_matches_reference():
         assert 2 < res.report["frame_rank"] < 6 and not res.ok
 
 
-def test_every_audit_row_of_a_closed_loop_matches_reference(commutant_toy, monkeypatch):
-    real_build_frame = simulate.build_frame
-    states = []
-
-    def recording_build_frame(sys_, xi, plan=None):
-        states.append(xi)
-        return real_build_frame(sys_, xi, plan=plan)
-
-    monkeypatch.setattr(simulate, "build_frame", recording_build_frame)
-    xi0 = qd.random_state(commutant_toy.space, np.random.default_rng(31))
-    sched = qd.PulseSchedule(
-        [(0.25, np.array([0.0, 1.0, 0.4, 0.0, 0.2])), (0.25, np.array([0.0, -0.5, 0.2, 0.3, 0.0]))]
-    )
-    trace_g, trace_0, _ = qd.decoupling_pair(commutant_toy, sched, xi0, dt=0.01, mode="literal",
-                                             collect_audit=True)
-    rows = trace_g.audit + trace_0.audit
-    assert len(rows) == len(states) == 100
+def test_every_audit_row_of_a_closed_loop_matches_reference(commutant_toy, toy_trajectory):
+    _, states, rows = toy_trajectory
     for row, xi in zip(rows, states):
         ref_report, ref_law = reference_frame_and_law(commutant_toy, xi)
         assert row["action"] == "synthesized" and row["frame_rank"] == ref_report["frame_rank"]
@@ -226,20 +253,58 @@ def test_every_audit_row_of_a_closed_loop_matches_reference(commutant_toy, monke
         assert_law_matches(law, ref_law)
 
 
-def test_hand_built_frames_match_reference(commutant_toy):
-    # no field rows and no bases: synthesize computes them on demand
-    plan = FramePlan.build(commutant_toy)
-    rng = np.random.default_rng(41)
-    for _ in range(5):
-        xi = qd.random_state(commutant_toy.space, rng)
+def test_hand_built_frames_match_reference(commutant_toy, toy_trajectory):
+    # at every state of the closed loop, the frame as build_frame carries it
+    # (field rows and Q) and the same vectors by hand (no field rows and no
+    # basis: synthesize computes them on demand) give the least-squares law,
+    # its c1 and its drift residual outside span(V)
+    plan, states, _ = toy_trajectory
+    for xi in states:
         built = qd.build_frame(commutant_toy, xi, plan=plan).frame
         by_hand = qd.CommutingFrame(xi, built.vectors, built.generating_ops)
-        assert by_hand.control_basis is None and by_hand.frame_basis is None
-        law = qd.synthesize(commutant_toy, by_hand)
-        assert_law_matches(law, reference_law(commutant_toy, xi, built.vectors))
-        carried = qd.synthesize(commutant_toy, built)
-        for key in ("drift_outside_frame", "c1"):
-            np.testing.assert_allclose(law.details[key], carried.details[key], rtol=1e-12, atol=1e-12)
+        assert by_hand.control_basis is None
+        ref = reference_law(commutant_toy, xi, built.vectors)
+        for frame in (built, by_hand):
+            assert_law_matches(qd.synthesize(commutant_toy, frame), ref, keys=(*LAW_KEYS, "c1", "drift_outside_frame"))
+
+
+def test_frame_selection_matches_the_one_row_loop_along_a_closed_loop(commutant_toy, toy_trajectory):
+    plan, states, _ = toy_trajectory
+    for xi in states:
+        assert assert_frame_matches_one_row_loop(commutant_toy, plan, xi).ok
+
+
+@pytest.mark.parametrize("name", ["single_qubit", "two_qubit", "bait", "restructured", "mixed_toy"])
+def test_frame_selection_matches_the_one_row_loop_at_seeded_states(name, params):
+    sys_ = mixed_toy() if name == "mixed_toy" else qd.build_scenario(name, params)
+    plan = FramePlan.build(sys_)
+    rng = np.random.default_rng(51)
+    for _ in range(10):
+        assert_frame_matches_one_row_loop(sys_, plan, qd.random_state(sys_.space, rng))
+
+
+def test_frame_selection_drops_a_rejected_candidate_and_factors_again(commutant_toy):
+    # a duplicated candidate and a candidate along K_I are rejected among the
+    # first r rows, so the rest are factored again and the frame keeps the
+    # plain plan's operators; with two candidates only, the commutant
+    # combinations complete the frame after the kept rows
+    plan = FramePlan.build(commutant_toy)
+    a_i, combos = plan.frame_ops[:1], plan.frame_ops[1:]
+    plans = {}
+    for label, ops in (("duplicate", np.concatenate([a_i, combos[:2], combos[1:2], combos[2:]])),
+                       ("along K_I", np.concatenate([a_i, 2.0 * a_i, combos])), ("short", plan.frame_ops[:3])):
+        plans[label] = FramePlan(commutant_toy, plan.tol, ops, plan.commutant, commutator_norm_table(ops),
+                                 plan.interaction_floor)
+    rng = np.random.default_rng(52)
+    for _ in range(5):
+        xi = qd.random_state(commutant_toy.space, rng)
+        plain = qd.build_frame(commutant_toy, xi, plan=plan).frame
+        for label, odd in plans.items():
+            res = assert_frame_matches_one_row_loop(commutant_toy, odd, xi)
+            assert res.ok, label
+            assert ("commutant_dim" in res.report) == (label == "short"), label
+            if label != "short":
+                assert res.frame.generating_ops.tobytes() == plain.generating_ops.tobytes(), label
 
 
 def test_hand_built_frame_of_a_two_control_subsystem_matches_reference(commutant_toy):

@@ -114,20 +114,19 @@ def test_every_svd_goes_through_the_spans_driver():
 
 # exponentials come from algebra._eigh (unitary_stepper, unitary_exponential),
 # least squares and ranks from spans._svd, fits in closed form
-_BYPASSES = {"lstsq", "pinv", "matrix_rank", "polyfit", "expm"}
+_BYPASSES = {"lstsq", "pinv", "matrix_rank", "polyfit", "expm", "qr"}
 
 
 def test_no_library_routine_bypasses_the_package_kernels():
-    """src/ names none of lstsq, pinv, matrix_rank, polyfit or expm, called or imported.
+    """src/ names none of lstsq, pinv, matrix_rank, polyfit, expm or qr, called or imported.
 
-    The library factorizations that stay, each for a job no kernel of the
-    package does: np.linalg.norm(., 2) in observation._spectral_margins
+    QR factorizations go straight to LAPACK (dgeqp3 and dgeqrf in spans).
+    The two library factorizations that stay, each for a job no kernel of
+    the package does: np.linalg.norm(., 2) in observation._spectral_margins
     (the spectral norm of a complex matrix, which the real-only spans._svd
-    does not take, and a Frobenius bound would loosen the certificate),
+    does not take, and a Frobenius bound would loosen the certificate), and
     scipy.linalg.logm in simulate.effective_direction_overlap (the
-    maneuver's generator), and np.linalg.qr in feedback.synthesize's
-    hand-frame fallback (orthonormalizing a hand-built frame; only tests
-    reach it).
+    maneuver's generator).
     """
     found = []
     for module, tree in _modules().items():
