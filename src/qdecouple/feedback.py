@@ -41,7 +41,6 @@ outcome is returned as data (a rank report), never papered over.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -315,15 +314,12 @@ def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
-@functools.cache
 def _upshift(r: int, mode: str) -> np.ndarray:
-    """J for r controls in a synthesis mode, built once and read-only: every law of that shape shares it."""
     if mode not in SYNTHESIS_MODES:
         raise ValueError(f"unknown synthesis mode {mode!r}")
     j = np.eye(r, k=1)
     if mode == "regularized":
         j[r - 1, 0] = 1.0
-    j.flags.writeable = False
     return j
 
 
@@ -345,11 +341,15 @@ def synthesize(
       - fewer than r rows of Q, or an SVD of d = v_q (K Q^T)^-1 cut below
         r at tol, means d is singular; the SVD also gives cond(d) and
         S = d^-1 (first column zeroed);
-      - past those checks v_q is invertible, so span(V) = span(Q): the
+      - past those checks v_q is invertible and V lies within the express
+        check's tol of span(Q), so span(V) = span(Q) to O(tol): the
         drift's coordinates c over v solve v_q^T c = Q K_0, and its
         residual outside span(Q) is drift_outside_frame.
-    These are the least-squares solutions of V = d K and V^T c = K_0.  A
-    frame built by hand gets Q from a RealSpan at tol.
+    d is the least-squares solution of V = d K; c and drift_outside_frame
+    agree with the least-squares split V^T c = K_0 to O(tol) times |K_0|
+    (to roundoff when V lies in span(Q) to roundoff, as the control-
+    commutant frames do).  A frame built by hand gets Q from a RealSpan at
+    tol.
     """
     xi = frame.base
     r = sys.n_controls

@@ -7,9 +7,11 @@ solves (d from V = d K, the drift split from V^T c = K_0), an explicit
 inverse and a separate cond(d).  The plan must agree with it on the ranks
 and, to 1e-12, on d, alpha, beta, S and cond(d): at seeded states, at every
 state of a closed loop, and for frames built by hand, whose control basis
-synthesize computes on demand.  The frame's selection must keep the
-operators that oracles.frame_one_row_at_a_time, one new_direction test per
-candidate, keeps.
+synthesize computes on demand.  Its drift residual outside span(Q) must
+stay within the express check's tol of the least-squares one outside
+span(V).  The frame's selection must keep the operators that
+oracles.frame_one_row_at_a_time, one new_direction test per candidate,
+keeps.
 """
 
 import json
@@ -23,7 +25,7 @@ import qdecouple.simulate as simulate
 from qdecouple.algebra import SIGMA_X, SIGMA_Y, embed_product
 from qdecouple.cli import main as cli_main
 from qdecouple.feedback import FramePlan, commutator_norm_table, control_commutant_combos
-from qdecouple.spans import RealSpan, realified_nullspace, realify
+from qdecouple.spans import RealSpan, realified_nullspace, realify, row_norms
 from oracles import frame_one_row_at_a_time, operators
 
 TOL = 1e-9
@@ -139,27 +141,34 @@ def assert_frame_matches_one_row_loop(sys_, plan, xi):
 
 
 @pytest.fixture(scope="module")
-def toy_trajectory(commutant_toy):
-    """The plan, the 2 x 100 states build_frame meets and the audit rows of a literal decoupling_pair run of the toy."""
+def toy_trajectories(commutant_toy):
+    """Per seed, the plan, the states build_frame meets and the audit rows of a literal decoupling_pair run of the toy.
+
+    Seed 11 runs 2 x 100 steps (two 0.5 segments per trace), seed 31 2 x 50
+    (two 0.25 segments).
+    """
     real_build_frame = simulate.build_frame
-    plans, states = [], []
+    runs = {}
+    for seed, segment in ((11, 0.5), (31, 0.25)):
+        plans, states = [], []
 
-    def recording_build_frame(sys_, xi, plan=None):
-        plans.append(plan)
-        states.append(xi)
-        return real_build_frame(sys_, xi, plan=plan)
+        def recording_build_frame(sys_, xi, plan=None):
+            plans.append(plan)
+            states.append(xi)
+            return real_build_frame(sys_, xi, plan=plan)
 
-    xi0 = qd.random_state(commutant_toy.space, np.random.default_rng(11))
-    sched = qd.PulseSchedule(
-        [(0.5, np.array([0.0, 1.0, 0.4, 0.0, 0.2])), (0.5, np.array([0.0, -0.5, 0.2, 0.3, 0.0]))]
-    )
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(simulate, "build_frame", recording_build_frame)
-        trace_g, trace_0, _ = qd.decoupling_pair(commutant_toy, sched, xi0, dt=0.01, mode="literal",
-                                                 collect_audit=True)
-    rows = trace_g.audit + trace_0.audit
-    assert len(rows) == len(states) == 200 and all(p is plans[0] for p in plans)
-    return plans[0], states, rows
+        xi0 = qd.random_state(commutant_toy.space, np.random.default_rng(seed))
+        sched = qd.PulseSchedule(
+            [(segment, np.array([0.0, 1.0, 0.4, 0.0, 0.2])), (segment, np.array([0.0, -0.5, 0.2, 0.3, 0.0]))]
+        )
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(simulate, "build_frame", recording_build_frame)
+            trace_g, trace_0, _ = qd.decoupling_pair(commutant_toy, sched, xi0, dt=0.01, mode="literal",
+                                                     collect_audit=True)
+        rows = trace_g.audit + trace_0.audit
+        assert len(rows) == len(states) == round(400 * segment) and all(p is plans[0] for p in plans)
+        runs[seed] = (plans[0], states, rows)
+    return runs
 
 
 def toy_subsystem(toy, controls, labels):
@@ -242,24 +251,27 @@ def test_commutant_fallback_matches_reference():
         assert 2 < res.report["frame_rank"] < 6 and not res.ok
 
 
-def test_every_audit_row_of_a_closed_loop_matches_reference(commutant_toy, toy_trajectory):
-    _, states, rows = toy_trajectory
-    for row, xi in zip(rows, states):
-        ref_report, ref_law = reference_frame_and_law(commutant_toy, xi)
-        assert row["action"] == "synthesized" and row["frame_rank"] == ref_report["frame_rank"]
-        law = SimpleNamespace(d_matrix=np.array(row["d"]), alpha=np.array(row["alpha"]),
-                              beta=np.array(row["beta"]), s_matrix=np.array(row["S"]),
-                              details={"cond_d": row["cond_d"]})
-        assert_law_matches(law, ref_law)
+def test_every_audit_row_of_a_closed_loop_matches_reference(commutant_toy, toy_trajectories):
+    for _, states, rows in toy_trajectories.values():
+        for row, xi in zip(rows, states):
+            ref_report, ref_law = reference_frame_and_law(commutant_toy, xi)
+            assert row["action"] == "synthesized" and row["frame_rank"] == ref_report["frame_rank"]
+            law = SimpleNamespace(d_matrix=np.array(row["d"]), alpha=np.array(row["alpha"]),
+                                  beta=np.array(row["beta"]), s_matrix=np.array(row["S"]),
+                                  details={"cond_d": row["cond_d"]})
+            assert_law_matches(law, ref_law)
 
 
-def test_hand_built_frames_match_reference(commutant_toy, toy_trajectory):
-    # at every state of the closed loop, the frame as build_frame carries it
-    # (field rows and Q) and the same vectors by hand (no field rows and no
-    # basis: synthesize computes them on demand) give the least-squares law,
-    # its c1 and its drift residual outside span(V)
-    plan, states, _ = toy_trajectory
-    for xi in states:
+def test_hand_built_frames_match_reference(commutant_toy, toy_trajectories):
+    # at every state of both closed loops and at five seeded states, the
+    # frame as build_frame carries it (field rows and Q) and the same
+    # vectors by hand (no field rows and no basis: synthesize computes them
+    # on demand) give the least-squares law, its c1 and its drift residual
+    # outside span(V); the toy's frames lie in span(Q) to roundoff
+    plan = toy_trajectories[11][0]
+    rng = np.random.default_rng(41)
+    seeded = [qd.random_state(commutant_toy.space, rng) for _ in range(5)]
+    for xi in [*seeded, *(xi for _, states, _ in toy_trajectories.values() for xi in states)]:
         built = qd.build_frame(commutant_toy, xi, plan=plan).frame
         by_hand = qd.CommutingFrame(xi, built.vectors, built.generating_ops)
         assert by_hand.control_basis is None
@@ -268,10 +280,56 @@ def test_hand_built_frames_match_reference(commutant_toy, toy_trajectory):
             assert_law_matches(qd.synthesize(commutant_toy, frame), ref, keys=(*LAW_KEYS, "c1", "drift_outside_frame"))
 
 
-def test_frame_selection_matches_the_one_row_loop_along_a_closed_loop(commutant_toy, toy_trajectory):
-    plan, states, _ = toy_trajectory
-    for xi in states:
-        assert assert_frame_matches_one_row_loop(commutant_toy, plan, xi).ok
+def test_drift_split_agrees_with_least_squares_to_the_express_tol(commutant_toy):
+    # drift_outside_frame is measured against span(Q), the least-squares
+    # split against span(V).  Where a frame row lies up to tol outside
+    # span(Q) (K_I below the membership tol, a row at the express check's
+    # bound) the two differ, by at most tol * sum_j |c_j| max(|v_j|, 1);
+    # where the commutant combinations complete the frame they agree to
+    # roundoff.  The toy's drift lies in span(Q), so c moves only at second
+    # order and d, alpha, beta, S, cond(d) and c1 keep 1e-12 throughout.
+    plan = FramePlan.build(commutant_toy)
+    n = commutant_toy.space.total_dim
+    rng = np.random.default_rng(53)
+    x = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    x -= x.conj().T
+    short = FramePlan(commutant_toy, plan.tol, plan.frame_ops[:3], plan.commutant,
+                      commutator_norm_table(plan.frame_ops[:3]), plan.interaction_floor)
+    gaps = {}
+    for _ in range(3):
+        xi = qd.random_state(commutant_toy.space, rng)
+        amps = xi.amplitudes
+        g_span = RealSpan(2 * n, tol=TOL)
+        g_span.add_batch(realify(commutant_toy.control_stack @ amps))
+        outside = g_span.project_out(realify(x @ amps)[None])[0]
+        plans = {"fallback": short}
+        for row in (0, 1):                                 # K_I, the first candidate
+            ops = plan.frame_ops.copy()
+            ops[row] += 0.9 * TOL * np.linalg.norm(ops[row] @ amps) / np.linalg.norm(outside) * x
+            plans[row] = FramePlan(commutant_toy, plan.tol, ops, plan.commutant, commutator_norm_table(ops),
+                                   plan.interaction_floor)
+        for label, p in plans.items():
+            res = qd.build_frame(commutant_toy, xi, plan=p)
+            assert res.ok and ("commutant_dim" in res.report) == (label == "fallback"), label
+            v_rows = realify(res.frame.vectors)
+            if label != "fallback":
+                np.testing.assert_allclose(g_span.residual(v_rows[label]), 0.9 * TOL, rtol=1e-3)
+            law = qd.synthesize(commutant_toy, res.frame)
+            ref = reference_law(commutant_toy, xi, res.frame.vectors)
+            assert_law_matches(law, ref, keys=(*LAW_KEYS, "c1"))
+            c = np.linalg.lstsq(v_rows.T, realify(commutant_toy.drift.matrix @ amps), rcond=None)[0]
+            bound = TOL * np.dot(np.abs(c), np.maximum(row_norms(v_rows), 1.0))
+            gap = abs(law.details["drift_outside_frame"] - ref["drift_outside_frame"])
+            assert gap <= 1.01 * bound + 1e-14, label
+            gaps.setdefault(label, []).append(gap)
+    assert max(gaps["fallback"]) < 1e-14 and max(gaps[0]) < 1e-14     # c_1 = 0: K_I carries no drift
+    assert min(gaps[1]) > 1e-11                                         # the candidate does: O(tol), not 0
+
+
+def test_frame_selection_matches_the_one_row_loop_along_a_closed_loop(commutant_toy, toy_trajectories):
+    for plan, states, _ in toy_trajectories.values():
+        for xi in states:
+            assert assert_frame_matches_one_row_loop(commutant_toy, plan, xi).ok
 
 
 @pytest.mark.parametrize("name", ["single_qubit", "two_qubit", "bait", "restructured", "mixed_toy"])
