@@ -245,11 +245,12 @@ def _eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def unitary_stepper(a_mat: np.ndarray) -> Callable[[np.ndarray, float], np.ndarray]:
-    """(xi, t) -> exp(t a) xi for a skew-hermitian matrix, from one eigh of i*a."""
+    """(xi, t) -> exp(t a) xi for a skew-hermitian matrix, from one eigh of i*a; V† and -iw are formed once."""
     w, v = _eigh(1j * a_mat)
+    rate, v_h = -1j * w, v.conj().T
 
     def step(xi: np.ndarray, t: float) -> np.ndarray:
-        return v @ (np.exp(-1j * w * t) * (v.conj().T @ xi))
+        return v @ (np.exp(rate * t) * (v_h @ xi))
 
     return step
 

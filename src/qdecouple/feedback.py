@@ -24,12 +24,12 @@ test through one RealSpan, whose pivoted QR leaves Q, an orthonormal basis
 of span G(xi), and selects the frame by spans.kept_in_order, one in-order
 Householder QR of K_I and the candidates, which keeps the rows the
 one-at-a-time greedy test would and forms no basis of the frame.  The
-frame carries Q, so synthesize factors nothing twice: with r controls it
-works in r x r coordinates of Q, one LU solve for d, one SVD of d for its
-rank cut, cond(d) and S = d^-1, one LU solve for the drift split, and two
-projections onto span(Q) for the residuals.  Its LU solves go straight to
-dgesv and its SVD to spans._svd, each with info checked.  The frame's
-commutator diagnostics are a lookup into the plan's table.
+frame carries Q and its realified rows, so synthesize forms nothing twice:
+in r x r coordinates of Q, one projection of [V; K_0] onto span(Q) for all
+residuals, one LU solve (dgesv) for d and the drift split together, one
+SVD (spans._svd) of d for its rank cut, cond(d) and d^-1, which gives S
+and the drift's coordinates, and J once per (r, mode), read-only.  The
+frame's commutator diagnostics are a lookup into the plan's table.
 
 J's zero last row makes the literal beta singular; the paper
 simultaneously needs beta invertible, so a regularized mode replaces the
@@ -41,6 +41,7 @@ outcome is returned as data (a rank report), never papered over.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -88,12 +89,12 @@ class CommutingFrame:
     vectors holds the frame's tangent vectors at base, (k, n) complex, and
     generating_ops the operators that generate them, a (k, n, n) stack.
     field_rows holds the realified control and drift fields at base in
-    the order of sys.generator_stack ([K_1..K_r, K_0]), commutator_norms
-    the pairwise commutator norms of the generating operators,
-    control_basis Q, the orthonormal rows of the control fields' realified
-    span (the pivoted QR behind control_field_rank), all as build_frame
-    produced them; a frame assembled by hand leaves them None and
-    synthesize and pairwise_commutator_norms compute them on demand.
+    the order of sys.generator_stack ([K_1..K_r, K_0]), vector_rows the
+    realified vectors, commutator_norms the pairwise commutator norms of
+    the generating operators, control_basis Q, the orthonormal rows of the
+    control fields' realified span (behind control_field_rank), all as
+    build_frame produced them; a frame assembled by hand leaves them None
+    and synthesize and pairwise_commutator_norms compute them on demand.
     """
 
     base: StateVector
@@ -101,6 +102,7 @@ class CommutingFrame:
     generating_ops: np.ndarray
     details: dict = field(default_factory=dict)
     field_rows: np.ndarray | None = None
+    vector_rows: np.ndarray | None = None
     commutator_norms: np.ndarray | None = None
     control_basis: np.ndarray | None = None
 
@@ -250,8 +252,11 @@ def build_frame(
     from control combinations commuting with A_I (state-independent, hence
     reproducible along a trajectory), then from general commutant
     combinations projected into span(G(xi)).  The tol is the plan's;
-    without a plan one is built here at the default tol.
+    without a plan one is built here at the default tol.  A state on
+    another space than the system's is refused (ValueError).
     """
+    if xi.space is not sys.space and xi.space != sys.space:
+        raise ValueError("the state lives on a different space than the system")
     if plan is None:
         plan = FramePlan.build(sys)
     elif plan.sys is not sys:
@@ -276,7 +281,7 @@ def build_frame(
     }
     # K_I enters first and always stays: its norm cleared the interaction floor, which is at least tol
     kept = kept_in_order(rows, r, tol) if report["interaction_in_control_span"] else np.zeros(0, dtype=int)
-    vectors, ops = vals.take(kept, 0), plan.frame_ops.take(kept, 0)
+    vectors, vector_rows, ops = vals.take(kept, 0), rows.take(kept, 0), plan.frame_ops.take(kept, 0)
     norms = plan.commutator_norms.take(kept, 0).take(kept, 1)
     if report["interaction_in_control_span"] and len(kept) < r:
         # general commutant combinations whose evaluations lie in
@@ -290,9 +295,10 @@ def build_frame(
         combos = combo_basis.T @ combo_basis                   # projected e_1..e_m
         combos = combos[row_norms(combos) > tol]
         combo_vals = combos @ w_vals
-        chosen = kept_in_order(np.concatenate([rows[kept], realify(combo_vals)]), r, tol)
+        candidate_rows = np.concatenate([vector_rows, realify(combo_vals)])
+        chosen = kept_in_order(candidate_rows, r, tol)
         prior, added = chosen[chosen < len(kept)], chosen[chosen >= len(kept)] - len(kept)
-        vectors = np.concatenate([vectors[prior], combo_vals[added]])
+        vectors, vector_rows = np.concatenate([vectors[prior], combo_vals[added]]), candidate_rows.take(chosen, 0)
         ops = np.concatenate([ops[prior], np.tensordot(combos[added], plan.commutant, axes=1)])
         norms = None                                           # a full frame here holds a combination
     report["frame_rank"] = len(vectors)
@@ -300,7 +306,8 @@ def build_frame(
     if len(vectors) < r:
         return FrameResult(False, None, report)
     frame = CommutingFrame(
-        xi, vectors, ops, details=dict(report), field_rows=fields, commutator_norms=norms, control_basis=g_span.q,
+        xi, vectors, ops, details=dict(report), field_rows=fields, vector_rows=vector_rows, commutator_norms=norms,
+        control_basis=g_span.q,
     )
     frame.details["max_pairwise_commutator"] = float(frame.pairwise_commutator_norms().max(initial=0.0))
     return FrameResult(True, frame, report)
@@ -314,12 +321,14 @@ def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
+@functools.cache                                           # read-only: every law of this (r, mode) shares J
 def _upshift(r: int, mode: str) -> np.ndarray:
     if mode not in SYNTHESIS_MODES:
         raise ValueError(f"unknown synthesis mode {mode!r}")
     j = np.eye(r, k=1)
     if mode == "regularized":
         j[r - 1, 0] = 1.0
+    j.flags.writeable = False
     return j
 
 
@@ -334,22 +343,25 @@ def synthesize(
     Expresses the frame over the controls, v_j = sum_i d[j,i] K_i, forms
     beta = J d and cancels the drift's v_2..v_r components to get
     alpha = alpha~ beta.  Everything is r x r algebra in the coordinates of
-    Q, the orthonormal basis of span(K) (rows, realified), through
-    v_q = V Q^T:
+    Q, the orthonormal basis of span(K) (rows, realified), through one
+    projection of [V; K_0] onto span(Q), v_q = V Q^T and Q K_0:
       - the frame's residual outside span(Q) beyond tol means the controls
         do not express the frame;
-      - fewer than r rows of Q, or an SVD of d = v_q (K Q^T)^-1 cut below
-        r at tol, means d is singular; the SVD also gives cond(d) and
-        S = d^-1 (first column zeroed);
-      - past those checks v_q is invertible and V lies within the express
-        check's tol of span(Q), so span(V) = span(Q) to O(tol): the
-        drift's coordinates c over v solve v_q^T c = Q K_0, and its
-        residual outside span(Q) is drift_outside_frame.
+      - one LU of M^T = (K Q^T)^T gives d^T from M^T d^T = v_q^T and y
+        from M^T y = Q K_0;
+      - fewer than r rows of Q, or an SVD of d cut below r at tol, means d
+        is singular; the SVD also gives cond(d) and d^-1 (S is d^-1 with
+        its first column zeroed);
+      - past those checks v_q = d M is invertible and V lies within the
+        express check's tol of span(Q), so span(V) = span(Q) to O(tol):
+        the drift's coordinates c over v solve v_q^T c = Q K_0, so
+        c = d^-T y, and K_0's residual outside span(Q) is
+        drift_outside_frame.
     d is the least-squares solution of V = d K; c and drift_outside_frame
     agree with the least-squares split V^T c = K_0 to O(tol) times |K_0|
     (to roundoff when V lies in span(Q) to roundoff, as the control-
-    commutant frames do).  A frame built by hand gets Q from a RealSpan at
-    tol.
+    commutant frames do); c's rounding error is about cond(M) cond(d) eps.
+    A frame built by hand gets its rows and Q (a RealSpan at tol) here.
     """
     xi = frame.base
     r = sys.n_controls
@@ -358,39 +370,36 @@ def synthesize(
     fields = frame.field_rows
     if fields is None:
         fields = realify(sys.generator_stack @ xi.amplitudes)
-    k_rows, k0 = fields[:-1], fields[-1]                                           # (r, 2n), (2n,)
-    v_rows = realify(frame.vectors)                                                # (r, 2n)
+    v_rows = realify(frame.vectors) if frame.vector_rows is None else frame.vector_rows   # (r, 2n)
     q = frame.control_basis
     if q is None:
-        g_span = RealSpan(k_rows.shape[1], tol=tol)
-        g_span.add_batch(k_rows)
+        g_span = RealSpan(fields.shape[1], tol=tol)
+        g_span.add_batch(fields[:-1])
         q = g_span.q
 
-    v_q = v_rows @ q.T
-    resid = row_norms(v_rows - v_q @ q)
-    scale = row_norms(v_rows)
-    if (resid > tol * np.maximum(scale, 1.0)).any():
+    rows = np.concatenate([v_rows, fields[-1:]])                                   # [V; K_0], (r + 1, 2n)
+    rows_q = rows @ q.T                                                            # [v_q; (Q K_0)^T]
+    outside = row_norms(rows - rows_q @ q)                                         # V's residuals, then K_0's
+    resid = outside[:-1]
+    if (resid > tol * np.maximum(row_norms(v_rows), 1.0)).any():
         raise SynthesisError(f"controls do not express the frame (residual {resid.max():.3e})")
     # the frame has rank r, so dependent control fields also leave d singular
     singular = "d is singular at the synthesis tol: frame not invertible over the controls"
     if q.shape[0] < r:
         raise SynthesisError(singular)
-    d = _solve((k_rows @ q.T).T, v_q.T).T                                          # d (K Q^T) = V Q^T
+    d_t_y = _solve((fields[:-1] @ q.T).T, rows_q.T)                                # M^T [d^T | y] = [v_q^T | Q K_0]
+    d = d_t_y[:, :r].T
     u, sing_d, vt = _svd(d)
     if leading_rank(sing_d, tol) < r:
         raise SynthesisError(singular)
     cond_d = float(sing_d[0] / sing_d[-1])
 
-    s_matrix = (vt.T / sing_d) @ u.T
+    s_matrix = (vt.T / sing_d) @ u.T                                               # d^-1
+    c_coeffs = d_t_y[:, r] @ s_matrix                                              # c = d^-T y
     s_matrix[:, 0] = 0.0
     j_matrix = _upshift(r, mode)
     beta = j_matrix @ d
-
-    k0_q = q @ k0
-    c_coeffs = _solve(v_q.T, k0_q[:, None])[:, 0]                                 # (V Q^T)^T c = Q K_0
-    drift_out = k0 - k0_q @ q
-    drift_residual = math.sqrt(np.dot(drift_out, drift_out))                      # np.linalg.norm's formula
-    alpha = -c_coeffs[1:] @ beta[:-1]                                             # alpha~ = (-c_2..-c_r, 0)
+    alpha = -c_coeffs[1:] @ beta[:-1]                                              # alpha~ = (-c_2..-c_r, 0)
 
     return FeedbackLaw(
         base=xi,
@@ -403,8 +412,8 @@ def synthesize(
         details={
             "cond_d": cond_d,
             "c1": float(c_coeffs[0]),
-            "drift_outside_frame": drift_residual,
-            "frame_rank": frame.rank,
+            "drift_outside_frame": float(outside[-1]),
+            "frame_rank": r,
             "tol": tol,
         },
     )

@@ -120,16 +120,18 @@ class ControlSystem:
         return len(self.controls)
 
     def generator(self, u: np.ndarray | None = None, include_interaction: bool = True) -> Operator:
-        """Total skew generator A_0 + sum u_i A_i (+ A_I)."""
-        mat = self.drift.matrix.copy()
-        if u is not None:
+        """Total skew generator A_0 + sum u_i A_i (+ A_I), summed in place (addition commutes: the same bits)."""
+        if u is None:
+            mat = self.drift.matrix.copy()
+        else:
             u = np.asarray(u, dtype=float)
             if u.shape != (self.n_controls,):
                 raise ValueError(f"need {self.n_controls} control values")
             flat = self.generator_stack.reshape(len(self.generator_stack), -1)      # (r + 1, n^2), a view
-            mat += (u @ flat[:-1]).reshape(mat.shape)
+            mat = (u @ flat[:-1]).reshape(self.drift.matrix.shape)
+            mat += self.drift.matrix
         if include_interaction:
-            mat = mat + self.interaction.matrix
+            mat += self.interaction.matrix
         return Operator(self.space, mat)
 
     def interaction_floor(self, tol: float = DEFAULT_TOL) -> float:

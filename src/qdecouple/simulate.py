@@ -164,6 +164,7 @@ def propagate_closed_loop(
     for dur, v in v_sched.segments:
         n_steps = max(1, math.ceil(dur / dt))
         h = dur / n_steps
+        open_step = None                                   # u = v: one stepper for the segment's deficient steps
         if not feedback:
             # oracle_cancel adds the interaction and subtracts it: its net effect is its absence
             gen = sys.generator(v, include_interaction=include_interaction and mode == "open_loop")
@@ -176,7 +177,7 @@ def propagate_closed_loop(
                 result: FrameResult = build_frame(sys, state, plan=plan)
                 if result.ok:
                     law = synthesize(sys, result.frame, mode=mode, tol=plan.tol)
-                    gen = closed_loop_generator(sys, law, v, include_interaction)
+                    step = unitary_stepper(closed_loop_generator(sys, law, v, include_interaction).matrix)
                     if collect_audit:
                         audit[-1].update(action="synthesized", frame_rank=result.report["frame_rank"],
                                          cond_d=law.details["cond_d"], **law.audit_fields())
@@ -185,11 +186,12 @@ def propagate_closed_loop(
                         raise RankDeficiencyError({**result.report, "step": k, "t": t, "scenario": sys.scenario})
                     if collect_audit:
                         audit[-1].update(action=f"deficient:{policy}", rank_report=result.report)
-                    gen = sys.generator(v, include_interaction=include_interaction)
-                step = unitary_stepper(gen.matrix)
+                    if open_step is None:
+                        open_step = unitary_stepper(sys.generator(v, include_interaction=include_interaction).matrix)
+                    step = open_step
             xi = step(xi, h)
             t += h
-            nrm = np.linalg.norm(xi)
+            nrm = math.sqrt(np.dot(xi.real, xi.real) + np.dot(xi.imag, xi.imag))  # np.linalg.norm's bits
             drift = abs(nrm - 1.0)
             if drift > 1e-8:
                 raise NormDriftError(f"norm drift {drift:.3e} at t={t:.6f}")

@@ -11,7 +11,8 @@ those keeps the columns before the first |R_jj| <= tol * |R_00|.  That
 cut, leading_rank, is the package's one rank decision: every QR or SVD
 that decides a rank hands it its diagonal, with its own tol and floor.
 The floor and the two passes are one entry projection,
-RealSpan._project_entries, shared by add_batch and add_in_order.  _svd
+RealSpan._project_entries, shared by add_batch and add_in_order; an empty
+span adopts add_batch's read-only new directions as its basis.  _svd
 (dgesdd) is the package's one SVD: realified_nullspace (behind
 CodistributionBasis's rank and Delta*), row_rank (the rank of real rows,
 behind realified_rank and FeedbackLaw.beta_singular) and synthesize.
@@ -54,8 +55,8 @@ nothing.  It also covers the eigh of commutant_basis and of the spectral
 su(n) test (SciPy's zheevd at two threads slowed NumPy's products after
 it), hsb_generation_search and the `rank` command's per-state data.  The
 hand loop of omega_closure_closed (at most a tenth faster at one thread)
-and the closed loop's per-step add_batch and eigh (7.6 us per scope) stay
-unscoped.
+and the closed loop's per-step kernels (7.6 us per scope) stay unscoped;
+the commutant toy's closed loop gives the same bytes at one and two threads.
 
 new_direction is the one single-row test: RealSpan.add_in_order runs it
 on each survivor of a batch whose order decides what is kept.
@@ -203,18 +204,20 @@ class RealSpan:
         return kept.shape[0] > 0
 
     def add_batch(self, rows: np.ndarray, floor: float | None = None) -> np.ndarray:
-        """Add a batch of rows; returns the orthonormal new directions kept.
+        """Add a batch of rows; returns the orthonormal new directions kept, read-only.
 
         The rows _project_entries keeps (floor default tol) go to a
         column-pivoted QR, which keeps the columns leading_rank keeps
-        (relative, no floor); their Q columns are the new directions.
+        (relative, no floor); their Q columns are the new directions.  An
+        empty span adopts them as its basis, the same array.
         """
         _, res, _ = self._project_entries(rows, self.tol if floor is None else floor)
         if not res.shape[0]:
             return np.zeros((0, self.dim))
         new = _pivoted_qr_directions(res.T, self.tol)
+        new.flags.writeable = False
         if new.shape[0]:
-            self.q = np.vstack([self.q, new])
+            self.q = np.vstack([self.q, new]) if self.rank else new
         return new
 
     def add_in_order(self, rows: np.ndarray) -> np.ndarray:
@@ -251,12 +254,12 @@ class RealSpan:
         vanishing bracket must not inject noise directions.  Each of two
         Gram-Schmidt passes against the span held on entry drops the rows
         whose relative residual is at most tol; the second runs on the
-        survivors only.
+        survivors only.  Rows all live are copied, not indexed: the same bytes.
         """
         rows = np.atleast_2d(np.asarray(rows, dtype=float))
         norms = row_norms(rows)
-        index = np.flatnonzero(norms > floor)
-        res, norms = rows[index], norms[index]
+        index = (norms > floor).nonzero()[0]
+        res, norms = (rows[index], norms[index]) if index.size < len(rows) else (rows.copy(), norms)
         if self.rank:
             for _ in range(2):
                 res -= (res @ self.q.T) @ self.q
@@ -293,7 +296,7 @@ def kept_in_order(rows: np.ndarray, limit: int, tol: float) -> np.ndarray:
     an in-order Householder QR (LAPACK dgeqrf) of the rows is at or below
     tol times its norm.  The first row rejected among the first limit is
     dropped and the rest are factored again, so every kept row was tested
-    against kept rows only.  Only the indices are formed, no basis.
+    against kept rows only.  Only the indices are formed, no basis (limit >= 1).
     """
     norms = row_norms(rows)
     index = (norms > tol).nonzero()[0]
@@ -303,9 +306,10 @@ def kept_in_order(rows: np.ndarray, limit: int, tol: float) -> np.ndarray:
             raise np.linalg.LinAlgError(f"dgeqrf failed (info={info})")
         head = index[:min(limit, *qr.shape)]
         small = np.abs(qr.diagonal()[:head.size]) <= tol * norms.take(head)
-        if not small.any():
+        first = small.argmax()                             # head holds a row: limit >= 1
+        if not small[first]:
             return head
-        index = np.delete(index, small.argmax())
+        index = np.delete(index, first)
     return index
 
 
@@ -321,7 +325,8 @@ def leading_rank(magnitudes: np.ndarray, tol: float, floor: float = 0.0) -> int:
     if magnitudes.size == 0:
         return 0
     small = magnitudes <= tol * max(magnitudes[0], floor)
-    return int(small.argmax()) if small.any() else magnitudes.size
+    first = int(small.argmax())
+    return first if small[first] else magnitudes.size
 
 
 def _pivoted_qr_directions(a: np.ndarray, tol: float) -> np.ndarray:

@@ -415,3 +415,21 @@ def frame_one_row_at_a_time(sys_: qd.ControlSystem, xi: qd.StateVector, plan) ->
                     try_add(np.tensordot(coeffs, plan.commutant, axes=1), coeffs @ w)
     return {"ops": np.array(ops, dtype=complex).reshape(-1, n, n), "frame_rank": len(ops),
             "missing_codim": r - len(ops)}
+
+
+def project_entries_indexed(span: RealSpan, rows: np.ndarray, floor: float) -> tuple[np.ndarray, ...]:
+    """RealSpan._project_entries with the rows above the floor always taken by fancy indexing.
+
+    The reference for its every-row-live path, which skips the indexing:
+    the indices, residuals and unprojected norms must be the same bytes.
+    """
+    rows = np.atleast_2d(np.asarray(rows, dtype=float))
+    norms = np.linalg.norm(rows, axis=1)
+    index = np.flatnonzero(norms > floor)
+    res, norms = rows[index], norms[index]
+    if span.rank:
+        for _ in range(2):
+            res -= (res @ span.q.T) @ span.q
+            keep = np.linalg.norm(res, axis=1) > span.tol * norms
+            index, res, norms = index[keep], res[keep], norms[keep]
+    return index, res, norms

@@ -127,6 +127,15 @@ class TestSynthesize:
         assert lit.beta_singular
         assert not reg.beta_singular
 
+    def test_j_is_formed_once_per_shape_and_mode_and_read_only(self, commutant_toy):
+        rng = np.random.default_rng(5)
+        frames = [qd.build_frame(commutant_toy, qd.random_state(commutant_toy.space, rng)).frame for _ in range(3)]
+        laws = [qd.synthesize(commutant_toy, f, mode=m) for f, m in zip(frames, ("literal", "regularized", "literal"))]
+        assert laws[0].j_matrix is laws[2].j_matrix and laws[1].j_matrix is not laws[0].j_matrix
+        with pytest.raises(ValueError, match="read-only"):
+            laws[0].j_matrix[0, 0] = 1.0
+        assert laws[1].j_matrix[4, 0] == 1.0 and laws[0].j_matrix[4, 0] == 0.0
+
     def test_beta_singular_cuts_at_the_synthesis_tol(self, commutant_toy):
         rng = np.random.default_rng(5)
         xi = qd.random_state(commutant_toy.space, rng)

@@ -73,14 +73,17 @@ def reference_frame_and_law(sys_, xi, tol=TOL):
     return report, reference_law(sys_, xi, vectors)
 
 
-def reference_law(sys_, xi, vectors):
+def reference_law(sys_, xi, vectors, mode="literal"):
     r = sys_.n_controls
     k_rows = np.array([realify(a.matrix @ xi.amplitudes) for a in sys_.controls])
     v_rows = realify(np.array(vectors))
     d = np.linalg.lstsq(k_rows.T, v_rows.T, rcond=None)[0].T
     s_matrix = np.linalg.inv(d)
     s_matrix[:, 0] = 0.0
-    beta = np.eye(r, k=1) @ d
+    j = np.eye(r, k=1)
+    if mode == "regularized":
+        j[r - 1, 0] = 1.0
+    beta = j @ d
     k0 = realify(sys_.drift.matrix @ xi.amplitudes)
     c = np.linalg.lstsq(v_rows.T, k0, rcond=None)[0]
     alpha_tilde = np.zeros(r)
@@ -278,6 +281,46 @@ def test_hand_built_frames_match_reference(commutant_toy, toy_trajectories):
         ref = reference_law(commutant_toy, xi, built.vectors)
         for frame in (built, by_hand):
             assert_law_matches(qd.synthesize(commutant_toy, frame), ref, keys=(*LAW_KEYS, "c1", "drift_outside_frame"))
+
+
+def test_regularized_laws_along_a_closed_loop_match_reference(commutant_toy, toy_trajectories):
+    for plan, states, _ in toy_trajectories.values():
+        for xi in states:
+            frame = qd.build_frame(commutant_toy, xi, plan=plan).frame
+            law = qd.synthesize(commutant_toy, frame, mode="regularized")
+            ref = reference_law(commutant_toy, xi, frame.vectors, mode="regularized")
+            assert_law_matches(law, ref, keys=(*LAW_KEYS, "c1", "drift_outside_frame"))
+
+
+@pytest.mark.parametrize("eps", [1e-3, 1e-6, 1e-8])
+def test_merged_solve_keeps_the_drift_split_within_cond_d_of_least_squares(commutant_toy, eps):
+    # c = d^-T y goes through d^-1, so its rounding error grows as
+    # cond(M) cond(d) eps, not cond(v_q) eps: with v_2 = K_1 + eps K_2,
+    # d = [[1, 0], [1, eps]] has cond(d) about 2 / eps and passes the 1e-9
+    # cut, and c_1 is about -c_2 ~ 1 / eps; c1, alpha and the drift's
+    # residual keep a relative error below cond(d) * 1e-14 of least squares
+    sub = toy_subsystem(commutant_toy, commutant_toy.controls[:2], ["B1", "B2"])
+    xi = qd.random_state(sub.space, np.random.default_rng(2))
+    k1, k2 = (qd.eval_field(a, xi) for a in sub.controls)
+    vectors = [k1, k1 + eps * k2]
+    frame = qd.CommutingFrame(xi, vectors, [sub.controls[0].matrix, (sub.controls[0] + sub.controls[1] * eps).matrix])
+    law = qd.synthesize(sub, frame)
+    ref = reference_law(sub, xi, vectors)
+    cond_d = law.details["cond_d"]
+    assert 1.0 / eps < cond_d < 4.0 / eps
+    bound = cond_d * 1e-14
+    for key, got in (("c1", law.details["c1"]), ("alpha", law.alpha),
+                     ("drift_outside_frame", law.details["drift_outside_frame"])):
+        assert np.linalg.norm(got - ref[key]) <= bound * np.linalg.norm(ref[key]), key
+
+
+def test_build_frame_refuses_a_state_on_another_space(commutant_toy):
+    # the same dimension on other factors, and another dimension
+    rng = np.random.default_rng(44)
+    for space in (qd.HilbertSpace((("qubits", 4), ("env", 3))),
+                  qd.HilbertSpace((("qubit1", 2), ("qubit2", 2), ("env", 4)))):
+        with pytest.raises(ValueError, match="different space"):
+            qd.build_frame(commutant_toy, qd.random_state(space, rng))
 
 
 def test_drift_split_agrees_with_least_squares_to_the_express_tol(commutant_toy):

@@ -50,6 +50,24 @@ def test_generators_are_rows_of_one_read_only_stack(name, params):
     assert np.shares_memory(sys_.control_stack, stack[:r]) and sys_.control_stack.shape == (r, n, n)
 
 
+@pytest.mark.parametrize("name", [*qd.SCENARIOS, "toy"])
+def test_generator_keeps_the_bits_of_the_drift_first_sum(name, params):
+    # summed in place as sum u_i A_i + A_0 (+ A_I): IEEE addition commutes,
+    # so the bytes are those of A_0 + sum u_i A_i (+ A_I), and the drift is untouched
+    sys_ = build_commutant_toy() if name == "toy" else qd.build_scenario(name, params)
+    u = np.random.default_rng(81).normal(size=sys_.n_controls)
+    drift = sys_.drift.matrix.copy()
+    for interaction in (True, False):
+        want = sys_.drift.matrix.copy()
+        want += np.tensordot(u, sys_.control_stack.reshape(sys_.n_controls, -1), axes=1).reshape(want.shape)
+        if interaction:
+            want = want + sys_.interaction.matrix
+        assert sys_.generator(u, include_interaction=interaction).matrix.tobytes() == want.tobytes()
+        bare = sys_.generator(None, include_interaction=interaction).matrix
+        assert bare.tobytes() == (drift + sys_.interaction.matrix if interaction else drift).tobytes()
+    assert sys_.drift.matrix.tobytes() == drift.tobytes()
+
+
 def test_a_built_system_holds_each_generator_once(monkeypatch):
     # restructured at n_env 20 with max_power 19: k = 80 controls of n = 80,
     # each held once in generator_stack; the controls' skew list and the stack

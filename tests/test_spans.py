@@ -11,7 +11,10 @@ coordinates must be an isometry of u(n) onto R^(n^2) with an exact inverse,
 and of u(q)^b onto R^(b q^2) on block stacks.  ad_images must give the loop's
 bytes on (k, n, n) stacks and the diagonal blocks of the dense brackets on
 block-diagonal (k, b, q, q) stacks.
-add_in_order must keep the rows a loop of add keeps, in order.
+add_in_order must keep the rows a loop of add keeps, in order.  The entry
+projection must give the indexed path's bytes when every row is live, and
+an empty span must adopt the pivoted-QR directions add_batch returns, as
+one read-only array.
 close_real_span, hsb_generation_search and the per-state loop of the rank
 command must run at one BLAS thread in both bundled OpenBLAS libraries and
 hand back the counts they found, also when they raise.
@@ -29,10 +32,11 @@ import scipy.linalg
 import qdecouple.cli
 import qdecouple.simulate
 import qdecouple.spans
-from qdecouple.spans import (RealSpan, _openblas_libraries, ad_images, close_real_span, leading_rank,
-                             realified_nullspace, realify, skew_hermitian_coordinates, unit_generators)
+from qdecouple.spans import (RealSpan, _openblas_libraries, _pivoted_qr_directions, ad_images, close_real_span,
+                             leading_rank, realified_nullspace, realify, skew_hermitian_coordinates,
+                             unit_generators)
 
-from oracles import ad_images_loop, dense_skew_hermitian_codes
+from oracles import ad_images_loop, dense_skew_hermitian_codes, project_entries_indexed
 
 TOL = 1e-9
 
@@ -219,6 +223,47 @@ def test_empty_span_and_empty_batch():
     assert span.add(np.eye(8)[2])
     assert not span.add(2.0 * np.eye(8)[2])
     assert span.rank == 1
+
+
+@pytest.mark.parametrize("span_rank", [0, 5])
+@pytest.mark.parametrize("below_floor", [False, True], ids=["all live", "rows below the floor"])
+def test_entry_projection_gives_the_indexed_bytes(span_rank, below_floor):
+    rng = np.random.default_rng(61 + span_rank)
+    span = _span_with(rng, 24, span_rank)
+    rows = _batch(rng, span, 6, 4)
+    if below_floor:
+        rows[[1, 4]] *= 1e-11
+    given = rows.copy()
+    got = span._project_entries(rows, TOL)
+    want = project_entries_indexed(span, rows, TOL)
+    assert len(got[0]) == (4 if below_floor else 6)
+    for a, b in zip(got, want):
+        assert a.tobytes() == b.tobytes()
+    assert rows.tobytes() == given.tobytes()                 # the caller's rows are not projected in place
+
+
+@pytest.mark.parametrize("n_rows, rank", [(5, 5), (7, 4)])
+def test_an_empty_span_adopts_the_pivoted_qr_directions(n_rows, rank):
+    rng = np.random.default_rng(70 + n_rows)
+    rows = rng.normal(size=(n_rows, rank)) @ _directions(rng, rank, 24)
+    given = rows.copy()
+    span = RealSpan(24, tol=TOL)
+    new = span.add_batch(rows)
+    assert span.q is new and span.rank == rank
+    assert new.tobytes() == _pivoted_qr_directions(given.copy().T, TOL).tobytes()
+    assert rows.tobytes() == given.tobytes()                 # the QR ran on a copy
+
+
+def test_add_batch_returns_read_only_directions():
+    rng = np.random.default_rng(72)
+    span = RealSpan(24, tol=TOL)
+    for batch in (_directions(rng, 3, 24), _directions(rng, 2, 24)):   # adopted, then stacked on
+        new = span.add_batch(batch)
+        basis = span.q.tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            new[0, 0] = 1.0
+        assert span.q.tobytes() == basis
+    assert span.rank == 5
 
 
 def test_bait_c_tilde_basis_is_orthonormal(bait_c_tilde):
